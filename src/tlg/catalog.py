@@ -83,14 +83,21 @@ def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
 def _generator_from_json(data, location: str) -> Optional[Generator]:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise ParseError(location, "generator must be a JSON object")
     kind = data.get("kind")
-    if kind == "wci":
-        return WciSpec(tuple(data["weights"]), tuple(data["degrees"]))
-    if kind == "grass":
-        return GrassSpec(int(data["k"]), int(data["n"]),
-                         tuple(data["degrees"]))
-    if kind == "toric":
-        return ToricCurveClassData(tuple(tuple(r) for r in data["rows"]))
+    try:
+        if kind == "wci":
+            return WciSpec(tuple(data["weights"]), tuple(data["degrees"]))
+        if kind == "grass":
+            return GrassSpec(int(data["k"]), int(data["n"]),
+                             tuple(data["degrees"]))
+        if kind == "toric":
+            return ToricCurveClassData(tuple(tuple(r) for r in data["rows"]))
+    except KeyError as exc:
+        raise ParseError(location, f"{kind} generator is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(location, str(exc)) from exc
     raise ParseError(location, f"unknown generator kind {kind!r}")
 
 
@@ -114,6 +121,10 @@ def entry_to_json_dict(e: CatalogEntry) -> dict:
 
 
 def entry_from_json_dict(data, location: str) -> CatalogEntry:
+    if not isinstance(data, dict):
+        raise ParseError(location, "entry must be a JSON object")
+    if "id" not in data:
+        raise ParseError(f"{location} field id", "missing")
     try:
         laurent = LaurentPoly.from_json_dict(data["laurent"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -203,7 +214,9 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
     period = phi(entry.laurent, order)
     target = entry.generator_series(order)
     compared = order
-    if target is None:
+    if target is not None:
+        messages.extend(target.warnings)
+    else:
         stored = entry.expected_series_prefix
         if stored is None:
             messages.append("no generator and no stored series prefix")

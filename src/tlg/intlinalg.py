@@ -162,33 +162,6 @@ def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, M
     return a, u, v
 
 
-def rank_rational(mat: Sequence[Sequence[Fraction]]) -> int:
-    rows = [[Fraction(x) for x in row] for row in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        piv = None
-        for i in range(rank, m):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(m):
-            if i != rank and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [xi - c * xr for xi, xr in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def solve_rational(mat: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
     """Solve mat * x = rhs exactly; None when inconsistent.
 
@@ -248,43 +221,6 @@ def inverse_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
                 c = aug[i][col]
                 aug[i] = [xi - c * xr for xi, xr in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
-
-
-def kernel_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of the right kernel of mat, by reduced row echelon form."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    rows = [[Fraction(x) for x in row] for row in mat]
-    pivots: List[int] = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != 0:
-                c = rows[i][col]
-                rows[i] = [xi - c * xr for xi, xr in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
-        basis.append(vec)
-    return basis
 
 
 def in_lattice(generators: Sequence[Sequence[int]], x: Sequence[int]) -> bool:

@@ -49,9 +49,13 @@ def _coerce_coeff(c) -> Coeff:
 
 
 class LaurentPoly:
-    """Immutable sparse Laurent polynomial over named variables."""
+    """Immutable sparse Laurent polynomial over named variables.
 
-    __slots__ = ("_vars", "_terms")
+    ``_newton`` holds the Newton polytope once ``polytope.newton_polytope``
+    has built it; nothing else reads or writes it.
+    """
+
+    __slots__ = ("_vars", "_terms", "_newton")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Coeff]):
         vs = tuple(variables)
@@ -68,6 +72,7 @@ class LaurentPoly:
                 clean[e] = c
         self._vars = vs
         self._terms = clean
+        self._newton = None
 
     @classmethod
     def _raw(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Coeff]) -> "LaurentPoly":
@@ -76,6 +81,7 @@ class LaurentPoly:
         p = object.__new__(cls)
         p._vars = vs
         p._terms = {e: _norm(c) for e, c in terms.items() if c}
+        p._newton = None
         return p
 
     @classmethod

@@ -1,10 +1,13 @@
 """Exact lattice polytope geometry in low dimensions.
 
-Convex hulls are computed incrementally with rational arithmetic, so every
-facet normal, height and vertex is exact. Polytopes may have integer or
-rational vertex coordinates; operations that need the induced lattice
-structure (normalized volume, lattice point enumeration in the degenerate
-case) insist on integer vertices.
+Convex hulls are computed incrementally in integer arithmetic, in one pass
+that yields the vertices and the facets together. Rational input points are
+first scaled by their common denominator, so the hull only ever eliminates
+over Z: a fraction-free echelon, reduced by gcd, gives every rank and every
+primitive facet normal. Polytopes may have integer or rational vertex
+coordinates; operations that need the induced lattice structure (normalized
+volume, lattice point enumeration in the degenerate case) insist on integer
+vertices.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h. Heights are integers for lattice
@@ -18,13 +21,15 @@ import itertools
 import math
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import (det_bareiss, inverse_rational, kernel_lattice_basis,
-                        kernel_rational, snf_with_transforms, solve_rational)
+                        snf_with_transforms, solve_rational)
 from .laurent import LaurentPoly
 
 Point = Tuple[object, ...]  # entries are int or Fraction
+Facet = Tuple[Tuple[int, ...], object]
 
 
 class PolytopeError(Exception):
@@ -67,7 +72,7 @@ def _norm_point(p: Sequence) -> Point:
 
 
 def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _sub(a: Sequence, b: Sequence) -> Tuple:
@@ -76,202 +81,241 @@ def _sub(a: Sequence, b: Sequence) -> Tuple:
 
 def primitive_vector(vec: Sequence) -> Tuple[int, ...]:
     """Scale a nonzero rational vector to a primitive integer vector."""
-    fracs = [Fraction(x) for x in vec]
-    mult = 1
-    for f in fracs:
-        mult = mult * f.denominator // gcd(mult, f.denominator)
-    ints = [int(f * mult) for f in fracs]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    ints = _integral([Fraction(x) for x in vec])
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
 
 
-class _Echelon:
-    """Incremental rational row reduction used for rank bookkeeping."""
+def _denominator(points: Iterable[Sequence]) -> int:
+    """Least common denominator of the int and Fraction coordinates."""
+    den = 1
+    for p in points:
+        for x in p:
+            if not isinstance(x, int):
+                q = x.denominator
+                den = den * q // gcd(den, q)
+    return den
 
-    def __init__(self, width: int):
-        self.width = width
-        self.rows: List[List[Fraction]] = []
+
+def _integral(vec: Sequence) -> List[int]:
+    """vec scaled by the least positive integer clearing its denominators."""
+    den = _denominator((vec,))
+    return [int(x * den) for x in vec]
+
+
+class _IntEchelon:
+    """Fraction-free reduced row echelon form over Z, grown row by row.
+
+    Every stored row is primitive with a positive pivot, and each pivot
+    column is zero in every other row. Scaling a row by a nonzero integer
+    changes neither the span nor the kernel, so ranks are exact and a
+    corank-one system yields its primitive kernel generator directly.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: List[List[int]] = []
         self.pivots: List[int] = []
-
-    def residual(self, vec: Sequence) -> List[Fraction]:
-        v = [Fraction(x) for x in vec]
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                c = v[piv]
-                v = [a - c * b for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert a vector; True when it enlarged the span."""
-        v = self.residual(vec)
-        for i, x in enumerate(v):
-            if x:
-                inv = 1 / x
-                self.rows.append([a * inv for a in v])
-                self.pivots.append(i)
-                return True
-        return False
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
+    def add(self, vec: Sequence[int]) -> bool:
+        """Insert an integer vector; True when it enlarged the span."""
+        v = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                a = row[piv]
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                v = [a * x - c * y for x, y in zip(v, row)]
+        for piv, a in enumerate(v):
+            if a:
+                break
+        else:
+            return False
+        g = gcd(*v)
+        if a < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+        a = v[piv]
+        rows = self.rows
+        for k, row in enumerate(rows):
+            c = row[piv]
+            if c:
+                g = gcd(a, c)
+                r = [(a // g) * x - (c // g) * y for x, y in zip(row, v)]
+                g = gcd(*r)
+                rows[k] = [x // g for x in r] if g != 1 else r
+        rows.append(v)
+        self.pivots.append(piv)
+        return True
 
-def _affine_rank(points: Sequence[Point]) -> int:
-    if not points:
-        return -1
-    ech = _Echelon(len(points[0]))
-    for p in points[1:]:
-        ech.add(_sub(p, points[0]))
-    return ech.rank
+    def kernel_vector(self, width: int) -> Tuple[int, ...]:
+        """Primitive generator of the kernel, which must be a line.
+
+        Row i reads a_i x_(p_i) + b_i x_f = 0 for the one free column f,
+        with gcd(a_i, b_i) = 1. Taking x_f = lcm(a_i) leaves, for every
+        prime of x_f, some x_(p_i) = -b_i x_f / a_i that it does not divide,
+        so the vector is primitive without a final gcd.
+        """
+        free = [j for j in range(width) if j not in self.pivots]
+        if len(free) != 1:
+            raise ValueError("kernel is not one-dimensional")
+        f = free[0]
+        lcm = 1
+        for row, piv in zip(self.rows, self.pivots):
+            a = row[piv]
+            lcm = lcm * a // gcd(lcm, a)
+        out = [0] * width
+        out[f] = lcm
+        for row, piv in zip(self.rows, self.pivots):
+            out[piv] = -row[f] * (lcm // row[piv])
+        return tuple(out)
 
 
-def _hyperplane_through(points: Sequence[Point], inside: Point
-                        ) -> Tuple[Tuple[int, ...], object]:
-    """Primitive inner normal (n, h) with <n,x> = -h on points, <n,inside> > -h."""
-    diffs = [list(_sub(p, points[0])) for p in points[1:]]
-    basis = kernel_rational(diffs)
-    if len(basis) != 1:
-        raise ValueError("points do not span a unique hyperplane")
-    n = primitive_vector(basis[0])
-    h = -_dot(n, points[0])
-    side = _dot(n, inside) + h
+def _affine_basis(pts: Sequence[Sequence[int]]) -> Tuple[List[int], _IntEchelon]:
+    """Indices of pts[0] and of each later point that raised the affine rank,
+    with the echelon of their differences from pts[0]."""
+    base = pts[0]
+    d = len(base)
+    ech = _IntEchelon()
+    simplex = [0]
+    for i in range(1, len(pts)):
+        if len(simplex) == d + 1:
+            break
+        if ech.add(_sub(pts[i], base)):
+            simplex.append(i)
+    return simplex, ech
+
+
+def _oriented_plane(ech: _IntEchelon, base: Sequence[int], ref: Sequence[int]
+                    ) -> Tuple[Tuple[int, ...], int]:
+    """Primitive inner normal (n, h) of the hyperplane through base spanned
+    by the rows of ech, with the centroid of the d+1 points summing to ref
+    strictly on the inner side: <n, ref> + (d+1) h > 0."""
+    n = ech.kernel_vector(len(base))
+    h = -_dot(n, base)
+    side = _dot(n, ref) + (len(base) + 1) * h
     if side < 0:
-        n = tuple(-x for x in n)
-        h = -h
-        side = -side
+        return tuple(-x for x in n), -h
     if side == 0:
         raise ValueError("reference point lies on the hyperplane")
-    return n, _normc(Fraction(h))
+    return n, h
 
 
 class _Facet:
     __slots__ = ("normal", "height", "incidents")
 
-    def __init__(self, normal, height, incidents):
+    def __init__(self, normal, height, incidents: Set[int]):
         self.normal = normal
         self.height = height
-        self.incidents: Set[int] = set(incidents)
-
-    def value(self, p: Point):
-        return _dot(self.normal, p) + self.height
+        self.incidents = incidents
 
 
-def _full_hull(pts: List[Point]) -> Tuple[List[_Facet], Set[int]]:
-    """Facets and vertex indices for points of full affine rank.
+def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
+               ) -> Tuple[List[Facet], Set[int]]:
+    """Facets and vertex indices of integer points of full affine rank d >= 2.
 
-    Incremental insertion: each new point either lies inside the current
-    hull (possibly on facet hyperplanes, which then absorb it) or sees a set
-    of facets. Seen facets are replaced by facets spanned by each horizon
-    ridge together with the new point. Incident sets are kept complete for
-    every processed point, which is what makes exact ridge detection by
-    affine rank possible.
+    Incremental insertion from the starting simplex: each new point either
+    lies inside the current hull (possibly on facet hyperplanes, which then
+    absorb it) or sees a set of facets. Seen facets are replaced by facets
+    spanned by each horizon ridge together with the new point. Incident sets
+    are kept complete for every processed point, which is what makes exact
+    ridge detection by affine rank possible: the old hull meets a new facet
+    exactly in its ridge, so the ridge's incidents plus the new point are
+    the new facet's. The reference point is the sum of the simplex vertices,
+    (d+1) times their centroid, so it stays integral and strictly inside
+    every intermediate hull.
     """
     d = len(pts[0])
-    ech = _Echelon(d)
-    simplex = [0]
-    for i in range(1, len(pts)):
-        if ech.add(_sub(pts[i], pts[0])):
-            simplex.append(i)
-        if len(simplex) == d + 1:
-            break
-    ref = tuple(Fraction(sum(col), d + 1) for col in zip(*[pts[i] for i in simplex]))
-
+    ref = tuple(sum(col) for col in zip(*[pts[i] for i in simplex]))
     facets: List[_Facet] = []
-    for omit in range(d + 1):
-        subset = [simplex[j] for j in range(d + 1) if j != omit]
-        n, h = _hyperplane_through([pts[i] for i in subset], pts[simplex[omit]])
-        facets.append(_Facet(n, h, subset))
+    for omit in simplex:
+        subset = [i for i in simplex if i != omit]
+        ech = _IntEchelon()
+        for i in subset[1:]:
+            ech.add(_sub(pts[i], pts[subset[0]]))
+        n, h = _oriented_plane(ech, pts[subset[0]], ref)
+        facets.append(_Facet(n, h, set(subset)))
 
-    processed = set(simplex)
-    for i in range(len(pts)):
-        if i in processed:
+    in_simplex = set(simplex)
+    for i, p in enumerate(pts):
+        if i in in_simplex:
             continue
-        p = pts[i]
-        values = [f.value(p) for f in facets]
-        if all(v >= 0 for v in values):
-            for f, v in zip(facets, values):
-                if v == 0:
-                    f.incidents.add(i)
-            processed.add(i)
-            continue
+        values = [sum(map(mul, f.normal, p)) + f.height for f in facets]
         visible = [f for f, v in zip(facets, values) if v < 0]
+        for f, v in zip(facets, values):
+            if v == 0:
+                f.incidents.add(i)
+        if not visible:
+            continue
         survivors = [f for f, v in zip(facets, values) if v >= 0]
-        survivor_keys = {(f.normal, f.height) for f in survivors}
-        new_planes: Dict[Tuple, Tuple] = {}
+        planes = {(f.normal, f.height) for f in survivors}
+        new_facets: Dict[Facet, Set[int]] = {}
         for F in visible:
             for G in survivors:
                 common = F.incidents & G.incidents
-                if not common:
+                if len(common) < d - 1:
                     continue
-                common_pts = [pts[j] for j in sorted(common)]
-                if _affine_rank(common_pts) != d - 2:
+                it = iter(common)
+                base = pts[next(it)]
+                ech = _IntEchelon()
+                for j in it:
+                    ech.add(_sub(pts[j], base))
+                if ech.rank != d - 2:
                     continue
-                span = [common_pts[0]]
-                ech2 = _Echelon(d)
-                for q in common_pts[1:]:
-                    if ech2.add(_sub(q, common_pts[0])):
-                        span.append(q)
-                span.append(p)
-                n, h = _hyperplane_through(span, ref)
-                key = (n, h)
-                if key not in survivor_keys:
-                    new_planes[key] = key
-        for f in survivors:
-            if f.value(p) == 0:
-                f.incidents.add(i)
-        processed.add(i)
-        facets = survivors
-        for n, h in new_planes:
-            inc = {j for j in processed if _dot(n, pts[j]) + h == 0}
-            facets.append(_Facet(n, h, inc))
+                ech.add(_sub(p, base))
+                key = _oriented_plane(ech, base, ref)
+                if key not in planes:
+                    new_facets.setdefault(key, {i}).update(common)
+        facets = survivors + [_Facet(n, h, inc)
+                              for (n, h), inc in new_facets.items()]
 
-    vertices: Set[int] = set()
-    candidates = set()
+    normals_at: Dict[int, List[Tuple[int, ...]]] = {}
     for f in facets:
-        candidates |= f.incidents
-    for i in candidates:
-        ech3 = _Echelon(d)
-        for f in facets:
-            if i in f.incidents:
-                ech3.add(f.normal)
-        if ech3.rank == d:
-            vertices.add(i)
-    return facets, vertices
+        for i in f.incidents:
+            normals_at.setdefault(i, []).append(f.normal)
+    vertices: Set[int] = set()
+    for i, normals in normals_at.items():
+        if len(normals) < d:
+            continue
+        ech = _IntEchelon()
+        for n in normals:
+            if ech.add(n) and ech.rank == d:
+                vertices.add(i)
+                break
+    return [(f.normal, f.height) for f in facets], vertices
 
 
-def _vertex_indices(pts: List[Point]) -> Set[int]:
-    """Hull vertex indices for points of any affine rank."""
-    d = len(pts[0]) if pts else 0
-    rank = _affine_rank(pts)
-    if rank <= 0:
-        return {0}
-    if rank == d:
-        if d == 1:
-            lo = min(range(len(pts)), key=lambda i: pts[i][0])
-            hi = max(range(len(pts)), key=lambda i: pts[i][0])
-            return {lo, hi}
-        _, verts = _full_hull(pts)
-        return verts
-    # degenerate: rewrite the points in rational coordinates on their span
-    p0 = pts[0]
-    ech = _Echelon(d)
-    basis: List[Tuple] = []
-    for p in pts[1:]:
-        v = _sub(p, p0)
-        if ech.add(v):
-            basis.append(v)
-    cols = [list(col) for col in zip(*basis)]  # d x rank matrix
-    coords = []
-    for p in pts:
-        sol = solve_rational(cols, list(_sub(p, p0)))
-        coords.append(_norm_point(sol))
-    sub = _vertex_indices(coords)
-    return sub
+def _hull(pts: List[Tuple[int, ...]]
+          ) -> Tuple[int, Optional[List[Facet]], Set[int]]:
+    """(affine dimension, facets when full-dimensional, vertex indices) of
+    distinct integer points. Facets of dimension >= 2 come sorted; the two
+    facets of a segment come as ((1,), -lo), ((-1,), hi)."""
+    simplex, ech = _affine_basis(pts)
+    rank = len(simplex) - 1
+    if rank == 0:
+        return 0, None, {0}
+    d = len(pts[0])
+    if rank < d:
+        # the projection onto the pivot coordinates is injective on the
+        # affine span, so it keeps the vertices
+        cols = sorted(ech.pivots)
+        return rank, None, _hull([tuple(p[j] for j in cols) for p in pts])[2]
+    if d == 1:
+        lo = min(range(len(pts)), key=lambda i: pts[i][0])
+        hi = max(range(len(pts)), key=lambda i: pts[i][0])
+        return 1, [((1,), -pts[lo][0]), ((-1,), pts[hi][0])], {lo, hi}
+    facets, vertices = _full_hull(pts, simplex)
+    return d, sorted(facets), vertices
 
 
 class Polytope:
@@ -287,19 +331,15 @@ class Polytope:
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed point lengths {sorted(dims)}")
         self.ambient_dim = dims.pop()
-        self.dim = max(_affine_rank(pts), 0)
-        vidx = _vertex_indices(pts)
-        self.vertices: Tuple[Point, ...] = tuple(sorted(pts[i] for i in vidx))
-        self._facets: Optional[Tuple[Tuple[Tuple[int, ...], object], ...]] = None
-        if self.dim == self.ambient_dim and self.ambient_dim >= 1:
-            if self.ambient_dim == 1:
-                lo = min(p[0] for p in pts)
-                hi = max(p[0] for p in pts)
-                self._facets = (((1,), _normc(Fraction(-lo))),
-                                ((-1,), _normc(Fraction(hi))))
-            else:
-                facets, _ = _full_hull(list(self.vertices))
-                self._facets = tuple(sorted((f.normal, f.height) for f in facets))
+        den = _denominator(pts)
+        ipts = pts if den == 1 else [tuple(int(x * den) for x in p) for p in pts]
+        self.dim, facets, vidx = _hull(ipts)
+        self.vertices: Tuple[Point, ...] = tuple(pts[i] for i in sorted(vidx))
+        self._facets: Optional[Tuple[Facet, ...]] = None
+        if facets is not None:
+            # dividing every height by the same den > 0 keeps the order
+            self._facets = tuple(facets) if den == 1 else tuple(
+                (n, _normc(Fraction(h, den))) for n, h in facets)
 
     @property
     def facets(self) -> Tuple[Tuple[Tuple[int, ...], object], ...]:
@@ -378,10 +418,12 @@ def convex_hull(points: Iterable[Sequence]) -> Polytope:
 
 
 def newton_polytope(f: LaurentPoly) -> Polytope:
-    """Convex hull of the exponents of f."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial has no Newton polytope")
-    return Polytope(f.exponents())
+    """Convex hull of the exponents of f, built on first use and kept on f."""
+    if f._newton is None:
+        if f.is_zero():
+            raise ZeroPolynomial("zero polynomial has no Newton polytope")
+        f._newton = Polytope(f.exponents())
+    return f._newton
 
 
 def equals(p: Polytope, q: Polytope) -> bool:
@@ -474,13 +516,17 @@ def _saturated_projection(vertices: Sequence[Point]
     basis = []
     for k in range(rank):
         col = [uinv[j][k] for j in range(len(uinv))]
-        assert all(f.denominator == 1 for f in col)
+        if any(f.denominator != 1 for f in col):
+            raise PolytopeError(
+                f"saturated basis vector {[str(f) for f in col]} is not integral")
         basis.append(tuple(int(f) for f in col))
     bcols = [list(col) for col in zip(*basis)]
     proj = []
     for v in vertices:
         sol = solve_rational(bcols, list(_sub(v, base)))
-        assert sol is not None and all(Fraction(x).denominator == 1 for x in sol)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise PolytopeError(
+                f"vertex {v} has no integer coordinates in the saturated basis")
         proj.append(tuple(int(x) for x in sol))
     return base, basis, proj
 
@@ -528,7 +574,10 @@ def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
     out = []
     for p in points_on_plane:
         sol = solve_rational(cols, list(_sub(p, p0)))
-        assert sol is not None and all(Fraction(x).denominator == 1 for x in sol)
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise PolytopeError(
+                f"point {p} is not a lattice point of the hyperplane through "
+                f"{p0} with normal {tuple(normal)}")
         out.append(tuple(int(x) for x in sol))
     return p0, basis, out
 
@@ -554,7 +603,7 @@ def edges(p: Polytope) -> List[Tuple[Point, Point]]:
     verts = p.vertices
     for a in range(len(verts)):
         for b in range(a + 1, len(verts)):
-            ech = _Echelon(d)
+            ech = _IntEchelon()
             for n, h in p.facets:
                 if _dot(n, verts[a]) + h == 0 and _dot(n, verts[b]) + h == 0:
                     ech.add(n)
@@ -614,10 +663,10 @@ def unimodular_equivalent(p: Polytope, q: Polytope
         return None
     if n == 0:
         return []
-    ech = _Echelon(n)
+    ech = _IntEchelon()
     chosen = []
     for v in p.vertices:
-        if ech.add(v):
+        if ech.add(_integral(v)):
             chosen.append(v)
         if len(chosen) == n:
             break

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import Coeff, LaurentPoly, UnknownVariable
-from .polytope import Polytope
+from .polytope import Polytope, newton_polytope
 
 factorial = math.factorial
 binomial = math.comb
@@ -72,16 +72,15 @@ def _parse_coeff(c) -> Coeff:
     return f.numerator if f.denominator == 1 else f
 
 
-def _keep_predicate(support: Sequence[Tuple[int, ...]], positions: Sequence[int],
+def _keep_predicate(f: LaurentPoly, positions: Sequence[int],
                     remaining_holder: list):
     """Pruning test for projected exponents, reading the stage budget from
     remaining_holder[0] so one closure serves every stage."""
-    proj = sorted({tuple(e[i] for i in positions) for e in support})
-    facets = None
-    if len(positions) >= 1:
-        poly = Polytope(proj)
-        if poly.dim == poly.ambient_dim:
-            facets = poly.facets
+    if list(positions) == list(range(len(f.variables))):
+        poly = newton_polytope(f)
+    else:
+        poly = Polytope({tuple(e[i] for i in positions) for e in f.exponents()})
+    facets = poly.facets if poly.dim == poly.ambient_dim else None
     if facets is not None:
         fl = [(n, h) for n, h in facets]
 
@@ -96,7 +95,7 @@ def _keep_predicate(support: Sequence[Tuple[int, ...]], positions: Sequence[int]
             return True
         return keep
 
-    cols = list(zip(*proj))
+    cols = list(zip(*poly.vertices))
     los = [min(c) for c in cols]
     his = [max(c) for c in cols]
 
@@ -135,9 +134,8 @@ def phi_coefficients(f: LaurentPoly, order: int,
         return [one] + [LaurentPoly.zero(rest)] * (order - 1)
 
     positions = [vs.index(v) for v in period]
-    support = list(f.exponents())
     remaining_holder = [order - 1]
-    keep = _keep_predicate(support, positions, remaining_holder)
+    keep = _keep_predicate(f, positions, remaining_holder)
 
     out: List[LaurentPoly] = [one]
     g = LaurentPoly.constant(1, vs)

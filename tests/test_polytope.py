@@ -1,10 +1,16 @@
+import itertools
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
-                          OriginNotInterior, Polytope, ccw_vertices,
+                          OriginNotInterior, Polytope, PolytopeError,
+                          ccw_vertices,
                           convex_hull, dual, edges, equals, is_reflexive,
                           lattice_chart, lattice_points, minkowski_sum,
                           newton_polytope, normalized_volume,
@@ -153,3 +159,90 @@ def test_convex_hull_helper():
     p = convex_hull([(0, 0), (1, 0), (0, 1)])
     assert isinstance(p, Polytope)
     assert len(p.vertices) == 3
+
+
+def test_lattice_chart_rejects_points_off_the_hyperplane():
+    with pytest.raises(PolytopeError):
+        lattice_chart([(1, 0, 0), (2, 0, 0)], (1, 0, 0))
+
+
+def test_hull_of_grid_points_with_collinear_edges():
+    grid = list(itertools.product((-1, 0, 1), repeat=4))
+    cube = Polytope(grid)
+    assert len(cube.vertices) == 16
+    assert cube.facets == tuple(sorted(
+        (tuple(s * (i == j) for j in range(4)), 1)
+        for i in range(4) for s in (-1, 1)))
+    assert normalized_volume(cube) == 16 * 24
+
+
+def test_newton_polytope_is_built_once_and_pickles():
+    vs = ("x", "y", "z")
+    x, y, z = (LaurentPoly.variable(n, vs) for n in vs)
+    f = x + y + z + (x * y * z) ** -1
+    delta = newton_polytope(f)
+    assert newton_polytope(f) is delta
+    # products and other derived polynomials start without a polytope
+    assert (f * f)._newton is None
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g._newton == delta
+    assert g._newton.facets == delta.facets
+
+
+def _rank(rows):
+    """Rank by plain rational elimination, independent of the hull code."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col] / rows[rank][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+_small_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+
+
+@st.composite
+def _point_sets(draw):
+    d = draw(st.integers(2, 5))
+    # the unit grid makes collinear and coplanar input points likely
+    coord = draw(st.sampled_from([st.integers(-1, 1), st.integers(-3, 3),
+                                  _small_fractions]))
+    count = draw(st.integers(1, 14 - d))
+    return d, draw(st.lists(st.tuples(*[coord] * d), min_size=count,
+                            max_size=count))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_sets())
+def test_hull_properties(case):
+    d, points = case
+    p = Polytope(points)
+    assert set(p.vertices) <= {tuple(Fraction(x) for x in q) for q in points}
+    assert p.dim == _rank([[a - b for a, b in zip(q, points[0])]
+                           for q in points[1:]] or [[0] * d])
+    again = Polytope(p.vertices)
+    assert again.vertices == p.vertices
+    for v in p.vertices:
+        rest = [q for q in points if tuple(Fraction(x) for x in q) != v]
+        assert not rest or not Polytope(rest).contains(v)
+    if p.dim < d:
+        with pytest.raises(NotFullDimensional):
+            p.facets
+        return
+    assert again.facets == p.facets
+    assert len({n for n, _ in p.facets}) == len(p.facets)
+    for n, h in p.facets:
+        assert all(isinstance(x, int) for x in n) and gcd(*n) == 1
+        values = [sum(a * b for a, b in zip(n, q)) + h for q in points]
+        assert all(v >= 0 for v in values)
+        on = [q for q, v in zip(points, values) if v == 0]
+        # a facet holds d affinely independent input points
+        assert _rank([[a - b for a, b in zip(q, on[0])] for q in on[1:]]) == d - 1
