@@ -41,8 +41,6 @@ from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
                      iseries_grassmannian, iseries_toric, iseries_wci, phi,
                      verify_period)
 
-DEFAULT_SEED = 0
-
 
 # -- shared plumbing --------------------------------------------------------
 
@@ -156,13 +154,8 @@ def _emit_bool(value: bool, output: str) -> None:
 # -- command tree -----------------------------------------------------------
 
 @click.group()
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Seed for randomized fallbacks. Every current command "
-                   "is deterministic, so the value is recorded but unused.")
-@click.pass_context
-def cli(ctx, seed):
+def cli():
     """Exact arithmetic tools for Laurent polynomial mirror models."""
-    ctx.obj = {"seed": seed}
 
 
 @cli.command("phi")

@@ -176,10 +176,17 @@ def weight_table(model: QuiverModel) -> List[Dict[Vertex, int]]:
             tail, head = arrow
             diff = wt[head] - wt[tail]
             if arrow in in_p:
-                assert diff == -1, (p, arrow, diff)
-            elif arrow != ((k, n), (k, n + 1)):
-                assert diff == 0, (p, arrow, diff)
-        assert wt[(k, n)] == 0 and all(x >= 0 for x in wt.values())
+                if diff != -1:
+                    raise BlocksDontFit(
+                        f"block {p}: arrow {arrow} changes the weight by "
+                        f"{diff}, not -1")
+            elif arrow != ((k, n), (k, n + 1)) and diff:
+                raise BlocksDontFit(
+                    f"block {p}: arrow {arrow} outside the block changes "
+                    f"the weight by {diff}")
+        if wt[(k, n)] != 0 or any(x < 0 for x in wt.values()):
+            raise BlocksDontFit(
+                f"block {p}: weights must be nonnegative and vanish at {(k, n)}")
         tables.append(wt)
     return tables
 
@@ -197,7 +204,10 @@ def weight_variables(model: QuiverModel) -> List[str]:
     out = []
     for b in model.blocks:
         name = _vertex_name(model.k, model.n, b.weight_vertex(model.k))
-        assert name is not None
+        if name is None:
+            raise BlocksDontFit(
+                f"block {b} has its weight vertex at {(model.k, model.n)}, "
+                "which carries no variable")
         out.append(name)
     return out
 

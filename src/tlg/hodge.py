@@ -33,6 +33,11 @@ class NotReflexive(ValueError):
     """The component count needs a reflexive 3-polytope."""
 
 
+class ComponentCountMismatch(ValueError):
+    """The dual's boundary points disagree with half its normalized volume
+    plus two."""
+
+
 @dataclass(frozen=True)
 class HodgeDiamond:
     dim: int
@@ -119,7 +124,11 @@ def components_at_infinity(delta: Polytope) -> int:
         raise NotReflexive("polytope is not reflexive")
     nabla = dual(delta)
     count = len(lattice_points(nabla, region="boundary"))
-    assert count == normalized_volume(nabla) // 2 + 2
+    volume = normalized_volume(nabla)
+    if count != volume // 2 + 2:
+        raise ComponentCountMismatch(
+            f"{count} boundary points, but normalized volume {volume} "
+            f"gives {volume // 2 + 2}")
     return count
 
 

@@ -213,7 +213,8 @@ def discriminant(l: GramLattice) -> DiscriminantData:
     for i in range(n):
         rhs = [1 if j == i else 0 for j in range(n)]
         col = solve_rational(u, rhs)
-        assert col is not None
+        if col is None:
+            raise DegenerateLattice("Smith normal form transform is singular")
         uinv_cols.append(col)
     group: List[int] = []
     gens: List[Tuple[Fraction, ...]] = []
@@ -227,7 +228,10 @@ def discriminant(l: GramLattice) -> DiscriminantData:
                        for r in range(n))
         gens.append(coords)
         values.append(reduce_mod2(q_value(l, coords)))
-    assert math.prod(group) == abs(d)
+    if math.prod(group) != abs(d):
+        raise DegenerateLattice(
+            f"discriminant group {group} has order {math.prod(group)}, "
+            f"not |det| = {abs(d)}")
     return DiscriminantData(tuple(group), tuple(gens), tuple(values))
 
 
@@ -261,7 +265,7 @@ def form_matches(l: GramLattice, printed: Sequence) -> bool:
 def index_check(sub: GramLattice, sup: GramLattice,
                 embedding: Sequence[Sequence[int]]) -> int:
     """Index of a finite-index isometric image, with the determinant
-    identity index^2 * det(sup) = det(sub) asserted on the way out."""
+    identity index^2 * det(sup) = det(sub) checked on the way out."""
     e = [list(map(int, row)) for row in embedding]
     if len(e) != sub.rank or any(len(row) != sup.rank for row in e):
         raise NotFiniteIndex("embedding matrix has the wrong shape")
@@ -277,7 +281,9 @@ def index_check(sub: GramLattice, sup: GramLattice,
     idx = abs(det_bareiss(e))
     if idx == 0:
         raise NotFiniteIndex("embedding is not injective")
-    assert idx * idx * abs(sup.det()) == abs(sub.det())
+    if idx * idx * abs(sup.det()) != abs(sub.det()):
+        raise NotFiniteIndex(
+            f"index {idx} breaks index^2 * det(sup) = det(sub)")
     return idx
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 from .intlinalg import kernel_lattice_basis, solve_rational
 from .laurent import LaurentPoly, RationalExpr
 from .polytope import (DimensionTooLarge, NotFullDimensional, Polytope,
-                       ccw_vertices, edges)
+                       _dot, ccw_vertices, edges)
 
 
 class PivotInFactor(ValueError):
@@ -83,10 +83,6 @@ class MutationData:
     direction: Tuple[int, ...]
     factor: Polytope
     exponent_rule: ExponentRule = None
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _slice_points(p: Polytope, w: Sequence[int], k: int) -> List[Tuple[Fraction, ...]]:

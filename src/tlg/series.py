@@ -1,12 +1,24 @@
 """Period series of Laurent polynomials and closed-form I-series.
 
-The period of f collects the constant terms of its powers. Powers are built
-stage by stage; after extracting the constant term of f^j, terms that cannot
-reach exponent zero within the remaining number of multiplications are
-dropped. A term with exponent e can still contribute at stage j+r only if -e
-is a sum of r exponents of f, hence lies in r times the Newton polytope of
-f. Testing against a halfspace relaxation of the union of those dilations
-never drops a contributing term, so pruning is exact.
+The period of f collects the constant terms ct(f^j) for j = 0..N. They are
+read off half powers with the identity
+
+    ct(f^(a+b)) = sum over e of [f^a]_e * [f^b]_(-e),
+
+as in Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288): with f^(a-1) and f^a
+at hand, ct(f^(2a-1)) and ct(f^(2a)) are sparse dot products, so only
+f^1..f^(N//2) are built, two at a time. For odd N the last coefficient is
+ct(f^(2p+1)) = sum over s of f_s * sum over k of [f^p]_k [f^p]_(-k-s),
+which never builds f^(p+1).
+
+Exponents over the period variables are packed into one int,
+pack(e) = sum of e_i R^i with radix R = 2 N max|e| + 1. Every coordinate of
+a sum of at most N exponents of f lies in [-N max|e|, N max|e|], where
+balanced digits base R are unique, so pack is injective on every exponent
+the engine meets, and being linear it turns -e and e + e' into -pack(e)
+and pack(e) + pack(e'). Coefficients are ints or Fractions; variables that
+are not period variables stay in the values, which are then Laurent
+polynomials in those variables.
 """
 
 from __future__ import annotations
@@ -18,7 +30,6 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import Coeff, LaurentPoly, UnknownVariable
-from .polytope import Polytope, newton_polytope
 
 factorial = math.factorial
 binomial = math.comb
@@ -72,41 +83,24 @@ def _parse_coeff(c) -> Coeff:
     return f.numerator if f.denominator == 1 else f
 
 
-def _keep_predicate(f: LaurentPoly, positions: Sequence[int],
-                    remaining_holder: list):
-    """Pruning test for projected exponents, reading the stage budget from
-    remaining_holder[0] so one closure serves every stage."""
-    if list(positions) == list(range(len(f.variables))):
-        poly = newton_polytope(f)
-    else:
-        poly = Polytope({tuple(e[i] for i in positions) for e in f.exponents()})
-    facets = poly.facets if poly.dim == poly.ambient_dim else None
-    if facets is not None:
-        fl = [(n, h) for n, h in facets]
+def _pairing(a: dict, b: dict, target: int = 0):
+    """Sum of a[k] * b[target - k] over the keys of the smaller dict."""
+    if len(a) > len(b):
+        a, b = b, a
+    return sum(c * b[target - k] for k, c in a.items() if target - k in b)
 
-        def keep(e) -> bool:
-            k = remaining_holder[0]
-            ep = tuple(-e[i] for i in positions)
-            for n, h in fl:
-                bound = k * h if h > 0 else 0
-                # point of some dilation r*N with r <= k: relaxed facet test
-                if sum(a * b for a, b in zip(n, ep)) < -bound:
-                    return False
-            return True
-        return keep
 
-    cols = list(zip(*poly.vertices))
-    los = [min(c) for c in cols]
-    his = [max(c) for c in cols]
-
-    def keep_box(e) -> bool:
-        k = remaining_holder[0]
-        for i, pos in enumerate(positions):
-            x = -e[pos]
-            if not (min(0, k * los[i]) <= x <= max(0, k * his[i])):
-                return False
-        return True
-    return keep_box
+def _times(power: dict, factor: list) -> dict:
+    """Packed product of a power with the (key, value) pairs of f."""
+    out: dict = {}
+    get = out.get
+    for k, c in power.items():
+        for s, d in factor:
+            key = k + s
+            out[key] = get(key, 0) + c * d
+    for key in [key for key, c in out.items() if not c]:
+        del out[key]
+    return out
 
 
 def phi_coefficients(f: LaurentPoly, order: int,
@@ -129,21 +123,37 @@ def phi_coefficients(f: LaurentPoly, order: int,
         if v not in vs:
             raise UnknownVariable(f"{v!r} not among {vs}")
     rest = tuple(v for v in vs if v not in period)
-    one = LaurentPoly.constant(1, rest)
-    if f.is_zero():
-        return [one] + [LaurentPoly.zero(rest)] * (order - 1)
+    period_pos = [vs.index(v) for v in period]
+    rest_pos = [vs.index(v) for v in rest]
 
-    positions = [vs.index(v) for v in period]
-    remaining_holder = [order - 1]
-    keep = _keep_predicate(f, positions, remaining_holder)
+    n = order - 1
+    bound = n * max((abs(e[i]) for e in f.exponents() for i in period_pos),
+                    default=0)
+    weights = [(2 * bound + 1) ** d for d in range(len(period_pos))]
+    packed: dict = {}
+    for e, c in f.terms():
+        key = sum(e[i] * w for i, w in zip(period_pos, weights))
+        if rest:
+            c = LaurentPoly.monomial(rest, [e[i] for i in rest_pos], c)
+        packed[key] = packed.get(key, 0) + c
+    factor = list(packed.items())
 
-    out: List[LaurentPoly] = [one]
-    g = LaurentPoly.constant(1, vs)
-    for j in range(1, order):
-        g = g * f
-        out.append(g.constant_term(over=period))
-        remaining_holder[0] = order - 1 - j
-        g = g.filter_terms(keep)
+    def poly(value) -> LaurentPoly:
+        if isinstance(value, LaurentPoly):
+            return value
+        return LaurentPoly.constant(value, rest)
+
+    unit = LaurentPoly.constant(1, rest)
+    out: List[LaurentPoly] = [unit]
+    cur = {0: unit if rest else 1}
+    for _ in range(n // 2):
+        prev = cur
+        cur = _times(prev, factor)
+        out.append(poly(_pairing(cur, prev)))
+        out.append(poly(_pairing(cur, cur)))
+    if n % 2:
+        # f^(2p+1) = f^p * f * f^p without building f^(p+1)
+        out.append(poly(sum(d * _pairing(cur, cur, -s) for s, d in factor)))
     return out
 
 

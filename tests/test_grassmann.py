@@ -1,6 +1,7 @@
 import pytest
 
-from tlg.grassmann import (Block, BlocksDontFit, bcfks_laurent,
+from tlg import grassmann
+from tlg.grassmann import (Block, BlocksDontFit, QuiverModel, bcfks_laurent,
                            closed_formula_laurent, consecutive_blocks,
                            elimination_identity_holds, weight_table,
                            weight_variables)
@@ -97,3 +98,34 @@ def test_block_sizes_and_weight_vertices():
     assert Block("VB", 1, 3).weight_vertex(3) == (3, 2)
     assert Block("MB", 1, 2).size(3) == 3
     assert Block("MB", 1, 2).weight_vertex(3) == (3, 1)
+
+
+_MODEL = consecutive_blocks(GrassSpec(3, 3, (2, 1, 1, 1)))
+
+
+@pytest.mark.parametrize("patch, message", [
+    # every weight zero: arrows of the block no longer drop by one
+    ("weight", "not -1"),
+    # block 1 claims no arrows: its own arrows look like outside arrows
+    ("arrows", "outside the block"),
+    # every weight shifted by one: differences hold, (k, n) is not 0
+    ("shift", "vanish at"),
+])
+def test_weight_table_checks_raise_blocks_dont_fit(monkeypatch, patch, message):
+    if patch == "weight":
+        monkeypatch.setattr(grassmann, "_weight", lambda block, k, v: 0)
+    elif patch == "arrows":
+        monkeypatch.setattr(grassmann, "block_arrows", lambda block, k, n: [])
+    else:
+        weight = grassmann._weight
+        monkeypatch.setattr(grassmann, "_weight",
+                            lambda block, k, v: weight(block, k, v) + 1)
+    with pytest.raises(BlocksDontFit, match=message):
+        weight_table(_MODEL)
+
+
+def test_weight_vertex_without_a_variable_raises_blocks_dont_fit():
+    # a vertical block ending at column n puts its weight vertex at (k, n)
+    model = QuiverModel(2, 3, (3,), (Block("VB", 1, 4),))
+    with pytest.raises(BlocksDontFit, match="carries no variable"):
+        weight_variables(model)

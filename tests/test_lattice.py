@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tlg import lattice
 from tlg.lattice import (BadName, BadRange, DegenerateLattice, GramLattice,
                          NotFiniteIndex, NotIsometric, direct_sum,
                          discriminant, duval_intersection,
@@ -147,3 +148,26 @@ def test_duval_self_intersections():
         duval_self_intersection("D6", branch="middle")
     with pytest.raises(BadRange):
         duval_self_intersection("F4", 1)
+
+
+def test_discriminant_checks_raise_degenerate_lattice(monkeypatch):
+    l = GramLattice(((2, -1), (-1, 2)))
+    solve = lattice.solve_rational
+    with monkeypatch.context() as m:
+        # the Gram matrix still inverts; the Smith transform u does not
+        m.setattr(lattice, "solve_rational",
+                  lambda a, b: solve(a, b) if a is l.gram else None)
+        with pytest.raises(DegenerateLattice, match="transform is singular"):
+            discriminant(l)
+    with monkeypatch.context() as m:
+        # a determinant the Smith form of the Gram matrix does not have
+        m.setattr(GramLattice, "det", lambda self: 6)
+        with pytest.raises(DegenerateLattice, match="not \\|det\\| = 6"):
+            discriminant(l)
+
+
+def test_index_check_determinant_identity_raises_not_finite_index(monkeypatch):
+    h = hyperbolic()
+    monkeypatch.setattr(lattice, "det_bareiss", lambda m: 2)
+    with pytest.raises(NotFiniteIndex, match="index\\^2"):
+        index_check(h, h, [[1, 0], [0, 1]])

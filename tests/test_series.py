@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tlg.laurent import LaurentPoly
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree,
@@ -188,3 +190,44 @@ def test_power_series_mechanics():
     assert PowerSeries.from_json_dict(data) == s
     with pytest.raises(ValueError):
         PowerSeries.from_json_dict({"order": 2, "coeffs": ["1"]})
+
+
+V4 = ("w", "x", "y", "z")
+x2, y2 = (LaurentPoly.variable(n, ("x", "y")) for n in ("x", "y"))
+
+
+@st.composite
+def _phi_cases(draw):
+    """A Laurent polynomial in 1-4 variables, an order and a nonempty
+    period-variable subset in any order; the other variables ride along."""
+    vs = V4[:draw(st.integers(1, 4))]
+    coeff = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    exponent = st.tuples(*[st.integers(-3, 3)] * len(vs))
+    terms = draw(st.lists(st.tuples(exponent, coeff), max_size=6))
+    if terms and draw(st.booleans()):
+        e, c = draw(st.sampled_from(terms))
+        terms.append((e, -c))  # cancels in f itself
+    f = LaurentPoly.zero(vs)
+    for e, c in terms:
+        f = f + LaurentPoly.monomial(vs, e, c)
+    period = draw(st.permutations(vs))[:draw(st.integers(1, len(vs)))]
+    return f, draw(st.integers(1, 9)), tuple(period)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_phi_cases())
+@example((LaurentPoly.zero(("x", "y")), 6, ("x", "y")))
+@example((LaurentPoly.constant(Fraction(3, 2), ("x", "y")), 5, ("y",)))
+# f^2 has x*y terms cancelling: 2*x*y from x*y and -2*x*y from 1*(-x*y)
+@example((1 + x2 + y2 - x2 * y2, 7, ("x", "y")))
+# sums of 8 exponents reach the radix edge x^24 = x^(N*max|e|); with a
+# radix of 24, x^3*y^-1 * (x^3)^7 would pack to 0
+@example((x2 ** 3 + x2 ** 3 * y2 ** -1 + x2 ** -3 + y2, 9, ("x", "y")))
+@example((x2 ** 3 + x2 ** 3 * y2 ** -1 + x2 ** -3 + y2, 9, ("y", "x")))
+def test_phi_coefficients_match_brute_force_powers(case):
+    f, order, period = case
+    got = phi_coefficients(f, order, period)
+    want = [(f ** j).constant_term(over=period) for j in range(order)]
+    assert [p.variables for p in got] == [p.variables for p in want]
+    assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
