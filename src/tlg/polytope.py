@@ -362,25 +362,20 @@ class Polytope:
             return all(_dot(n, p) + h >= 0 for n, h in self.facets) \
                 if self.ambient_dim else True
         # lower-dimensional: must sit in the affine span and inside the
-        # projected hull
+        # hull projected onto the pivot coordinates, which is injective on
+        # the span and leaves a full-dimensional polytope
         base = self.vertices[0]
-        diffs = [list(_sub(v, base)) for v in self.vertices[1:]]
-        cols = [list(col) for col in zip(*diffs)] if diffs else [[] for _ in range(self.ambient_dim)]
-        rhs = list(_sub(p, base))
-        if not diffs:
+        if len(self.vertices) == 1:
             return p == base
-        sol = solve_rational(cols, rhs)
-        if sol is None:
+        den = _denominator(self.vertices + (p,))
+        ech = _IntEchelon()
+        for v in self.vertices[1:]:
+            ech.add([int(x * den) for x in _sub(v, base)])
+        cols = sorted(ech.pivots)
+        if ech.add([int(x * den) for x in _sub(p, base)]):
             return False
-        recon = [sum(c * diffs[k][j] for k, c in enumerate(sol))
-                 for j in range(self.ambient_dim)]
-        if any(a != b for a, b in zip(recon, rhs)):
-            return False
-        coords = []
-        for v in self.vertices:
-            s = solve_rational(cols, list(_sub(v, base)))
-            coords.append(_norm_point(s))
-        return Polytope(coords).contains(_norm_point(sol))
+        return Polytope([tuple(v[j] for j in cols) for v in self.vertices]
+                        ).contains(tuple(p[j] for j in cols))
 
     # -- serialization ----------------------------------------------------
 
