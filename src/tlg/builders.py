@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -179,9 +178,7 @@ def _default_names(d: int) -> Tuple[str, ...]:
 def _edge_position(point, v, w) -> Optional[Tuple[int, int]]:
     """(length, index) when point lies on the lattice segment from v to w."""
     dv = tuple(b - a for a, b in zip(v, w))
-    g = 0
-    for x in dv:
-        g = gcd(g, x)
+    g = gcd(*dv)
     step = tuple(x // g for x in dv)
     diff = tuple(b - a for a, b in zip(v, point))
     for k in range(g + 1):
@@ -230,19 +227,11 @@ def is_An_polygon(q: Polytope) -> Optional[int]:
         return None
     if q.dim == 1:
         a, b = q.vertices[0], q.vertices[-1]
-        g = 0
-        for x in (y - z for y, z in zip(b, a)):
-            g = gcd(g, x)
-        return 0 if g == 1 else None
+        return 0 if gcd(*(y - z for y, z in zip(b, a))) == 1 else None
     if q.dim != 2 or len(q.vertices) != 3:
         return None
-    lens = []
-    for a, b in itertools.combinations(q.vertices, 2):
-        g = 0
-        for x in (y - z for y, z in zip(b, a)):
-            g = gcd(g, x)
-        lens.append(g)
-    lens.sort()
+    lens = sorted(gcd(*(y - z for y, z in zip(b, a)))
+                  for a, b in itertools.combinations(q.vertices, 2))
     if lens[0] == 1 and lens[1] == 1:
         return lens[2]
     return None
@@ -256,12 +245,9 @@ def _a_type_terms(q: Polytope) -> Dict[Tuple[int, ...], int]:
     terms: Dict[Tuple[int, ...], int] = {v: 1 for v in q.vertices}
     if n >= 2:
         for a, b in itertools.combinations(q.vertices, 2):
-            pos = _edge_position(b, a, b)
-            g = 0
-            for x in (y - z for y, z in zip(b, a)):
-                g = gcd(g, x)
-            if g == n:
-                step = tuple(x // n for x in (y - z for y, z in zip(b, a)))
+            dv = tuple(y - z for y, z in zip(b, a))
+            if gcd(*dv) == n:
+                step = tuple(x // n for x in dv)
                 for k in range(1, n):
                     pt = tuple(x + k * s for x, s in zip(a, step))
                     terms[pt] = comb(n, k)

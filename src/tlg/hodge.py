@@ -178,9 +178,7 @@ def k_components(degrees: Sequence[int], index: int) -> int:
     carry no ray, so they are dropped."""
     rays = []
     for row in k_matrix(degrees, index):
-        g = 0
-        for x in row:
-            g = math.gcd(g, abs(x))
+        g = math.gcd(*row)
         if g:
             rays.append(tuple(x // g for x in row))
     if not rays:

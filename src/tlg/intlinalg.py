@@ -1,13 +1,17 @@
-"""Exact linear algebra over Z and Q shared by the polytope and lattice modules.
+"""Exact linear algebra over Z and Q shared by the polytope, lattice and
+Picard-Fuchs modules.
 
-Matrices are lists of lists (rows). Everything here is arbitrary precision:
-integer routines stay in int, rational routines use fractions.Fraction.
+Matrices are lists of lists (rows). Everything here is arbitrary precision
+and stays in int while it eliminates: the one row elimination is the
+fraction-free echelon `_IntEchelon`, and the rational routines clear the
+denominators of each row first and form Fractions only from its final rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -162,65 +166,155 @@ def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, M
     return a, u, v
 
 
+def _denominator(points: Iterable[Sequence]) -> int:
+    """Least common denominator of the int and Fraction coordinates."""
+    den = 1
+    for p in points:
+        for x in p:
+            if not isinstance(x, int):
+                q = x.denominator
+                den = den * q // gcd(den, q)
+    return den
+
+
+def _integral(vec: Sequence) -> List[int]:
+    """vec scaled by the least positive integer clearing its denominators."""
+    den = _denominator((vec,))
+    return [int(x * den) for x in vec]
+
+
+class _IntEchelon:
+    """Fraction-free reduced row echelon form over Z, grown row by row.
+
+    Every stored row is primitive with its pivot as leading, positive
+    entry, and each pivot column is zero in every other row. Scaling a row
+    by a nonzero integer changes neither the span nor the kernel, so ranks
+    are exact, the rows are the unique reduced echelon form of the span up
+    to order and scale, and a corank-one system yields its primitive kernel
+    generator directly.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: List[List[int]] = []
+        self.pivots: List[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, vec: Sequence[int]) -> bool:
+        """Insert an integer vector; True when it enlarged the span."""
+        v = list(vec)
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                a = row[piv]
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                v = [a * x - c * y for x, y in zip(v, row)]
+        for piv, a in enumerate(v):
+            if a:
+                break
+        else:
+            return False
+        g = gcd(*v)
+        if a < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+        a = v[piv]
+        rows = self.rows
+        for k, row in enumerate(rows):
+            c = row[piv]
+            if c:
+                g = gcd(a, c)
+                r = [(a // g) * x - (c // g) * y for x, y in zip(row, v)]
+                g = gcd(*r)
+                rows[k] = [x // g for x in r] if g != 1 else r
+        rows.append(v)
+        self.pivots.append(piv)
+        return True
+
+    def kernel_basis(self, width: int) -> List[List[int]]:
+        """One integer kernel vector per free column f, in column order.
+
+        Row i reads a_i x_(p_i) + sum of row_i[g] x_g over the free columns
+        g = 0. Taking x_f = lcm of the a_i of the rows meeting f, and every
+        other free column 0, leaves each x_(p_i) = -row_i[f] x_f / a_i
+        integral; the vectors span the kernel over Q.
+        """
+        basis = []
+        for f in range(width):
+            if f in self.pivots:
+                continue
+            lcm = 1
+            for row, piv in zip(self.rows, self.pivots):
+                if row[f]:
+                    a = row[piv]
+                    lcm = lcm * a // gcd(lcm, a)
+            vec = [0] * width
+            vec[f] = lcm
+            for row, piv in zip(self.rows, self.pivots):
+                vec[piv] = -row[f] * (lcm // row[piv])
+            basis.append(vec)
+        return basis
+
+    def kernel_vector(self, width: int) -> Tuple[int, ...]:
+        """Primitive generator of the kernel, which must be a line.
+
+        With one free column f every row reads a_i x_(p_i) + b_i x_f = 0
+        with gcd(a_i, b_i) = 1, and a row with b_i = 0 has a_i = 1. So
+        x_f = lcm(a_i) leaves, for every prime of x_f, some
+        x_(p_i) = -b_i x_f / a_i that it does not divide, and the vector of
+        kernel_basis is primitive without a final gcd.
+        """
+        basis = self.kernel_basis(width)
+        if len(basis) != 1:
+            raise ValueError("kernel is not one-dimensional")
+        return tuple(basis[0])
+
+
+def _echelon(rows: Iterable[Sequence]) -> _IntEchelon:
+    """Echelon of the span of int or Fraction rows, each cleared of its
+    denominators first."""
+    ech = _IntEchelon()
+    for row in rows:
+        ech.add(_integral(row))
+    return ech
+
+
 def solve_rational(mat: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
     """Solve mat * x = rhs exactly; None when inconsistent.
 
-    For underdetermined systems returns one solution (free variables at 0).
+    Reads the echelon of [mat | rhs]: a pivot in the last column is the
+    row 0 = 1, and otherwise each row fixes its pivot variable with the
+    free variables at 0, so an underdetermined system gets that solution.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(m)]
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [xi - c * xr for xi, xr in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(mat[0]) if mat else 0
+    ech = _echelon(list(row) + [b] for row, b in zip(mat, rhs))
     x = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][n]
+    for row, piv in zip(ech.rows, ech.pivots):
+        if piv == n:
+            return None
+        x[piv] = Fraction(row[n], row[piv])
     return x
 
 
 def inverse_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse of a nonsingular square matrix."""
+    """Exact inverse of a nonsingular square matrix, read off the echelon
+    of [mat | I]; the matrix is singular exactly when a pivot falls in I."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
+    ech = _echelon(list(row) + [int(i == j) for j in range(n)]
+                   for i, row in enumerate(mat))
+    inv: List[List[Fraction]] = [[] for _ in range(n)]
+    for row, piv in zip(ech.rows, ech.pivots):
+        if piv >= n:
             raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [xi - c * xr for xi, xr in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
+        inv[piv] = [Fraction(x, row[piv]) for x in row[n:]]
+    return inv
 
 
 def in_lattice(generators: Sequence[Sequence[int]], x: Sequence[int]) -> bool:

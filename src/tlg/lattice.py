@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .intlinalg import det_bareiss, snf_with_transforms, solve_rational
+from .intlinalg import det_bareiss, inverse_rational, snf_with_transforms
 
 Gram = Tuple[Tuple[int, ...], ...]
 
@@ -169,18 +169,6 @@ class DiscriminantData:
     form_values: Tuple[Fraction, ...]
 
 
-def _gram_inverse(gram: Gram) -> List[List[Fraction]]:
-    n = len(gram)
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        col = solve_rational(gram, rhs)
-        if col is None:
-            raise DegenerateLattice("gram matrix is singular")
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
 def q_value(l: GramLattice, vec: Sequence[Fraction]) -> Fraction:
     """Value of the quadratic form on a rational vector in lattice
     coordinates."""
@@ -208,14 +196,11 @@ def discriminant(l: GramLattice) -> DiscriminantData:
         raise DegenerateLattice("discriminant needs det != 0")
     n = l.rank
     s, u, _v = snf_with_transforms([list(row) for row in l.gram])
-    ginv = _gram_inverse(l.gram)
-    uinv_cols: List[List[Fraction]] = []
-    for i in range(n):
-        rhs = [1 if j == i else 0 for j in range(n)]
-        col = solve_rational(u, rhs)
-        if col is None:
-            raise DegenerateLattice("Smith normal form transform is singular")
-        uinv_cols.append(col)
+    ginv = inverse_rational(l.gram)
+    try:
+        uinv = inverse_rational(u)
+    except ZeroDivisionError as exc:
+        raise DegenerateLattice("Smith normal form transform is singular") from exc
     group: List[int] = []
     gens: List[Tuple[Fraction, ...]] = []
     values: List[Fraction] = []
@@ -223,8 +208,7 @@ def discriminant(l: GramLattice) -> DiscriminantData:
         if s[i][i] in (0, 1):
             continue
         group.append(s[i][i])
-        x = uinv_cols[i]
-        coords = tuple(sum(ginv[r][c] * x[c] for c in range(n))
+        coords = tuple(sum(ginv[r][c] * uinv[c][i] for c in range(n))
                        for r in range(n))
         gens.append(coords)
         values.append(reduce_mod2(q_value(l, coords)))

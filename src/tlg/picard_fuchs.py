@@ -4,7 +4,9 @@ Operators are rational combinations of monomials t^i * theta^j where theta
 is the Euler operator t*d/dt. On a power series sum a_k t^k such a monomial
 contributes c * (k-i)^j * a_{k-i} to coefficient k, so "the operator kills
 the series" is a homogeneous linear condition on the c's and fitting reduces
-to an exact kernel computation over the rationals.
+to an exact kernel computation. It runs over Z: each row of the system is
+cleared of denominators and fed to the fraction-free echelon of
+`intlinalg`, whose free columns give the kernel basis.
 
 The fit anchors the theta order at the requested order and only searches the
 t degree. Anchoring matters: a series can satisfy an incidental lower-order
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .intlinalg import _echelon
 from .laurent import Coeff
 from .series import PowerSeries
 
@@ -119,71 +122,6 @@ class DifferentialOperator:
         return " + ".join(parts)
 
 
-def _rational_kernel(rows: List[List[Fraction]], ncols: int) -> List[List[Fraction]]:
-    """Kernel basis by Gaussian elimination; each pivot is the remaining
-    entry with the smallest denominator to keep intermediate numbers flat."""
-    mat = [list(r) for r in rows]
-    pivot_cols: List[int] = []
-    rank = 0
-    for col in range(ncols):
-        best = None
-        for rix in range(rank, len(mat)):
-            entry = mat[rix][col]
-            if entry:
-                key = (entry.denominator, abs(entry), rix)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            continue
-        rix = best[2]
-        mat[rank], mat[rix] = mat[rix], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for other in range(len(mat)):
-            if other != rank and mat[other][col]:
-                factor = mat[other][col]
-                mat[other] = [a - factor * b for a, b in zip(mat[other], mat[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for prow, pcol in enumerate(pivot_cols):
-            vec[pcol] = -mat[prow][f]
-        basis.append(vec)
-    return basis
-
-
-def _reduced_rows(basis: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Row-reduce the kernel basis so distinct rows have distinct leading
-    positions; the choice of operator below then does not depend on which
-    basis the elimination happened to produce."""
-    rows = [list(r) for r in basis]
-    ncols = len(rows[0])
-    reduced: List[List[Fraction]] = []
-    for row in rows:
-        for done in reduced:
-            lead = next(ix for ix, x in enumerate(done) if x)
-            if row[lead]:
-                factor = row[lead]
-                row = [a - factor * b for a, b in zip(row, done)]
-        if any(row):
-            lead = next(ix for ix, x in enumerate(row) if x)
-            inv = 1 / row[lead]
-            row = [x * inv for x in row]
-            reduced.append(row)
-    for ix, row in enumerate(reduced):
-        for other in range(ix):
-            lead = next(jx for jx, x in enumerate(row) if x)
-            if reduced[other][lead]:
-                factor = reduced[other][lead]
-                reduced[other] = [a - factor * b
-                                  for a, b in zip(reduced[other], row)]
-    return reduced
-
-
 def fit(series: PowerSeries, max_order: int, max_degree: int
         ) -> Optional[DifferentialOperator]:
     """Operator of theta order max_order and smallest t degree <= max_degree
@@ -202,21 +140,20 @@ def fit(series: PowerSeries, max_order: int, max_degree: int
             f"fitting theta order {max_order}, t degree {max_degree} needs "
             f"at least {need} coefficients; got {series.order}")
     window = series.order - FIT_MARGIN
-    coeffs = [Fraction(c) for c in series.coeffs]
+    coeffs = series.coeffs
     for degree in range(max_degree + 1):
         unknowns = [(i, j) for i in range(degree + 1)
                     for j in range(max_order + 1)]
-        rows = []
-        for k in range(window):
-            rows.append([coeffs[k - i] * (k - i) ** j if k >= i else Fraction(0)
-                         for (i, j) in unknowns])
-        basis = _rational_kernel(rows, len(unknowns))
+        rows = ([coeffs[k - i] * (k - i) ** j if k >= i else 0
+                 for (i, j) in unknowns] for k in range(window))
+        basis = _echelon(rows).kernel_basis(len(unknowns))
         if not basis:
             continue
+        # the kernel's own echelon is its unique reduced basis, whose
+        # elements have distinct leading terms
         candidates = []
-        for vec in _reduced_rows(basis):
-            terms = tuple((i, j, _as_coeff(c))
-                          for (i, j), c in zip(unknowns, vec) if c)
+        for vec in _echelon(basis).rows:
+            terms = tuple((i, j, c) for (i, j), c in zip(unknowns, vec) if c)
             op = DifferentialOperator(terms)
             candidates.append(((-op.max_theta_order, op.max_t_degree, op.terms), op))
         op = min(candidates)[1]

@@ -3,11 +3,11 @@
 Convex hulls are computed incrementally in integer arithmetic, in one pass
 that yields the vertices and the facets together. Rational input points are
 first scaled by their common denominator, so the hull only ever eliminates
-over Z: a fraction-free echelon, reduced by gcd, gives every rank and every
-primitive facet normal. Polytopes may have integer or rational vertex
-coordinates; operations that need the induced lattice structure (normalized
-volume, lattice point enumeration in the degenerate case) insist on integer
-vertices.
+over Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives
+every rank and every primitive facet normal. Polytopes may have integer or
+rational vertex coordinates; operations that need the induced lattice
+structure (normalized volume, lattice point enumeration in the degenerate
+case) insist on integer vertices.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h. Heights are integers for lattice
@@ -24,7 +24,8 @@ from math import gcd
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .intlinalg import (det_bareiss, inverse_rational, kernel_lattice_basis,
+from .intlinalg import (_IntEchelon, _denominator, _integral, det_bareiss,
+                        inverse_rational, kernel_lattice_basis, mat_vec,
                         snf_with_transforms, solve_rational)
 from .laurent import LaurentPoly
 
@@ -86,99 +87,6 @@ def primitive_vector(vec: Sequence) -> Tuple[int, ...]:
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(x // g for x in ints)
-
-
-def _denominator(points: Iterable[Sequence]) -> int:
-    """Least common denominator of the int and Fraction coordinates."""
-    den = 1
-    for p in points:
-        for x in p:
-            if not isinstance(x, int):
-                q = x.denominator
-                den = den * q // gcd(den, q)
-    return den
-
-
-def _integral(vec: Sequence) -> List[int]:
-    """vec scaled by the least positive integer clearing its denominators."""
-    den = _denominator((vec,))
-    return [int(x * den) for x in vec]
-
-
-class _IntEchelon:
-    """Fraction-free reduced row echelon form over Z, grown row by row.
-
-    Every stored row is primitive with a positive pivot, and each pivot
-    column is zero in every other row. Scaling a row by a nonzero integer
-    changes neither the span nor the kernel, so ranks are exact and a
-    corank-one system yields its primitive kernel generator directly.
-    """
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self):
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, vec: Sequence[int]) -> bool:
-        """Insert an integer vector; True when it enlarged the span."""
-        v = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = v[piv]
-            if c:
-                a = row[piv]
-                g = gcd(a, c)
-                a //= g
-                c //= g
-                v = [a * x - c * y for x, y in zip(v, row)]
-        for piv, a in enumerate(v):
-            if a:
-                break
-        else:
-            return False
-        g = gcd(*v)
-        if a < 0:
-            g = -g
-        if g != 1:
-            v = [x // g for x in v]
-        a = v[piv]
-        rows = self.rows
-        for k, row in enumerate(rows):
-            c = row[piv]
-            if c:
-                g = gcd(a, c)
-                r = [(a // g) * x - (c // g) * y for x, y in zip(row, v)]
-                g = gcd(*r)
-                rows[k] = [x // g for x in r] if g != 1 else r
-        rows.append(v)
-        self.pivots.append(piv)
-        return True
-
-    def kernel_vector(self, width: int) -> Tuple[int, ...]:
-        """Primitive generator of the kernel, which must be a line.
-
-        Row i reads a_i x_(p_i) + b_i x_f = 0 for the one free column f,
-        with gcd(a_i, b_i) = 1. Taking x_f = lcm(a_i) leaves, for every
-        prime of x_f, some x_(p_i) = -b_i x_f / a_i that it does not divide,
-        so the vector is primitive without a final gcd.
-        """
-        free = [j for j in range(width) if j not in self.pivots]
-        if len(free) != 1:
-            raise ValueError("kernel is not one-dimensional")
-        f = free[0]
-        lcm = 1
-        for row, piv in zip(self.rows, self.pivots):
-            a = row[piv]
-            lcm = lcm * a // gcd(lcm, a)
-        out = [0] * width
-        out[f] = lcm
-        for row, piv in zip(self.rows, self.pivots):
-            out[piv] = -row[f] * (lcm // row[piv])
-        return tuple(out)
 
 
 def _affine_basis(pts: Sequence[Sequence[int]]) -> Tuple[List[int], _IntEchelon]:
@@ -408,10 +316,6 @@ class Polytope:
         return f"Polytope(dim {self.dim} in Z^{self.ambient_dim}, {len(self.vertices)} vertices)"
 
 
-def convex_hull(points: Iterable[Sequence]) -> Polytope:
-    return Polytope(points)
-
-
 def newton_polytope(f: LaurentPoly) -> Polytope:
     """Convex hull of the exponents of f, built on first use and kept on f."""
     if f._newton is None:
@@ -419,10 +323,6 @@ def newton_polytope(f: LaurentPoly) -> Polytope:
             raise ZeroPolynomial("zero polynomial has no Newton polytope")
         f._newton = Polytope(f.exponents())
     return f._newton
-
-
-def equals(p: Polytope, q: Polytope) -> bool:
-    return p == q
 
 
 def dual(p: Polytope) -> Polytope:
@@ -500,7 +400,10 @@ def _saturated_projection(vertices: Sequence[Point]
     """Coordinates on span(vertices) identifying span ∩ Z^n with Z^rank.
 
     Returns (base point, integer basis of the saturated direction lattice,
-    coordinates of the vertices in that basis).
+    coordinates of the vertices in that basis). With S = U * D * V the
+    Smith form of the difference columns D, the basis is the first rank
+    columns of U^-1, and the coordinates of v are the first rank entries of
+    U (v - base); the rest vanish because v - base is 0 or a column of D.
     """
     base = vertices[0]
     diffs = [list(_sub(v, base)) for v in vertices[1:]]
@@ -515,14 +418,13 @@ def _saturated_projection(vertices: Sequence[Point]
             raise PolytopeError(
                 f"saturated basis vector {[str(f) for f in col]} is not integral")
         basis.append(tuple(int(f) for f in col))
-    bcols = [list(col) for col in zip(*basis)]
     proj = []
     for v in vertices:
-        sol = solve_rational(bcols, list(_sub(v, base)))
-        if sol is None or any(x.denominator != 1 for x in sol):
+        y = mat_vec(u, _sub(v, base))
+        if any(y[rank:]):
             raise PolytopeError(
                 f"vertex {v} has no integer coordinates in the saturated basis")
-        proj.append(tuple(int(x) for x in sol))
+        proj.append(tuple(y[:rank]))
     return base, basis, proj
 
 
@@ -548,8 +450,7 @@ def _nvol(p: Polytope) -> int:
         if dist == 0:
             continue
         face = [v for v in p.vertices if _dot(n, v) + h == 0]
-        proj = lattice_project(face, n)
-        total += dist * _nvol(Polytope(proj))
+        total += dist * _nvol(Polytope(lattice_chart(face, n)[2]))
     return total
 
 
@@ -575,12 +476,6 @@ def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
                 f"{p0} with normal {tuple(normal)}")
         out.append(tuple(int(x) for x in sol))
     return p0, basis, out
-
-
-def lattice_project(points_on_plane: Sequence[Point], normal: Sequence[int]
-                    ) -> List[Tuple[int, ...]]:
-    """Projected coordinates from lattice_chart, when the lift is not needed."""
-    return lattice_chart(points_on_plane, normal)[2]
 
 
 def edges(p: Polytope) -> List[Tuple[Point, Point]]:

@@ -1,6 +1,10 @@
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlg.intlinalg import (det_bareiss, identity, inverse_rational,
                            kernel_lattice_basis, mat_mul, mat_vec,
@@ -87,3 +91,80 @@ def test_inverse_rational():
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
     with pytest.raises(ZeroDivisionError):
         inverse_rational([[1, 1], [1, 1]])
+
+
+ENTRIES = st.one_of(st.integers(-3, 3),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Small int/Fraction matrices; about half get a row that combines two
+    earlier ones, so rank-deficient cases come up often."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    if m > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, m - 1))
+        j = draw(st.integers(0, i - 1))
+        a, b = draw(ENTRIES), draw(ENTRIES)
+        rows[i] = [a * x + b * y for x, y in zip(rows[0], rows[j])]
+    return rows
+
+
+def _int_rows(rows):
+    """Each row scaled by the lcm of its denominators (rank and whether
+    the determinant vanishes do not change)."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(Fraction(x) * den) for x in row])
+    return out
+
+
+def _rank(rows):
+    """Largest nonvanishing minor, by Bareiss determinants."""
+    rows = _int_rows(rows)
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for r in itertools.combinations(range(m), k):
+            for c in itertools.combinations(range(n), k):
+                if det_bareiss([[rows[i][j] for j in c] for i in r]):
+                    return k
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), a=matrices())
+def test_solve_rational_solves_or_reports_inconsistency(data, a):
+    n = len(a[0])
+    if data.draw(st.booleans()):
+        y = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
+        b = [sum(Fraction(x) * yj for x, yj in zip(row, y)) for row in a]
+    else:
+        b = data.draw(st.lists(ENTRIES, min_size=len(a), max_size=len(a)))
+    x = solve_rational(a, b)
+    augmented = [list(row) + [bi] for row, bi in zip(a, b)]
+    if x is None:
+        assert _rank(augmented) > _rank(a)
+    else:
+        assert _rank(augmented) == _rank(a)
+        assert len(x) == n
+        assert all(isinstance(xj, Fraction) for xj in x)
+        assert [sum(Fraction(aij) * xj for aij, xj in zip(row, x))
+                for row in a] == [Fraction(bi) for bi in b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=matrices(square=True))
+def test_inverse_rational_inverts_or_raises_on_singular(a):
+    n = len(a)
+    if det_bareiss(_int_rows(a)) == 0:
+        with pytest.raises(ZeroDivisionError):
+            inverse_rational(a)
+        return
+    inv = inverse_rational(a)
+    product = [[sum(inv[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == identity(n)

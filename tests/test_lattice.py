@@ -152,11 +152,16 @@ def test_duval_self_intersections():
 
 def test_discriminant_checks_raise_degenerate_lattice(monkeypatch):
     l = GramLattice(((2, -1), (-1, 2)))
-    solve = lattice.solve_rational
+    inverse = lattice.inverse_rational
+
+    def singular_transform(a):
+        if a is l.gram:
+            return inverse(a)
+        raise ZeroDivisionError("singular matrix")
+
     with monkeypatch.context() as m:
         # the Gram matrix still inverts; the Smith transform u does not
-        m.setattr(lattice, "solve_rational",
-                  lambda a, b: solve(a, b) if a is l.gram else None)
+        m.setattr(lattice, "inverse_rational", singular_transform)
         with pytest.raises(DegenerateLattice, match="transform is singular"):
             discriminant(l)
     with monkeypatch.context() as m:
