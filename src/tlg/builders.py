@@ -41,6 +41,11 @@ class BadBase(ValueError):
     """Unknown starting polygon for a del Pezzo chain."""
 
 
+class EdgesDisagree(ValueError):
+    """Two boundary edges of a surface-mode model give one term different
+    coefficients."""
+
+
 # ---------------------------------------------------------------------------
 # nef partitions and the weighted complete intersection formula
 
@@ -295,12 +300,13 @@ def _diff_lattice(points: Sequence[Tuple[int, ...]]) -> List[List[int]]:
 
 
 def _lattice_equal(gens_a: List[List[int]], gens_b: List[List[int]]) -> bool:
-    return (all(in_lattice(gens_b, g) for g in gens_a)
-            and all(in_lattice(gens_a, g) for g in gens_b))
+    return in_lattice(gens_b, gens_a) and in_lattice(gens_a, gens_b)
 
 
-def _facet_chart_points(p: Polytope, normal, height):
-    pts = [q for q in lattice_points(p)
+def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
+    """The points on the facet <normal, x> = -height, its chart base and
+    basis, and the points in that chart."""
+    pts = [q for q in points
            if sum(a * b for a, b in zip(normal, q)) + height == 0]
     base, basis, proj = lattice_chart(pts, normal)
     return pts, base, basis, proj
@@ -346,9 +352,10 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
         raise BadCertificate("certificate facets do not match the polytope")
     names = _default_names(3)
     terms: Dict[Tuple[int, ...], int] = {}
+    points = lattice_points(p)
     for normal, height in p.facets:
         summands = by_normal[normal]
-        pts, base, basis, proj = _facet_chart_points(p, normal, height)
+        pts, base, basis, proj = _facet_chart_points(points, normal, height)
         _check_facet_decomposition(proj, summands)
         prod = _facet_product(summands)
         for e, c in prod.items():
@@ -422,27 +429,21 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]],
     cands = _candidate_summands(dirs, budget)
 
     def verify(chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
-        total = chosen[0]
-        for s in chosen[1:]:
-            total = minkowski_sum(total, s)
-        shift = tuple(a - b for a, b in zip(facet.vertices[0], total.vertices[0]))
-        moved = Polytope([tuple(a + s for a, s in zip(v, shift))
-                          for v in total.vertices])
-        if moved != facet:
-            return None
-        prod = _facet_product(chosen)
-        shifted = {tuple(a + s for a, s in zip(e, shift)): c
-                   for e, c in prod.items()}
-        if shifted != target:
-            return None
-        summand_gens: List[List[int]] = []
-        for s in chosen:
-            summand_gens.extend(_diff_lattice(lattice_points(s)))
-        if not _lattice_equal(_diff_lattice(sorted(proj)), summand_gens):
-            return None
+        # the lexicographically first vertex of a Minkowski sum is the sum
+        # of the summands' first vertices; the shift lines it up with the
+        # facet's
+        lows = [sum(col) for col in zip(*(s.vertices[0] for s in chosen))]
+        shift = tuple(a - b for a, b in zip(facet.vertices[0], lows))
         first = Polytope([tuple(a + s for a, s in zip(v, shift))
                           for v in chosen[0].vertices])
-        return (first,) + tuple(chosen[1:])
+        summands = (first,) + tuple(chosen[1:])
+        try:
+            _check_facet_decomposition(proj, summands)
+        except BadCertificate:
+            return None
+        if _facet_product(summands) != target:
+            return None
+        return summands
 
     def rec(start: int, remaining: Dict[Tuple[int, int], int],
             chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
@@ -483,8 +484,9 @@ def check_minkowski(f: LaurentPoly, max_summands: int = 4,
     if p.ambient_dim != 3 or not is_reflexive(p):
         raise ValueError("Minkowski check needs a reflexive Newton 3-polytope")
     found: List[FacetDecomposition] = []
+    points = lattice_points(p)
     for normal, height in p.facets:
-        pts, base, basis, proj = _facet_chart_points(p, normal, height)
+        pts, base, basis, proj = _facet_chart_points(points, normal, height)
         target = {}
         for q, c in zip(proj, pts):
             coeff = f.coefficient(c)
@@ -499,9 +501,6 @@ def check_minkowski(f: LaurentPoly, max_summands: int = 4,
 
 # ---------------------------------------------------------------------------
 # del Pezzo chains
-
-_BASES: Dict[str, Tuple[Dict[Tuple[int, int], Tuple[int, ...]], int]] = {}
-
 
 def _base_markings(base: str, nparams: int) -> Dict[Tuple[int, int], Tuple[int, ...]]:
     """Initial boundary markings as exponent vectors over the parameters."""
@@ -638,6 +637,6 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
                 if prev is None:
                     terms[key] = c
                 elif prev != c:
-                    raise AssertionError(
+                    raise EdgesDisagree(
                         f"edges disagree on the coefficient at {key}")
     return LaurentPoly(names, terms)

@@ -58,18 +58,6 @@ class HodgeDiamond:
 
 
 @dataclass(frozen=True)
-class FiberReport:
-    """Irreducible component counts of the fibers over the critical
-    values, and the excess k_Y they contribute."""
-
-    components: Tuple[int, ...]
-
-    @property
-    def k_y(self) -> int:
-        return sum(c - 1 for c in self.components)
-
-
-@dataclass(frozen=True)
 class SurfaceHodgeReport:
     degree: int
     fano_type: bool

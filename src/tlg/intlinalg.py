@@ -3,15 +3,19 @@ Picard-Fuchs modules.
 
 Matrices are lists of lists (rows). Everything here is arbitrary precision
 and stays in int while it eliminates: the one row elimination is the
-fraction-free echelon `_IntEchelon`, and the rational routines clear the
-denominators of each row first and form Fractions only from its final rows.
+fraction-free echelon `_IntEchelon`, and `inverse_rational` clears the
+denominators of each row first and forms Fractions only from its final
+rows. Lattice questions go through the Smith form instead: membership in
+an integer span, and the chart of a hyperplane's kernel lattice, whose
+coordinates are read off the unimodular transform by one matrix-vector
+product per point, with no linear system solved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -286,23 +290,6 @@ def _echelon(rows: Iterable[Sequence]) -> _IntEchelon:
     return ech
 
 
-def solve_rational(mat: Sequence[Sequence], rhs: Sequence) -> Optional[List[Fraction]]:
-    """Solve mat * x = rhs exactly; None when inconsistent.
-
-    Reads the echelon of [mat | rhs]: a pivot in the last column is the
-    row 0 = 1, and otherwise each row fixes its pivot variable with the
-    free variables at 0, so an underdetermined system gets that solution.
-    """
-    n = len(mat[0]) if mat else 0
-    ech = _echelon(list(row) + [b] for row, b in zip(mat, rhs))
-    x = [Fraction(0)] * n
-    for row, piv in zip(ech.rows, ech.pivots):
-        if piv == n:
-            return None
-        x[piv] = Fraction(row[n], row[piv])
-    return x
-
-
 def inverse_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
     """Exact inverse of a nonsingular square matrix, read off the echelon
     of [mat | I]; the matrix is singular exactly when a pivot falls in I."""
@@ -317,29 +304,38 @@ def inverse_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
     return inv
 
 
-def in_lattice(generators: Sequence[Sequence[int]], x: Sequence[int]) -> bool:
-    """Whether x lies in the integer span of the generator vectors."""
+def in_lattice(generators: Sequence[Sequence[int]],
+               vectors: Iterable[Sequence[int]]) -> bool:
+    """Whether every vector lies in the integer span of the generators.
+
+    With S = U * G * V the Smith form of the generator columns G, x lies
+    in the span exactly when each entry of U x is divisible by the
+    matching invariant factor, and zero past the nonzero ones; the one
+    transform serves every vector.
+    """
     if not generators:
-        return all(v == 0 for v in x)
-    cols = [list(col) for col in zip(*generators)]  # columns are generators
-    s, u, _v = snf_with_transforms(cols)
-    y = mat_vec(u, list(x))
-    r = min(len(s), len(s[0]))
-    for i in range(len(y)):
-        if i < r and s[i][i] != 0:
-            if y[i] % s[i][i] != 0:
-                return False
-        elif y[i] != 0:
-            return False
-    return True
+        return all(x == 0 for vec in vectors for x in vec)
+    s, u, _v = snf_with_transforms(transpose(generators))
+    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
+    diag += [0] * (len(u) - len(diag))
+    return all(y % d == 0 if d else y == 0
+               for vec in vectors
+               for y, d in zip(mat_vec(u, vec), diag))
 
 
-def kernel_lattice_basis(vec: Sequence[int]) -> List[List[int]]:
-    """Basis of the sublattice {x in Z^n : <vec, x> = 0} for a nonzero vec."""
+def kernel_lattice_chart(vec: Sequence[int]
+                         ) -> Tuple[List[List[int]], List[List[int]]]:
+    """Basis of the sublattice {x in Z^n : <vec, x> = 0} for a nonzero vec,
+    with the rows that read coordinates in it.
+
+    With [vec] * V = (g, 0, ..., 0) the Smith form, columns 2..n of V span
+    the kernel lattice. V is unimodular, so rows 2..n of V^-1 are integral,
+    and since V^-1 V = I they send a kernel vector to its coordinates in
+    that basis (and each basis vector to a unit vector).
+    """
     s, _u, v = snf_with_transforms([list(vec)])
-    # vec * V = (g, 0, ..., 0): columns 2..n of V span the kernel lattice
     if s[0][0] == 0:
         raise ValueError("zero vector has full kernel")
-    n = len(vec)
-    cols = transpose(v)
-    return [list(cols[j]) for j in range(1, n)]
+    basis = transpose(v)[1:]
+    coords = [[int(x) for x in row] for row in inverse_rational(v)[1:]]
+    return basis, coords

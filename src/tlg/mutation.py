@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
-from .intlinalg import kernel_lattice_basis, solve_rational
+from .intlinalg import kernel_lattice_chart, mat_vec
 from .laurent import LaurentPoly, RationalExpr
 from .polytope import (DimensionTooLarge, NotFullDimensional, Polytope,
-                       _dot, ccw_vertices, edges)
+                       PolytopeError, _dot, ccw_vertices, edges)
 
 
 class PivotInFactor(ValueError):
@@ -100,14 +100,16 @@ def _slice_points(p: Polytope, w: Sequence[int], k: int) -> List[Tuple[Fraction,
     return sorted(set(out))
 
 
-def _chart_coords(points, base, basis_cols):
+def _chart(points, base, w, coords):
+    """Coordinates of points on the plane <w, x> = <w, base> in the chart
+    whose coordinate rows are coords."""
     out = []
     for p in points:
-        rhs = [Fraction(x) - Fraction(b) for x, b in zip(p, base)]
-        sol = solve_rational([list(c) for c in basis_cols], rhs)
-        if sol is None:
-            raise AssertionError("slice point left the slice plane")
-        out.append(tuple(sol))
+        diff = [x - b for x, b in zip(p, base)]
+        if _dot(w, diff) != 0:
+            raise PolytopeError(f"point {p} left the plane <{w}, x> = "
+                                f"{_dot(w, base)}")
+        out.append(tuple(mat_vec(coords, diff)))
     return out
 
 
@@ -228,19 +230,17 @@ def polytope_mutation_effect(p: Polytope, data: MutationData) -> Polytope:
     if not p.is_lattice():
         raise ValueError("mutation needs a lattice polytope")
 
-    basis = kernel_lattice_basis(list(w))
-    basis_cols = [list(col) for col in zip(*basis)]
+    basis, coords = kernel_lattice_chart(w)
     heights = [_dot(w, v) for v in p.vertices]
     ww = _dot(w, w)
-    zero = tuple(Fraction(0) for _ in w)
-    f_chart = _chart_coords(data.factor.vertices, zero, basis_cols)
+    f_chart = _chart(data.factor.vertices, (0,) * len(w), w, coords)
     collected: List[Tuple[Fraction, ...]] = []
     for k in range(math.ceil(min(heights)), math.floor(max(heights)) + 1):
         pts = _slice_points(p, w, k)
         if not pts:
             continue
         base = tuple(Fraction(k * wi, ww) for wi in w)
-        chart = _chart_coords(pts, base, basis_cols)
+        chart = _chart(pts, base, w, coords)
         power = _rule_power(data.exponent_rule, k)
         if power == 0:
             moved = chart

@@ -20,13 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from math import gcd
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import (_IntEchelon, _denominator, _integral, det_bareiss,
-                        inverse_rational, kernel_lattice_basis, mat_vec,
-                        snf_with_transforms, solve_rational)
+                        inverse_rational, kernel_lattice_chart, mat_vec,
+                        snf_with_transforms)
 from .laurent import LaurentPoly
 
 Point = Tuple[object, ...]  # entries are int or Fraction
@@ -78,15 +77,6 @@ def _dot(a: Sequence, b: Sequence):
 
 def _sub(a: Sequence, b: Sequence) -> Tuple:
     return tuple(x - y for x, y in zip(a, b))
-
-
-def primitive_vector(vec: Sequence) -> Tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector."""
-    ints = _integral([Fraction(x) for x in vec])
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
 
 
 def _affine_basis(pts: Sequence[Sequence[int]]) -> Tuple[List[int], _IntEchelon]:
@@ -459,22 +449,24 @@ def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
     """Lattice-preserving coordinates on the hyperplane <normal, x> = c.
 
     Returns (base point, kernel lattice basis, projected points). The base
-    point is the lexicographically smallest input point and the coordinate
-    axes form a basis of the kernel lattice of the normal, so two calls with
-    the same normal and point set give identical output. A projected point c
-    lifts back to base + sum(c_k * basis_k).
+    point is the lexicographically smallest input point, and the basis and
+    its coordinate rows come from one Smith transform of the normal
+    (`kernel_lattice_chart`), so two calls with the same normal and point
+    set give identical output. A point p projects to the coordinate rows
+    times p - base, which lifts back to base + sum(c_k * basis_k); the
+    point must lie on the plane through base with integral p - base.
     """
-    basis = kernel_lattice_basis(list(normal))
+    basis, coords = kernel_lattice_chart(normal)
     p0 = min(points_on_plane)
-    cols = [list(col) for col in zip(*basis)]
     out = []
     for p in points_on_plane:
-        sol = solve_rational(cols, list(_sub(p, p0)))
-        if sol is None or any(x.denominator != 1 for x in sol):
+        diff = _sub(p, p0)
+        c = mat_vec(coords, diff)
+        if _dot(normal, diff) != 0 or any(x.denominator != 1 for x in c):
             raise PolytopeError(
                 f"point {p} is not a lattice point of the hyperplane through "
                 f"{p0} with normal {tuple(normal)}")
-        out.append(tuple(int(x) for x in sol))
+        out.append(tuple(int(x) for x in c))
     return p0, basis, out
 
 

@@ -1,7 +1,8 @@
 import pytest
 
+from tlg import builders
 from tlg.builders import (BadBase, BadPartition, DelPezzoScript,
-                          InteriorFacetPoint, MinkowskiCertificate,
+                          EdgesDisagree, InteriorFacetPoint, MinkowskiCertificate,
                           NefPartition, PointInsideHull, a_type_polynomial,
                           binomial_principle, check_minkowski,
                           del_pezzo_model, find_nef_partitions, is_An_polygon,
@@ -225,6 +226,19 @@ def test_del_pezzo_errors():
         del_pezzo_model(DelPezzoScript("P2", ((1, -1),), ("q0", "q1")))
     with pytest.raises(ValueError):
         del_pezzo_model(DelPezzoScript("P2", (), ("q0",)), mode="affine")
+
+
+def test_del_pezzo_surface_edges_that_disagree_raise(monkeypatch):
+    # the product rule gives every vertex coefficient 1, so two real edges
+    # never disagree; a cycle with the chord (-1,2)..(0,-1), which ends
+    # where the bottom edge carries C(3, 1) = 3, makes them
+    marked = [(-1, -1), (0, -1), (1, -1), (2, -1), (1, 0), (0, 1), (-1, 2)]
+    monkeypatch.setattr(builders, "_base_markings",
+                        lambda base, n: {pt: (0,) * n for pt in marked})
+    monkeypatch.setattr(builders, "ccw_vertices",
+                        lambda pts: [(-1, -1), (2, -1), (-1, 2), (0, -1)])
+    with pytest.raises(EdgesDisagree, match=r"\(0, -1, 0\)"):
+        del_pezzo_model(DelPezzoScript("P2", (), ("q0",)), mode="surface")
 
 
 def test_del_pezzo_newton_polytope_matches_steps():

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -6,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlg.intlinalg import (det_bareiss, identity, inverse_rational,
-                           kernel_lattice_basis, mat_mul, mat_vec,
-                           snf_with_transforms, solve_rational, transpose)
+from tlg.intlinalg import (det_bareiss, identity, in_lattice, inverse_rational,
+                           kernel_lattice_chart, mat_mul, mat_vec,
+                           snf_with_transforms, transpose)
 
 
 def test_det_bareiss_small_cases():
@@ -64,26 +63,31 @@ def test_snf_rectangular():
     assert s[0][0] == 2 and s[1][1] == 6
 
 
-def test_solve_rational():
-    sol = solve_rational([[2, 0], [0, 4]], [1, 1])
-    assert sol == [Fraction(1, 2), Fraction(1, 4)]
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
-    sol2 = solve_rational([[1, 1], [1, 1]], [2, 2])
-    assert sol2 is not None
-    assert sum(sol2) == 2
-
-
 def test_kernel_lattice_basis():
-    basis = kernel_lattice_basis([2, -3, 1])
+    basis, coords = kernel_lattice_chart([2, -3, 1])
     assert len(basis) == 2
     for vec in basis:
         assert 2 * vec[0] - 3 * vec[1] + vec[2] == 0
-    # the basis spans the full rank-2 kernel lattice: (1, 0, -2) and
-    # (0, 1, 3) must be integer combinations of it
+    # the coordinate rows invert the basis, and they read integer
+    # coordinates of (1, 0, -2) and (0, 1, 3), which span the rank-2
+    # kernel lattice, so the basis spans it too
+    assert mat_mul(coords, transpose(basis)) == identity(2)
     for target in ([1, 0, -2], [0, 1, 3]):
-        sol = solve_rational(transpose(basis), target)
-        assert sol is not None
-        assert all(c.denominator == 1 for c in sol)
+        c = mat_vec(coords, target)
+        assert mat_vec(transpose(basis), c) == target
+    with pytest.raises(ValueError):
+        kernel_lattice_chart([0, 0])
+
+
+def test_in_lattice():
+    gens = [[2, 0], [1, 3]]
+    assert in_lattice(gens, [[3, 3], [0, 6], [0, 0]])
+    assert not in_lattice(gens, [[3, 3], [1, 0]])
+    assert in_lattice([[2, 4]], [[-2, -4]])
+    assert not in_lattice([[2, 4]], [[1, 2]])
+    assert not in_lattice([[2, 4]], [[2, 5]])
+    assert in_lattice([], [[0, 0]])
+    assert not in_lattice([], [[0, 1]])
 
 
 def test_inverse_rational():
@@ -98,12 +102,11 @@ ENTRIES = st.one_of(st.integers(-3, 3),
 
 
 @st.composite
-def matrices(draw, square=False):
-    """Small int/Fraction matrices; about half get a row that combines two
-    earlier ones, so rank-deficient cases come up often."""
+def square_matrices(draw):
+    """Small int/Fraction square matrices; about half get a row that
+    combines two earlier ones, so singular cases come up often."""
     m = draw(st.integers(1, 4))
-    n = m if square else draw(st.integers(1, 4))
-    rows = draw(st.lists(st.lists(ENTRIES, min_size=n, max_size=n),
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=m, max_size=m),
                          min_size=m, max_size=m))
     if m > 1 and draw(st.booleans()):
         i = draw(st.integers(1, m - 1))
@@ -114,8 +117,8 @@ def matrices(draw, square=False):
 
 
 def _int_rows(rows):
-    """Each row scaled by the lcm of its denominators (rank and whether
-    the determinant vanishes do not change)."""
+    """Each row scaled by the lcm of its denominators (whether the
+    determinant vanishes does not change)."""
     out = []
     for row in rows:
         den = lcm(*(Fraction(x).denominator for x in row))
@@ -123,41 +126,8 @@ def _int_rows(rows):
     return out
 
 
-def _rank(rows):
-    """Largest nonvanishing minor, by Bareiss determinants."""
-    rows = _int_rows(rows)
-    m, n = len(rows), len(rows[0])
-    for k in range(min(m, n), 0, -1):
-        for r in itertools.combinations(range(m), k):
-            for c in itertools.combinations(range(n), k):
-                if det_bareiss([[rows[i][j] for j in c] for i in r]):
-                    return k
-    return 0
-
-
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), a=matrices())
-def test_solve_rational_solves_or_reports_inconsistency(data, a):
-    n = len(a[0])
-    if data.draw(st.booleans()):
-        y = data.draw(st.lists(ENTRIES, min_size=n, max_size=n))
-        b = [sum(Fraction(x) * yj for x, yj in zip(row, y)) for row in a]
-    else:
-        b = data.draw(st.lists(ENTRIES, min_size=len(a), max_size=len(a)))
-    x = solve_rational(a, b)
-    augmented = [list(row) + [bi] for row, bi in zip(a, b)]
-    if x is None:
-        assert _rank(augmented) > _rank(a)
-    else:
-        assert _rank(augmented) == _rank(a)
-        assert len(x) == n
-        assert all(isinstance(xj, Fraction) for xj in x)
-        assert [sum(Fraction(aij) * xj for aij, xj in zip(row, x))
-                for row in a] == [Fraction(bi) for bi in b]
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=matrices(square=True))
+@given(a=square_matrices())
 def test_inverse_rational_inverts_or_raises_on_singular(a):
     n = len(a)
     if det_bareiss(_int_rows(a)) == 0:

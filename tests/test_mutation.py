@@ -1,9 +1,11 @@
 import pytest
 
+from tlg import mutation
 from tlg.laurent import LaurentPoly, NotLaurent
 from tlg.mutation import (MutationData, PivotInFactor, SliceNotDivisible,
                           elementary_mutation, polytope_mutation_effect)
-from tlg.polytope import DimensionTooLarge, NotFullDimensional, Polytope
+from tlg.polytope import (DimensionTooLarge, NotFullDimensional, Polytope,
+                          PolytopeError, newton_polytope)
 from tlg.series import phi_coefficients
 
 S7_VARS = ("x", "y", "q0", "q1", "q2")
@@ -99,6 +101,39 @@ def test_polytope_mutation_effect_in_3d():
     assert polytope_mutation_effect(simplex, data) == simplex
 
 
+# the shear A = [[1, 0, 0], [1, 1, 0], [2, -1, 1]] has det 1 and takes the
+# height <(0, 0, 1), v> to <(-3, 1, 1), A v>
+SHEAR = ((1, 0, 0), (1, 1, 0), (2, -1, 1))
+
+
+def _shear(p):
+    return Polytope(tuple(sum(a * b for a, b in zip(row, v)) for row in SHEAR)
+                    for v in p.vertices)
+
+
+X, Y, Z = (LaurentPoly.variable(n, ("x", "y", "z")) for n in "xyz")
+THREE_VARIABLE_CASES = {
+    "triangle": (Z * (1 + X + Y) + X + Y + (X * Y * Z) ** -1, 1 + X + Y),
+    "segment": (Z * (1 + X) ** 2 + Y + X ** -1 + (1 + X) * (Y * Z ** 2) ** -1,
+                1 + X),
+}
+
+
+@pytest.mark.parametrize("f, factor", THREE_VARIABLE_CASES.values(),
+                         ids=THREE_VARIABLE_CASES.keys())
+def test_polytope_mutation_effect_in_3d_moves_a_factor(f, factor):
+    g = elementary_mutation(f, "z", factor)
+    data = MutationData((0, 0, 1), newton_polytope(factor))
+    moved = polytope_mutation_effect(newton_polytope(f), data)
+    assert moved == newton_polytope(g)
+    assert moved != newton_polytope(f)
+    # the same mutation in sheared coordinates, whose slice planes are
+    # not coordinate planes
+    sheared = MutationData((-3, 1, 1), _shear(data.factor))
+    assert polytope_mutation_effect(_shear(newton_polytope(f)), sheared) \
+        == _shear(moved)
+
+
 def test_polytope_mutation_errors():
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     seg = Polytope([(0, 0), (1, 0)])
@@ -117,6 +152,15 @@ def test_polytope_mutation_errors():
         p4 = Polytope(cube4 + [(-1, -1, -1, -1)])
         polytope_mutation_effect(p4, MutationData((0, 0, 0, 1),
                                                   Polytope([(0, 0, 0, 0)])))
+
+
+def test_polytope_mutation_slice_point_off_its_plane_raises(monkeypatch):
+    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    monkeypatch.setattr(mutation, "_slice_points",
+                        lambda p, w, k: [(0, k + 1)])
+    with pytest.raises(PolytopeError, match="left the plane"):
+        polytope_mutation_effect(square, MutationData((0, 1),
+                                                      Polytope([(0, 0)])))
 
 
 def test_polytope_mutation_square_collapse():

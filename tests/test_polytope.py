@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           OriginNotInterior, Polytope, PolytopeError,
@@ -157,6 +158,57 @@ def test_lattice_chart_preserves_relations():
 def test_lattice_chart_rejects_points_off_the_hyperplane():
     with pytest.raises(PolytopeError):
         lattice_chart([(1, 0, 0), (2, 0, 0)], (1, 0, 0))
+
+
+@st.composite
+def _plane_points(draw):
+    """A nonzero normal in Z^2..Z^5 and distinct integer points on one
+    hyperplane <n, x> = c: every coordinate but one is drawn, and the
+    last one is solved for when it comes out integral."""
+    d = draw(st.integers(2, 5))
+    n = draw(st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+             .filter(any))
+    i = min((j for j in range(d) if n[j]), key=lambda j: abs(n[j]))
+    free = st.lists(st.integers(-5, 5), min_size=d - 1, max_size=d - 1)
+    x0 = draw(free)
+    x0.insert(i, draw(st.integers(-5, 5)))
+    c = sum(a * b for a, b in zip(n, x0))
+    pts = {tuple(x0)}
+    for rest in draw(st.lists(free, max_size=12)):
+        r = c - sum(a * b for a, b in zip(n[:i] + n[i + 1:], rest))
+        if r % n[i] == 0:
+            pts.add(tuple(rest[:i] + [r // n[i]] + rest[i:]))
+    return tuple(n), i, sorted(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_plane_points())
+def test_lattice_chart_properties(case):
+    n, i, pts = case
+    d = len(n)
+    base, basis, coords = lattice_chart(pts, n)
+    assert base == min(pts)
+    assert all(isinstance(x, int) for c in coords for x in c)
+    assert len(set(coords)) == len(pts)
+    for pt, c in zip(pts, coords):
+        assert len(c) == d - 1
+        assert tuple(base[j] + sum(ck * b[j] for ck, b in zip(c, basis))
+                     for j in range(d)) == pt
+    same_basis, rows = kernel_lattice_chart(n)
+    assert basis == same_basis
+    assert mat_mul(rows, transpose(basis)) == identity(d - 1)
+    # off the plane: a step along coordinate i changes <n, x> by n_i
+    off = tuple(x + (j == i) for j, x in enumerate(pts[0]))
+    with pytest.raises(PolytopeError):
+        lattice_chart(pts + [off], n)
+    # on the plane but not a lattice point: half a primitive kernel vector
+    j = (i + 1) % d
+    w = [0] * d
+    w[i], w[j] = n[j], -n[i]
+    g = gcd(*w)
+    half = tuple(x + Fraction(wk, 2 * g) for x, wk in zip(pts[0], w))
+    with pytest.raises(PolytopeError):
+        lattice_chart(pts + [half], n)
 
 
 def test_hull_of_grid_points_with_collinear_edges():
