@@ -313,12 +313,13 @@ def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
 
 
 def _check_facet_decomposition(proj: Sequence[Tuple[int, int]],
+                               facet: Polytope,
                                summands: Sequence[Polytope]) -> None:
-    """Raise BadCertificate unless summands sum to the facet admissibly."""
+    """Raise BadCertificate unless summands sum to the facet admissibly;
+    facet is the polygon of the chart points proj."""
     total = summands[0]
     for s in summands[1:]:
         total = minkowski_sum(total, s)
-    facet = Polytope(proj)
     if total != facet:
         raise BadCertificate("summands do not add up to the facet")
     facet_gens = _diff_lattice(sorted(proj))
@@ -356,7 +357,7 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     for normal, height in p.facets:
         summands = by_normal[normal]
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
-        _check_facet_decomposition(proj, summands)
+        _check_facet_decomposition(proj, Polytope(proj), summands)
         prod = _facet_product(summands)
         for e, c in prod.items():
             ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
@@ -438,7 +439,7 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]],
                           for v in chosen[0].vertices])
         summands = (first,) + tuple(chosen[1:])
         try:
-            _check_facet_decomposition(proj, summands)
+            _check_facet_decomposition(proj, facet, summands)
         except BadCertificate:
             return None
         if _facet_product(summands) != target:

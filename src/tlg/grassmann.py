@@ -9,7 +9,7 @@ superpotential into a Laurent polynomial in kn - l variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .laurent import LaurentPoly, RationalExpr
 from .series import GrassSpec

@@ -10,7 +10,7 @@ outputs are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 Exponent = Tuple[int, ...]
@@ -259,10 +259,6 @@ class LaurentPoly:
         return hash((self._vars, frozenset(self._terms.items())))
 
     # -- structure ---------------------------------------------------------
-
-    def filter_terms(self, keep: Callable[[Exponent], bool]) -> "LaurentPoly":
-        return LaurentPoly._raw(
-            self._vars, {e: c for e, c in self._terms.items() if keep(e)})
 
     def constant_term(self, over: Optional[Iterable[str]] = None):
         """Coefficient of the zero exponent.

@@ -125,13 +125,23 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
     Incremental insertion from the starting simplex: each new point either
     lies inside the current hull (possibly on facet hyperplanes, which then
     absorb it) or sees a set of facets. Seen facets are replaced by facets
-    spanned by each horizon ridge together with the new point. Incident sets
-    are kept complete for every processed point, which is what makes exact
-    ridge detection by affine rank possible: the old hull meets a new facet
-    exactly in its ridge, so the ridge's incidents plus the new point are
-    the new facet's. The reference point is the sum of the simplex vertices,
-    (d+1) times their centroid, so it stays integral and strictly inside
-    every intermediate hull.
+    spanned by each horizon ridge together with the new point.
+
+    Incident sets are kept complete for every processed point, so the
+    incidents common to a visible facet F and a surviving facet G are
+    exactly the processed points of the face F ∩ G. That face is a ridge
+    exactly when no third current facet's incidents contain the common set.
+    A face of dimension k lies in at least d - k facets, so a face of
+    dimension <= d - 3, or the empty face, lies in a third facet. A ridge
+    lies in exactly two, and a facet holding the ridge's points holds their
+    hull. So the incidence sets alone decide a ridge, with no elimination,
+    and the new plane is spanned by ridge points up to rank d - 2 and then
+    the new point. The old hull meets a new facet exactly in its ridge, so
+    the ridge's incidents plus the new point are the new facet's.
+
+    The reference point is the sum of the simplex vertices, (d+1) times
+    their centroid, so it stays integral and strictly inside every
+    intermediate hull.
     """
     d = len(pts[0])
     ref = tuple(sum(col) for col in zip(*[pts[i] for i in simplex]))
@@ -161,15 +171,17 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
         for F in visible:
             for G in survivors:
                 common = F.incidents & G.incidents
-                if len(common) < d - 1:
+                if len(common) < d - 1 or any(
+                        H is not F and H is not G and common <= H.incidents
+                        for H in facets):
                     continue
                 it = iter(common)
                 base = pts[next(it)]
                 ech = _IntEchelon()
                 for j in it:
+                    if ech.rank == d - 2:
+                        break
                     ech.add(_sub(pts[j], base))
-                if ech.rank != d - 2:
-                    continue
                 ech.add(_sub(p, base))
                 key = _oriented_plane(ech, base, ref)
                 if key not in planes:
@@ -440,7 +452,14 @@ def _nvol(p: Polytope) -> int:
         if dist == 0:
             continue
         face = [v for v in p.vertices if _dot(n, v) + h == 0]
-        total += dist * _nvol(Polytope(lattice_chart(face, n)[2]))
+        chart = lattice_chart(face, n)[2]
+        if len(face) == d:
+            # a simplex: its normalized volume is the determinant of its
+            # edge vectors in the facet lattice
+            c0 = chart[0]
+            total += dist * abs(det_bareiss([_sub(c, c0) for c in chart[1:]]))
+        else:
+            total += dist * _nvol(Polytope(chart))
     return total
 
 

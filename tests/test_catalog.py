@@ -109,3 +109,13 @@ def test_bundled_generators_emit_no_series_warnings():
     for e in catalog.load():
         series = e.generator_series(4)
         assert series is None or series.warnings == ()
+
+
+def test_save_then_load_round_trips_every_entry(tmp_path):
+    entries = catalog.load()
+    path = tmp_path / "catalog.json"
+    catalog.save(entries, path)
+    again = catalog.load(path)
+    assert len(again) == 25
+    assert [entry_to_json_dict(e) for e in again] == \
+        [entry_to_json_dict(e) for e in entries]

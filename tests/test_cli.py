@@ -72,3 +72,46 @@ def test_keyboard_interrupt_exits_130(model, monkeypatch):
         raise KeyboardInterrupt
     monkeypatch.setattr(tlg.cli, "phi", interrupted)
     assert main(["phi", "--input", model, "--order", "3"]) == 130
+
+
+# A reflexive 3-polytope with six vertices and simplicial facets, given with
+# a repeated vertex and the repeated interior origin; its dual has three
+# triangles and three quadrilaterals among its facets.
+REFLEXIVE_POINTS = [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1],
+                    [-1, -1, -1], [0, 0, 0], [1, 0, 0], [0, 0, 0]]
+VERTICES = [[-1, -1, -1], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 1, 0],
+            [1, 0, 0]]
+DUAL_VERTICES = [[-1, -1, -1], [-1, -1, 3], [-1, 1, -1], [-1, 1, 1],
+                 [1, -1, -1], [1, -1, 1], [1, 1, -1]]
+DUAL_BOUNDARY = [
+    [-1, -1, -1], [-1, -1, 0], [-1, -1, 1], [-1, -1, 2], [-1, -1, 3],
+    [-1, 0, -1], [-1, 0, 0], [-1, 0, 1], [-1, 0, 2], [-1, 1, -1], [-1, 1, 0],
+    [-1, 1, 1], [0, -1, -1], [0, -1, 0], [0, -1, 1], [0, -1, 2], [0, 0, -1],
+    [0, 0, 1], [0, 1, -1], [0, 1, 0], [1, -1, -1], [1, -1, 0], [1, -1, 1],
+    [1, 0, -1], [1, 0, 0], [1, 1, -1]]
+
+
+@pytest.mark.parametrize("argv, points, expected", [
+    (["hull"], REFLEXIVE_POINTS, {"dim": 3, "vertices": VERTICES}),
+    (["dual"], REFLEXIVE_POINTS, {"dim": 3, "vertices": DUAL_VERTICES}),
+    (["reflexive"], REFLEXIVE_POINTS, True),
+    (["reflexive"], DUAL_VERTICES, True),
+    (["volume"], REFLEXIVE_POINTS, {"volume": 8}),
+    (["volume"], DUAL_VERTICES, {"volume": 48}),
+    (["points"], REFLEXIVE_POINTS,
+     {"count": 7, "points": sorted(VERTICES + [[0, 0, 0]])}),
+    (["points", "--region", "interior"], DUAL_VERTICES,
+     {"count": 1, "points": [[0, 0, 0]]}),
+    (["points", "--region", "boundary"], DUAL_VERTICES,
+     {"count": 26, "points": DUAL_BOUNDARY}),
+], ids=["hull", "dual", "reflexive", "reflexive-dual", "volume",
+        "volume-dual", "points", "points-interior-dual",
+        "points-boundary-dual"])
+def test_polytope_commands_print_golden_json(tmp_path, capsys, argv, points,
+                                             expected):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(points))
+    assert main(["polytope", *argv, "--input", str(path),
+                 "--output", "json"]) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"

@@ -82,12 +82,6 @@ def test_substitute_scalar_and_poly():
         f.substitute({"t": 1})
 
 
-def test_filter_terms():
-    f = x ** 2 + x + 1 + x ** -1
-    kept = f.filter_terms(lambda e: e[0] >= 0)
-    assert kept == x ** 2 + x + 1
-
-
 def test_rational_expr_equality_and_errors():
     half = RationalExpr.from_poly(x) / RationalExpr.from_poly(2 * x)
     one = RationalExpr.coerce(1)

@@ -1,10 +1,10 @@
 import itertools
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
@@ -291,3 +291,120 @@ def test_hull_properties(case):
         on = [q for q, v in zip(points, values) if v == 0]
         # a facet holds d affinely independent input points
         assert _rank([[a - b for a, b in zip(q, on[0])] for q in on[1:]]) == d - 1
+
+
+def _det(rows):
+    """Determinant by permutation expansion, independent of the hull code."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _brute_force_facets(points, d):
+    """Every hyperplane through d of the points that has all of them on one
+    side, as (primitive inner normal, height)."""
+    found = set()
+    for subset in itertools.combinations(points, d):
+        diffs = [[a - b for a, b in zip(q, subset[0])] for q in subset[1:]]
+        # the cofactors of the difference rows give a normal of their span
+        n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in diffs])
+             for j in range(d)]
+        if not any(n):
+            continue
+        g = gcd(*n)
+        n = [x // g for x in n]
+        h = -sum(a * b for a, b in zip(n, subset[0]))
+        values = [sum(a * b for a, b in zip(n, q)) + h for q in points]
+        if all(v <= 0 for v in values):
+            n, h = [-x for x in n], -h
+        elif not all(v >= 0 for v in values):
+            continue
+        found.add((tuple(n), h))
+    return sorted(found)
+
+
+@st.composite
+def _small_point_sets(draw):
+    d = draw(st.integers(2, 4))
+    # the unit grid gives coplanar points and non-simplicial facets
+    coord = draw(st.sampled_from([st.integers(-1, 1), st.integers(-3, 3)]))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1,
+                           max_size=10, unique=True))
+    return d, points
+
+
+# In the example a visible and a surviving facet share d - 1 = 3 points,
+# the collinear (1, y, 0, -1): they meet in an edge, not in a ridge.
+@settings(max_examples=150, deadline=None)
+@given(_small_point_sets())
+@example((4, [(-1, -1, 0, 1), (-1, 0, -1, 0), (-1, 0, -1, 1), (0, -1, 0, -1),
+              (1, -1, 0, -1), (1, 0, 0, -1), (1, 1, 0, -1), (1, 1, 1, 0)]))
+def test_facets_match_brute_force(case):
+    d, points = case
+    rank = _rank([[a - b for a, b in zip(q, points[0])] for q in points[1:]])
+    if rank < d:
+        assert Polytope(points).dim == rank
+        return
+    p = Polytope(points)
+    facets = _brute_force_facets(points, d)
+    assert list(p.facets) == facets
+    # a vertex is a point where the facet normals reach rank d
+    assert list(p.vertices) == sorted(
+        q for q in points
+        if _rank([n for n, h in facets
+                  if sum(a * b for a, b in zip(n, q)) + h == 0]) == d)
+
+
+def _unimodular(draw, d):
+    """A random matrix in GL(d, Z): a signed permutation times elementary
+    row operations with small multipliers."""
+    perm = draw(st.permutations(range(d)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=d, max_size=d))
+    u = [[signs[i] if j == perm[i] else 0 for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@st.composite
+def _volume_cases(draw):
+    d = draw(st.integers(1, 5))
+    coord = st.integers(-2, 2)
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1,
+                           max_size=d + 5, unique=True))
+    shift = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    return d, points, _unimodular(draw, d), shift
+
+
+@settings(max_examples=150, deadline=None)
+@given(_volume_cases())
+def test_normalized_volume_is_determinant_and_unimodular_invariant(case):
+    d, points, u, shift = case
+    p = Polytope(points)
+    if p.dim < d:
+        return
+    vol = normalized_volume(p)
+    image = [tuple(sum(a * b for a, b in zip(row, q)) + t
+                   for row, t in zip(u, shift)) for q in points]
+    assert normalized_volume(Polytope(image)) == vol
+    simplex = points[:d + 1]
+    diffs = [[a - b for a, b in zip(q, simplex[0])] for q in simplex[1:]]
+    det = _det(diffs)
+    if det:
+        assert normalized_volume(Polytope(simplex)) == abs(det)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_normalized_volume_of_the_unit_cube(d):
+    cube = Polytope(itertools.product((0, 1), repeat=d))
+    assert normalized_volume(cube) == factorial(d)
