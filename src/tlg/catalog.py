@@ -20,7 +20,7 @@ from .builders import check_minkowski
 from .laurent import LaurentPoly
 from .polytope import dual, is_reflexive, newton_polytope, normalized_volume
 from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
-                     iseries_grassmannian, iseries_toric, iseries_wci, phi)
+                     iseries_grassmannian, iseries_toric, phi)
 
 PROVENANCE_PAPER = "paper"
 PROVENANCE_REGRESSION = "derived-regression"
@@ -57,13 +57,12 @@ class CatalogEntry:
             else PROVENANCE_REGRESSION
 
     def generator_series(self, order: int) -> Optional[PowerSeries]:
-        if isinstance(self.generator, WciSpec):
-            return iseries_wci(self.generator, order)
-        if isinstance(self.generator, GrassSpec):
-            return iseries_grassmannian(self.generator, order)
-        if isinstance(self.generator, ToricCurveClassData):
-            return iseries_toric(self.generator, order)
-        return None
+        g = self.generator
+        if isinstance(g, GrassSpec):
+            return iseries_grassmannian(g, order)
+        if isinstance(g, WciSpec):
+            g = g.toric_data()
+        return None if g is None else iseries_toric(g, order)
 
 
 def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
@@ -76,16 +75,21 @@ def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
         return {"kind": "grass", "k": g.k, "n": g.n,
                 "degrees": list(g.degrees)}
     if isinstance(g, ToricCurveClassData):
-        return {"kind": "toric", "rows": [list(r) for r in g.rows]}
+        out = {"kind": "toric", "rows": [list(r) for r in g.rows]}
+        if g.degrees:
+            out["degrees"] = [list(v) for v in g.degrees]
+        return out
     raise TypeError(f"unknown generator {g!r}")
 
 
-def _generator_from_json(data, location: str) -> Optional[Generator]:
-    if data is None:
-        return None
+def generator_from_json(data, location: str,
+                        kind: Optional[str] = None) -> Generator:
+    """The generator a JSON object describes, of the given kind or else of
+    the kind its "kind" field names; bad input raises a ParseError at
+    location."""
     if not isinstance(data, dict):
         raise ParseError(location, "generator must be a JSON object")
-    kind = data.get("kind")
+    kind = kind or data.get("kind")
     try:
         if kind == "wci":
             return WciSpec(tuple(data["weights"]), tuple(data["degrees"]))
@@ -93,7 +97,9 @@ def _generator_from_json(data, location: str) -> Optional[Generator]:
             return GrassSpec(int(data["k"]), int(data["n"]),
                              tuple(data["degrees"]))
         if kind == "toric":
-            return ToricCurveClassData(tuple(tuple(r) for r in data["rows"]))
+            return ToricCurveClassData(
+                tuple(tuple(r) for r in data["rows"]),
+                tuple(tuple(v) for v in data.get("degrees", ())))
     except KeyError as exc:
         raise ParseError(location, f"{kind} generator is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -140,8 +146,9 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         id=str(data["id"]),
         description=str(data.get("description", "")),
         laurent=laurent,
-        generator=_generator_from_json(data.get("generator"),
-                                       f"{location} field generator"),
+        generator=(None if data.get("generator") is None else
+                   generator_from_json(data["generator"],
+                                       f"{location} field generator")),
         expected_series_prefix=series,
         provenance=data.get("provenance"),
         polytope_notes=(None if notes is None

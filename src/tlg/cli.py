@@ -37,9 +37,8 @@ from .picard_fuchs import fit as pf_fit
 from .polytope import (Polytope, dual, is_reflexive, lattice_points,
                        newton_polytope, normalized_volume,
                        unimodular_equivalent)
-from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
-                     iseries_grassmannian, iseries_toric, iseries_wci, phi,
-                     verify_period)
+from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
+                     iseries_toric, phi, verify_period)
 
 
 # -- shared plumbing --------------------------------------------------------
@@ -188,7 +187,8 @@ def iseries_group():
 @_output_option
 def iseries_wci_cmd(weights, degrees, order, output):
     """Weighted complete intersection."""
-    _emit_series(iseries_wci(WciSpec(weights, degrees), order), output)
+    _emit_series(iseries_toric(WciSpec(weights, degrees).toric_data(), order),
+                 output)
 
 
 @iseries_group.command("grass")
@@ -209,10 +209,10 @@ def iseries_grass_cmd(k, n, degrees, order, output):
 @click.option("--order", type=int, required=True)
 @_output_option
 def iseries_toric_cmd(input_path, order, output):
-    """Toric variety described by divisor pairings of curve classes."""
-    data = _read_json(input_path)
-    rows = tuple(tuple(int(x) for x in row) for row in data["rows"])
-    spec = ToricCurveClassData(rows)
+    """Toric complete intersection: {"rows": [[D_j.C_s, ...], ...]} and
+    optionally {"degrees": [[L_i.C_s per row], ...]}."""
+    spec = _catalog.generator_from_json(_read_json(input_path), input_path,
+                                        "toric")
     _emit_series(iseries_toric(spec, order), output)
 
 

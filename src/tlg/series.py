@@ -19,6 +19,17 @@ the engine meets, and being linear it turns -e and e + e' into -pack(e)
 and pack(e) + pack(e'). Coefficients are ints or Fractions; variables that
 are not period variables stay in the values, which are then Laurent
 polynomials in those variables.
+
+The closed forms the periods are checked against are I-series of complete
+intersections X of nef divisors L_1..L_r in a toric variety Y with toric
+divisors D_j: Givental's mirror theorem (alg-geom/9701016) in the form of
+Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288). A curve class d adds
+
+    (-K_X.d)! prod_i (L_i.d)! / prod_j (D_j.d)!,   -K_X = -K_Y - sum_i L_i,
+
+at t^(-K_X.d), and a class with some D_j.d < 0 adds nothing: the k = 0
+factor D_j of prod_{D_j.d < k <= 0} (D_j + k z) kills it. A weighted
+complete intersection is the rank-one case, with one row of weights.
 """
 
 from __future__ import annotations
@@ -27,6 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import Coeff, LaurentPoly, UnknownVariable
@@ -40,7 +52,7 @@ class NonScalarConstantTerm(ValueError):
 
 
 class NegativeAnticanonicalDegree(ValueError):
-    """Every toric curve-class row must pair positively with -K."""
+    """Every toric curve-class row must pair positively with -K_X."""
 
 
 @dataclass(frozen=True)
@@ -194,29 +206,10 @@ class WciSpec:
     def index(self) -> int:
         return sum(self.weights) - sum(self.degrees)
 
-
-def iseries_wci(spec: WciSpec, order: int) -> PowerSeries:
-    """Anticanonically graded I-series of a weighted complete intersection.
-
-    Supported on multiples of the index d0, with coefficient
-    (d0 d)! prod_i (d_i d)! / prod_j (w_j d)! at t^(d0 d).
-    """
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    d0 = spec.index
-    coeffs: List[Coeff] = [0] * order
-    coeffs[0] = 1
-    d = 1
-    while d0 * d < order:
-        num = factorial(d0 * d)
-        for di in spec.degrees:
-            num *= factorial(di * d)
-        den = 1
-        for w in spec.weights:
-            den *= factorial(w * d)
-        coeffs[d0 * d] = _parse_coeff(Fraction(num, den))
-        d += 1
-    return PowerSeries(tuple(coeffs))
+    def toric_data(self) -> "ToricCurveClassData":
+        """Rank-one curve-class data: one row of weights, degree vectors (d,)."""
+        return ToricCurveClassData((self.weights,),
+                                   tuple((d,) for d in self.degrees))
 
 
 @dataclass(frozen=True)
@@ -293,19 +286,23 @@ def _monotone_arrays(rows: int, cols: int, d: int):
 class ToricCurveClassData:
     """Generators of effective curve classes paired against toric divisors.
 
-    Each row s lists the intersection numbers of a generating class with
-    every divisor; its sum kappa_s is the anticanonical degree. Optional
-    parameter exponents attach a monomial in formal divisor parameters to
-    each generator.
+    Each row s lists the intersection numbers D_j.C_s of a generating class
+    with every divisor; its sum kappa_s is -K_Y.C_s. Each optional degree
+    vector belongs to one hypersurface L_i of a complete intersection X and
+    lists L_i.C_s for every row. Optional parameter exponents attach a
+    monomial in formal divisor parameters to each generator.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
+    degrees: Tuple[Tuple[int, ...], ...] = ()
     param_vars: Tuple[str, ...] = ()
     param_exponents: Tuple[Tuple[int, ...], ...] = ()
 
     def __post_init__(self):
         rows = tuple(tuple(int(x) for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "degrees",
+                           tuple(tuple(int(x) for x in v) for v in self.degrees))
         object.__setattr__(self, "param_vars", tuple(self.param_vars))
         object.__setattr__(self, "param_exponents",
                            tuple(tuple(int(x) for x in e) for e in self.param_exponents))
@@ -313,7 +310,9 @@ class ToricCurveClassData:
             raise ValueError("need at least one curve class row")
         if len({len(r) for r in rows}) != 1:
             raise ValueError("rows must all have the same length")
-        if any(sum(r) <= 0 for r in rows):
+        if any(len(v) != len(rows) or min(v) < 0 for v in self.degrees):
+            raise ValueError("each degree vector needs one entry >= 0 per row")
+        if any(k <= 0 for k in self.t_degrees):
             raise NegativeAnticanonicalDegree(
                 "every generator must have positive anticanonical degree")
         if self.param_exponents and len(self.param_exponents) != len(rows):
@@ -326,23 +325,21 @@ class ToricCurveClassData:
     def kappa(self) -> Tuple[int, ...]:
         return tuple(sum(r) for r in self.rows)
 
+    @property
+    def t_degrees(self) -> Tuple[int, ...]:
+        """-K_X.C_s, the power of t each generator carries."""
+        return tuple(k - sum(v[s] for v in self.degrees)
+                     for s, k in enumerate(self.kappa))
+
 
 def _toric_combinations(kappa: Sequence[int], bound: int):
     """Nonnegative multiplicity vectors m with sum(m_s kappa_s) <= bound."""
-    out: List[Tuple[int, ...]] = []
-
-    def rec(idx: int, left: int, acc: List[int]):
-        if idx == len(kappa):
-            out.append(tuple(acc))
-            return
-        m = 0
-        while m * kappa[idx] <= left:
-            acc.append(m)
-            rec(idx + 1, left - m * kappa[idx], acc)
-            acc.pop()
-            m += 1
-    rec(0, bound, [])
-    return out
+    if not kappa:
+        yield ()
+        return
+    for m in range(bound // kappa[0] + 1):
+        for rest in _toric_combinations(kappa[1:], bound - m * kappa[0]):
+            yield (m,) + rest
 
 
 def iseries_toric_parametrized(data: ToricCurveClassData, order: int
@@ -354,33 +351,27 @@ def iseries_toric_parametrized(data: ToricCurveClassData, order: int
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    kappa = data.kappa
+    kappa = data.t_degrees
     vs = data.param_vars
-    width = len(vs)
+    columns = list(zip(*data.rows))
     terms: List[dict] = [dict() for _ in range(order)]
     for m in _toric_combinations(kappa, order - 1):
-        deg = sum(mi * ki for mi, ki in zip(m, kappa))
-        beta = [sum(m[s] * data.rows[s][j] for s in range(len(m)))
-                for j in range(len(data.rows[0]))]
-        num = factorial(deg)
-        den = 1
-        for x in beta:
-            if x > 0:
-                den *= factorial(x)
-            elif x < 0:
-                num *= factorial(-x)
-        if data.param_exponents:
-            exp = tuple(sum(m[s] * data.param_exponents[s][j] for s in range(len(m)))
-                        for j in range(width))
-        else:
-            exp = (0,) * width
+        beta = [sum(map(mul, m, col)) for col in columns]
+        if min(beta) < 0:
+            continue
+        deg = sum(map(mul, m, kappa))
+        num = factorial(deg) * math.prod(factorial(sum(map(mul, m, v)))
+                                         for v in data.degrees)
+        exp = tuple(sum(ms * e[j] for ms, e in zip(m, data.param_exponents))
+                    for j in range(len(vs)))
         bucket = terms[deg]
-        bucket[exp] = bucket.get(exp, 0) + Fraction(num, den)
+        bucket[exp] = bucket.get(exp, 0) + Fraction(
+            num, math.prod(map(factorial, beta)))
     return [LaurentPoly(vs, t) for t in terms]
 
 
 def iseries_toric(data: ToricCurveClassData, order: int) -> PowerSeries:
-    """Scalar I-series of toric data, all divisor parameters set to one."""
+    """Scalar I-series of a toric complete intersection, parameters set to one."""
     polys = iseries_toric_parametrized(data, order)
     coeffs = tuple(_parse_coeff(Fraction(sum((c for _, c in p.terms()), start=Fraction(0))))
                    for p in polys)

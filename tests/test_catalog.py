@@ -84,6 +84,14 @@ def test_generator_missing_key_is_a_located_parse_error(kind, key):
     assert repr(key) in str(info.value)
 
 
+def test_toric_degrees_are_written_only_when_present():
+    data = _entry_json()
+    for generator in (GENERATORS["toric"],
+                      dict(GENERATORS["toric"], degrees=[[2]])):
+        entry = entry_from_json_dict(dict(data, generator=generator), "ok")
+        assert entry_to_json_dict(entry)["generator"] == generator
+
+
 def test_invalid_generator_values_are_located():
     data = dict(_entry_json(),
                 generator={"kind": "wci", "weights": [0, 1], "degrees": []})

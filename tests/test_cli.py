@@ -115,3 +115,40 @@ def test_polytope_commands_print_golden_json(tmp_path, capsys, argv, points,
                  "--output", "json"]) == 0
     assert capsys.readouterr().out == \
         json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+S7_ROWS = [[1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [0, 1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("argv, coeffs", [
+    (["wci", "--weights", "1,1,1,1", "--order", "9"],
+     [1, 0, 0, 0, 24, 0, 0, 0, 2520]),
+    (["wci", "--weights", "1,1,1,1,1", "--degrees", "4", "--order", "6"],
+     [1, 24, 2520, 369600, 63063000, 11732745024]),
+    (["grass", "--k", "2", "--n", "3", "--degrees", "1,1,1", "--order", "9"],
+     [1, 0, 6, 0, 114, 0, 2940, 0, 87570]),
+    (["toric", "--input", "ROWS", "--order", "9"],
+     [1, 0, 4, 6, 36, 120, 490, 2100, 8260]),
+], ids=["wci-p3", "wci-quartic", "grass-g25-111", "toric-s7"])
+def test_iseries_commands_print_golden_json(tmp_path, capsys, argv, coeffs):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"rows": S7_ROWS}))
+    argv = [str(path) if a == "ROWS" else a for a in argv]
+    assert main(["iseries", *argv, "--output", "json"]) == 0
+    expected = {"coeffs": [str(c) for c in coeffs], "order": len(coeffs)}
+    assert capsys.readouterr().out == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    {}, {"rows": 5}, {"rows": [[1, "x"]]}, {"rows": [[1, 1]], "degrees": [[1, 2]]},
+], ids=["missing", "not-a-list", "not-an-int", "degree-length"])
+def test_iseries_toric_bad_input_is_a_located_parse_error(tmp_path, capsys,
+                                                          data):
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(data))
+    assert main(["iseries", "toric", "--input", str(path),
+                 "--order", "3"]) == 1
+    error = _error(capsys)
+    assert error["type"] == "ParseError"
+    assert error["message"].startswith(f"{path}: ")

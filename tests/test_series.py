@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tlg import catalog
 from tlg.laurent import LaurentPoly
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree,
                         NonScalarConstantTerm, PowerSeries,
                         ToricCurveClassData, WciSpec, iseries_grassmannian,
-                        iseries_toric, iseries_toric_parametrized, iseries_wci,
-                        phi, phi_coefficients, verify_period)
+                        iseries_toric, iseries_toric_parametrized, phi,
+                        phi_coefficients, verify_period)
 
 V3 = ("x", "y", "z")
 x3, y3, z3 = (LaurentPoly.variable(n, V3) for n in V3)
@@ -67,7 +68,7 @@ def test_phi_rejects_parameters_but_coefficients_carry_them():
 
 def test_iseries_projective_space():
     spec = WciSpec((1, 1, 1, 1), ())
-    s = iseries_wci(spec, 13)
+    s = iseries_toric(spec.toric_data(), 13)
     for i, c in enumerate(s.coeffs):
         if i % 4:
             assert c == 0
@@ -78,14 +79,14 @@ def test_iseries_projective_space():
 
 
 def test_iseries_quartic_threefold():
-    s = iseries_wci(WciSpec((1,) * 5, (4,)), 4)
+    s = iseries_toric(WciSpec((1,) * 5, (4,)).toric_data(), 4)
     expected = [math.factorial(4 * d) // math.factorial(d) ** 4
                 for d in range(4)]
     assert list(s.coeffs) == expected
 
 
 def test_iseries_sextic_hypersurface():
-    s = iseries_wci(WciSpec((1, 1, 1, 1, 3), (6,)), 3)
+    s = iseries_toric(WciSpec((1, 1, 1, 1, 3), (6,)).toric_data(), 3)
     assert s.coeffs[1] == 120
     assert s.coeffs[0] == 1
 
@@ -95,6 +96,38 @@ def test_wci_spec_validation():
         WciSpec((1, 1), (2,))  # index zero, not Fano
     with pytest.raises(ValueError):
         WciSpec((1, -1), ())
+
+
+@st.composite
+def _wci_specs(draw):
+    weights = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    degrees = draw(st.lists(st.integers(1, 6), max_size=3))
+    if sum(weights) - sum(degrees) < 1:
+        degrees = []
+    return WciSpec(tuple(weights), tuple(degrees))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_wci_specs(), st.integers(1, 25))
+@example(WciSpec((1, 1, 1, 2, 3), (6,)), 25)
+def test_wci_iseries_is_the_rank_one_toric_series(spec, order):
+    # the weighted closed form: (d0 d)! prod_i (d_i d)! / prod_j (w_j d)!
+    # at t^(d0 d), where d0 is the index
+    d0 = spec.index
+    expected = [0] * order
+    for d in range((order - 1) // d0 + 1):
+        num = math.factorial(d0 * d)
+        for di in spec.degrees:
+            num *= math.factorial(di * d)
+        den = 1
+        for w in spec.weights:
+            den *= math.factorial(w * d)
+        expected[d0 * d] = Fraction(num, den)
+    s = iseries_toric(spec.toric_data(), order)
+    assert list(s.coeffs) == expected
+    assert all(isinstance(c, int) or c.denominator > 1 for c in s.coeffs)
+    if len(spec.weights) > 1:
+        assert s.warnings == ()
 
 
 def test_iseries_grassmannian_quadric_section():
@@ -147,6 +180,47 @@ def test_iseries_toric_unit_kappa_warns():
 def test_toric_data_rejects_negative_degree():
     with pytest.raises(NegativeAnticanonicalDegree):
         ToricCurveClassData(((-1, -1),))
+    # a hypersurface can use up the whole anticanonical degree
+    with pytest.raises(NegativeAnticanonicalDegree):
+        ToricCurveClassData(((1, 1, 1),), ((3,),))
+    with pytest.raises(ValueError):
+        ToricCurveClassData(((1, 1, 1),), ((1, 1),))
+    with pytest.raises(ValueError):
+        ToricCurveClassData(((1, 1, 1),), ((-1,),))
+
+
+def test_negative_divisor_pairings_contribute_nothing():
+    # the Hirzebruch surface F_1: the first row is the (-1)-curve, which
+    # meets its own divisor negatively; classes that pair a divisor below
+    # zero add nothing
+    vs = ("x", "y")
+    x, y = (LaurentPoly.variable(n, vs) for n in vs)
+    data = ToricCurveClassData(((1, -1, 1, 0), (0, 1, 0, 1)))
+    s = iseries_toric(data, 10)
+    assert list(s.coeffs) == [1, 0, 2, 6, 6, 60, 110, 420, 1750, 4200]
+    assert s == phi(x + y + y * x ** -1 + y ** -1, 10)
+
+
+# Rank-two toric complete intersections: 2-3, 9-1 and 10-1 lie in
+# P^1 x P(w), with one class-group row per factor; 2-2 lies in the toric
+# variety whose last divisor has weights (1, 2). One degree vector per
+# hypersurface.
+PRODUCT_CIS = {
+    "2-2": (((1, 1, 0, 0, 0, 1), (0, 0, 1, 1, 1, 2)), ((2, 4),)),
+    "2-3": (((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 1, 1, 2)),
+            ((1, 1), (0, 4))),
+    "9-1": (((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 1, 2)), ((0, 4),)),
+    "10-1": (((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 2, 3)), ((0, 6),)),
+}
+
+
+@pytest.mark.parametrize("entry_id", sorted(PRODUCT_CIS))
+def test_product_complete_intersections_match_catalog_models(entry_id):
+    rows, degrees = PRODUCT_CIS[entry_id]
+    entry = next(e for e in catalog.load() if e.id == entry_id)
+    s = iseries_toric(ToricCurveClassData(rows, degrees), 16)
+    assert s.warnings == ()
+    assert s == phi(entry.laurent, 16)
 
 
 def test_parametrized_toric_series_equals_parametrized_period():
