@@ -1,6 +1,8 @@
 """Bundled Laurent models with a batch verification harness.
 
-Each entry stores an explicit Laurent polynomial together with optional
+Each entry stores an explicit Laurent polynomial, optionally also as a
+product of factors (which the period engine multiplies one at a time, and
+which loading checks against the polynomial), together with optional
 anchors: a generator (weighted complete intersection, Grassmannian or toric
 curve-class data) whose closed-form series the period must reproduce, or a
 frozen series prefix for entries with no generating formula. The provenance
@@ -50,6 +52,7 @@ class CatalogEntry:
     degree: Optional[int] = None
     index: Optional[int] = None
     rho: Optional[int] = None
+    factors: Optional[Tuple[Tuple[LaurentPoly, int], ...]] = None
 
     @property
     def anchored(self) -> str:
@@ -82,6 +85,20 @@ def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
     raise TypeError(f"unknown generator {g!r}")
 
 
+# a JSON number with a fraction part is a float and true/false is a bool,
+# so neither passes for an int here
+def _int(x, what: str) -> int:
+    if type(x) is not int:
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _ints(xs, what: str) -> Tuple[int, ...]:
+    if type(xs) is not list or any(type(x) is not int for x in xs):
+        raise TypeError(f"{what} must be a list of integers, got {xs!r}")
+    return tuple(xs)
+
+
 def generator_from_json(data, location: str,
                         kind: Optional[str] = None) -> Generator:
     """The generator a JSON object describes, of the given kind or else of
@@ -92,14 +109,15 @@ def generator_from_json(data, location: str,
     kind = kind or data.get("kind")
     try:
         if kind == "wci":
-            return WciSpec(tuple(data["weights"]), tuple(data["degrees"]))
+            return WciSpec(_ints(data["weights"], "weights"),
+                           _ints(data["degrees"], "degrees"))
         if kind == "grass":
-            return GrassSpec(int(data["k"]), int(data["n"]),
-                             tuple(data["degrees"]))
+            return GrassSpec(_int(data["k"], "k"), _int(data["n"], "n"),
+                             _ints(data["degrees"], "degrees"))
         if kind == "toric":
             return ToricCurveClassData(
-                tuple(tuple(r) for r in data["rows"]),
-                tuple(tuple(v) for v in data.get("degrees", ())))
+                tuple(_ints(r, "rows") for r in data["rows"]),
+                tuple(_ints(v, "degrees") for v in data.get("degrees", ())))
     except KeyError as exc:
         raise ParseError(location, f"{kind} generator is missing {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -107,11 +125,33 @@ def generator_from_json(data, location: str,
     raise ParseError(location, f"unknown generator kind {kind!r}")
 
 
+def _laurent(data) -> LaurentPoly:
+    if any(type(x) is not int for term in data["terms"] for x in term["e"]):
+        raise TypeError("exponents must be lists of integers")
+    return LaurentPoly.from_json_dict(data)
+
+
+def _factor(data, variables: Tuple[str, ...]) -> Tuple[LaurentPoly, int]:
+    factor = _laurent(data["laurent"])
+    power = _int(data["power"], "power")
+    if power < 1:
+        raise ValueError(f"power must be at least 1, got {power}")
+    if factor.variables != variables:
+        raise ValueError(f"factor variables {factor.variables} are not "
+                         f"those of laurent, {variables}")
+    return factor, power
+
+
 def entry_to_json_dict(e: CatalogEntry) -> dict:
     out = {
         "id": e.id,
         "description": e.description,
         "laurent": e.laurent.to_json_dict(),
+    }
+    if e.factors is not None:
+        out["factors"] = [{"laurent": f.to_json_dict(), "power": m}
+                          for f, m in e.factors]
+    out |= {
         "generator": _generator_to_json(e.generator),
         "expected_series_prefix": (None if e.expected_series_prefix is None
                                    else e.expected_series_prefix.to_json_dict()),
@@ -132,9 +172,25 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
     if "id" not in data:
         raise ParseError(f"{location} field id", "missing")
     try:
-        laurent = LaurentPoly.from_json_dict(data["laurent"])
+        laurent = _laurent(data["laurent"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{location} field laurent", str(exc)) from exc
+    factors = data.get("factors")
+    if factors is not None:
+        try:
+            factors = tuple(_factor(item, laurent.variables)
+                            for item in factors)
+        except KeyError as exc:
+            raise ParseError(f"{location} field factors",
+                             f"a factor is missing {exc}") from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{location} field factors", str(exc)) from exc
+        product = LaurentPoly.constant(1, laurent.variables)
+        for factor, power in factors:
+            product = product * factor ** power
+        if not factors or product != laurent:
+            raise ParseError(f"{location} field factors",
+                             "the product of the factors is not laurent")
     prefix = data.get("expected_series_prefix")
     try:
         series = None if prefix is None else PowerSeries.from_json_dict(prefix)
@@ -157,6 +213,7 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         degree=data.get("degree"),
         index=data.get("index"),
         rho=data.get("rho"),
+        factors=factors,
     )
 
 
@@ -218,7 +275,7 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
     if order < 2:
         raise ValueError("verification order must be at least 2")
     messages: List[str] = []
-    period = phi(entry.laurent, order)
+    period = phi(entry.laurent, order, factors=entry.factors)
     target = entry.generator_series(order)
     compared = order
     if target is not None:

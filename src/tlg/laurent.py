@@ -10,6 +10,7 @@ outputs are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
@@ -221,7 +222,7 @@ class LaurentPoly:
         out: Dict[Exponent, Coeff] = {}
         for e1, c1 in a._terms.items():
             for e2, c2 in b._terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly._raw(a._vars, out)
 

@@ -7,18 +7,36 @@ read off half powers with the identity
 
 as in Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288): with f^(a-1) and f^a
 at hand, ct(f^(2a-1)) and ct(f^(2a)) are sparse dot products, so only
-f^1..f^(N//2) are built, two at a time. For odd N the last coefficient is
-ct(f^(2p+1)) = sum over s of f_s * sum over k of [f^p]_k [f^p]_(-k-s),
-which never builds f^(p+1).
+f^1..f^p, p = N//2, are built, two at a time. For odd N the last
+coefficient is ct(f^(2p+1)) = sum over s of f_s * sum over k of
+[f^p]_k [f^p]_(-k-s), which never builds f^(p+1).
 
-Exponents over the period variables are packed into one int,
-pack(e) = sum of e_i R^i with radix R = 2 N max|e| + 1. Every coordinate of
-a sum of at most N exponents of f lies in [-N max|e|, N max|e|], where
-balanced digits base R are unique, so pack is injective on every exponent
-the engine meets, and being linear it turns -e and e + e' into -pack(e)
-and pack(e) + pack(e'). Coefficients are ints or Fractions; variables that
-are not period variables stay in the values, which are then Laurent
-polynomials in those variables.
+Many models are products, f = prod of L_i^(m_i), the form of the
+Givental/Hori-Vafa and Przyjalkowski models of complete intersections
+(Przyjalkowski-Shramov, arXiv:1409.3729). Given such factors, f^a is built
+from f^(a-1) one factor step at a time: the chain multiplies by each L_i
+m_i times, with the monomial factors folded into the first step. A step
+costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
+(x+y+z+1)^6/(xyz), six steps of 4 terms instead of one of 84. Only
+f^(a-1), the partial product and the next one are held at a time. An
+unfactored f is the one-step chain (f, 1).
+
+All variables are packed into one int, pack(e) = sum of e_i R^i, the
+period variables in the low digits and the parameters (variables that are
+not period variables) above them. With balanced digits base R = 2K + 1,
+pack is injective on exponents with every coordinate in [-K, K], and being
+linear it turns -e and e + e' into -pack(e) and pack(e) + pack(e'). Every
+exponent a pairing meets is a sum of at most N exponents of f; every
+exponent inside the chain is a sum of at most p - 1 exponents of f and at
+most one exponent of each step. So K = max(N |f|, (p - 1)|f| + sum over the
+steps of |L|), with |g| the largest |exponent| of g, covers both; for an
+unfactored f it is N |f|. Since pack is a ring homomorphism the chain would
+be right even where keys collided, but covering every partial product
+keeps one key per exponent in every dict, so dict sizes are true term
+counts, and it makes exact the check, once f^1 is built, that the steps
+multiply out to f. Coefficients are ints or Fractions. A pairing matches
+the period digits only and keys its sums by the parameter digits, which
+become the exponents of a Laurent polynomial in the parameters.
 
 The closed forms the periods are checked against are I-series of complete
 intersections X of nef divisors L_1..L_r in a toric variety Y with toric
@@ -41,7 +59,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .laurent import Coeff, LaurentPoly, UnknownVariable
+from .laurent import Coeff, LaurentPoly, UnknownVariable, VariableMismatch
 
 factorial = math.factorial
 binomial = math.comb
@@ -103,7 +121,7 @@ def _pairing(a: dict, b: dict, target: int = 0):
 
 
 def _times(power: dict, factor: list) -> dict:
-    """Packed product of a power with the (key, value) pairs of f."""
+    """Packed product of a power with the (key, value) pairs of a factor."""
     out: dict = {}
     get = out.get
     for k, c in power.items():
@@ -115,13 +133,40 @@ def _times(power: dict, factor: list) -> dict:
     return out
 
 
+def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
+    """The steps whose product takes f^(a-1) to f^a.
+
+    A factor L with power m is m steps of L; the one-term factors
+    (monomials and constants) are folded into the first longer step.
+    """
+    steps: List[LaurentPoly] = []
+    monomial = None
+    for L, m in factors:
+        if not isinstance(L, LaurentPoly) or L.variables != f.variables:
+            raise VariableMismatch(
+                f"factor {L!r} is not a Laurent polynomial in {f.variables}")
+        if type(m) is not int or m < 1:
+            raise ValueError(f"factor power must be an int >= 1, got {m!r}")
+        if len(L) == 1:
+            monomial = L ** m if monomial is None else monomial * L ** m
+        else:
+            steps.extend([L] * m)
+    if monomial is not None:
+        steps[:1] = [monomial * steps[0] if steps else monomial]
+    return steps
+
+
 def phi_coefficients(f: LaurentPoly, order: int,
-                     period_vars: Optional[Iterable[str]] = None
+                     period_vars: Optional[Iterable[str]] = None,
+                     factors: Optional[Sequence[Tuple[LaurentPoly, int]]] = None
                      ) -> List[LaurentPoly]:
     """Constant terms of f^0..f^(order-1) over the period variables.
 
     Each entry is a Laurent polynomial in the non-period variables, so
     formal parameters riding along in the coefficients are preserved.
+    With factors, pairs (L_i, m_i) whose product of L_i^m_i is f, each
+    power of f is built from the one before factor by factor; a list that
+    does not multiply out to f raises a ValueError once f^1 is built.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -135,43 +180,86 @@ def phi_coefficients(f: LaurentPoly, order: int,
         if v not in vs:
             raise UnknownVariable(f"{v!r} not among {vs}")
     rest = tuple(v for v in vs if v not in period)
-    period_pos = [vs.index(v) for v in period]
-    rest_pos = [vs.index(v) for v in rest]
+    positions = [vs.index(v) for v in period + rest]
+    steps = _chain(f, ((f, 1),) if factors is None else factors)
+
+    def reach(p: LaurentPoly) -> int:
+        return max((abs(x) for e in p.exponents() for x in e), default=0)
 
     n = order - 1
-    bound = n * max((abs(e[i]) for e in f.exponents() for i in period_pos),
-                    default=0)
-    weights = [(2 * bound + 1) ** d for d in range(len(period_pos))]
-    packed: dict = {}
-    for e, c in f.terms():
-        key = sum(e[i] * w for i, w in zip(period_pos, weights))
-        if rest:
-            c = LaurentPoly.monomial(rest, [e[i] for i in rest_pos], c)
-        packed[key] = packed.get(key, 0) + c
-    factor = list(packed.items())
+    half = n // 2
+    top = reach(f)
+    radix = 2 * max(n * top, (half - 1) * top + sum(map(reach, steps))) + 1
+    weights = [radix ** d for d in range(len(positions))]
 
-    def poly(value) -> LaurentPoly:
-        if isinstance(value, LaurentPoly):
-            return value
-        return LaurentPoly.constant(value, rest)
+    def pack(p: LaurentPoly) -> list:
+        return [(sum(e[i] * w for i, w in zip(positions, weights)), c)
+                for e, c in p.terms()]
 
-    unit = LaurentPoly.constant(1, rest)
-    out: List[LaurentPoly] = [unit]
-    cur = {0: unit if rest else 1}
-    for _ in range(n // 2):
+    packed = pack(f)
+    steps = [pack(step) for step in steps]
+    # the parameter digits sit above the period digits: a key splits into
+    # its period part low(key), in [-width/2, width/2], and its parameter
+    # part key - low(key), a multiple of width
+    width = radix ** len(period)
+    mid = width // 2
+
+    def low(key: int) -> int:
+        return (key + mid) % width - mid
+
+    def coefficient(a: dict, b: dict, targets) -> LaurentPoly:
+        """The constant term over the period variables of a * b * sum of
+        d x^s over (s, d) in targets."""
+        if not rest:
+            return LaurentPoly.constant(
+                sum(d * _pairing(a, b, -s) for s, d in targets))
+        by_low: dict = {}
+        for k, c in b.items():
+            by_low.setdefault(low(k), []).append((k - low(k), c))
+        split = [(low(k), k - low(k), c) for k, c in a.items()]
+        sums: dict = {}
+        for s, d in targets:
+            ls = low(s)
+            for lk, high, c in split:
+                for high2, c2 in by_low.get(-ls - lk, ()):
+                    key = high + high2 + s - ls
+                    sums[key] = sums.get(key, 0) + d * c * c2
+        terms = {}
+        for key, c in sums.items():
+            key //= width
+            digits = []
+            for _ in rest:
+                digit = (key + radix // 2) % radix - radix // 2
+                digits.append(digit)
+                key = (key - digit) // radix
+            terms[tuple(digits)] = c
+        return LaurentPoly(rest, terms)
+
+    out: List[LaurentPoly] = [LaurentPoly.constant(1, rest)]
+    cur = {0: 1}
+    for a in range(1, half + 1):
         prev = cur
-        cur = _times(prev, factor)
-        out.append(poly(_pairing(cur, prev)))
-        out.append(poly(_pairing(cur, cur)))
+        for step in steps:
+            cur = _times(cur, step)
+        if a == 1 and cur != dict(packed):
+            raise ValueError("the factors do not multiply out to f")
+        out.append(coefficient(cur, prev, [(0, 1)]))
+        out.append(coefficient(cur, cur, [(0, 1)]))
     if n % 2:
         # f^(2p+1) = f^p * f * f^p without building f^(p+1)
-        out.append(poly(sum(d * _pairing(cur, cur, -s) for s, d in factor)))
+        out.append(coefficient(cur, cur, packed))
     return out
 
 
 def phi(f: LaurentPoly, order: int,
-        period_vars: Optional[Iterable[str]] = None) -> PowerSeries:
-    """Main period of f: coefficient i is the constant term of f^i."""
+        period_vars: Optional[Iterable[str]] = None,
+        factors: Optional[Sequence[Tuple[LaurentPoly, int]]] = None
+        ) -> PowerSeries:
+    """Main period of f: coefficient i is the constant term of f^i.
+
+    Optional factors (L_i, m_i) with f = prod of L_i^m_i give the same
+    series faster; see phi_coefficients.
+    """
     vs = f.variables
     period = tuple(period_vars) if period_vars is not None else vs
     nonperiod = set(vs) - set(period)
@@ -181,7 +269,7 @@ def phi(f: LaurentPoly, order: int,
                 if v in nonperiod and e[i]:
                     raise NonScalarConstantTerm(
                         f"variable {v!r} occurs in f but is not a period variable")
-    polys = phi_coefficients(f, order, period)
+    polys = phi_coefficients(f, order, period, factors)
     return PowerSeries(tuple(p.constant_term() for p in polys))
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -127,3 +128,105 @@ def test_save_then_load_round_trips_every_entry(tmp_path):
     assert len(again) == 25
     assert [entry_to_json_dict(e) for e in again] == \
         [entry_to_json_dict(e) for e in entries]
+
+
+@pytest.mark.parametrize("generator", [
+    {"kind": "wci", "weights": [1, 1, 1, 1.9], "degrees": []},
+    {"kind": "wci", "weights": [1, 1, 1, True], "degrees": []},
+    {"kind": "wci", "weights": [1, 1, 1, 1], "degrees": [3.0]},
+    {"kind": "grass", "k": 2.0, "n": 3, "degrees": [1]},
+    {"kind": "grass", "k": 2, "n": 3, "degrees": "1"},
+    {"kind": "toric", "rows": [[1.5, 1]]},
+    {"kind": "toric", "rows": [[1, 1, 1]], "degrees": [[False]]},
+], ids=["float-weight", "bool-weight", "float-degree", "float-k",
+        "string-degrees", "float-row", "bool-degree"])
+def test_non_integer_generator_values_are_located(generator):
+    data = dict(_entry_json(), generator=generator)
+    with pytest.raises(ParseError) as info:
+        entry_from_json_dict(data, "cat.json entry 4")
+    assert info.value.location == "cat.json entry 4 field generator"
+    assert "integer" in str(info.value)
+
+
+def _factored():
+    return next(e for e in catalog.load() if e.id == "1-1")
+
+
+def test_bundled_factors_multiply_out_to_the_laurent_polynomials():
+    factored = {e.id: e for e in catalog.load() if e.factors is not None}
+    assert sorted(factored) == sorted(
+        ["1-1", "1-2", "1-3", "1-4", "1-5", "1-6", "1-7", "1-8", "1-9",
+         "2-2", "2-3", "G36-2111", "G36-1112"])
+    for e in factored.values():
+        product = LaurentPoly.constant(1, e.laurent.variables)
+        for factor, power in e.factors:
+            product = product * factor ** power
+        assert product == e.laurent
+    # (x + y + z + 1)^6 / (xyz): one monomial and one 4-term factor
+    assert [(len(f), m) for f, m in factored["1-1"].factors] == [(1, 1), (4, 6)]
+
+
+def _with_factor(data, index, **changes):
+    factors = [dict(f) for f in data["factors"]]
+    factors[index].update(changes)
+    return dict(data, factors=factors)
+
+
+F_LAURENT = {"vars": ["x", "y", "z"], "terms": [{"e": [-1, -1, -1], "c": "1"}]}
+
+
+# 1-1 is (x + y + z + 1)^6 / (xyz): factor 0 is the monomial, factor 1 the
+# linear form to the 6th power
+@pytest.mark.parametrize("index, change", [
+    (1, {"power": 5}), (1, {"power": 0}), (1, {"power": 6.0}),
+    (0, {"power": True}),
+    (0, {"laurent": {**F_LAURENT, "terms": [{"e": [-1, -1, -1.0], "c": "1"}]}}),
+    (0, {"laurent": {"vars": ["x", "y"], "terms": [{"e": [-1, -1], "c": "1"}]}}),
+    (0, {"laurent": {**F_LAURENT, "terms": [{"e": [-1, -1, -1], "c": "2"}]}}),
+], ids=["wrong-power", "zero-power", "float-power", "bool-power",
+        "float-exponent", "other-variables", "wrong-constant"])
+def test_bad_factors_are_a_located_parse_error(tmp_path, index, change):
+    good = entry_to_json_dict(_factored())
+    assert good["factors"][0]["laurent"] == F_LAURENT
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([good, _with_factor(good, index, **change)]))
+    with pytest.raises(ParseError) as info:
+        catalog.load(path)
+    assert info.value.location == f"{path} entry 1 field factors"
+
+
+def test_factors_missing_a_power_or_empty_are_located():
+    good = entry_to_json_dict(_factored())
+    for factors in ([{"laurent": good["factors"][0]["laurent"]}], [], 3):
+        with pytest.raises(ParseError) as info:
+            entry_from_json_dict(dict(good, factors=factors), "cat.json entry 0")
+        assert info.value.location == "cat.json entry 0 field factors"
+
+
+def test_factors_round_trip_and_are_written_only_when_present(tmp_path):
+    entries = catalog.load()
+    path = tmp_path / "catalog.json"
+    catalog.save(entries, path)
+    assert path.read_bytes() == catalog.bundled_path().read_bytes()
+    again = {e.id: e for e in catalog.load(path)}
+    for e in entries:
+        assert again[e.id].factors == e.factors
+        assert ("factors" in entry_to_json_dict(e)) == (e.factors is not None)
+
+
+def test_verify_entry_multiplies_by_the_factors():
+    e = _factored()
+    assert verify_entry(e, 9) == verify_entry(replace(e, factors=None), 9)
+    # an entry built in code skips the check of load, and phi rejects a
+    # factor list that does not multiply out to the model
+    monomial, linear = e.factors
+    with pytest.raises(ValueError):
+        verify_entry(replace(e, factors=(monomial, (linear[0], 5))), 9)
+
+
+def test_non_integer_laurent_exponent_is_located():
+    data = _entry_json()
+    data["laurent"]["terms"][0]["e"] = [-1, -1, -1.0]
+    with pytest.raises(ParseError) as info:
+        entry_from_json_dict(data, "cat.json entry 5")
+    assert info.value.location == "cat.json entry 5 field laurent"

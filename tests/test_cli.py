@@ -142,7 +142,9 @@ def test_iseries_commands_print_golden_json(tmp_path, capsys, argv, coeffs):
 
 @pytest.mark.parametrize("data", [
     {}, {"rows": 5}, {"rows": [[1, "x"]]}, {"rows": [[1, 1]], "degrees": [[1, 2]]},
-], ids=["missing", "not-a-list", "not-an-int", "degree-length"])
+    {"rows": [[1, 1.9]]}, {"rows": [[1, True]]}, {"rows": [[1, 1]], "degrees": [[0.5]]},
+], ids=["missing", "not-a-list", "not-an-int", "degree-length", "float-row",
+        "bool-row", "float-degree"])
 def test_iseries_toric_bad_input_is_a_located_parse_error(tmp_path, capsys,
                                                           data):
     path = tmp_path / "rows.json"

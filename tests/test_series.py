@@ -305,3 +305,75 @@ def test_phi_coefficients_match_brute_force_powers(case):
     want = [(f ** j).constant_term(over=period) for j in range(order)]
     assert [p.variables for p in got] == [p.variables for p in want]
     assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
+
+
+def _expand(factors, vs):
+    f = LaurentPoly.constant(1, vs)
+    for L, m in factors:
+        f = f * L ** m
+    return f
+
+
+@st.composite
+def _factor_cases(draw):
+    """A list of 1-3 factors in 1-4 variables, each a sum of 1-3 terms with
+    exponents in [-2, 2] raised to the power 1-3, and an order 1-9; some
+    lists hold a factor and its conjugate, whose cross terms cancel."""
+    vs = V4[:draw(st.integers(1, 4))]
+    coeff = st.one_of(st.integers(-3, 3).filter(bool),
+                      st.builds(Fraction, st.integers(1, 3), st.integers(1, 4)))
+    exponent = st.tuples(*[st.integers(-2, 2)] * len(vs))
+
+    def term():
+        return st.builds(lambda e, c: LaurentPoly.monomial(vs, e, c),
+                         exponent, coeff)
+
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(term(), min_size=1, max_size=3))
+        L = sum(terms[1:], terms[0])
+        factors.append((L, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        # (a + b)(a - b) = a^2 - b^2: the terms 2ab cancel between factors
+        a, b = draw(term()), draw(term())
+        factors += [(a + b, 1), (a - b, 1)]
+    f = _expand(factors, vs)
+    order = draw(st.integers(1, 9 if len(f) <= 12 else 4))
+    period = draw(st.permutations(vs))[:draw(st.integers(1, len(vs)))]
+    return factors, order, tuple(period)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_cases())
+# the partial product (x^3 + x^2)(1 + y) reaches x^3, beyond the 2 |f| = 2
+# of the powers; the radix grows to cover the chain, where the radix 5 of
+# the powers alone would give x^3 the key of x^-2 y
+@example(([(x2 ** 3 + x2 ** 2, 1), (1 + y2, 1), (x2 ** -3 + x2 ** -2, 1)],
+          3, ("x", "y")))
+# a monomial factor is folded into the first longer step
+@example(([(2 * x2 ** -1, 2), (x2 + y2, 3)], 8, ("x", "y")))
+@example(([(1 + x2, 1), (1 - x2, 1)], 9, ("y", "x")))
+def test_phi_of_factors_equals_phi_of_their_product(case):
+    factors, order, period = case
+    vs = factors[0][0].variables
+    f = _expand(factors, vs)
+    want = phi_coefficients(f, order, period)
+    assert phi_coefficients(f, order, period, factors) == want
+    if set(period) == set(vs):
+        assert phi(f, order, factors=factors) == phi(f, order)
+
+
+def test_factors_that_miss_f_raise():
+    f = (1 + x2 + y2) ** 2
+    with pytest.raises(ValueError):
+        phi(f, 5, factors=[(1 + x2 + y2, 1)])
+    with pytest.raises(ValueError):
+        phi(f, 5, factors=[(1 + x2 + y2, 0)])
+    with pytest.raises(ValueError):
+        phi(f, 5, factors=[(1 + x2 + y2, True), (1 + x2 + y2, 1)])
+    with pytest.raises(ValueError):
+        phi(f, 5, factors=[(1 + x3 + y3, 2)])
+    # packed with the radix 5 of the powers of 1 + y alone, x^5 would take
+    # the key of y; the radix covers the steps, so the check sees the miss
+    with pytest.raises(ValueError):
+        phi(1 + y2, 3, factors=[(1 + x2 ** 5, 1)])

@@ -23,3 +23,21 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_no_undeclared_heavy_imports_in_the_package():
+    # neither is a declared dependency; sympy only helps to write catalog
+    # data offline, and importing numpy alone adds about 14 MiB of memory
+    found = [f"{path.name}: {name}"
+             for path in SOURCES
+             for name in _imported_modules(ast.parse(path.read_text()))
+             if name.split(".")[0] in ("sympy", "numpy")]
+    assert found == []
