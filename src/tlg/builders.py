@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import in_lattice
 from .laurent import LaurentPoly
@@ -70,9 +70,8 @@ def _quality(e0: Sequence[int], weights: Sequence[int]) -> str:
     return "plain"
 
 
-def find_nef_partitions(spec: WciSpec, want: str = "plain",
-                        should_cancel: Optional[Callable[[], bool]] = None
-                        ) -> List[NefPartition]:
+def find_nef_partitions(spec: WciSpec,
+                        want: str = "plain") -> List[NefPartition]:
     """All splittings of the weight indices with class sums matching degrees.
 
     want narrows the result: "plain" keeps everything, "good" keeps
@@ -86,8 +85,6 @@ def find_nef_partitions(spec: WciSpec, want: str = "plain",
     out: List[NefPartition] = []
 
     def rec(deg_idx: int, remaining: Tuple[int, ...], acc: List[Tuple[int, ...]]):
-        if should_cancel is not None and should_cancel():
-            raise InterruptedError("nef-partition search cancelled")
         if deg_idx == len(spec.degrees):
             e0 = tuple(remaining)
             q = _quality(e0, weights)
@@ -422,9 +419,7 @@ def _candidate_summands(dirs: List[Tuple[int, int]],
 
 def _decompose_facet(proj: Sequence[Tuple[int, int]],
                      target: Dict[Tuple[int, int], int],
-                     max_summands: int,
-                     should_cancel: Optional[Callable[[], bool]]
-                     ) -> Optional[Tuple[Polytope, ...]]:
+                     max_summands: int) -> Optional[Tuple[Polytope, ...]]:
     facet = Polytope(proj)
     dirs, budget = _polygon_edge_budget(facet)
     cands = _candidate_summands(dirs, budget)
@@ -448,8 +443,6 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]],
 
     def rec(start: int, remaining: Dict[Tuple[int, int], int],
             chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
-        if should_cancel is not None and should_cancel():
-            raise InterruptedError("Minkowski search cancelled")
         if all(v == 0 for v in remaining.values()):
             if chosen:
                 return verify(chosen)
@@ -473,9 +466,8 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]],
     return rec(0, dict(budget), [])
 
 
-def check_minkowski(f: LaurentPoly, max_summands: int = 4,
-                    should_cancel: Optional[Callable[[], bool]] = None
-                    ) -> Optional[MinkowskiCertificate]:
+def check_minkowski(f: LaurentPoly,
+                    max_summands: int = 4) -> Optional[MinkowskiCertificate]:
     """Search per-facet admissible A-type decompositions matching f.
 
     None means no certificate was found within the bounded search (at most
@@ -493,7 +485,7 @@ def check_minkowski(f: LaurentPoly, max_summands: int = 4,
             coeff = f.coefficient(c)
             if coeff:
                 target[q] = coeff
-        dec = _decompose_facet(proj, target, max_summands, should_cancel)
+        dec = _decompose_facet(proj, target, max_summands)
         if dec is None:
             return None
         found.append(FacetDecomposition(normal, dec))

@@ -125,14 +125,8 @@ def generator_from_json(data, location: str,
     raise ParseError(location, f"unknown generator kind {kind!r}")
 
 
-def _laurent(data) -> LaurentPoly:
-    if any(type(x) is not int for term in data["terms"] for x in term["e"]):
-        raise TypeError("exponents must be lists of integers")
-    return LaurentPoly.from_json_dict(data)
-
-
 def _factor(data, variables: Tuple[str, ...]) -> Tuple[LaurentPoly, int]:
-    factor = _laurent(data["laurent"])
+    factor = LaurentPoly.from_json_dict(data["laurent"])
     power = _int(data["power"], "power")
     if power < 1:
         raise ValueError(f"power must be at least 1, got {power}")
@@ -172,7 +166,7 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
     if "id" not in data:
         raise ParseError(f"{location} field id", "missing")
     try:
-        laurent = _laurent(data["laurent"])
+        laurent = LaurentPoly.from_json_dict(data["laurent"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{location} field laurent", str(exc)) from exc
     factors = data.get("factors")

@@ -21,8 +21,9 @@ from typing import Optional, Sequence, Tuple
 import click
 
 from . import catalog as _catalog
-from .builders import (DelPezzoScript, NefPartition, binomial_principle,
-                       check_minkowski, del_pezzo_model, wci_laurent)
+from .builders import (DelPezzoScript, NefPartition, _quality,
+                       binomial_principle, check_minkowski, del_pezzo_model,
+                       wci_laurent)
 from .grassmann import (bcfks_laurent, closed_formula_laurent,
                         consecutive_blocks, weight_table, weight_variables)
 from .hodge import (components_at_infinity, harder_diamond, k_components,
@@ -50,6 +51,14 @@ def _echo_json(payload) -> None:
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _field(data, key: str, path: str):
+    """data[key] of the JSON read from path; a missing key is a ParseError
+    located at that file."""
+    if not isinstance(data, dict) or key not in data:
+        raise _catalog.ParseError(path, f"missing key {key!r}")
+    return data[key]
 
 
 def _laurent_from(data) -> LaurentPoly:
@@ -261,17 +270,9 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
     spec = WciSpec(weights, degrees)
     part = None
     if partition != "auto":
-        data = _read_json(partition)
-        classes = tuple(tuple(int(i) for i in cls)
-                        for cls in data["classes"])
-        e0 = [weights[i] for i in classes[0]]
-        if e0 and all(w == 1 for w in e0):
-            quality = "very_good"
-        elif any(w == 1 for w in e0):
-            quality = "good"
-        else:
-            quality = "plain"
-        part = NefPartition(classes, quality)
+        classes = tuple(tuple(int(i) for i in cls) for cls in
+                        _field(_read_json(partition), "classes", partition))
+        part = NefPartition(classes, _quality(classes[0], weights))
     f = wci_laurent(spec, part=part, var_names=_name_list(var_names))
     _emit_laurent(f, output)
 
@@ -342,7 +343,7 @@ def build_delpezzo_cmd(input_path, mode, output):
     """Parametrized del Pezzo model from a blow-up script."""
     data = _read_json(input_path)
     script = DelPezzoScript(
-        data["base"],
+        _field(data, "base", input_path),
         tuple(tuple(int(x) for x in step) for step in data.get("steps", ())),
         tuple(data.get("params", ())))
     _emit_laurent(del_pezzo_model(script, mode=mode), output)
@@ -380,7 +381,7 @@ def minkowski_check_cmd(input_path, max_summands, output):
 
 @cli.command("mutate")
 @_input_option
-@click.option("--pivot", required=True, help="Variable to substitute.")
+@click.option("--pivot", required=True, help="Variable the mutation rewrites.")
 @click.option("--factor", required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="JSON file with the mutation factor.")
@@ -455,8 +456,8 @@ def polytope_points_cmd(input_path, region, output):
 def polytope_equiv_cmd(input_path, output):
     """Search for a lattice-linear isomorphism between two polytopes."""
     data = _read_json(input_path)
-    p = _polytope_from(data["first"])
-    q = _polytope_from(data["second"])
+    p = _polytope_from(_field(data, "first", input_path))
+    q = _polytope_from(_field(data, "second", input_path))
     u = unimodular_equivalent(p, q)
     if output == "json":
         _echo_json({"equivalent": u is not None, "map": u})
@@ -521,8 +522,9 @@ def lattice_sig_cmd(name, twist, input_path, output):
 def lattice_index_cmd(input_path, output):
     """Index of a finite-index isometric embedding."""
     data = _read_json(input_path)
-    idx = index_check(_gram_from(data["sub"]), _gram_from(data["sup"]),
-                      data["embedding"])
+    idx = index_check(_gram_from(_field(data, "sub", input_path)),
+                      _gram_from(_field(data, "sup", input_path)),
+                      _field(data, "embedding", input_path))
     if output == "json":
         _echo_json({"index": idx})
     else:

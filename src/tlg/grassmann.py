@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly
 from .series import GrassSpec
 
 Vertex = Tuple[int, int]
@@ -264,27 +264,27 @@ def bcfks_laurent(spec: GrassSpec) -> LaurentPoly:
 
 def elimination_identity_holds(spec: GrassSpec) -> bool:
     """Exact check that each block sum pulls back to 1 along the
-    parametrization of the cut-out subvariety."""
+    parametrization of the cut-out subvariety.
+
+    Every weight is nonnegative, so the image of each vertex is a Laurent
+    polynomial; the sum of head/tail ratios over a block is carried as one
+    fraction num/den and the identity is num == den.
+    """
     model = consecutive_blocks(spec)
     tables = weight_table(model)
     names = _surviving_names(model)
     eliminated = set(weight_variables(model))
     k, n = model.k, model.n
-    one = RationalExpr(LaurentPoly.constant(1, names),
-                       LaurentPoly.constant(1, names))
-    bars = [RationalExpr(restricted_block_sum(model, p),
-                         LaurentPoly.constant(1, names))
+    one = LaurentPoly.constant(1, names)
+    bars = [restricted_block_sum(model, p)
             for p in range(1, len(model.degrees) + 1)]
 
-    def image(v: Vertex) -> RationalExpr:
+    def image(v: Vertex) -> LaurentPoly:
         nm = _vertex_name(k, n, v)
-        if nm is None:
-            base = one
-        elif nm in eliminated:
+        if nm is None or nm in eliminated:
             base = one
         else:
-            base = RationalExpr(LaurentPoly.variable(nm, names),
-                                LaurentPoly.constant(1, names))
+            base = LaurentPoly.variable(nm, names)
         for p, wt in enumerate(tables):
             w = wt[v]
             if w:
@@ -292,11 +292,11 @@ def elimination_identity_holds(spec: GrassSpec) -> bool:
         return base
 
     for p in range(1, len(model.degrees) + 1):
-        total = RationalExpr(LaurentPoly.zero(names),
-                             LaurentPoly.constant(1, names))
+        num, den = LaurentPoly.zero(names), one
         for tail, head in model.arrows_of(p):
-            total = total + image(head) / image(tail)
-        if not total == one:
+            a, b = image(head), image(tail)
+            num, den = num * b + a * den, den * b
+        if num != den:
             return False
     return True
 

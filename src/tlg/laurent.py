@@ -25,12 +25,8 @@ class UnknownVariable(ValueError):
     """A variable name was referenced that the expression does not declare."""
 
 
-class ZeroDenominator(ZeroDivisionError):
-    """A rational expression was built or evaluated with a zero denominator."""
-
-
 class NotLaurent(ArithmeticError):
-    """A rational expression is not equal to any Laurent polynomial."""
+    """A quotient or power is not equal to any Laurent polynomial."""
 
 
 def _norm(c: Coeff) -> Coeff:
@@ -162,20 +158,6 @@ class LaurentPoly:
         merged = tuple(sorted(set(self._vars) | set(other._vars)))
         return self.with_variables(merged), other.with_variables(merged)
 
-    def rename_variables(self, mapping: Dict[str, str]) -> "LaurentPoly":
-        """Rename variables; names not in the mapping stay put.
-
-        Exponent columns follow their variables, so the result sorts its
-        variable tuple back into canonical order.
-        """
-        new_names = [mapping.get(v, v) for v in self._vars]
-        if len(set(new_names)) != len(new_names):
-            raise VariableMismatch(f"renaming collides: {new_names}")
-        order = sorted(range(len(new_names)), key=lambda i: new_names[i])
-        vs = tuple(new_names[i] for i in order)
-        out = {tuple(e[i] for i in order): c for e, c in self._terms.items()}
-        return LaurentPoly._raw(vs, out)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -285,50 +267,6 @@ class LaurentPoly:
                 out[ne] = out.get(ne, 0) + c
         return LaurentPoly._raw(rest, out)
 
-    def substitute(self, assignments: Mapping[str, object]) -> "RationalExpr":
-        """Substitute values for variables; unmentioned variables persist.
-
-        Values may be scalars, Laurent polynomials or rational expressions.
-        The result is a rational expression since substituted values may sit
-        at negative exponents.
-        """
-        for name in assignments:
-            if name not in self._vars:
-                raise UnknownVariable(f"{name!r} not among {self._vars}")
-        values: Dict[str, RationalExpr] = {}
-        out_vars = set()
-        for v in self._vars:
-            if v in assignments:
-                values[v] = RationalExpr.coerce(assignments[v])
-                out_vars.update(values[v].num.variables)
-                out_vars.update(values[v].den.variables)
-            else:
-                out_vars.add(v)
-        merged = tuple(sorted(out_vars))
-        for v in self._vars:
-            if v not in values:
-                values[v] = RationalExpr.from_poly(LaurentPoly.variable(v, merged))
-            else:
-                values[v] = values[v].with_variables(merged)
-
-        one = RationalExpr.from_poly(LaurentPoly.constant(1, merged))
-        power_cache: Dict[Tuple[str, int], RationalExpr] = {}
-
-        def vpow(name: str, k: int) -> RationalExpr:
-            key = (name, k)
-            if key not in power_cache:
-                power_cache[key] = values[name] ** k
-            return power_cache[key]
-
-        total = RationalExpr.from_poly(LaurentPoly.zero(merged))
-        for e, c in sorted(self._terms.items()):
-            term = one * c
-            for name, k in zip(self._vars, e):
-                if k:
-                    term = term * vpow(name, k)
-            total = total + term
-        return total
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -340,6 +278,10 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
+        # a JSON number with a fraction part is a float and true/false is a
+        # bool, so neither passes for an integer exponent
+        if any(type(x) is not int for t in data["terms"] for x in t["e"]):
+            raise TypeError("exponents must be lists of integers")
         terms = {tuple(t["e"]): _coerce_coeff(t["c"]) for t in data["terms"]}
         return cls(tuple(data["vars"]), terms)
 
@@ -369,150 +311,29 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
 
-class RationalExpr:
-    """Quotient of two Laurent polynomials, kept unreduced.
-
-    Arithmetic cross multiplies; no polynomial gcd is ever computed. The only
-    cleanup applied is stripping a common monomial factor, which keeps
-    exponents small through substitution chains without changing the value.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly):
-        num, den = num._aligned(den)
-        if den.is_zero():
-            raise ZeroDenominator("denominator is identically zero")
-        self.num, self.den = _strip_monomial_content(num, den)
-
-    @classmethod
-    def from_poly(cls, p: LaurentPoly) -> "RationalExpr":
-        return cls(p, LaurentPoly.constant(1, p.variables))
-
-    @classmethod
-    def coerce(cls, value) -> "RationalExpr":
-        if isinstance(value, RationalExpr):
-            return value
-        if isinstance(value, LaurentPoly):
-            return cls.from_poly(value)
-        if isinstance(value, (int, Fraction)):
-            return cls.from_poly(LaurentPoly.constant(value))
-        raise TypeError(f"cannot interpret {type(value).__name__} as a rational expression")
-
-    @property
-    def variables(self) -> Tuple[str, ...]:
-        return self.num.variables
-
-    def with_variables(self, variables: Sequence[str]) -> "RationalExpr":
-        return RationalExpr(self.num.with_variables(variables),
-                            self.den.with_variables(variables))
-
-    def __add__(self, other) -> "RationalExpr":
-        other = RationalExpr.coerce(other)
-        return RationalExpr(self.num * other.den + other.num * self.den,
-                            self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalExpr":
-        return RationalExpr(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalExpr":
-        return self + (-RationalExpr.coerce(other))
-
-    def __rsub__(self, other) -> "RationalExpr":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalExpr":
-        if isinstance(other, (int, Fraction)):
-            return RationalExpr(self.num * other, self.den)
-        other = RationalExpr.coerce(other)
-        return RationalExpr(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalExpr":
-        other = RationalExpr.coerce(other)
-        if other.num.is_zero():
-            raise ZeroDenominator("division by the zero expression")
-        return RationalExpr(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int) -> "RationalExpr":
-        if not isinstance(n, int):
-            return NotImplemented
-        if n >= 0:
-            return RationalExpr(self.num ** n, self.den ** n)
-        if self.num.is_zero():
-            raise ZeroDenominator("negative power of the zero expression")
-        return RationalExpr(self.den ** (-n), self.num ** (-n))
-
-    def __eq__(self, other) -> bool:
-        try:
-            other = RationalExpr.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("unhashable: rational expressions compare by value")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def as_laurent(self) -> LaurentPoly:
-        return as_laurent(self)
-
-    def __repr__(self) -> str:
-        return f"RationalExpr(({self.num}) / ({self.den}))"
-
-
-def _strip_monomial_content(num: LaurentPoly, den: LaurentPoly
-                            ) -> Tuple[LaurentPoly, LaurentPoly]:
-    if num.is_zero():
-        return num, _strip_alone(den)
-    shift_n = [min(col) for col in zip(*num._terms)]
-    shift_d = [min(col) for col in zip(*den._terms)]
-    shift = tuple(min(a, b) for a, b in zip(shift_n, shift_d))
-    if not any(shift):
-        return num, den
-    return _shift_by(num, shift), _shift_by(den, shift)
-
-
-def _strip_alone(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return p
-    shift = tuple(min(col) for col in zip(*p._terms))
-    if not any(shift):
-        return p
-    return _shift_by(p, shift)
-
-
-def _shift_by(p: LaurentPoly, shift: Exponent) -> LaurentPoly:
-    return LaurentPoly._raw(
-        p.variables,
-        {tuple(x - s for x, s in zip(e, shift)): c for e, c in p._terms.items()})
-
-
 def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
     return (sum(e), e)
 
 
-def as_laurent(expr: RationalExpr) -> LaurentPoly:
-    """Convert a rational expression to a Laurent polynomial exactly.
+def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """The Laurent polynomial num / den, computed exactly.
 
-    Raises NotLaurent when the quotient is not a Laurent polynomial. The
-    general case runs term-by-term division in the graded lexicographic
-    order; exponents of a true quotient are confined per coordinate to
-    [min(num) - min(den), max(num) - max(den)], so any division step leaving
-    that box proves the quotient does not exist.
+    Raises ZeroDivisionError when den is zero and NotLaurent when the
+    quotient is not a Laurent polynomial. The general case runs term-by-term
+    division in the graded lexicographic order; exponents of a true quotient
+    are confined per coordinate to [min(num) - min(den), max(num) - max(den)],
+    so any division step leaving that box proves the quotient does not
+    exist.
     """
-    num, den = expr.num, expr.den
+    num, den = num._aligned(den)
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
     vs = num.variables
     if num.is_zero():
-        return LaurentPoly.zero(vs)
+        return num
     if len(den._terms) == 1:
         ((de, dc),) = den._terms.items()
-        out = {tuple(x - y for x, y in zip(e, de)): _div_coeff(c, dc)
+        out = {tuple(x - y for x, y in zip(e, de)): _norm(Fraction(c, dc))
                for e, c in num._terms.items()}
         return LaurentPoly._raw(vs, out)
 
@@ -538,7 +359,7 @@ def as_laurent(expr: RationalExpr) -> LaurentPoly:
         if budget <= 0:
             raise NotLaurent("division does not terminate inside the bounding box")
         budget -= 1
-        tc = _div_coeff(rem[rlead], dlc)
+        tc = _norm(Fraction(rem[rlead], dlc))
         quo[te] = tc
         for e, c in den._terms.items():
             key = tuple(x + y for x, y in zip(te, e))
@@ -549,6 +370,3 @@ def as_laurent(expr: RationalExpr) -> LaurentPoly:
                 rem.pop(key, None)
     return LaurentPoly._raw(vs, quo)
 
-
-def _div_coeff(a: Coeff, b: Coeff) -> Coeff:
-    return _norm(Fraction(a) / Fraction(b))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple, Union
 
 from .intlinalg import kernel_lattice_chart, mat_vec
-from .laurent import LaurentPoly, RationalExpr
+from .laurent import LaurentPoly, divide_exact
 from .polytope import (DimensionTooLarge, NotFullDimensional, Polytope,
                        PolytopeError, _dot, ccw_vertices, edges)
 
@@ -46,9 +46,15 @@ def elementary_mutation(f: LaurentPoly, pivot: str, factor: LaurentPoly,
     """Substitute pivot -> pivot * factor^(rule) slice by slice and clear.
 
     The default rule multiplies the slice of pivot-exponent k by
-    factor^(-k), which is the substitution pivot -> pivot / factor. A
-    NotLaurent escape means the supplied witness is invalid, not that the
-    polynomials are mutationally inequivalent.
+    factor^(-k), which is the substitution pivot -> pivot / factor. With
+    p_k the power of slice f_k and M = max(0, -min p_k), the result is the
+    one exact division
+
+        sum_k f_k * factor^(p_k + M)  /  factor^M,
+
+    so the denominator grows with the largest negative power, not with
+    their sum. A NotLaurent escape means the supplied witness is invalid,
+    not that the polynomials are mutationally inequivalent.
     """
     if pivot not in f.variables:
         raise ValueError(f"pivot {pivot!r} is not a variable of f")
@@ -63,16 +69,12 @@ def elementary_mutation(f: LaurentPoly, pivot: str, factor: LaurentPoly,
     slices: Dict[int, Dict[Tuple[int, ...], object]] = {}
     for e, c in aligned_f.terms():
         slices.setdefault(e[idx], {})[e] = c
-    one = LaurentPoly.constant(1, vs)
-    result = RationalExpr(LaurentPoly.zero(vs), one)
-    factor_expr = RationalExpr(aligned_factor, one)
-    for k in sorted(slices):
-        term = RationalExpr(LaurentPoly(vs, slices[k]), one)
-        power = _rule_power(exponent_rule, k)
-        if power:
-            term = term * factor_expr ** power
-        result = result + term
-    return result.as_laurent()
+    powers = {k: _rule_power(exponent_rule, k) for k in sorted(slices)}
+    shift = max(0, -min(powers.values(), default=0))
+    total = LaurentPoly.zero(vs)
+    for k, p in powers.items():
+        total = total + LaurentPoly(vs, slices[k]) * aligned_factor ** (p + shift)
+    return divide_exact(total, aligned_factor ** shift)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .intlinalg import _echelon
-from .laurent import Coeff
+from .laurent import Coeff, _norm
 from .series import PowerSeries
 
 FIT_MARGIN = 10
@@ -36,10 +36,6 @@ class ZeroOperator(ValueError):
 
 class InsufficientCoefficients(ValueError):
     """The series is too short for the requested computation."""
-
-
-def _as_coeff(c: Fraction) -> Coeff:
-    return c.numerator if c.denominator == 1 else c
 
 
 Term = Tuple[int, int, Coeff]
@@ -65,7 +61,7 @@ class DifferentialOperator:
         object.__setattr__(
             self,
             "terms",
-            tuple((i, j, _as_coeff(c / lead)) for (i, j), c in cleaned),
+            tuple((i, j, _norm(c / lead)) for (i, j), c in cleaned),
         )
 
     @property
@@ -95,7 +91,7 @@ class DifferentialOperator:
                 m = k - i
                 if m >= 0:
                     total += Fraction(c) * m ** j * Fraction(series.coeffs[m])
-            out.append(_as_coeff(total))
+            out.append(_norm(total))
         return PowerSeries(tuple(out))
 
     def to_json_dict(self) -> dict:

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .intlinalg import (_IntEchelon, _denominator, _integral, det_bareiss,
                         inverse_rational, kernel_lattice_chart, mat_vec,
                         snf_with_transforms)
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
 Facet = Tuple[Tuple[int, ...], object]
@@ -60,14 +60,8 @@ class DimensionMismatch(PolytopeError):
     """Operands live in different ambient dimensions."""
 
 
-def _normc(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
-    return x
-
-
 def _norm_point(p: Sequence) -> Point:
-    return tuple(_normc(Fraction(x) if not isinstance(x, (int, Fraction)) else x)
+    return tuple(_norm(Fraction(x) if not isinstance(x, (int, Fraction)) else x)
                  for x in p)
 
 
@@ -249,7 +243,7 @@ class Polytope:
         if facets is not None:
             # dividing every height by the same den > 0 keeps the order
             self._facets = tuple(facets) if den == 1 else tuple(
-                (n, _normc(Fraction(h, den))) for n, h in facets)
+                (n, _norm(Fraction(h, den))) for n, h in facets)
 
     @property
     def facets(self) -> Tuple[Tuple[Tuple[int, ...], object], ...]:

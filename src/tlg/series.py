@@ -59,7 +59,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .laurent import Coeff, LaurentPoly, UnknownVariable, VariableMismatch
+from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
+                      _norm)
 
 factorial = math.factorial
 binomial = math.comb
@@ -98,7 +99,7 @@ class PowerSeries:
 
     @classmethod
     def from_json_dict(cls, data) -> "PowerSeries":
-        coeffs = tuple(_parse_coeff(c) for c in data["coeffs"])
+        coeffs = tuple(_norm(Fraction(c)) for c in data["coeffs"])
         if len(coeffs) != data["order"]:
             raise ValueError("declared order does not match coefficient count")
         return cls(coeffs)
@@ -106,11 +107,6 @@ class PowerSeries:
     def __str__(self) -> str:
         parts = [str(c) for c in self.coeffs]
         return "[" + ", ".join(parts) + "]"
-
-
-def _parse_coeff(c) -> Coeff:
-    f = Fraction(c)
-    return f.numerator if f.denominator == 1 else f
 
 
 def _pairing(a: dict, b: dict, target: int = 0):
@@ -355,7 +351,7 @@ def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
                 if prod == 0:
                     break
             total += prod
-        coeffs[d0 * d] = _parse_coeff(scale * total)
+        coeffs[d0 * d] = _norm(scale * total)
         d += 1
     return PowerSeries(tuple(coeffs))
 
@@ -461,7 +457,7 @@ def iseries_toric_parametrized(data: ToricCurveClassData, order: int
 def iseries_toric(data: ToricCurveClassData, order: int) -> PowerSeries:
     """Scalar I-series of a toric complete intersection, parameters set to one."""
     polys = iseries_toric_parametrized(data, order)
-    coeffs = tuple(_parse_coeff(Fraction(sum((c for _, c in p.terms()), start=Fraction(0))))
+    coeffs = tuple(_norm(sum((c for _, c in p.terms()), start=Fraction(0)))
                    for p in polys)
     warnings = ()
     if any(k == 1 for k in data.kappa):

@@ -9,7 +9,7 @@ from tlg.builders import (BadBase, BadPartition, DelPezzoScript,
                           minkowski_polynomial, wci_laurent)
 from tlg.laurent import LaurentPoly
 from tlg.polytope import Polytope, newton_polytope
-from tlg.series import WciSpec, phi
+from tlg.series import WciSpec, phi_coefficients
 
 
 def lp(expr_vars, terms):
@@ -60,12 +60,6 @@ def test_find_nef_partitions_counts_and_quality():
     assert qualities == ["plain", "very_good", "very_good", "very_good"]
     with pytest.raises(ValueError):
         find_nef_partitions(spec, "excellent")
-
-
-def test_find_nef_partitions_cancel():
-    spec = WciSpec((1, 1, 1, 1, 1), (4,))
-    with pytest.raises(InterruptedError):
-        find_nef_partitions(spec, should_cancel=lambda: True)
 
 
 def test_binomial_principle_triangle():
@@ -207,11 +201,17 @@ def test_del_pezzo_steps_surface():
 def test_del_pezzo_periods_at_unit_parameters():
     base = del_pezzo_model(DelPezzoScript("P2", (), ("q0",)))
     once = del_pezzo_model(DelPezzoScript("P2", ((1, 1),), ("q0", "q1")))
-    sub = {"q0": 1, "q1": 1}
-    s0 = phi(base.substitute({"q0": 1}).as_laurent(), 6)
-    s1 = phi(once.substitute(sub).as_laurent(), 6)
-    assert s0.coeffs == (1, 0, 0, 6, 0, 0)
-    assert s1.coeffs == (1, 0, 2, 6, 6, 60)
+
+    def at_unit_parameters(f):
+        # each period coefficient is a polynomial in the parameters; its
+        # value at q = 1 is the sum of its coefficients
+        return [sum(c for _, c in p.terms())
+                for p in phi_coefficients(f, 6, ("x", "y"))]
+
+    assert base.variables == ("x", "y", "q0")
+    assert once.variables == ("x", "y", "q0", "q1")
+    assert at_unit_parameters(base) == [1, 0, 0, 6, 0, 0]
+    assert at_unit_parameters(once) == [1, 0, 2, 6, 6, 60]
 
 
 def test_del_pezzo_errors():

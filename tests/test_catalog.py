@@ -225,8 +225,10 @@ def test_verify_entry_multiplies_by_the_factors():
 
 
 def test_non_integer_laurent_exponent_is_located():
-    data = _entry_json()
-    data["laurent"]["terms"][0]["e"] = [-1, -1, -1.0]
-    with pytest.raises(ParseError) as info:
-        entry_from_json_dict(data, "cat.json entry 5")
-    assert info.value.location == "cat.json entry 5 field laurent"
+    for bad in (-1.0, True):
+        data = _entry_json()
+        data["laurent"]["terms"][0]["e"] = [-1, -1, bad]
+        with pytest.raises(ParseError) as info:
+            entry_from_json_dict(data, "cat.json entry 5")
+        assert info.value.location == "cat.json entry 5 field laurent"
+        assert str(info.value).endswith("exponents must be lists of integers")

@@ -154,3 +154,72 @@ def test_iseries_toric_bad_input_is_a_located_parse_error(tmp_path, capsys,
     error = _error(capsys)
     assert error["type"] == "ParseError"
     assert error["message"].startswith(f"{path}: ")
+
+
+XY = ("x", "y")
+S7 = ("x", "y", "q0", "q1", "q2")
+
+
+def _terms(*pairs):
+    return [{"c": c, "e": e} for e, c in pairs]
+
+
+# the default rule sends the slice y^k to y^k (1 + x)^(-k); in S7 the
+# factor 1 + q2 x carries a parameter
+@pytest.mark.parametrize("f, factor, expected", [
+    ({"vars": XY, "terms": _terms(
+        ([0, 1], "1"), ([1, 1], "2"), ([2, 1], "1"), ([1, 0], "1"),
+        ([-1, 0], "3/2"), ([0, -1], "2"))},
+     {"vars": XY, "terms": _terms(([0, 0], "1"), ([1, 0], "1"))},
+     {"vars": XY, "terms": _terms(
+         ([-1, 0], "3/2"), ([0, -1], "2"), ([0, 1], "1"), ([1, -1], "2"),
+         ([1, 0], "1"), ([1, 1], "1"))}),
+    ({"vars": S7, "terms": _terms(
+        ([1, 0, 0, 0, 0], "1"), ([0, 1, 0, 0, 0], "1"),
+        ([-1, -1, 1, 0, 0], "1"), ([0, -1, 1, 1, 0], "1"),
+        ([1, 1, 0, 0, 1], "1"))},
+     {"vars": S7, "terms": _terms(([0, 0, 0, 0, 0], "1"),
+                                  ([1, 0, 0, 0, 1], "1"))},
+     {"vars": S7, "terms": _terms(
+         ([-1, -1, 1, 0, 0], "1"), ([0, -1, 1, 0, 1], "1"),
+         ([0, -1, 1, 1, 0], "1"), ([0, 1, 0, 0, 0], "1"),
+         ([1, -1, 1, 1, 1], "1"), ([1, 0, 0, 0, 0], "1"))}),
+], ids=["two-variables", "s7-parameters"])
+def test_mutate_prints_golden_json(tmp_path, capsys, f, factor, expected):
+    paths = []
+    for name, data in (("f.json", f), ("factor.json", factor)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data))
+    assert main(["mutate", "--input", str(paths[0]), "--pivot", "y",
+                 "--factor", str(paths[1]), "--output", "json"]) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("exponent", [1.7, True], ids=["float", "bool"])
+def test_phi_rejects_a_non_integer_exponent(tmp_path, capsys, exponent):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"vars": ["x"], "terms": [
+        {"e": [exponent], "c": "1"}, {"e": [-1], "c": "1"}]}))
+    assert main(["phi", "--input", str(path), "--order", "5"]) == 1
+    assert _error(capsys) == {"type": "TypeError",
+                              "message": "exponents must be lists of integers"}
+
+
+@pytest.mark.parametrize("argv, data, key", [
+    (["build", "wci", "--weights", "1,1,1,1", "--partition", "IN"],
+     {"class": [[0, 1, 2, 3]]}, "classes"),
+    (["build", "delpezzo", "--input", "IN"], {"steps": []}, "base"),
+    (["polytope", "equiv", "--input", "IN"],
+     {"first": [[1, 0], [0, 1], [-1, -1]]}, "second"),
+    (["lattice", "index", "--input", "IN"],
+     {"sub": {"name": "A2"}, "sup": {"name": "A2"}}, "embedding"),
+], ids=["build-wci-partition", "build-delpezzo", "polytope-equiv",
+        "lattice-index"])
+def test_missing_key_is_a_parse_error_at_the_input_file(tmp_path, capsys,
+                                                       argv, data, key):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main([str(path) if a == "IN" else a for a in argv]) == 1
+    assert _error(capsys) == {"type": "ParseError",
+                              "message": f"{path}: missing key {key!r}"}

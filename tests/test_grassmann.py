@@ -91,6 +91,13 @@ def test_elimination_identity():
         assert elimination_identity_holds(spec)
 
 
+def test_elimination_identity_fails_for_a_wrong_block_sum(monkeypatch):
+    block_sum = grassmann.restricted_block_sum
+    monkeypatch.setattr(grassmann, "restricted_block_sum",
+                        lambda model, p: 2 * block_sum(model, p))
+    assert not elimination_identity_holds(GrassSpec(2, 3, (3,)))
+
+
 def test_block_sizes_and_weight_vertices():
     assert Block("HB", 0, 2).size(3) == 2
     assert Block("HB", 0, 2).weight_vertex(3) == (1, 1)

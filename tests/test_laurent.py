@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tlg.laurent import (LaurentPoly, NotLaurent, RationalExpr,
-                         UnknownVariable, VariableMismatch, ZeroDenominator)
+from tlg.laurent import LaurentPoly, NotLaurent, divide_exact
 
 V = ("x", "y")
 x = LaurentPoly.variable("x", V)
@@ -49,18 +50,12 @@ def test_fraction_coefficients():
     assert g.coefficient((1, 0)) == Fraction(1, 3)
 
 
-def test_rename_and_with_variables():
+def test_with_variables():
     f = x + 2 * y
-    g = f.rename_variables({"x": "u", "y": "v"})
-    assert g.variables == ("u", "v")
-    assert g.coefficient((0, 1)) == 2
     h = f.with_variables(("x", "y", "z"))
     assert h.variables == ("x", "y", "z")
     assert h.coefficient((1, 0, 0)) == 1
-    # names missing from the mapping stay put; collisions are rejected
-    assert f.rename_variables({"q": "r"}) == f
-    with pytest.raises(VariableMismatch):
-        f.rename_variables({"x": "y"})
+    assert h.coefficient((0, 1, 0)) == 2
 
 
 def test_constant_term_full_and_partial():
@@ -72,31 +67,61 @@ def test_constant_term_full_and_partial():
     assert part == LaurentPoly(("y",), {(1,): 2, (0,): 5})
 
 
-def test_substitute_scalar_and_poly():
-    f = x ** 2 + y
-    r = f.substitute({"x": 3})
-    assert r.as_laurent() == 9 + LaurentPoly.variable("y", ("y",))
-    r2 = f.substitute({"x": y + 1})
-    assert r2.as_laurent() == y ** 2 + 3 * y + 1
-    with pytest.raises(UnknownVariable):
-        f.substitute({"t": 1})
+def test_divide_exact():
+    assert divide_exact(x + 1, x) == x ** -1 + 1
+    assert divide_exact(x, 2 * x) == Fraction(1, 2)
+    assert divide_exact(x * y, y) == x
+    assert divide_exact(x ** 2 - y ** 2, x + y) == x - y
+    assert divide_exact(LaurentPoly.zero(V), x + 1) == LaurentPoly.zero(V)
+    # the operands are aligned onto the union of their variables
+    z = LaurentPoly.variable("z", ("z",))
+    q = divide_exact(x * z + z, x + 1)
+    assert q.variables == ("x", "y", "z")
+    assert q == z
 
 
-def test_rational_expr_equality_and_errors():
-    half = RationalExpr.from_poly(x) / RationalExpr.from_poly(2 * x)
-    one = RationalExpr.coerce(1)
-    assert half + half == one
-    assert RationalExpr.from_poly(x * y) / RationalExpr.from_poly(y) \
-        == RationalExpr.from_poly(x)
-    with pytest.raises(ZeroDenominator):
-        one / RationalExpr.from_poly(LaurentPoly.zero())
-    expr = RationalExpr.from_poly(x + 1) / RationalExpr.from_poly(x)
-    assert expr.as_laurent() == x ** -1 + 1
+@pytest.mark.parametrize("num, den", [
+    (x, x + 1),
+    (LaurentPoly.constant(1, V), 1 - x),
+    (x ** 2 + y ** 2, x + y),
+    (x ** 2 + 1, x + 1),
+    ((x + 1) * (y + 2) + 1, y + 2),
+], ids=["x-over-x-plus-1", "geometric", "sum-of-squares", "remainder-2",
+        "constant-remainder"])
+def test_divide_exact_not_laurent(num, den):
+    with pytest.raises(NotLaurent):
+        divide_exact(num, den)
 
 
-def test_rational_expr_power():
-    e = RationalExpr.from_poly(1 + x) ** -2
-    assert e * RationalExpr.from_poly((1 + x) ** 2) == RationalExpr.coerce(1)
+def test_divide_exact_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(x, LaurentPoly.zero(V))
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(LaurentPoly.zero(V), LaurentPoly.zero())
+
+
+@st.composite
+def _polys(draw, vs, min_size=0):
+    coeff = st.one_of(st.integers(-3, 3).filter(bool),
+                      st.builds(Fraction, st.integers(1, 3),
+                                st.integers(2, 4)))
+    exponent = st.tuples(*[st.integers(-2, 2)] * len(vs))
+    terms = draw(st.dictionaries(exponent, coeff, min_size=min_size,
+                                 max_size=4))
+    return LaurentPoly(vs, terms)
+
+
+@st.composite
+def _quotient_cases(draw):
+    vs = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    return draw(_polys(vs)), draw(_polys(vs, min_size=1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quotient_cases())
+def test_divide_exact_round_trip(case):
+    q, d = case
+    assert divide_exact(q * d, d) == q
 
 
 def test_json_round_trip():

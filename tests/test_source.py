@@ -41,3 +41,41 @@ def test_no_undeclared_heavy_imports_in_the_package():
              for name in _imported_modules(ast.parse(path.read_text()))
              if name.split(".")[0] in ("sympy", "numpy")]
     assert found == []
+
+
+def _annotation_names(node):
+    # a quoted annotation such as "LaurentPoly" names what it uses only
+    # inside its string
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _unused_imports(tree):
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations":
+                    imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for arg in node.args.posonlyargs + node.args.args \
+                    + node.args.kwonlyargs:
+                if arg.annotation is not None:
+                    used |= _annotation_names(arg.annotation)
+            if node.returns is not None:
+                used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    found = [f"{path.name}:{line}: {name}"
+             for path in SOURCES
+             for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
