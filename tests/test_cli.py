@@ -223,3 +223,165 @@ def test_missing_key_is_a_parse_error_at_the_input_file(tmp_path, capsys,
     assert main([str(path) if a == "IN" else a for a in argv]) == 1
     assert _error(capsys) == {"type": "ParseError",
                               "message": f"{path}: missing key {key!r}"}
+
+
+# -- golden output of every other command ------------------------------------
+
+SERIES_P1 = [1, 0, 2, 0, 6, 0, 20, 0, 70, 0, 252, 0, 924, 0, 3432, 0, 12870,
+             0, 48620, 0]
+INPUTS = {
+    "part.json": {"classes": [[0, 1], [2, 3]]},
+    "dp.json": {"base": "P2", "steps": [[1, 1], [0, -1], [1, -1]],
+                "params": ["q0", "q1", "q2", "q3"]},
+    "tri.json": [[1, 0], [0, 1], [-1, -1]],
+    "p3-model.json": {"vars": ["x", "y", "z"], "terms": _terms(
+        ([1, 0, 0], "1"), ([0, 1, 0], "1"), ([0, 0, 1], "1"),
+        ([-1, -1, -1], "1"))},
+    "equiv.json": {"first": [[1, 0], [0, 1], [-1, -1]],
+                   "second": [[1, 0], [1, 1], [-2, -1]]},
+    "index.json": {"sub": {"gram": [[0, 2], [2, 0]]}, "sup": {"name": "H"},
+                   "embedding": [[2, 0], [0, 1]]},
+    "series.json": SERIES_P1,
+    "p3.json": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+}
+
+CATALOG_LIST = """\
+1-1\t[paper]\tsextic hypersurface in P(1,1,1,1,3)
+1-10\t[derived-regression]\tsection of a sum of three bundles of alternating forms on G(3,7)
+1-11\t[paper]\tsextic hypersurface in P(1,1,1,2,3)
+1-12\t[paper]\tquartic hypersurface in P(1,1,1,1,2)
+1-13\t[paper]\tcubic threefold
+1-14\t[paper]\tintersection of two quadrics in P^5
+1-15\t[paper]\tsection of G(2,5) by three hyperplanes
+1-16\t[paper]\tquadric threefold
+1-17\t[paper]\tprojective 3-space
+1-2\t[paper]\tquartic threefold
+1-3\t[paper]\tcomplete intersection of a quadric and a cubic in P^5
+1-4\t[paper]\tcomplete intersection of three quadrics in P^6
+1-5\t[paper]\tsection of G(2,5) by two hyperplanes and a quadric
+1-6\t[derived-regression]\tcodimension 7 linear section of OG(5,10)
+1-7\t[paper]\tsection of G(2,6) by five hyperplanes
+1-8\t[derived-regression]\tcodimension 3 linear section of the symplectic Grassmannian SGr(3,6)
+1-9\t[derived-regression]\tcodimension 2 linear section of the G2 Grassmannian
+10-1\t[derived-regression]\tproduct of P^1 with the degree 1 del Pezzo surface
+2-1\t[derived-regression]\tcomplete intersection of types (1,1) and (0,6) in P^1 x P(1,1,1,2,3)
+2-2\t[derived-regression]\tdouble cover of P^1 x P^2 branched in a bidegree (2,4) divisor
+2-3\t[derived-regression]\tcomplete intersection of types (1,1) and (0,4) in P^1 x P(1,1,1,1,2)
+9-1\t[derived-regression]\tproduct of P^1 with the degree 2 del Pezzo surface
+G36-1112\t[paper]\tcomplete intersection in G(3,6) of degrees 1+1+1+2, blocks in that order
+G36-2111\t[paper]\tcomplete intersection in G(3,6) of degrees 2+1+1+1, blocks in that order
+S7-d1\t[paper]\tdegree 7 del Pezzo surface, divisor parameters one
+"""
+
+
+def _json_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("build wci --weights 1,1,1,1 --degrees 2",
+     "x1^-1*x2^-1 + 2*x1^-1 + x1^-1*x2 + x1\n"),
+    ("build wci --weights 1,1,1,1 --degrees 2 --partition part.json "
+     "--var-names a,b --output json",
+     _json_text({"vars": ["a", "b"], "terms": _terms(
+         ([-1, -1], "1"), ([-1, 0], "2"), ([-1, 1], "1"), ([1, 0], "1"))})),
+    ("build grass --k 2 --n 3 --degrees 1 --explain",
+     "a1_1^-1*a2_1 + a1_1^-1*a1_2 + a1_2^-1*a2_2 + a1_2^-1*a1_3 + a1_3^-1 + "
+     "a2_1^-1*a2_2 + a2_2^-1 + a1_1\n"
+     "block 1: HB(0,1) weight vertex (0, 1) variable a\n"
+     "M[1] = [1]\nMinv[1] = ['1']\n"),
+    ("build grass --k 2 --n 3 --degrees 1,2 --sort desc --method closed",
+     "a^-1*a2_2 + a^-1*a1_2 + 2*a1_2^-1*a2_2^2 + a1_2^-1*a1_3 + "
+     "2*a1_3^-1*a2_2 + a2_2^-1 + 4*a2_2 + 2*a1_2*a1_3^-1 + 2*a1_2 + "
+     "a*a1_2^-2*a2_2^3 + 2*a*a1_2^-1*a1_3^-1*a2_2^2 + 3*a*a1_2^-1*a2_2^2 + "
+     "a*a1_3^-2*a2_2 + 4*a*a1_3^-1*a2_2 + 3*a*a2_2 + a*a1_2*a1_3^-2 + "
+     "2*a*a1_2*a1_3^-1 + a*a1_2\n"),
+    ("build delpezzo --input dp.json",
+     "x^-1*y^-1*q0 + y^-1*q0*q2 + y + x*y^-1*q0*q2*q3 + x + x*y*q1\n"),
+    ("build delpezzo --input dp.json --mode surface",
+     "x^-1*y^-1*q0 + y^-1*q0*q3 + y^-1*q0*q2 + y + x*y^-1*q0*q2*q3 + x + "
+     "x*q0*q1*q2*q3 + x*y*q1\n"),
+    ("build binomial --input tri.json --output json",
+     _json_text({"vars": ["x", "y"], "terms": _terms(
+         ([-1, -1], "1"), ([0, 1], "1"), ([1, 0], "1"))})),
+    ("minkowski check --input p3-model.json", "true\n"),
+    ("minkowski check --input p3-model.json --output json", _json_text({
+        "minkowski": True, "certificate": {"facets": [
+            {"normal": [-1, -1, -1], "summands": [
+                {"dim": 2, "vertices": [[0, -1], [0, 0], [1, -1]]}]},
+            {"normal": [-1, -1, 3], "summands": [
+                {"dim": 2, "vertices": [[0, 0], [1, 1], [2, 1]]}]},
+            {"normal": [-1, 3, -1], "summands": [
+                {"dim": 2, "vertices": [[0, 0], [1, 1], [1, 2]]}]},
+            {"normal": [3, -1, -1], "summands": [
+                {"dim": 2, "vertices": [[0, 0], [1, 1], [1, 2]]}]}]}})),
+    ("polytope equiv --input equiv.json", "true\n"),
+    ("polytope equiv --input equiv.json --output json",
+     _json_text({"equivalent": True, "map": [[1, 1], [1, 0]]})),
+    ("lattice disc --name A2", "Z/3; q = (2/3)\n"),
+    ("lattice disc --name M_2 --output json",
+     _json_text({"form_values": ["7/4"], "generators": [["0"] * 18 + ["1/4"]],
+                 "group": [4]})),
+    ("lattice sig --name E8 --twist 2", "8,0\n"),
+    ("lattice index --input index.json", "2\n"),
+    ("lattice duval --type A5 --k 2 --r 4", "2/3\n"),
+    ("lattice duval --type D_5 --k 1 --self --branch tail --output json",
+     _json_text({"value": "1"})),
+    ("pf fit --input series.json --max-order 1 --max-degree 2",
+     "theta + (-4)*t^2 + (-4)*t^2*theta\n"),
+    ("pf fit --input series.json --max-order 1 --max-degree 2 --output json",
+     _json_text({"terms": [{"c": "1", "t": 0, "theta": 1},
+                           {"c": "-4", "t": 2, "theta": 0},
+                           {"c": "-4", "t": 2, "theta": 1}]})),
+    ("hodge surface --d 3", "1,7,1\n"),
+    ("hodge surface --d 0", "not Fano type; Jordan blocks 2x2, 1x8\n"),
+    ("hodge threefold --ky 1 --ph 3 --h12z 1",
+     "0,0,0,1\n0,1,1,0\n0,2,1,0\n1,0,0,0\n"),
+    ("hodge components --input p3.json --output json",
+     _json_text({"components": 34})),
+    ("hodge kmatrix --degrees 2 --index 2",
+     "2,-1\n-2,-1\n0,1\n0,-1\ncomponents: 8\n"),
+    ("catalog list", CATALOG_LIST),
+    ("catalog verify --order 4 --id G36-2111 --id 1-1",
+     "PASS 1-1 [paper]\nPASS G36-2111 [paper]\n2/2 passed\n"),
+], ids=["build-wci", "build-wci-partition", "build-grass-explain",
+        "build-grass-closed", "build-delpezzo", "build-delpezzo-surface",
+        "build-binomial", "minkowski-check", "minkowski-check-json",
+        "polytope-equiv", "polytope-equiv-json", "lattice-disc",
+        "lattice-disc-json", "lattice-sig", "lattice-index", "lattice-duval",
+        "lattice-duval-self", "pf-fit", "pf-fit-json", "hodge-surface",
+        "hodge-surface-d0", "hodge-threefold", "hodge-components",
+        "hodge-kmatrix", "catalog-list", "catalog-verify-text"])
+def test_commands_print_golden_output(tmp_path, monkeypatch, capsys, argv,
+                                      expected):
+    for name, data in INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--input", "no-such-file.json", "--order", "3"],
+    ["phi", "--input", "MODEL", "--order", "3", "--output", "yaml"],
+    ["catalog", "verify", "--id", "1-1", "--id", "no-such-id"],
+    ["lattice", "sig"],                                 # neither input
+    ["build", "grass", "--k", "2", "--n", "3", "--degrees", "1,x"],
+    ["build"],                                          # no subcommand
+], ids=["missing-input-file", "bad-output-choice", "unknown-id",
+        "lattice-without-input", "bad-int-list", "group-only"])
+def test_more_usage_errors_exit_two(model, tmp_path, monkeypatch, capsys,
+                                    argv):
+    monkeypatch.chdir(tmp_path)
+    assert main([model if a == "MODEL" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["build", "--help"],
+                                  ["catalog", "verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert "--help" in captured.out and captured.err == ""
