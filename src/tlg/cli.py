@@ -9,16 +9,23 @@ strings, never floats. Identical inputs and flags produce byte-identical
 JSON across runs and across --jobs settings.
 
 Exit codes: 0 success, 1 computation failure (with a structured JSON
-error on stderr) or a failed verification, 2 usage error.
+error on stderr) or a failed verification, 2 usage error, 130 interrupted.
+
+The parser is the standard library's argparse. Each command is a function
+registered with ``_command`` under its name ("build wci" for a subcommand
+of a group) and the options it takes; the parser is built once, on the
+first call of ``main``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
-
-import click
 
 from . import catalog as _catalog
 from .builders import (DelPezzoScript, NefPartition, _quality,
@@ -42,10 +49,14 @@ from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
                      iseries_toric, phi, verify_period)
 
 
+class UsageError(Exception):
+    """Options that parse but do not make a valid request; exit code 2."""
+
+
 # -- shared plumbing --------------------------------------------------------
 
 def _echo_json(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _read_json(path: str):
@@ -59,6 +70,18 @@ def _field(data, key: str, path: str):
     if not isinstance(data, dict) or key not in data:
         raise _catalog.ParseError(path, f"missing key {key!r}")
     return data[key]
+
+
+def _int_rows(rows, what: str, path: str) -> Tuple[Tuple[int, ...], ...]:
+    """rows as a tuple of integer tuples; anything else, a float or a bool
+    included, is a ParseError located at path."""
+    try:
+        if type(rows) is not list:
+            raise TypeError(f"{what} must be a list of integer lists, "
+                            f"got {rows!r}")
+        return tuple(_catalog._ints(r, what) for r in rows)
+    except TypeError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
 
 
 def _laurent_from(data) -> LaurentPoly:
@@ -103,13 +126,20 @@ def _gram_from(data) -> GramLattice:
     raise ValueError("expected a lattice as {'gram': ...} or {'name': ...}")
 
 
-def _int_list(ctx, param, value) -> Tuple[int, ...]:
-    if value is None or value == "":
+def _int_list(value: str) -> Tuple[int, ...]:
+    if value == "":
         return ()
     try:
         return tuple(int(x) for x in value.split(","))
     except ValueError:
-        raise click.BadParameter("expected comma separated integers")
+        raise argparse.ArgumentTypeError(
+            "expected comma separated integers") from None
+
+
+def _existing_file(value: str) -> str:
+    if not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"no such file: {value!r}")
+    return value
 
 
 def _name_list(value: Optional[str]) -> Optional[Tuple[str, ...]]:
@@ -122,26 +152,55 @@ def _cstr(value) -> str:
     return str(Fraction(value))
 
 
-_input_option = click.option(
-    "--input", "-i", "input_path", required=True,
-    type=click.Path(exists=True, dir_okay=False), help="Input JSON file.")
-_output_option = click.option(
-    "--output", type=click.Choice(["json", "text"]), default="text",
-    show_default=True, help="Output format.")
+def _opt(*flags, **kwargs):
+    """One option: the arguments of ``ArgumentParser.add_argument``."""
+    return flags, kwargs
+
+
+_INPUT = _opt("--input", "-i", dest="input_path", metavar="PATH",
+              required=True, type=_existing_file, help="Input JSON file.")
+_OUTPUT = _opt("--output", choices=("json", "text"), default="text",
+               help="Output format (default: %(default)s).")
+_ORDER = _opt("--order", type=int, required=True)
+_DEGREES = _opt("--degrees", type=_int_list, default="",
+                help="Hypersurface degrees, comma separated (empty for the "
+                     "ambient space).")
+
+_GROUPS = {
+    "iseries": "Regularized I-series from geometric input.",
+    "build": "Construct Laurent polynomial models.",
+    "minkowski": "Minkowski decompositions of Newton polytope facets.",
+    "polytope": "Lattice polytope queries.",
+    "lattice": "Even lattice invariants.",
+    "pf": "Differential operators annihilating period series.",
+    "hodge": "Hodge number bookkeeping for mirror models.",
+    "catalog": "Bundled model catalog.",
+}
+_COMMANDS = []
+
+
+def _command(name: str, *options):
+    """Register the decorated function as the command ``name`` with the
+    given options; it is called with one keyword argument per option and
+    returns the exit code, or None for 0."""
+    def register(fn):
+        _COMMANDS.append((name, options, fn))
+        return fn
+    return register
 
 
 def _emit_series(series: PowerSeries, output: str) -> None:
     if output == "json":
         _echo_json(series.to_json_dict())
     else:
-        click.echo(",".join(str(c) for c in series.coeffs))
+        print(",".join(str(c) for c in series.coeffs))
 
 
 def _emit_laurent(f: LaurentPoly, output: str) -> None:
     if output == "json":
         _echo_json(f.to_json_dict())
     else:
-        click.echo(str(f))
+        print(f)
 
 
 def _emit_polytope(p: Polytope, output: str) -> None:
@@ -149,31 +208,25 @@ def _emit_polytope(p: Polytope, output: str) -> None:
         _echo_json(p.to_json_dict())
     else:
         for v in p.vertices:
-            click.echo(",".join(str(x) for x in v))
+            print(",".join(str(x) for x in v))
 
 
-def _emit_bool(value: bool, output: str) -> None:
+def _emit(output: str, payload, text) -> None:
+    """payload as JSON under --output json, else the line text."""
     if output == "json":
-        _echo_json(value)
+        _echo_json(payload)
     else:
-        click.echo("true" if value else "false")
+        print(text)
 
 
 # -- command tree -----------------------------------------------------------
 
-@click.group()
-def cli():
-    """Exact arithmetic tools for Laurent polynomial mirror models."""
-
-
-@cli.command("phi")
-@_input_option
-@click.option("--order", type=int, required=True,
-              help="Number of series coefficients to compute.")
-@click.option("--period-vars", default=None,
-              help="Comma separated variables to fold; the rest are "
-                   "carried as parameters.")
-@_output_option
+@_command("phi", _INPUT,
+          _opt("--order", type=int, required=True,
+               help="Number of series coefficients to compute."),
+          _opt("--period-vars", help="Comma separated variables to fold; "
+                                     "the rest are carried as parameters."),
+          _OUTPUT)
 def phi_cmd(input_path, order, period_vars, output):
     """Constant-term period series of a Laurent polynomial."""
     f = _laurent_from(_read_json(input_path))
@@ -181,42 +234,28 @@ def phi_cmd(input_path, order, period_vars, output):
     _emit_series(series, output)
 
 
-@cli.group("iseries")
-def iseries_group():
-    """Regularized I-series from geometric input."""
-
-
-@iseries_group.command("wci")
-@click.option("--weights", required=True, callback=_int_list,
-              help="Ambient weights, comma separated.")
-@click.option("--degrees", default="", callback=_int_list,
-              help="Hypersurface degrees, comma separated (empty for "
-                   "projective space).")
-@click.option("--order", type=int, required=True)
-@_output_option
+@_command("iseries wci",
+          _opt("--weights", type=_int_list, required=True,
+               help="Ambient weights, comma separated."),
+          _DEGREES, _ORDER, _OUTPUT)
 def iseries_wci_cmd(weights, degrees, order, output):
     """Weighted complete intersection."""
     _emit_series(iseries_toric(WciSpec(weights, degrees).toric_data(), order),
                  output)
 
 
-@iseries_group.command("grass")
-@click.option("--k", type=int, required=True, help="Subspace dimension.")
-@click.option("--n", type=int, required=True,
-              help="Codimension part: the Grassmannian is G(k, n+k).")
-@click.option("--degrees", default="", callback=_int_list)
-@click.option("--order", type=int, required=True)
-@_output_option
+@_command("iseries grass",
+          _opt("--k", type=int, required=True, help="Subspace dimension."),
+          _opt("--n", type=int, required=True,
+               help="Codimension part: the Grassmannian is G(k, n+k)."),
+          _DEGREES, _ORDER, _OUTPUT)
 def iseries_grass_cmd(k, n, degrees, order, output):
     """Complete intersection in a Grassmannian."""
     _emit_series(iseries_grassmannian(GrassSpec(k, n, degrees), order),
                  output)
 
 
-@iseries_group.command("toric")
-@_input_option
-@click.option("--order", type=int, required=True)
-@_output_option
+@_command("iseries toric", _INPUT, _ORDER, _OUTPUT)
 def iseries_toric_cmd(input_path, order, output):
     """Toric complete intersection: {"rows": [[D_j.C_s, ...], ...]} and
     optionally {"degrees": [[L_i.C_s per row], ...]}."""
@@ -225,15 +264,12 @@ def iseries_toric_cmd(input_path, order, output):
     _emit_series(iseries_toric(spec, order), output)
 
 
-@cli.command("verify")
-@_input_option
-@click.option("--against", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON file with the target series.")
-@click.option("--order", type=int, default=None,
-              help="Truncate the target before comparing.")
-@click.option("--period-vars", default=None)
-@_output_option
+@_command("verify", _INPUT,
+          _opt("--against", required=True, type=_existing_file,
+               help="JSON file with the target series."),
+          _opt("--order", type=int,
+               help="Truncate the target before comparing."),
+          _opt("--period-vars"), _OUTPUT)
 def verify_cmd(input_path, against, order, period_vars, output):
     """Compare the period of a Laurent polynomial with a target series."""
     f = _laurent_from(_read_json(input_path))
@@ -244,51 +280,45 @@ def verify_cmd(input_path, against, order, period_vars, output):
     if output == "json":
         _echo_json(report.to_json_dict())
     elif report.match:
-        click.echo(f"match through order {report.order}")
+        print(f"match through order {report.order}")
     else:
-        click.echo(f"mismatch at t^{report.first_mismatch}: expected "
-                   f"{report.expected}, found {report.found}")
+        print(f"mismatch at t^{report.first_mismatch}: expected "
+              f"{report.expected}, found {report.found}")
     return 0 if report.match else 1
 
 
-@cli.group("build")
-def build_group():
-    """Construct Laurent polynomial models."""
-
-
-@build_group.command("wci")
-@click.option("--weights", required=True, callback=_int_list)
-@click.option("--degrees", default="", callback=_int_list)
-@click.option("--partition", default="auto", show_default=True,
-              help="'auto' picks the drop-largest nef-partition; otherwise "
-                   "a JSON file with {'classes': [[...], ...]}.")
-@click.option("--var-names", default=None,
-              help="Comma separated names for the torus coordinates.")
-@_output_option
+@_command("build wci",
+          _opt("--weights", type=_int_list, required=True), _DEGREES,
+          _opt("--partition", default="auto",
+               help="'auto' (the default) picks the drop-largest "
+                    "nef-partition; otherwise a JSON file with "
+                    "{'classes': [[...], ...]}."),
+          _opt("--var-names",
+               help="Comma separated names for the torus coordinates."),
+          _OUTPUT)
 def build_wci_cmd(weights, degrees, partition, var_names, output):
     """Weighted complete intersection model."""
     spec = WciSpec(weights, degrees)
     part = None
     if partition != "auto":
-        classes = tuple(tuple(int(i) for i in cls) for cls in
-                        _field(_read_json(partition), "classes", partition))
+        classes = _int_rows(_field(_read_json(partition), "classes",
+                                   partition), "classes", partition)
         part = NefPartition(classes, _quality(classes[0], weights))
     f = wci_laurent(spec, part=part, var_names=_name_list(var_names))
     _emit_laurent(f, output)
 
 
-@build_group.command("grass")
-@click.option("--k", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--degrees", default="", callback=_int_list)
-@click.option("--method", type=click.Choice(["eliminate", "closed"]),
-              default="eliminate", show_default=True)
-@click.option("--sort", "sort_dir", type=click.Choice(["asc", "desc"]),
-              default=None, help="Reorder the degrees before building.")
-@click.option("--explain", is_flag=True,
-              help="Include blocks, weight table, weight vertices and the "
-                   "block-weight matrix with its inverse.")
-@_output_option
+@_command("build grass",
+          _opt("--k", type=int, required=True),
+          _opt("--n", type=int, required=True), _DEGREES,
+          _opt("--method", choices=("eliminate", "closed"),
+               default="eliminate", help="(default: %(default)s)"),
+          _opt("--sort", dest="sort_dir", choices=("asc", "desc"),
+               help="Reorder the degrees before building."),
+          _opt("--explain", action="store_true",
+               help="Include blocks, weight table, weight vertices and the "
+                    "block-weight matrix with its inverse."),
+          _OUTPUT)
 def build_grass_cmd(k, n, degrees, method, sort_dir, explain, output):
     """Quiver model for a complete intersection in G(k, n+k)."""
     if sort_dir == "asc":
@@ -324,68 +354,56 @@ def build_grass_cmd(k, n, degrees, method, sort_dir, explain, output):
     if output == "json":
         _echo_json(payload)
         return
-    click.echo(str(f))
+    print(str(f))
     for p, b in enumerate(model.blocks):
-        click.echo(f"block {p + 1}: {b.kind}({b.r},{b.s}) weight vertex "
-                   f"{vertices[p]} variable {payload['weight_variables'][p]}")
+        print(f"block {p + 1}: {b.kind}({b.r},{b.s}) weight vertex "
+              f"{vertices[p]} variable {payload['weight_variables'][p]}")
     for p, row in enumerate(m):
-        click.echo(f"M[{p + 1}] = {row}")
+        print(f"M[{p + 1}] = {row}")
     for p, row in enumerate(m_inv):
-        click.echo(f"Minv[{p + 1}] = {row}")
+        print(f"Minv[{p + 1}] = {row}")
 
 
-@build_group.command("delpezzo")
-@_input_option
-@click.option("--mode", type=click.Choice(["toric", "surface"]),
-              default="toric", show_default=True)
-@_output_option
+@_command("build delpezzo", _INPUT,
+          _opt("--mode", choices=("toric", "surface"), default="toric",
+               help="(default: %(default)s)"),
+          _OUTPUT)
 def build_delpezzo_cmd(input_path, mode, output):
     """Parametrized del Pezzo model from a blow-up script."""
     data = _read_json(input_path)
+    base = _field(data, "base", input_path)
     script = DelPezzoScript(
-        _field(data, "base", input_path),
-        tuple(tuple(int(x) for x in step) for step in data.get("steps", ())),
+        base, _int_rows(data.get("steps", []), "steps", input_path),
         tuple(data.get("params", ())))
     _emit_laurent(del_pezzo_model(script, mode=mode), output)
 
 
-@build_group.command("binomial")
-@_input_option
-@_output_option
+@_command("build binomial", _INPUT, _OUTPUT)
 def build_binomial_cmd(input_path, output):
     """Coefficients from the binomial boundary rule on a polytope."""
     p = _polytope_from(_read_json(input_path))
     _emit_laurent(binomial_principle(p), output)
 
 
-@cli.group("minkowski")
-def minkowski_group():
-    """Minkowski decompositions of Newton polytope facets."""
-
-
-@minkowski_group.command("check")
-@_input_option
-@click.option("--max-summands", type=int, default=4, show_default=True)
-@_output_option
+@_command("minkowski check", _INPUT,
+          _opt("--max-summands", type=int, default=4,
+               help="(default: %(default)s)"),
+          _OUTPUT)
 def minkowski_check_cmd(input_path, max_summands, output):
     """Certify facet decompositions into A-type polygons."""
     f = _laurent_from(_read_json(input_path))
     cert = check_minkowski(f, max_summands=max_summands)
-    if output == "json":
-        _echo_json({"minkowski": cert is not None,
-                    "certificate": None if cert is None
-                    else cert.to_json_dict()})
-    else:
-        _emit_bool(cert is not None, "text")
+    _emit(output, {"minkowski": cert is not None, "certificate":
+                   None if cert is None else cert.to_json_dict()},
+          json.dumps(cert is not None))
 
 
-@cli.command("mutate")
-@_input_option
-@click.option("--pivot", required=True, help="Variable the mutation rewrites.")
-@click.option("--factor", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="JSON file with the mutation factor.")
-@_output_option
+@_command("mutate", _INPUT,
+          _opt("--pivot", required=True,
+               help="Variable the mutation rewrites."),
+          _opt("--factor", required=True, type=_existing_file,
+               help="JSON file with the mutation factor."),
+          _OUTPUT)
 def mutate_cmd(input_path, pivot, factor, output):
     """Apply an elementary mutation pivot -> pivot / factor."""
     f = _laurent_from(_read_json(input_path))
@@ -393,52 +411,36 @@ def mutate_cmd(input_path, pivot, factor, output):
     _emit_laurent(elementary_mutation(f, pivot, g), output)
 
 
-@cli.group("polytope")
-def polytope_group():
-    """Lattice polytope queries."""
-
-
-@polytope_group.command("hull")
-@_input_option
-@_output_option
+@_command("polytope hull", _INPUT, _OUTPUT)
 def polytope_hull_cmd(input_path, output):
     """Vertices of the convex hull of the input points."""
     _emit_polytope(_polytope_from(_read_json(input_path)), output)
 
 
-@polytope_group.command("dual")
-@_input_option
-@_output_option
+@_command("polytope dual", _INPUT, _OUTPUT)
 def polytope_dual_cmd(input_path, output):
     """Polar dual polytope."""
     _emit_polytope(dual(_polytope_from(_read_json(input_path))), output)
 
 
-@polytope_group.command("reflexive")
-@_input_option
-@_output_option
+@_command("polytope reflexive", _INPUT, _OUTPUT)
 def polytope_reflexive_cmd(input_path, output):
     """Whether the polytope is reflexive."""
-    _emit_bool(is_reflexive(_polytope_from(_read_json(input_path))), output)
+    ok = is_reflexive(_polytope_from(_read_json(input_path)))
+    _emit(output, ok, json.dumps(ok))
 
 
-@polytope_group.command("volume")
-@_input_option
-@_output_option
+@_command("polytope volume", _INPUT, _OUTPUT)
 def polytope_volume_cmd(input_path, output):
     """Normalized lattice volume."""
     vol = normalized_volume(_polytope_from(_read_json(input_path)))
-    if output == "json":
-        _echo_json({"volume": vol})
-    else:
-        click.echo(str(vol))
+    _emit(output, {"volume": vol}, vol)
 
 
-@polytope_group.command("points")
-@_input_option
-@click.option("--region", type=click.Choice(["all", "boundary", "interior"]),
-              default="all", show_default=True)
-@_output_option
+@_command("polytope points", _INPUT,
+          _opt("--region", choices=("all", "boundary", "interior"),
+               default="all", help="(default: %(default)s)"),
+          _OUTPUT)
 def polytope_points_cmd(input_path, region, output):
     """Lattice points of the polytope."""
     pts = lattice_points(_polytope_from(_read_json(input_path)),
@@ -447,46 +449,41 @@ def polytope_points_cmd(input_path, region, output):
         _echo_json({"count": len(pts), "points": [list(p) for p in pts]})
     else:
         for p in pts:
-            click.echo(",".join(str(x) for x in p))
+            print(",".join(str(x) for x in p))
 
 
-@polytope_group.command("equiv")
-@_input_option
-@_output_option
+@_command("polytope equiv", _INPUT, _OUTPUT)
 def polytope_equiv_cmd(input_path, output):
     """Search for a lattice-linear isomorphism between two polytopes."""
     data = _read_json(input_path)
     p = _polytope_from(_field(data, "first", input_path))
     q = _polytope_from(_field(data, "second", input_path))
     u = unimodular_equivalent(p, q)
-    if output == "json":
-        _echo_json({"equivalent": u is not None, "map": u})
-    else:
-        _emit_bool(u is not None, "text")
-
-
-@cli.group("lattice")
-def lattice_group():
-    """Even lattice invariants."""
+    _emit(output, {"equivalent": u is not None, "map": u},
+          json.dumps(u is not None))
 
 
 def _lattice_input(name: Optional[str], twist: int,
                    input_path: Optional[str]) -> GramLattice:
     if (name is None) == (input_path is None):
-        raise click.UsageError("give exactly one of --name or --input")
+        raise UsageError("give exactly one of --name or --input")
     if name is not None:
         return standard_lattice(name, twist)
     l = _gram_from(_read_json(input_path))
     return l if twist == 1 else l.twist(twist)
 
 
-@lattice_group.command("disc")
-@click.option("--name", default=None,
-              help="Named lattice such as A5, D_8, E7, H, M, M_6 or <-6>.")
-@click.option("--twist", type=int, default=1, show_default=True)
-@click.option("--input", "-i", "input_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
-@_output_option
+_LATTICE_OPTIONS = (
+    _opt("--name", help="Named lattice such as A5, D_8, E7, H, M, M_6 or "
+                        "<-6>."),
+    _opt("--twist", type=int, default=1, help="(default: %(default)s)"),
+    _opt("--input", "-i", dest="input_path", metavar="PATH",
+         type=_existing_file,
+         help="JSON file with {'gram': ...} or {'name': ...}."),
+    _OUTPUT)
+
+
+@_command("lattice disc", *_LATTICE_OPTIONS)
 def lattice_disc_cmd(name, twist, input_path, output):
     """Discriminant group and quadratic form values."""
     data = discriminant(_lattice_input(name, twist, input_path))
@@ -498,73 +495,51 @@ def lattice_disc_cmd(name, twist, input_path, output):
     else:
         group = " x ".join(f"Z/{d}" for d in data.group) or "trivial"
         values = ", ".join(_cstr(v) for v in data.form_values)
-        click.echo(f"{group}; q = ({values})")
+        print(f"{group}; q = ({values})")
 
 
-@lattice_group.command("sig")
-@click.option("--name", default=None)
-@click.option("--twist", type=int, default=1, show_default=True)
-@click.option("--input", "-i", "input_path", default=None,
-              type=click.Path(exists=True, dir_okay=False))
-@_output_option
+@_command("lattice sig", *_LATTICE_OPTIONS)
 def lattice_sig_cmd(name, twist, input_path, output):
     """Signature (positive, negative) of the bilinear form."""
     pos, neg = signature(_lattice_input(name, twist, input_path))
-    if output == "json":
-        _echo_json({"signature": [pos, neg]})
-    else:
-        click.echo(f"{pos},{neg}")
+    _emit(output, {"signature": [pos, neg]}, f"{pos},{neg}")
 
 
-@lattice_group.command("index")
-@_input_option
-@_output_option
+@_command("lattice index", _INPUT, _OUTPUT)
 def lattice_index_cmd(input_path, output):
     """Index of a finite-index isometric embedding."""
     data = _read_json(input_path)
     idx = index_check(_gram_from(_field(data, "sub", input_path)),
                       _gram_from(_field(data, "sup", input_path)),
                       _field(data, "embedding", input_path))
-    if output == "json":
-        _echo_json({"index": idx})
-    else:
-        click.echo(str(idx))
+    _emit(output, {"index": idx}, idx)
 
 
-@lattice_group.command("duval")
-@click.option("--type", "sing", required=True,
-              help="Singularity type such as A5, D_4 or E7.")
-@click.option("--k", type=int, default=None, help="Chain position.")
-@click.option("--r", type=int, default=None,
-              help="Second chain position for a transversal pair.")
-@click.option("--self", "self_int", is_flag=True,
-              help="Self-intersection correction instead of a pair.")
-@click.option("--branch", default=None, help="'tail' or 'fork' for D_n.")
-@_output_option
+@_command("lattice duval",
+          _opt("--type", dest="sing", metavar="TYPE", required=True,
+               help="Singularity type such as A5, D_4 or E7."),
+          _opt("--k", type=int, help="Chain position."),
+          _opt("--r", type=int,
+               help="Second chain position for a transversal pair."),
+          _opt("--self", dest="self_int", action="store_true",
+               help="Self-intersection correction instead of a pair."),
+          _opt("--branch", help="'tail' or 'fork' for D_n."),
+          _OUTPUT)
 def lattice_duval_cmd(sing, k, r, self_int, branch, output):
     """Intersection corrections for curves through a du Val point."""
     if self_int:
         value = duval_self_intersection(sing, k=k, branch=branch)
     else:
         value = duval_intersection(sing, k=k, r=r)
-    if output == "json":
-        _echo_json({"value": _cstr(value)})
-    else:
-        click.echo(_cstr(value))
+    _emit(output, {"value": _cstr(value)}, _cstr(value))
 
 
-@cli.group("pf")
-def pf_group():
-    """Differential operators annihilating period series."""
-
-
-@pf_group.command("fit")
-@_input_option
-@click.option("--max-order", type=int, required=True,
-              help="Logarithmic-derivative order of the ansatz.")
-@click.option("--max-degree", type=int, required=True,
-              help="Largest t-degree to try.")
-@_output_option
+@_command("pf fit", _INPUT,
+          _opt("--max-order", type=int, required=True,
+               help="Logarithmic-derivative order of the ansatz."),
+          _opt("--max-degree", type=int, required=True,
+               help="Largest t-degree to try."),
+          _OUTPUT)
 def pf_fit_cmd(input_path, max_order, max_degree, output):
     """Fit an operator to a truncated series and cross-check the tail."""
     series = _series_from(_read_json(input_path))
@@ -572,19 +547,14 @@ def pf_fit_cmd(input_path, max_order, max_degree, output):
     if output == "json":
         _echo_json(None if op is None else op.to_json_dict())
     elif op is None:
-        click.echo("no operator found")
+        print("no operator found")
     else:
-        click.echo(str(op))
+        print(str(op))
 
 
-@cli.group("hodge")
-def hodge_group():
-    """Hodge number bookkeeping for mirror models."""
-
-
-@hodge_group.command("surface")
-@click.option("--d", type=int, required=True, help="Anticanonical degree.")
-@_output_option
+@_command("hodge surface",
+          _opt("--d", type=int, required=True, help="Anticanonical degree."),
+          _OUTPUT)
 def hodge_surface_cmd(d, output):
     """Surface invariants of the mirror of a degree d del Pezzo."""
     report = kkp_surface_numbers(d)
@@ -599,19 +569,20 @@ def hodge_surface_cmd(d, output):
             "jordan_blocks": [list(b) for b in report.jordan_blocks]})
     elif report.diamond is None:
         blocks = ", ".join(f"{s}x{m}" for s, m in report.jordan_blocks)
-        click.echo(f"not Fano type; Jordan blocks {blocks}")
+        print(f"not Fano type; Jordan blocks {blocks}")
     else:
-        click.echo(",".join(str(x) for x in report.diamond.middle_row()))
+        print(",".join(str(x) for x in report.diamond.middle_row()))
 
 
-@hodge_group.command("threefold")
-@click.option("--ky", type=int, required=True,
-              help="Total excess of fiber components.")
-@click.option("--ph", type=int, required=True,
-              help="Rank of the middle primitive part, fiber class included.")
-@click.option("--h12z", type=int, default=0, show_default=True)
-@click.option("--h21z", type=int, default=0, show_default=True)
-@_output_option
+@_command("hodge threefold",
+          _opt("--ky", type=int, required=True,
+               help="Total excess of fiber components."),
+          _opt("--ph", type=int, required=True,
+               help="Rank of the middle primitive part, fiber class "
+                    "included."),
+          _opt("--h12z", type=int, default=0, help="(default: %(default)s)"),
+          _opt("--h21z", type=int, default=0, help="(default: %(default)s)"),
+          _OUTPUT)
 def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
     """Threefold diamond from fiber bookkeeping."""
     diamond = harder_diamond(ky, ph, h12z=h12z, h21z=h21z)
@@ -621,26 +592,20 @@ def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
                     "middle_row": list(diamond.middle_row())})
     else:
         for row in diamond.h:
-            click.echo(",".join(str(x) for x in row))
+            print(",".join(str(x) for x in row))
 
 
-@hodge_group.command("components")
-@_input_option
-@_output_option
+@_command("hodge components", _INPUT, _OUTPUT)
 def hodge_components_cmd(input_path, output):
     """Components of the fiber over infinity for a reflexive 3-polytope."""
     count = components_at_infinity(_polytope_from(_read_json(input_path)))
-    if output == "json":
-        _echo_json({"components": count})
-    else:
-        click.echo(str(count))
+    _emit(output, {"components": count}, count)
 
 
-@hodge_group.command("kmatrix")
-@click.option("--degrees", default="", callback=_int_list,
-              help="Hypersurface degrees (empty for projective space).")
-@click.option("--index", "fano_index", type=int, required=True)
-@_output_option
+@_command("hodge kmatrix", _DEGREES,
+          _opt("--index", dest="fano_index", metavar="INDEX", type=int,
+               required=True),
+          _OUTPUT)
 def hodge_kmatrix_cmd(degrees, fano_index, output):
     """Ray matrix of the fiber over infinity and its component count."""
     matrix = k_matrix(degrees, fano_index)
@@ -649,22 +614,18 @@ def hodge_kmatrix_cmd(degrees, fano_index, output):
         _echo_json({"matrix": matrix, "components": count})
     else:
         for row in matrix:
-            click.echo(",".join(str(x) for x in row))
-        click.echo(f"components: {count}")
+            print(",".join(str(x) for x in row))
+        print(f"components: {count}")
 
 
-@cli.group("catalog")
-def catalog_group():
-    """Bundled model catalog."""
-
-
-@catalog_group.command("verify")
-@click.option("--order", type=int, default=4, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes; the report is identical either way.")
-@click.option("--id", "ids", multiple=True,
-              help="Restrict to these entry ids (repeatable).")
-@_output_option
+@_command("catalog verify",
+          _opt("--order", type=int, default=4, help="(default: %(default)s)"),
+          _opt("--jobs", type=int, default=1,
+               help="Worker processes; the report is identical either way "
+                    "(default: %(default)s)."),
+          _opt("--id", dest="ids", metavar="ID", action="append",
+               help="Restrict to these entry ids (repeatable)."),
+          _OUTPUT)
 def catalog_verify_cmd(order, jobs, ids, output):
     """Re-derive and check every catalog entry."""
     entries = _catalog.load()
@@ -672,7 +633,7 @@ def catalog_verify_cmd(order, jobs, ids, output):
         known = {e.id for e in entries}
         missing = [i for i in ids if i not in known]
         if missing:
-            raise click.UsageError(
+            raise UsageError(
                 "unknown catalog ids: " + ", ".join(sorted(missing)))
         entries = [e for e in entries if e.id in set(ids)]
     summary = _catalog.verify_all(entries, order, jobs=jobs)
@@ -684,14 +645,13 @@ def catalog_verify_cmd(order, jobs, ids, output):
             line = f"{status} {report.id} [{report.anchored}]"
             if report.messages:
                 line += " " + "; ".join(report.messages)
-            click.echo(line)
+            print(line)
         passed = sum(1 for r in summary.reports if r.passed)
-        click.echo(f"{passed}/{len(summary.reports)} passed")
+        print(f"{passed}/{len(summary.reports)} passed")
     return 0 if summary.all_passed else 1
 
 
-@catalog_group.command("list")
-@_output_option
+@_command("catalog list", _OUTPUT)
 def catalog_list_cmd(output):
     """Show catalog entries and their anchoring."""
     entries = sorted(_catalog.load(), key=lambda e: e.id)
@@ -708,28 +668,57 @@ def catalog_list_cmd(output):
             for e in entries])
     else:
         for e in entries:
-            click.echo(f"{e.id}\t[{e.anchored}]\t{e.description}")
+            print(f"{e.id}\t[{e.anchored}]\t{e.description}")
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every registered command; each leaf parser stores its
+    command function and itself as the defaults ``run`` and ``parser``."""
+    root = argparse.ArgumentParser(
+        prog="tlg", allow_abbrev=False, description="Exact arithmetic tools "
+        "for Laurent polynomial mirror models.")
+    top = root.add_subparsers(metavar="COMMAND", required=True)
+    groups = {}
+    for name, options, fn in _COMMANDS:
+        *group, leaf = name.split()
+        subs = top
+        if group:
+            if group[0] not in groups:
+                g = top.add_parser(group[0], help=_GROUPS[group[0]],
+                                   description=_GROUPS[group[0]],
+                                   allow_abbrev=False)
+                groups[group[0]] = g.add_subparsers(metavar="COMMAND",
+                                                    required=True)
+            subs = groups[group[0]]
+        doc = fn.__doc__
+        p = subs.add_parser(leaf, help=doc.splitlines()[0], description=doc,
+                            allow_abbrev=False)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(run=fn, parser=p)
+    return root
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
-        result = cli.main(args=argv, prog_name="tlg", standalone_mode=False)
-        return int(result or 0)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        exc.show()
+        args = vars(_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return exc.code
+    run, parser = args.pop("run"), args.pop("parser")
+    try:
+        return int(run(**args) or 0)
+    except UsageError as exc:
+        parser.print_usage(sys.stderr)
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 2
-    except click.ClickException as exc:
-        exc.show()
-        return 1
-    except (KeyboardInterrupt, click.exceptions.Abort):
+    except KeyboardInterrupt:
         return 130
     except Exception as exc:
-        click.echo(json.dumps(
+        print(json.dumps(
             {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            sort_keys=True), err=True)
+            sort_keys=True), file=sys.stderr)
         return 1
 
 

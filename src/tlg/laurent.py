@@ -41,7 +41,10 @@ def _coerce_coeff(c) -> Coeff:
     if isinstance(c, Fraction):
         return _norm(c)
     if isinstance(c, str):
-        return _norm(Fraction(c))
+        try:  # almost every coefficient in the catalog is a plain integer
+            return int(c)
+        except ValueError:
+            return _norm(Fraction(c))
     raise TypeError(f"coefficient must be int, Fraction or string, got {type(c).__name__}")
 
 

@@ -52,7 +52,6 @@ complete intersection is the rank-one case, with one row of weights.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -321,10 +320,14 @@ class GrassSpec:
 def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
     """I-series of a Grassmannian complete intersection.
 
-    The degree-d coefficient sums over (k-1)x(n-1) integer arrays s with
-    0 <= s_{i,j} <= d, padded by s_{k,j} = s_{i,n} = d, each array weighted
-    by prod_i (d_i d)!/(d!)^(k+n) times binomials of vertically and
-    horizontally adjacent entries.
+    This is the Batyrev-Ciocan-Fontanine-Kim-van Straten I-series, in the
+    form of Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288). The degree-d
+    coefficient is prod_i (d_i d)!/(d!)^(k+n) times a sum over
+    (k-1)x(n-1) integer arrays s, padded by s_{k,j} = s_{i,n} = d, of the
+    product of binomial(below, s_{i,j}) * binomial(right, s_{i,j}) over
+    every entry and its lower and right neighbours. A product is nonzero
+    only when every entry is at most both neighbours, so only those arrays,
+    the plane partitions in a (k-1)x(n-1)xd box, are summed.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -338,32 +341,35 @@ def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
         for di in spec.degrees:
             num *= factorial(di * d)
         scale = Fraction(num, factorial(d) ** (k + n))
-        total = 0
-        for arr in _monotone_arrays(k - 1, n - 1, d):
-            prod = 1
-            for i in range(k - 1):
-                for j in range(n - 1):
-                    below = arr[i + 1][j] if i + 1 < k - 1 else d
-                    right = arr[i][j + 1] if j + 1 < n - 1 else d
-                    prod *= binomial(below, arr[i][j]) * binomial(right, arr[i][j])
-                    if prod == 0:
-                        break
-                if prod == 0:
-                    break
-            total += prod
+        total = _plane_partition_sum(k - 1, n - 1, d)
         coeffs[d0 * d] = _norm(scale * total)
         d += 1
     return PowerSeries(tuple(coeffs))
 
 
-def _monotone_arrays(rows: int, cols: int, d: int):
-    """All rows x cols arrays over 0..d, yielded as tuples of row tuples."""
-    if rows == 0 or cols == 0:
-        yield tuple(tuple() for _ in range(rows))
-        return
-    cells = rows * cols
-    for flat in itertools.product(range(d + 1), repeat=cells):
-        yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
+def _plane_partition_sum(rows: int, cols: int, d: int) -> int:
+    """Sum over rows x cols arrays with every entry at most its lower and
+    right neighbours (padding d) of the product of binomial(below, s) *
+    binomial(right, s). The bottom row is filled first, each row right to
+    left; each cell takes 0..min(below, right), and the product so far is
+    carried down the recursion."""
+    grid = [[0] * cols for _ in range(rows)] + [[d] * cols]
+
+    def fill(cell: int, prod: int) -> int:
+        if cell < 0:
+            return prod
+        i, j = divmod(cell, cols)
+        row = grid[i]
+        below = grid[i + 1][j]
+        right = row[j + 1] if j + 1 < cols else d
+        total = 0
+        for a in range(min(below, right) + 1):
+            row[j] = a
+            total += fill(cell - 1,
+                          prod * binomial(below, a) * binomial(right, a))
+        return total
+
+    return fill(rows * cols - 1, 1)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tlg.laurent import LaurentPoly, NotLaurent, divide_exact
+from tlg.laurent import (LaurentPoly, NotLaurent, _coerce_coeff, _norm,
+                         divide_exact)
 
 V = ("x", "y")
 x = LaurentPoly.variable("x", V)
@@ -141,3 +142,37 @@ def test_terms_sorted_deterministically():
 def test_str_rendering():
     assert str(x ** 2 - y) in ("x^2 - y", "x^2 + -1*y", "-y + x^2")
     assert str(LaurentPoly.zero()) == "0"
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return type(value), value
+
+
+COEFF_TEXT = st.one_of(
+    st.text(),
+    st.from_regex(r"\s*[+-]?[0-9_]*(\.[0-9]*)?(e[+-]?[0-9]{1,2})?"
+                  r"(/[0-9_]*)?\s*", fullmatch=True))
+
+EDGE_TEXTS = (" 12 ", "+3", "-4", "1_000", "1__0", "_1", "1/2", "-6/4", "4/2",
+              "1/0", "1e3", "2.5", "nan", "inf", "", "\u0661\u0662",
+              "\u00a07\u2003", "0x10")
+
+
+def _with_examples(test):
+    for text in EDGE_TEXTS:
+        test = example(text)(test)
+    return test
+
+
+@given(COEFF_TEXT)
+@_with_examples
+@settings(max_examples=150, deadline=None)
+def test_string_coefficients_parse_as_fractions_do(text):
+    # the int fast path must agree with the Fraction parse it short-cuts,
+    # in the value and its type or in the type of the exception
+    assert _outcome(_coerce_coeff, text) == \
+        _outcome(lambda t: _norm(Fraction(t)), text)

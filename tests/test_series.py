@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -130,9 +131,86 @@ def test_wci_iseries_is_the_rank_one_toric_series(spec, order):
         assert s.warnings == ()
 
 
+def brute_grassmannian(k, n, degrees, order):
+    """The BCFKS sum over every (k-1)x(n-1) array over 0..d, padded by d,
+    with no use of the zeros of the binomials."""
+    index = k + n - sum(degrees)
+    rows, cols = k - 1, n - 1
+    out = [1] + [0] * (order - 1)
+    for d in range(1, (order - 1) // index + 1):
+        total = 0
+        for flat in itertools.product(range(d + 1), repeat=rows * cols):
+            def s(i, j):
+                return d if i == rows or j == cols else flat[i * cols + j]
+            total += math.prod(
+                math.comb(s(i + 1, j), s(i, j)) * math.comb(s(i, j + 1), s(i, j))
+                for i in range(rows) for j in range(cols))
+        num = math.factorial(index * d) * total
+        num *= math.prod(math.factorial(e * d) for e in degrees)
+        out[index * d] = Fraction(num, math.factorial(d) ** (k + n))
+    return out
+
+
+def _degree_tuples(total, largest, parts):
+    """Non-increasing tuples of at most parts positive ints summing to total."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        if parts:
+            for rest in _degree_tuples(total - first, first, parts - 1):
+                yield (first,) + rest
+
+
+# every Fano complete intersection of up to six hypersurfaces in G(k, n+k)
+# with k, n <= 3 or k = 2, n <= 5; four-cell arrays stop at order 9
+GRASS_CASES = [(k, n, degrees, 12 if (k - 1) * (n - 1) < 4 else 9)
+               for k, n in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 5)]
+               for total in range(k + n)
+               for degrees in _degree_tuples(total, total, 6)]
+
+
+@pytest.mark.parametrize("k, n", sorted({c[:2] for c in GRASS_CASES}))
+def test_iseries_grassmannian_matches_the_sum_over_all_arrays(k, n):
+    for _, _, degrees, order in (c for c in GRASS_CASES if c[:2] == (k, n)):
+        assert list(iseries_grassmannian(GrassSpec(k, n, degrees),
+                                         order).coeffs) == \
+            brute_grassmannian(k, n, degrees, order), degrees
+
+
+# the closed-forms benchmark value of G36-2111 (perfbench/reference.json)
+G36_2111_ORDER_24 = [
+    1,
+    12,
+    756,
+    78960,
+    10451700,
+    1587790512,
+    263964176784,
+    46763681545152,
+    8685492699286260,
+    1673141719035586800,
+    331806600070451762256,
+    67377255159555932939712,
+    13953222357671549636336016,
+    2937882227993082932809060800,
+    627406381708621842371326632000,
+    135639423829806467721012607368960,
+    29639527762978144258145645826853620,
+    6538095980109974865657746806190094960,
+    1454339049153352725557170908168702973200,
+    325932435721150419036064508383777324920000,
+    73537499930077500634982016825197635299589200,
+    16692780174138119603611663299539420692281566400,
+    3810174416036104217626468768951619320573081627200,
+    874071820450452836386705265010593303675638386528000
+]
+
+
 def test_iseries_grassmannian_quadric_section():
-    s = iseries_grassmannian(GrassSpec(3, 3, (2, 1, 1, 1)), 4)
-    assert list(s.coeffs) == [1, 12, 756, 78960]
+    s = iseries_grassmannian(GrassSpec(3, 3, (2, 1, 1, 1)), 24)
+    assert list(s.coeffs) == G36_2111_ORDER_24
+    assert iseries_grassmannian(GrassSpec(3, 3, (1, 1, 1, 2)), 24) == s
 
 
 def test_grass_spec_validation():

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tlg
@@ -34,13 +37,26 @@ def _imported_modules(tree):
 
 
 def test_no_undeclared_heavy_imports_in_the_package():
-    # neither is a declared dependency; sympy only helps to write catalog
-    # data offline, and importing numpy alone adds about 14 MiB of memory
+    # none is a declared dependency; sympy only helps to write catalog
+    # data offline, importing numpy alone adds about 14 MiB of memory, and
+    # the command line is parsed by the standard library's argparse
     found = [f"{path.name}: {name}"
              for path in SOURCES
              for name in _imported_modules(ast.parse(path.read_text()))
-             if name.split(".")[0] in ("sympy", "numpy")]
+             if name.split(".")[0] in ("sympy", "numpy", "click")]
     assert found == []
+
+
+def test_importing_the_command_line_loads_no_undeclared_package():
+    # a fresh interpreter, since this one may have loaded click elsewhere
+    code = "import sys, tlg.cli; print(sorted({'click', 'numpy', " \
+           "'sympy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(tlg.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def _annotation_names(node):
