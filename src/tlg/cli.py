@@ -24,7 +24,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Sequence, Tuple
 
 from . import catalog as _catalog
@@ -671,7 +671,7 @@ def catalog_list_cmd(output):
             print(f"{e.id}\t[{e.anchored}]\t{e.description}")
 
 
-@lru_cache(maxsize=None)
+@cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of every registered command; each leaf parser stores its
     command function and itself as the defaults ``run`` and ``parser``."""
