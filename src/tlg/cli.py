@@ -11,10 +11,9 @@ JSON across runs and across --jobs settings.
 Exit codes: 0 success, 1 computation failure (with a structured JSON
 error on stderr) or a failed verification, 2 usage error, 130 interrupted.
 
-The parser is the standard library's argparse. Each command is a function
-registered with ``_command`` under its name ("build wci" for a subcommand
-of a group) and the options it takes; the parser is built once, on the
-first call of ``main``.
+Each command is a function registered with ``_command`` under its name
+("build wci" names a subcommand of a group); argparse parses the options,
+and the parser is built once, on the first call of ``main``.
 """
 
 from __future__ import annotations
@@ -303,6 +302,8 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
     if partition != "auto":
         classes = _int_rows(_field(_read_json(partition), "classes",
                                    partition), "classes", partition)
+        if not classes:
+            raise _catalog.ParseError(partition, "classes must not be empty")
         part = NefPartition(classes, _quality(classes[0], weights))
     f = wci_laurent(spec, part=part, var_names=_name_list(var_names))
     _emit_laurent(f, output)

@@ -394,16 +394,17 @@ def test_help_exits_zero(capsys, argv):
       "--partition", "IN"], {"classes": [[True, 1, 2], [3]]}),
     (["build", "wci", "--weights", "1,1,1,1", "--degrees", "1",
       "--partition", "IN"], {"classes": [0, 1, 2, 3]}),
+    (["build", "wci", "--weights", "1,1,1,1", "--degrees", "1",
+      "--partition", "IN"], {"classes": []}),
     (["build", "delpezzo", "--input", "IN"],
      {"base": "P2", "steps": [[1.9, 1.2]], "params": ["q0", "q1"]}),
     (["build", "delpezzo", "--input", "IN"],
      {"base": "P2", "steps": [[1, "1"]], "params": ["q0", "q1"]}),
     (["build", "delpezzo", "--input", "IN"],
      {"base": "P2", "steps": {"1": 1}, "params": ["q0", "q1"]}),
-], ids=["float-class", "bool-class", "flat-classes", "float-step",
-        "string-step", "steps-not-a-list"])
-def test_build_rejects_non_integer_indices_and_steps(tmp_path, capsys, argv,
-                                                    data):
+], ids=["float-class", "bool-class", "flat-classes", "no-classes",
+        "float-step", "string-step", "steps-not-a-list"])
+def test_build_rejects_bad_classes_and_steps(tmp_path, capsys, argv, data):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
     assert main([str(path) if a == "IN" else a for a in argv]) == 1

@@ -132,8 +132,8 @@ def test_wci_iseries_is_the_rank_one_toric_series(spec, order):
 
 
 def brute_grassmannian(k, n, degrees, order):
-    """The BCFKS sum over every (k-1)x(n-1) array over 0..d, padded by d,
-    with no use of the zeros of the binomials."""
+    """The BCFKS sum taken over every (k-1)x(n-1) array over 0..d, padded
+    by d, including the arrays whose product of binomials is zero."""
     index = k + n - sum(degrees)
     rows, cols = k - 1, n - 1
     out = [1] + [0] * (order - 1)
