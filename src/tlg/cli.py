@@ -30,8 +30,8 @@ from . import catalog as _catalog
 from .builders import (DelPezzoScript, NefPartition, _quality,
                        binomial_principle, check_minkowski, del_pezzo_model,
                        wci_laurent)
-from .grassmann import (bcfks_laurent, closed_formula_laurent,
-                        consecutive_blocks, weight_table, weight_variables)
+from .grassmann import (bcfks_laurent, consecutive_blocks, weight_table,
+                        weight_variables)
 from .hodge import (components_at_infinity, harder_diamond, k_components,
                     k_matrix, kkp_surface_numbers)
 from .intlinalg import inverse_rational
@@ -312,23 +312,20 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
 @_command("build grass",
           _opt("--k", type=int, required=True),
           _opt("--n", type=int, required=True), _DEGREES,
-          _opt("--method", choices=("eliminate", "closed"),
-               default="eliminate", help="(default: %(default)s)"),
           _opt("--sort", dest="sort_dir", choices=("asc", "desc"),
                help="Reorder the degrees before building."),
           _opt("--explain", action="store_true",
                help="Include blocks, weight table, weight vertices and the "
                     "block-weight matrix with its inverse."),
           _OUTPUT)
-def build_grass_cmd(k, n, degrees, method, sort_dir, explain, output):
+def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
     """Quiver model for a complete intersection in G(k, n+k)."""
     if sort_dir == "asc":
         degrees = tuple(sorted(degrees))
     elif sort_dir == "desc":
         degrees = tuple(sorted(degrees, reverse=True))
     spec = GrassSpec(k, n, degrees)
-    builder = bcfks_laurent if method == "eliminate" else closed_formula_laurent
-    f = builder(spec)
+    f = bcfks_laurent(spec)
     if not explain:
         _emit_laurent(f, output)
         return
@@ -629,6 +626,8 @@ def hodge_kmatrix_cmd(degrees, fano_index, output):
           _OUTPUT)
 def catalog_verify_cmd(order, jobs, ids, output):
     """Re-derive and check every catalog entry."""
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
     entries = _catalog.load()
     if ids:
         known = {e.id for e in entries}

@@ -290,7 +290,7 @@ def _json_text(payload):
      "a2_1^-1*a2_2 + a2_2^-1 + a1_1\n"
      "block 1: HB(0,1) weight vertex (0, 1) variable a\n"
      "M[1] = [1]\nMinv[1] = ['1']\n"),
-    ("build grass --k 2 --n 3 --degrees 1,2 --sort desc --method closed",
+    ("build grass --k 2 --n 3 --degrees 1,2 --sort desc",
      "a^-1*a2_2 + a^-1*a1_2 + 2*a1_2^-1*a2_2^2 + a1_2^-1*a1_3 + "
      "2*a1_3^-1*a2_2 + a2_2^-1 + 4*a2_2 + 2*a1_2*a1_3^-1 + 2*a1_2 + "
      "a*a1_2^-2*a2_2^3 + 2*a*a1_2^-1*a1_3^-1*a2_2^2 + 3*a*a1_2^-1*a2_2^2 + "
@@ -345,7 +345,7 @@ def _json_text(payload):
     ("catalog verify --order 4 --id G36-2111 --id 1-1",
      "PASS 1-1 [paper]\nPASS G36-2111 [paper]\n2/2 passed\n"),
 ], ids=["build-wci", "build-wci-partition", "build-grass-explain",
-        "build-grass-closed", "build-delpezzo", "build-delpezzo-surface",
+        "build-grass-sort-desc", "build-delpezzo", "build-delpezzo-surface",
         "build-binomial", "minkowski-check", "minkowski-check-json",
         "polytope-equiv", "polytope-equiv-json", "lattice-disc",
         "lattice-disc-json", "lattice-sig", "lattice-index", "lattice-duval",
@@ -369,8 +369,12 @@ def test_commands_print_golden_output(tmp_path, monkeypatch, capsys, argv,
     ["lattice", "sig"],                                 # neither input
     ["build", "grass", "--k", "2", "--n", "3", "--degrees", "1,x"],
     ["build"],                                          # no subcommand
+    ["build", "grass", "--k", "2", "--n", "3", "--method", "closed"],
+    ["catalog", "verify", "--id", "1-1", "--jobs", "0"],
+    ["catalog", "verify", "--id", "1-1", "--jobs", "-3"],
 ], ids=["missing-input-file", "bad-output-choice", "unknown-id",
-        "lattice-without-input", "bad-int-list", "group-only"])
+        "lattice-without-input", "bad-int-list", "group-only",
+        "removed-method-option", "zero-jobs", "negative-jobs"])
 def test_more_usage_errors_exit_two(model, tmp_path, monkeypatch, capsys,
                                     argv):
     monkeypatch.chdir(tmp_path)

@@ -1,10 +1,11 @@
+from typing import Dict, Optional, Tuple
+
 import pytest
 
 from tlg import grassmann
 from tlg.grassmann import (Block, BlocksDontFit, QuiverModel, bcfks_laurent,
-                           closed_formula_laurent, consecutive_blocks,
-                           elimination_identity_holds, weight_table,
-                           weight_variables)
+                           consecutive_blocks, elimination_identity_holds,
+                           weight_table, weight_variables)
 from tlg.laurent import LaurentPoly
 from tlg.series import GrassSpec, iseries_grassmannian, phi
 
@@ -68,6 +69,95 @@ def test_variable_count():
         f = bcfks_laurent(spec)
         expected = spec.k * spec.n + 1 - 1 - len(spec.degrees)
         assert len(f.variables) == expected
+
+
+def _ratio_sum(names: Tuple[str, ...], fixed: set,
+               pairs) -> LaurentPoly:
+    """Sum of head/tail monomials where names in fixed become 1."""
+    total = LaurentPoly.zero(names)
+    for head, tail in pairs:
+        exp = {v: 0 for v in names}
+        if head is not None and head not in fixed:
+            exp[head] += 1
+        if tail is not None and tail not in fixed:
+            exp[tail] -= 1
+        total = total + LaurentPoly.monomial(names, tuple(exp[v] for v in names))
+    return total
+
+
+def closed_formula_laurent(spec: GrassSpec) -> LaurentPoly:
+    """The case-by-case explicit formula, written independently of the
+    block machinery.
+
+    The published index ranges in the vertical-block sums and in the list
+    of variables set to 1 are off by one against the worked examples; the
+    ranges here are the corrected ones, validated against those examples.
+    """
+    k, n, degrees = spec.k, spec.n, spec.degrees
+    l = len(degrees)
+    total = sum(degrees)
+    m = 0
+    acc = 0
+    for p, d in enumerate(degrees, start=1):
+        if acc + d <= k:
+            acc += d
+            m = p
+        else:
+            break
+    u: Dict[int, int] = {0: 0}
+    for p in range(1, l + 1):
+        u[p] = sum(degrees[:p]) - (k if p > m else 0)
+
+    fixed = {f"a{k}_{n}"}
+    for p in range(1, m + 1):
+        fixed.add("a" if u[p] == 1 else f"a{u[p] - 1}_1")
+    for p in range(m + 1, l + 1):
+        fixed.add(f"a{k}_{u[p]}")
+    names = tuple(sorted(set(
+        ["a"] + [f"a{i}_{j}" for i in range(1, k + 1) for j in range(1, n + 1)
+                 if (i, j) != (k, n)]) - fixed))
+
+    def nm(i: int, j: int) -> Optional[str]:
+        return None if (i, j) == (k, n) else f"a{i}_{j}"
+
+    def vsum(rows) -> LaurentPoly:
+        pairs = []
+        for i in rows:
+            for j in range(1, n + 1):
+                if i == 1:
+                    if j == 1:
+                        pairs.append((nm(1, 1), "a"))
+                else:
+                    pairs.append((nm(i, j), nm(i - 1, j)))
+        return _ratio_sum(names, fixed, pairs)
+
+    def hsum(cols) -> LaurentPoly:
+        pairs = []
+        for j in cols:
+            for i in range(1, k + 1):
+                if j == n + 1:
+                    if i == k:
+                        pairs.append(("a", nm(k, n)))
+                else:
+                    pairs.append((nm(i, j), nm(i, j - 1)))
+        return _ratio_sum(names, fixed, pairs)
+
+    if total <= k:
+        f = vsum(range(u[l] + 1, k + 1)) + hsum(range(2, n + 1))
+        corr = _ratio_sum(names, fixed, [("a", None)])
+        for p in range(1, l + 1):
+            corr = corr * vsum(range(u[p - 1] + 1, u[p] + 1)) ** degrees[p - 1]
+        return f + corr
+
+    f = hsum(range(u[l] + 2, n + 1))
+    corr = _ratio_sum(names, fixed, [("a", None)])
+    for p in range(1, m + 1):
+        corr = corr * vsum(range(u[p - 1] + 1, u[p] + 1)) ** degrees[p - 1]
+    mixed = vsum(range(u[m] + 1, k + 1)) + hsum(range(2, u[m + 1] + 2))
+    corr = corr * mixed ** degrees[m]
+    for p in range(m + 2, l + 1):
+        corr = corr * hsum(range(u[p - 1] + 2, u[p] + 2)) ** degrees[p - 1]
+    return f + corr
 
 
 def test_closed_formula_matches_elimination():

@@ -1,8 +1,9 @@
 import pytest
 
 from tlg import hodge
-from tlg.hodge import (BadDegrees, ComponentCountMismatch, NotReflexive,
-                       components_at_infinity, k_components)
+from tlg.hodge import (BadDegree, BadDegrees, BadInput, ComponentCountMismatch,
+                       NotReflexive, components_at_infinity, harder_diamond,
+                       k_components, k_matrix, kkp_surface_numbers)
 from tlg.polytope import Polytope
 
 P3_SIMPLEX = Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
@@ -68,3 +69,60 @@ def test_elliptic_euler_check_rejects_empty_and_non_positive_input(comps, messag
     assert (report.total, report.nodal_given, report.wheel_sizes,
             report.nodal_required) == (0, 0, (), None)
     assert report.message == message
+
+
+def test_kkp_surface_numbers_at_degree_zero_is_not_of_fano_type():
+    report = kkp_surface_numbers(0)
+    assert (report.degree, report.fano_type, report.diamond) == (0, False, None)
+    assert report.jordan_blocks == ((2, 2), (1, 8))
+
+
+@pytest.mark.parametrize("d", [1, 9])
+def test_kkp_surface_numbers_middle_row(d):
+    report = kkp_surface_numbers(d)
+    assert report.fano_type and report.diamond.dim == 2
+    assert report.diamond.middle_row() == (1, 10 - d, 1)
+    assert report.diamond.total() == 12 - d
+    assert report.jordan_blocks == ((3, 1), (1, 9 - d))
+
+
+@pytest.mark.parametrize("d", [-1, 10])
+def test_kkp_surface_numbers_rejects_degrees_outside_0_to_9(d):
+    with pytest.raises(BadDegree):
+        kkp_surface_numbers(d)
+
+
+def test_harder_diamond_middle_row_and_k_y_spots():
+    diamond = harder_diamond(k_y=7, ph=4, h12z=1, h21z=3)
+    assert diamond.dim == 3
+    assert diamond.middle_row() == (1, 3, 5, 1)
+    assert diamond.h[1][1] == diamond.h[2][2] == 7
+    assert diamond.total() == 1 + 3 + 5 + 1 + 7 + 7
+
+
+@pytest.mark.parametrize("args", [
+    dict(k_y=0, ph=1),
+    dict(k_y=-1, ph=2),
+    dict(k_y=0, ph=2, h12z=-1),
+    dict(k_y=0, ph=2, h21z=-1),
+], ids=["ph-below-2", "negative-k_y", "negative-h12z", "negative-h21z"])
+def test_harder_diamond_rejects_bad_counts(args):
+    with pytest.raises(BadInput):
+        harder_diamond(**args)
+
+
+@pytest.mark.parametrize("degrees, index", [
+    ((2,), 2), ((4,), 1), ((2, 3), 1), ((1, 1, 2), 3), ((), 4),
+])
+def test_k_matrix_shape(degrees, index):
+    matrix = k_matrix(degrees, index)
+    assert len(matrix) == sum(degrees) + index
+    assert {len(row) for row in matrix} \
+        == {sum(d - 1 for d in degrees) + index - 1}
+
+
+@pytest.mark.parametrize("degrees, index", [((0,), 1), ((2,), 0)],
+                         ids=["degree-zero", "index-zero"])
+def test_k_matrix_rejects_degree_or_index_zero(degrees, index):
+    with pytest.raises(BadDegrees):
+        k_matrix(degrees, index)

@@ -1,11 +1,9 @@
 import pytest
 
-from tlg import mutation
 from tlg.laurent import LaurentPoly, NotLaurent
 from tlg.mutation import (MutationData, PivotInFactor, SliceNotDivisible,
                           elementary_mutation, polytope_mutation_effect)
-from tlg.polytope import (DimensionTooLarge, NotFullDimensional, Polytope,
-                          PolytopeError, newton_polytope)
+from tlg.polytope import NotFullDimensional, Polytope, newton_polytope
 from tlg.series import phi_coefficients
 
 S7_VARS = ("x", "y", "q0", "q1", "q2")
@@ -134,6 +132,49 @@ def test_polytope_mutation_effect_in_3d_moves_a_factor(f, factor):
         == _shear(moved)
 
 
+def test_polytope_mutation_with_a_factor_that_misses_the_origin():
+    # x (1 + x + y) divides the height-1 slice 1 + x + y to x^-1: the
+    # difference is taken against the factor where it lies, not after
+    # a translation to the origin
+    f, factor = Z * (1 + X + Y) + X + Y + (X * Y * Z) ** -1, X * (1 + X + Y)
+    data = MutationData((0, 0, 1), newton_polytope(factor))
+    assert polytope_mutation_effect(newton_polytope(f), data) \
+        == newton_polytope(elementary_mutation(f, "z", factor))
+
+
+FOUR_VARS = ("x", "y", "u", "z")
+X4, Y4, U4, Z4 = (LaurentPoly.variable(n, FOUR_VARS) for n in FOUR_VARS)
+
+
+def _layered(layers, factor):
+    """The sum of z^k g_k factor^max(k, 0) over the items k: g_k of layers,
+    plus a simplex at height 0 that makes the Newton polytope
+    full-dimensional."""
+    f = X4 + Y4 + U4 + (X4 * Y4 * U4) ** -1
+    for k, g in layers.items():
+        f = f + Z4 ** k * g * factor ** max(k, 0)
+    return f
+
+
+FOUR_VARIABLE_CASES = {
+    "segment": ({1: Y4 + U4, -1: (X4 * Y4) ** -1}, 1 + X4),
+    "triangle": ({2: U4, 1: X4 ** -1 + U4, -1: U4 ** -1},
+                 1 + X4 + Y4),
+    "square": ({1: Y4 * U4 ** -1, -2: Y4 ** -1 + X4}, (1 + X4) * (1 + U4)),
+}
+
+
+@pytest.mark.parametrize("layers, factor", FOUR_VARIABLE_CASES.values(),
+                         ids=FOUR_VARIABLE_CASES.keys())
+def test_polytope_mutation_effect_in_4d_matches_newton_polytope(layers,
+                                                                factor):
+    f = _layered(layers, factor)
+    data = MutationData((0, 0, 0, 1), newton_polytope(factor))
+    moved = polytope_mutation_effect(newton_polytope(f), data)
+    assert moved == newton_polytope(elementary_mutation(f, "z", factor))
+    assert moved != newton_polytope(f)
+
+
 def test_polytope_mutation_errors():
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     seg = Polytope([(0, 0), (1, 0)])
@@ -147,20 +188,10 @@ def test_polytope_mutation_errors():
     with pytest.raises(SliceNotDivisible):
         tri = Polytope([(0, 0), (1, 0), (0, 1)])
         polytope_mutation_effect(tri, MutationData((0, 1), seg))
-    with pytest.raises(DimensionTooLarge):
-        cube4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-        p4 = Polytope(cube4 + [(-1, -1, -1, -1)])
-        polytope_mutation_effect(p4, MutationData((0, 0, 0, 1),
-                                                  Polytope([(0, 0, 0, 0)])))
-
-
-def test_polytope_mutation_slice_point_off_its_plane_raises(monkeypatch):
-    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-    monkeypatch.setattr(mutation, "_slice_points",
-                        lambda p, w, k: [(0, k + 1)])
-    with pytest.raises(PolytopeError, match="left the plane"):
-        polytope_mutation_effect(square, MutationData((0, 1),
-                                                      Polytope([(0, 0)])))
+    cube4 = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    p4 = Polytope(cube4 + [(-1, -1, -1, -1)])
+    assert polytope_mutation_effect(p4, MutationData(
+        (0, 0, 0, 1), Polytope([(0, 0, 0, 0)]))) == p4
 
 
 def test_polytope_mutation_square_collapse():

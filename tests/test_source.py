@@ -1,4 +1,5 @@
 import ast
+import collections
 import os
 import subprocess
 import sys
@@ -94,4 +95,34 @@ def test_no_unused_imports_in_the_package():
     found = [f"{path.name}:{line}: {name}"
              for path in SOURCES
              for line, name in _unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def _names_used(node):
+    """How often each name is read under node: as a name, an attribute or
+    an imported name."""
+    used = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            used[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            used.update(alias.name for alias in n.names)
+    return used
+
+
+def test_every_private_top_level_definition_is_used():
+    # a top-level _name that nothing else in the package reads, counting
+    # neither its own definition nor a call from inside itself, is dead
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    used = collections.Counter()
+    for tree in trees.values():
+        used.update(_names_used(tree))
+    found = [f"{name}:{node.lineno}: {node.name}"
+             for name, tree in trees.items() for node in tree.body
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+             and node.name.startswith("_") and not node.name.startswith("__")
+             and used[node.name] == _names_used(node)[node.name]]
     assert found == []
