@@ -4,20 +4,25 @@ Four families live here: the nef-partition formula for weighted complete
 intersections, binomial coefficient placement on reflexive polytopes,
 Minkowski-type polynomials with their per-facet certificates, and the
 divisor-decorated del Pezzo chains.
+
+Every polygon edge walk reads `polytope.polygon_edges`, the edges of the
+already hulled polygon, and every edge rule that puts 1 at the ends and
+C(n, k) at the k-th lattice point is `_edge_binomials`. Products of edge
+and facet polynomials are `LaurentPoly` products.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import in_lattice
 from .laurent import LaurentPoly
-from .polytope import (Polytope, ccw_vertices, edges, is_reflexive,
-                       lattice_chart, lattice_points, minkowski_sum,
-                       newton_polytope)
+from .polytope import (Polytope, _sub, edges, is_reflexive, lattice_chart,
+                       lattice_points, minkowski_sum, newton_polytope,
+                       polygon_edges)
 from .series import WciSpec
 
 
@@ -177,16 +182,16 @@ def _default_names(d: int) -> Tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, d + 1))
 
 
-def _edge_position(point, v, w) -> Optional[Tuple[int, int]]:
-    """(length, index) when point lies on the lattice segment from v to w."""
-    dv = tuple(b - a for a, b in zip(v, w))
-    g = gcd(*dv)
-    step = tuple(x // g for x in dv)
-    diff = tuple(b - a for a, b in zip(v, point))
-    for k in range(g + 1):
-        if all(x == k * s for x, s in zip(diff, step)):
-            return g, k
-    return None
+def _edge_binomials(pairs) -> Dict[Tuple[int, ...], int]:
+    """1 at both ends and C(n, k) at the k-th lattice point of each lattice
+    segment (v, w) of lattice length n."""
+    terms: Dict[Tuple[int, ...], int] = {}
+    for v, w in pairs:
+        dv = tuple(b - a for a, b in zip(v, w))
+        n = gcd(*dv)
+        for k in range(n + 1):
+            terms[tuple(a + k * x // n for a, x in zip(v, dv))] = comb(n, k)
+    return terms
 
 
 def binomial_principle(p: Polytope) -> LaurentPoly:
@@ -197,70 +202,51 @@ def binomial_principle(p: Polytope) -> LaurentPoly:
     """
     if not is_reflexive(p):
         raise ValueError("binomial coefficient placement needs a reflexive polytope")
-    names = _default_names(p.ambient_dim)
-    vset = set(p.vertices)
-    elist = edges(p)
-    terms: Dict[Tuple[int, ...], int] = {}
+    terms = _edge_binomials(edges(p))
     for pt in lattice_points(p):
-        if all(x == 0 for x in pt):
-            continue
-        if pt in vset:
-            terms[pt] = 1
-            continue
-        for v, w in elist:
-            pos = _edge_position(pt, v, w)
-            if pos is not None:
-                n, k = pos
-                terms[pt] = comb(n, k)
-                break
-        else:
+        if any(pt) and pt not in terms:
             raise InteriorFacetPoint(f"lattice point {pt} lies on no edge")
-    return LaurentPoly(names, terms)
+    return LaurentPoly(_default_names(p.ambient_dim), terms)
 
 
 # ---------------------------------------------------------------------------
 # Minkowski polynomials
 
 
+def _cross(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def is_An_polygon(q: Polytope) -> Optional[int]:
-    """n when q is an A-type polygon: a unit segment gives 0, a triangle
-    with edge lengths (1, 1, n) gives n, anything else None."""
+    """n when q is an A-type polygon: a unit segment gives 0, a plane
+    triangle of height one over an edge of length n gives n, anything else
+    None.
+
+    Height one means edge lengths (1, 1, n) and twice the area n; a taller
+    triangle with those edge lengths has interior lattice points.
+    """
     if not q.is_lattice():
         return None
     if q.dim == 1:
-        a, b = q.vertices[0], q.vertices[-1]
-        return 0 if gcd(*(y - z for y, z in zip(b, a))) == 1 else None
-    if q.dim != 2 or len(q.vertices) != 3:
+        return 0 if gcd(*_sub(q.vertices[-1], q.vertices[0])) == 1 else None
+    if q.ambient_dim != 2 or q.dim != 2 or len(q.vertices) != 3:
         return None
-    lens = sorted(gcd(*(y - z for y, z in zip(b, a)))
-                  for a, b in itertools.combinations(q.vertices, 2))
-    if lens[0] == 1 and lens[1] == 1:
+    a, b, c = q.vertices
+    sides = (_sub(b, a), _sub(c, a), _sub(c, b))
+    lens = sorted(gcd(*d) for d in sides)
+    if lens[:2] == [1, 1] and abs(_cross(*sides[:2])) == lens[2]:
         return lens[2]
     return None
-
-
-def _a_type_terms(q: Polytope) -> Dict[Tuple[int, ...], int]:
-    """Binomial coefficient placement on an A-type polygon."""
-    n = is_An_polygon(q)
-    if n is None:
-        raise BadCertificate(f"summand {q!r} is not an A-type polygon")
-    terms: Dict[Tuple[int, ...], int] = {v: 1 for v in q.vertices}
-    if n >= 2:
-        for a, b in itertools.combinations(q.vertices, 2):
-            dv = tuple(y - z for y, z in zip(b, a))
-            if gcd(*dv) == n:
-                step = tuple(x // n for x in dv)
-                for k in range(1, n):
-                    pt = tuple(x + k * s for x, s in zip(a, step))
-                    terms[pt] = comb(n, k)
-    return terms
 
 
 def a_type_polynomial(q: Polytope, variables: Sequence[str] = ("x", "y")
                       ) -> LaurentPoly:
     """Binomial placement on a single A-type polygon: 1 at the apex and
     the endpoints, C(n, k) along the long edge."""
-    return LaurentPoly(tuple(variables), _a_type_terms(q))
+    if is_An_polygon(q) is None:
+        raise BadCertificate(f"summand {q!r} is not an A-type polygon")
+    return LaurentPoly(tuple(variables),
+                       _edge_binomials(itertools.combinations(q.vertices, 2)))
 
 
 @dataclass(frozen=True)
@@ -327,17 +313,9 @@ def _check_facet_decomposition(proj: Sequence[Tuple[int, int]],
         raise BadCertificate("summand lattices do not generate the facet lattice")
 
 
-def _facet_product(summands: Sequence[Polytope]) -> Dict[Tuple[int, int], int]:
-    prod: Dict[Tuple[int, ...], int] = {(0, 0): 1}
-    for s in summands:
-        terms = _a_type_terms(s)
-        new: Dict[Tuple[int, ...], int] = {}
-        for e1, c1 in prod.items():
-            for e2, c2 in terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                new[e] = new.get(e, 0) + c1 * c2
-        prod = new
-    return prod
+def _facet_product(summands: Sequence[Polytope]) -> LaurentPoly:
+    return prod(map(a_type_polynomial, summands),
+                start=LaurentPoly.constant(1, ("x", "y")))
 
 
 def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly:
@@ -355,8 +333,7 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
         summands = by_normal[normal]
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
         _check_facet_decomposition(proj, Polytope(proj), summands)
-        prod = _facet_product(summands)
-        for e, c in prod.items():
+        for e, c in _facet_product(summands).terms():
             ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
                             for j in range(3))
             if terms.setdefault(ambient, c) != c:
@@ -365,39 +342,22 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     return LaurentPoly(names, terms)
 
 
-def _polygon_edge_budget(q: Polytope) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], int]]:
-    """Counterclockwise primitive edge directions of a polygon with the
-    total lattice length per direction."""
-    cyc = ccw_vertices(q.vertices)
-    budget: Dict[Tuple[int, int], int] = {}
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        dv = (w[0] - v[0], w[1] - v[1])
-        g = gcd(abs(dv[0]), abs(dv[1]))
-        d = (dv[0] // g, dv[1] // g)
-        budget[d] = budget.get(d, 0) + g
-    return list(budget), budget
-
-
-def _candidate_summands(dirs: List[Tuple[int, int]],
-                        budget: Dict[Tuple[int, int], int]
+def _candidate_summands(budget: Dict[Tuple[int, int], int]
                         ) -> List[Tuple[Polytope, Dict[Tuple[int, int], int]]]:
     """A-type polygons whose edges fit the direction budget, with their
     per-direction consumption."""
     cands: List[Tuple[Polytope, Dict[Tuple[int, int], int]]] = []
     seen: Set[Tuple] = set()
-    for b in dirs:
+    for b in budget:
         for n in range(1, budget[b] + 1):
-            for d2 in dirs:
+            for d2 in budget:
                 d3 = (-n * b[0] - d2[0], -n * b[1] - d2[1])
                 if d3 not in budget:
                     continue
-                if b[0] * d2[1] - b[1] * d2[0] <= 0:
+                if _cross(b, d2) != 1:
                     continue
                 tri = Polytope([(0, 0), (n * b[0], n * b[1]),
                                 (n * b[0] + d2[0], n * b[1] + d2[1])])
-                if tri.dim != 2:
-                    continue
                 v0 = tri.vertices[0]
                 key = tuple(tuple(a - b0 for a, b0 in zip(v, v0))
                             for v in tri.vertices)
@@ -408,7 +368,7 @@ def _candidate_summands(dirs: List[Tuple[int, int]],
                 cons[d2] = cons.get(d2, 0) + 1
                 cons[d3] = cons.get(d3, 0) + 1
                 cands.append((tri, cons))
-    for d in dirs:
+    for d in budget:
         nd = (-d[0], -d[1])
         if d < nd or nd not in budget:
             continue
@@ -417,12 +377,11 @@ def _candidate_summands(dirs: List[Tuple[int, int]],
     return cands
 
 
-def _decompose_facet(proj: Sequence[Tuple[int, int]],
-                     target: Dict[Tuple[int, int], int],
+def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
                      max_summands: int) -> Optional[Tuple[Polytope, ...]]:
     facet = Polytope(proj)
-    dirs, budget = _polygon_edge_budget(facet)
-    cands = _candidate_summands(dirs, budget)
+    budget = {step: n for _, step, n in polygon_edges(facet)}
+    cands = _candidate_summands(budget)
 
     def verify(chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
         # the lexicographically first vertex of a Minkowski sum is the sum
@@ -480,11 +439,8 @@ def check_minkowski(f: LaurentPoly,
     points = lattice_points(p)
     for normal, height in p.facets:
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
-        target = {}
-        for q, c in zip(proj, pts):
-            coeff = f.coefficient(c)
-            if coeff:
-                target[q] = coeff
+        target = LaurentPoly(("x", "y"), {q: f.coefficient(c)
+                                          for q, c in zip(proj, pts)})
         dec = _decompose_facet(proj, target, max_summands)
         if dec is None:
             return None
@@ -530,17 +486,9 @@ class DelPezzoScript:
 
 def _boundary_cycle(markings_keys) -> List[Tuple[int, int]]:
     """All boundary lattice points of the hull, counterclockwise."""
-    poly = Polytope(markings_keys)
-    cyc = ccw_vertices(poly.vertices)
-    out: List[Tuple[int, int]] = []
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        dv = (w[0] - v[0], w[1] - v[1])
-        g = gcd(abs(dv[0]), abs(dv[1]))
-        step = (dv[0] // g, dv[1] // g)
-        for k in range(g):
-            out.append((v[0] + k * step[0], v[1] + k * step[1]))
-    return out
+    return [(v[0] + k * s[0], v[1] + k * s[1])
+            for v, s, n in polygon_edges(Polytope(markings_keys))
+            for k in range(n)]
 
 
 def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
@@ -598,38 +546,20 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
         terms = {(pt[0], pt[1]) + e: 1 for pt, e in markings.items()}
         return LaurentPoly(names, terms)
 
-    # surface mode: rework every edge by the marking product rule
-    cyc = ccw_vertices(final.vertices)
+    # surface mode: rework every edge by the marking product rule, as a
+    # polynomial in s over the parameters
+    svars = ("s",) + params
+    one = LaurentPoly.constant(1, svars)
     terms: Dict[Tuple[int, ...], int] = {}
-    for i, v in enumerate(cyc):
-        w = cyc[(i + 1) % len(cyc)]
-        dv = (w[0] - v[0], w[1] - v[1])
-        g = gcd(abs(dv[0]), abs(dv[1]))
-        step = (dv[0] // g, dv[1] // g)
-        pts = [(v[0] + k * step[0], v[1] + k * step[1]) for k in range(g + 1)]
-        marks = [markings[pt] for pt in pts]
-        coeffs: List[Dict[Tuple[int, ...], int]] = [{marks[0]: 1}]
-        for j in range(1, len(marks)):
-            ratio = tuple(a - b for a, b in zip(marks[j], marks[j - 1]))
-            nxt: List[Dict[Tuple[int, ...], int]] = []
-            for idx in range(len(coeffs) + 1):
-                acc: Dict[Tuple[int, ...], int] = {}
-                if idx < len(coeffs):
-                    for e, c in coeffs[idx].items():
-                        acc[e] = acc.get(e, 0) + c
-                if idx > 0:
-                    for e, c in coeffs[idx - 1].items():
-                        shifted = tuple(a + r for a, r in zip(e, ratio))
-                        acc[shifted] = acc.get(shifted, 0) + c
-                nxt.append(acc)
-            coeffs = nxt
-        for pt, bag in zip(pts, coeffs):
-            for e, c in bag.items():
-                key = (pt[0], pt[1]) + e
-                prev = terms.get(key)
-                if prev is None:
-                    terms[key] = c
-                elif prev != c:
-                    raise EdgesDisagree(
-                        f"edges disagree on the coefficient at {key}")
+    for v, step, n in polygon_edges(final):
+        marks = [markings[(v[0] + k * step[0], v[1] + k * step[1])]
+                 for k in range(n + 1)]
+        edge = prod((one + LaurentPoly.monomial(svars, (1,) + _sub(b, a))
+                     for a, b in zip(marks, marks[1:])),
+                    start=LaurentPoly.monomial(svars, (0,) + marks[0]))
+        for (k, *e), c in edge.terms():
+            key = (v[0] + k * step[0], v[1] + k * step[1], *e)
+            if terms.setdefault(key, c) != c:
+                raise EdgesDisagree(
+                    f"edges disagree on the coefficient at {key}")
     return LaurentPoly(names, terms)

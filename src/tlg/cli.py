@@ -370,9 +370,13 @@ def build_delpezzo_cmd(input_path, mode, output):
     """Parametrized del Pezzo model from a blow-up script."""
     data = _read_json(input_path)
     base = _field(data, "base", input_path)
+    params = data.get("params", [])
+    if type(params) is not list or not all(isinstance(q, str) for q in params):
+        raise _catalog.ParseError(
+            input_path, f"params must be a list of strings, got {params!r}")
     script = DelPezzoScript(
         base, _int_rows(data.get("steps", []), "steps", input_path),
-        tuple(data.get("params", ())))
+        tuple(params))
     _emit_laurent(del_pezzo_model(script, mode=mode), output)
 
 

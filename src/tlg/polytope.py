@@ -507,26 +507,32 @@ def edges(p: Polytope) -> List[Tuple[Point, Point]]:
     return out
 
 
-def ccw_vertices(points: Sequence[Point]) -> List[Point]:
-    """Convex hull of planar points, counterclockwise, by monotone chain."""
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 2:
-        return pts
+def polygon_edges(p: Polytope) -> List[Tuple[Point, Tuple[int, int], int]]:
+    """Edges of a lattice polygon as (start, primitive step, lattice length).
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: List[Point] = []
-    for pt in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper: List[Point] = []
-    for pt in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    return lower[:-1] + upper[:-1]
+    They run counterclockwise from p.vertices[0] and are read from the
+    facets: the inner normal (a, b) is the edge with step (b, -a), which
+    runs from its lowest facet vertex along the step to its highest. The
+    k-th lattice point of an edge is start + k * step for 0 <= k <= length,
+    so the lengths add up to the number of boundary lattice points.
+    """
+    if p.ambient_dim != 2 or not p.is_full_dimensional() or not p.is_lattice():
+        raise NotFullDimensional(
+            "edge walk needs a full-dimensional lattice polygon")
+    after: Dict[Point, Tuple[Tuple[int, int], int, Point]] = {}
+    for (a, b), h in p.facets:
+        step = (b, -a)
+        on = sorted((_dot(step, v), v) for v in p.vertices
+                    if a * v[0] + b * v[1] + h == 0)
+        start, end = on[0][1], on[-1][1]
+        after[start] = step, math.gcd(*_sub(end, start)), end
+    out = []
+    v = p.vertices[0]
+    for _ in after:
+        step, n, end = after[v]
+        out.append((v, step, n))
+        v = end
+    return out
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:

@@ -1,14 +1,15 @@
 import pytest
 
-from tlg import builders
-from tlg.builders import (BadBase, BadPartition, DelPezzoScript,
-                          EdgesDisagree, InteriorFacetPoint, MinkowskiCertificate,
-                          NefPartition, PointInsideHull, a_type_polynomial,
-                          binomial_principle, check_minkowski,
-                          del_pezzo_model, find_nef_partitions, is_An_polygon,
+from tlg import builders, catalog
+from tlg.builders import (BadBase, BadCertificate, BadPartition,
+                          DelPezzoScript, EdgesDisagree, InteriorFacetPoint,
+                          MinkowskiCertificate, NefPartition, PointInsideHull,
+                          a_type_polynomial, binomial_principle,
+                          check_minkowski, del_pezzo_model,
+                          find_nef_partitions, is_An_polygon,
                           minkowski_polynomial, wci_laurent)
 from tlg.laurent import LaurentPoly
-from tlg.polytope import Polytope, newton_polytope
+from tlg.polytope import Polytope, lattice_points, newton_polytope
 from tlg.series import WciSpec, phi_coefficients
 
 
@@ -96,6 +97,25 @@ def test_is_An_polygon():
     assert is_An_polygon(Polytope([(0, 0), (2, 0), (0, 2)])) is None
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert is_An_polygon(square) is None
+
+
+def test_is_An_polygon_needs_height_one():
+    # edge lengths (2, 1, 1) like an A_2 triangle, but height 5 over the
+    # long edge: 4 interior lattice points
+    tall = Polytope([(0, 0), (2, 0), (1, 5)])
+    assert len(lattice_points(tall, "interior")) == 4
+    assert is_An_polygon(tall) is None
+    with pytest.raises(BadCertificate):
+        a_type_polynomial(tall)
+
+
+def test_check_minkowski_rejects_the_quartic_in_p11112():
+    # catalog 1-12 has the facet conv((-1,3,-1), (3,-1,-1), (0,0,1)) with
+    # edge lengths 4, 1, 1 and coefficient 0 at its interior points; a
+    # triangle with a unit edge has no lattice Minkowski summands, and it
+    # is too tall to be A_4
+    f = next(e.laurent for e in catalog.load() if e.id == "1-12")
+    assert check_minkowski(f) is None
 
 
 def test_a_type_polynomial():
@@ -235,8 +255,9 @@ def test_del_pezzo_surface_edges_that_disagree_raise(monkeypatch):
     marked = [(-1, -1), (0, -1), (1, -1), (2, -1), (1, 0), (0, 1), (-1, 2)]
     monkeypatch.setattr(builders, "_base_markings",
                         lambda base, n: {pt: (0,) * n for pt in marked})
-    monkeypatch.setattr(builders, "ccw_vertices",
-                        lambda pts: [(-1, -1), (2, -1), (-1, 2), (0, -1)])
+    monkeypatch.setattr(builders, "polygon_edges",
+                        lambda p: [((-1, -1), (1, 0), 3), ((2, -1), (-1, 1), 3),
+                                   ((-1, 2), (1, -3), 1), ((0, -1), (-1, 0), 1)])
     with pytest.raises(EdgesDisagree, match=r"\(0, -1, 0\)"):
         del_pezzo_model(DelPezzoScript("P2", (), ("q0",)), mode="surface")
 

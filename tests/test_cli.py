@@ -1,6 +1,7 @@
 """Exit-code contract of ``tlg.cli.main``: 0 success, 1 domain error with
 a JSON error object on stderr, 2 usage error, 130 interrupted."""
 
+import hashlib
 import json
 
 import pytest
@@ -362,6 +363,21 @@ def test_commands_print_golden_output(tmp_path, monkeypatch, capsys, argv,
     assert (captured.out, captured.err) == (expected, "")
 
 
+# sha256 of the full JSON report; any change to a model, a check or the
+# report format shows here, so a change that means to keep the report
+# byte-identical must keep this value
+CATALOG_O4_SHA256 = \
+    "46e5c4ed22d68c85c2de4fbd4c7cddbb87fb166f50528d9787242a5c44fb4afa"
+
+
+def test_catalog_report_is_byte_identical(capsys):
+    assert main(["catalog", "verify", "--order", "4", "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        CATALOG_O4_SHA256
+
+
 @pytest.mark.parametrize("argv", [
     ["phi", "--input", "no-such-file.json", "--order", "3"],
     ["phi", "--input", "MODEL", "--order", "3", "--output", "yaml"],
@@ -406,8 +422,11 @@ def test_help_exits_zero(capsys, argv):
      {"base": "P2", "steps": [[1, "1"]], "params": ["q0", "q1"]}),
     (["build", "delpezzo", "--input", "IN"],
      {"base": "P2", "steps": {"1": 1}, "params": ["q0", "q1"]}),
+    (["build", "delpezzo", "--input", "IN"], {"base": "P2", "params": [7]}),
+    (["build", "delpezzo", "--input", "IN"], {"base": "P2", "params": "qr"}),
 ], ids=["float-class", "bool-class", "flat-classes", "no-classes",
-        "float-step", "string-step", "steps-not-a-list"])
+        "float-step", "string-step", "steps-not-a-list", "number-param",
+        "string-params"])
 def test_build_rejects_bad_classes_and_steps(tmp_path, capsys, argv, data):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tlg.builders import _boundary_cycle
 from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           OriginNotInterior, Polytope, PolytopeError,
-                          ccw_vertices, dual, edges, is_reflexive,
-                          lattice_chart, lattice_points, minkowski_sum,
-                          newton_polytope, normalized_volume,
+                          dual, edges, is_reflexive, lattice_chart,
+                          lattice_points, minkowski_sum, newton_polytope,
+                          normalized_volume, polygon_edges,
                           unimodular_equivalent)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
@@ -119,13 +120,58 @@ def test_edges_and_ccw():
     cube = Polytope([(a, b, c) for a in (0, 1) for b in (0, 1)
                      for c in (0, 1)])
     assert len(edges(cube)) == 12
-    cyc = ccw_vertices([(1, 0), (0, 1), (-1, -1)])
-    assert len(cyc) == 3
+    walk = polygon_edges(TRIANGLE)
+    assert len(walk) == 3
     # counterclockwise: positive cross products all the way around
     for i in range(3):
-        a, b, c = cyc[i], cyc[(i + 1) % 3], cyc[(i + 2) % 3]
-        cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-        assert cross > 0
+        (_, u, _), (_, w, _) = walk[i], walk[(i + 1) % 3]
+        assert u[0] * w[1] - u[1] * w[0] > 0
+
+
+def test_polygon_edges_walk_counterclockwise_from_the_first_vertex():
+    # built from every lattice point, so (0, -1), (1, -1), (2, -1) and
+    # (1, 0) are collinear boundary points and no vertices
+    tri = Polytope(lattice_points(Polytope([(-1, -1), (3, -1), (-1, 1)])))
+    assert tri.vertices == ((-1, -1), (-1, 1), (3, -1))
+    assert polygon_edges(tri) == [((-1, -1), (1, 0), 4),
+                                  ((3, -1), (-2, 1), 2),
+                                  ((-1, 1), (0, -1), 2)]
+    square = Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)])
+    assert polygon_edges(square) == [((-1, -1), (1, 0), 2),
+                                     ((1, -1), (0, 1), 2),
+                                     ((1, 1), (-1, 0), 2),
+                                     ((-1, 1), (0, -1), 2)]
+
+
+@pytest.mark.parametrize("p", [
+    Polytope([(0, 0), (2, 1)]),
+    Polytope([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]),
+    Polytope([(0, 0), (Fraction(1, 2), 0), (0, 1)]),
+], ids=["segment", "cube", "rational"])
+def test_polygon_edges_need_a_lattice_polygon(p):
+    with pytest.raises(NotFullDimensional):
+        polygon_edges(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=3, max_size=10)
+       .map(Polytope).filter(lambda p: p.dim == 2))
+def test_polygon_edges_properties(p):
+    walk = polygon_edges(p)
+    starts = [v for v, _, _ in walk]
+    assert starts[0] == p.vertices[0]
+    assert sorted(starts) == sorted(p.vertices)
+    for (v, u, n), (w, u2, _) in zip(walk, walk[1:] + walk[:1]):
+        assert gcd(*u) == 1 and n >= 1
+        assert (v[0] + n * u[0], v[1] + n * u[1]) == w
+        assert u[0] * u2[1] - u[1] * u2[0] > 0
+    assert [sum(n * u[i] for _, u, n in walk) for i in (0, 1)] == [0, 0]
+    boundary = lattice_points(p, "boundary")
+    assert sum(n for _, _, n in walk) == len(boundary)
+    cycle = _boundary_cycle(p.vertices)
+    assert len(cycle) == len(set(cycle))
+    assert sorted(cycle) == sorted(boundary)
 
 
 def test_unimodular_equivalence():
