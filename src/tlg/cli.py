@@ -83,13 +83,18 @@ def _int_rows(rows, what: str, path: str) -> Tuple[Tuple[int, ...], ...]:
         raise _catalog.ParseError(path, str(exc)) from None
 
 
-def _laurent_from(data) -> LaurentPoly:
-    if isinstance(data, dict) and "vars" in data and "terms" in data:
+def _laurent_from(data, path: str) -> LaurentPoly:
+    """The Laurent polynomial data read from path; malformed input is a
+    ParseError located at path, with the index of the term at fault."""
+    for key in ("vars", "terms"):
+        _field(data, key, path)
+    try:
         return LaurentPoly.from_json_dict(data)
-    raise ValueError("expected a Laurent polynomial with 'vars' and 'terms'")
+    except ValueError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
 
 
-def _polytope_from(data) -> Polytope:
+def _polytope_from(data, path: str) -> Polytope:
     if isinstance(data, list):
         return Polytope(data)
     if isinstance(data, dict):
@@ -100,7 +105,7 @@ def _polytope_from(data) -> Polytope:
         if "points" in data:
             return Polytope(data["points"])
         if "vars" in data and "terms" in data:
-            return newton_polytope(LaurentPoly.from_json_dict(data))
+            return newton_polytope(_laurent_from(data, path))
     raise ValueError("expected polytope points or a Laurent polynomial")
 
 
@@ -228,7 +233,7 @@ def _emit(output: str, payload, text) -> None:
           _OUTPUT)
 def phi_cmd(input_path, order, period_vars, output):
     """Constant-term period series of a Laurent polynomial."""
-    f = _laurent_from(_read_json(input_path))
+    f = _laurent_from(_read_json(input_path), input_path)
     series = phi(f, order, period_vars=_name_list(period_vars))
     _emit_series(series, output)
 
@@ -271,7 +276,7 @@ def iseries_toric_cmd(input_path, order, output):
           _opt("--period-vars"), _OUTPUT)
 def verify_cmd(input_path, against, order, period_vars, output):
     """Compare the period of a Laurent polynomial with a target series."""
-    f = _laurent_from(_read_json(input_path))
+    f = _laurent_from(_read_json(input_path), input_path)
     target = _series_from(_read_json(against))
     if order is not None:
         target = target.truncate(order)
@@ -383,7 +388,7 @@ def build_delpezzo_cmd(input_path, mode, output):
 @_command("build binomial", _INPUT, _OUTPUT)
 def build_binomial_cmd(input_path, output):
     """Coefficients from the binomial boundary rule on a polytope."""
-    p = _polytope_from(_read_json(input_path))
+    p = _polytope_from(_read_json(input_path), input_path)
     _emit_laurent(binomial_principle(p), output)
 
 
@@ -393,7 +398,7 @@ def build_binomial_cmd(input_path, output):
           _OUTPUT)
 def minkowski_check_cmd(input_path, max_summands, output):
     """Certify facet decompositions into A-type polygons."""
-    f = _laurent_from(_read_json(input_path))
+    f = _laurent_from(_read_json(input_path), input_path)
     cert = check_minkowski(f, max_summands=max_summands)
     _emit(output, {"minkowski": cert is not None, "certificate":
                    None if cert is None else cert.to_json_dict()},
@@ -408,34 +413,36 @@ def minkowski_check_cmd(input_path, max_summands, output):
           _OUTPUT)
 def mutate_cmd(input_path, pivot, factor, output):
     """Apply an elementary mutation pivot -> pivot / factor."""
-    f = _laurent_from(_read_json(input_path))
-    g = _laurent_from(_read_json(factor))
+    f = _laurent_from(_read_json(input_path), input_path)
+    g = _laurent_from(_read_json(factor), factor)
     _emit_laurent(elementary_mutation(f, pivot, g), output)
 
 
 @_command("polytope hull", _INPUT, _OUTPUT)
 def polytope_hull_cmd(input_path, output):
     """Vertices of the convex hull of the input points."""
-    _emit_polytope(_polytope_from(_read_json(input_path)), output)
+    _emit_polytope(_polytope_from(_read_json(input_path), input_path), output)
 
 
 @_command("polytope dual", _INPUT, _OUTPUT)
 def polytope_dual_cmd(input_path, output):
     """Polar dual polytope."""
-    _emit_polytope(dual(_polytope_from(_read_json(input_path))), output)
+    p = _polytope_from(_read_json(input_path), input_path)
+    _emit_polytope(dual(p), output)
 
 
 @_command("polytope reflexive", _INPUT, _OUTPUT)
 def polytope_reflexive_cmd(input_path, output):
     """Whether the polytope is reflexive."""
-    ok = is_reflexive(_polytope_from(_read_json(input_path)))
+    ok = is_reflexive(_polytope_from(_read_json(input_path), input_path))
     _emit(output, ok, json.dumps(ok))
 
 
 @_command("polytope volume", _INPUT, _OUTPUT)
 def polytope_volume_cmd(input_path, output):
     """Normalized lattice volume."""
-    vol = normalized_volume(_polytope_from(_read_json(input_path)))
+    p = _polytope_from(_read_json(input_path), input_path)
+    vol = normalized_volume(p)
     _emit(output, {"volume": vol}, vol)
 
 
@@ -445,7 +452,7 @@ def polytope_volume_cmd(input_path, output):
           _OUTPUT)
 def polytope_points_cmd(input_path, region, output):
     """Lattice points of the polytope."""
-    pts = lattice_points(_polytope_from(_read_json(input_path)),
+    pts = lattice_points(_polytope_from(_read_json(input_path), input_path),
                          region=region)
     if output == "json":
         _echo_json({"count": len(pts), "points": [list(p) for p in pts]})
@@ -458,8 +465,8 @@ def polytope_points_cmd(input_path, region, output):
 def polytope_equiv_cmd(input_path, output):
     """Search for a lattice-linear isomorphism between two polytopes."""
     data = _read_json(input_path)
-    p = _polytope_from(_field(data, "first", input_path))
-    q = _polytope_from(_field(data, "second", input_path))
+    p = _polytope_from(_field(data, "first", input_path), input_path)
+    q = _polytope_from(_field(data, "second", input_path), input_path)
     u = unimodular_equivalent(p, q)
     _emit(output, {"equivalent": u is not None, "map": u},
           json.dumps(u is not None))
@@ -600,7 +607,8 @@ def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
 @_command("hodge components", _INPUT, _OUTPUT)
 def hodge_components_cmd(input_path, output):
     """Components of the fiber over infinity for a reflexive 3-polytope."""
-    count = components_at_infinity(_polytope_from(_read_json(input_path)))
+    p = _polytope_from(_read_json(input_path), input_path)
+    count = components_at_infinity(p)
     _emit(output, {"components": count}, count)
 
 

@@ -36,7 +36,7 @@ def _norm(c: Coeff) -> Coeff:
 
 
 def _coerce_coeff(c) -> Coeff:
-    if isinstance(c, int):
+    if type(c) is int:  # true and false are ints too, but no coefficient
         return c
     if isinstance(c, Fraction):
         return _norm(c)
@@ -281,12 +281,36 @@ class LaurentPoly:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
+        """{"vars": [names], "terms": [{"e": [ints], "c": coefficient}]};
+        a malformed term raises a ValueError that gives its index."""
+        vs, raw = data["vars"], data["terms"]
+        if type(vs) is not list or any(type(v) is not str for v in vs):
+            raise ValueError(f"vars must be a list of names, got {vs!r}")
+        if type(raw) is not list:
+            raise ValueError(f"terms must be a list, got {raw!r}")
+        for i, t in enumerate(raw):
+            if type(t) is not dict:
+                raise ValueError(f"terms[{i}]: a term must be an object, "
+                                 f"got {t!r}")
+            for key in ("e", "c"):
+                if key not in t:
+                    raise ValueError(f"terms[{i}]: missing key {key!r}")
         # a JSON number with a fraction part is a float and true/false is a
         # bool, so neither passes for an integer exponent
-        if any(type(x) is not int for t in data["terms"] for x in t["e"]):
+        if any(type(t["e"]) is not list for t in raw) or \
+                any(type(x) is not int for t in raw for x in t["e"]):
             raise TypeError("exponents must be lists of integers")
-        terms = {tuple(t["e"]): _coerce_coeff(t["c"]) for t in data["terms"]}
-        return cls(tuple(data["vars"]), terms)
+        terms: Dict[Exponent, Coeff] = {}
+        for i, t in enumerate(raw):
+            e, c = tuple(t["e"]), t["c"]
+            if e in terms:
+                raise ValueError(f"terms[{i}]: exponent {list(e)} repeats")
+            try:
+                terms[e] = _coerce_coeff(c)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"terms[{i}]: bad coefficient {c!r}: {exc}") from None
+        return cls(tuple(vs), terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._vars!r}, {len(self._terms)} terms)"

@@ -7,9 +7,12 @@ read off half powers with the identity
 
 as in Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288): with f^(a-1) and f^a
 at hand, ct(f^(2a-1)) and ct(f^(2a)) are sparse dot products, so only
-f^1..f^p, p = N//2, are built, two at a time. For odd N the last
-coefficient is ct(f^(2p+1)) = sum over s of f_s * sum over k of
-[f^p]_k [f^p]_(-k-s), which never builds f^(p+1).
+f^1..f^p, p = N//2, are built, two at a time. For odd N the last step L
+of the chain below is folded into the last pairing: with g = f^p (f/L),
+ct(f^(2p+1)) = sum over s of L_s * sum over k of [g]_k [f^p]_(-k-s). The
+partial product g is what the chain makes on its way to f^(p+1), whose
+last and largest step is never taken; for an unfactored f, L = f and g =
+f^p.
 
 Many models are products, f = prod of L_i^(m_i), the form of the
 Givental/Hori-Vafa and Przyjalkowski models of complete intersections
@@ -21,20 +24,41 @@ costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
 f^(a-1), the partial product and the next one are held at a time. An
 unfactored f is the one-step chain (f, 1).
 
+Each finished power is pruned. Let Delta be the Newton polytope of f in
+the period variables, with facets n.x + h >= 0. A term of f^a at e meets
+only partners of degree b <= N - a: f^(a-1) or f^a in a pairing, f^p and
+one more f in the fold, or, carried into f^(a+1), the partners of that
+power. A partner's exponents lie in b Delta, so a term that reaches a
+constant term has -e in b Delta, and when the origin lies in Delta, b
+Delta lies in (N - a) Delta. So f^a keeps only the e in -(N - a) Delta,
+those with n.e <= (N - a) h for every facet, and no ct(f^j), j <= N,
+changes. Building f^(a+1) from the pruned f^a is exact on
+-(N - a - 1) Delta, the part it keeps, because -(N - a - 1) Delta - Delta
+= -(N - a) Delta. In the fold, Newton(f/L) + Newton(L) = Delta, so each
+f^p exponent of a vanishing sum lies in -(p + 1) Delta = -(N - p) Delta.
+When the origin lies outside Delta, every ct(f^j) with j >= 1 is 0, and
+the pruned powers, still inside a Delta, keep every pairing at 0. When
+Delta is not full-dimensional in the period variables nothing is pruned.
+For even N the last power f^p meets only the two dot products, where a
+term costs less than its test, so it is left whole.
+
 All variables are packed into one int, pack(e) = sum of e_i R^i, the
 period variables in the low digits and the parameters (variables that are
 not period variables) above them. With balanced digits base R = 2K + 1,
 pack is injective on exponents with every coordinate in [-K, K], and being
 linear it turns -e and e + e' into -pack(e) and pack(e) + pack(e'). Every
-exponent a pairing meets is a sum of at most N exponents of f; every
-exponent inside the chain is a sum of at most p - 1 exponents of f and at
-most one exponent of each step. So K = max(N |f|, (p - 1)|f| + sum over the
-steps of |L|), with |g| the largest |exponent| of g, covers both; for an
-unfactored f it is N |f|. Since pack is a ring homomorphism the chain would
-be right even where keys collided, but covering every partial product
-keeps one key per exponent in every dict, so dict sizes are true term
-counts, and it makes exact the check, once f^1 is built, that the steps
-multiply out to f. Coefficients are ints or Fractions. A pairing matches
+exponent a pairing meets lies in N Delta, a sum of at most N exponents of
+f; every exponent inside the chain, the fold's g included, is a sum of at
+most p exponents of f and at most one exponent of each step. So
+K = max(N |f|, p |f| + sum over the steps of |L|), with |g| the largest
+|exponent| of g, covers both; for an unfactored f it is N |f|. Since pack
+is a ring homomorphism the chain would be right even where keys
+collided, but covering every partial product keeps one key per exponent
+in every dict, so dict sizes are true term counts, the prune reads true
+digits, and the check that the steps multiply out to f is exact.
+The prune works on the keys: it splits off the lowest period digit and
+bounds it by an interval that depends on the other digits only, worked
+out once per row. Coefficients are ints or Fractions. A pairing matches
 the period digits only and keys its sums by the parameter digits, which
 become the exponents of a Laurent polynomial in the parameters.
 
@@ -60,6 +84,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
                       _norm)
+from .polytope import Polytope, newton_polytope
 
 factorial = math.factorial
 binomial = math.comb
@@ -128,6 +153,44 @@ def _times(power: dict, factor: list) -> dict:
     return out
 
 
+def _prune(power: dict, facets, budget: int, radix: int, dims: int) -> dict:
+    """The terms of a packed power whose period exponent e lies in
+    -budget * Delta, that is n.e <= budget * h for every facet (n, h).
+
+    A key splits into its lowest digit d0 and its row, key - d0. The
+    facets bound d0 to an interval that depends on the row's other period
+    digits only, worked out once per row.
+    """
+    above = [(n[0], n[1:], budget * h) for n, h in facets if n[0] > 0]
+    below = [(-n[0], n[1:], budget * h) for n, h in facets if n[0] < 0]
+    level = [(n[1:], budget * h) for n, h in facets if not n[0]]
+    half = radix // 2
+    rows: dict = {}
+    out = {}
+    for key, c in power.items():
+        d0 = (key + half) % radix - half
+        base = key - d0
+        allowed = rows.get(base)
+        if allowed is None:
+            rest, e = base // radix, []
+            for _ in range(dims - 1):
+                digit = (rest + half) % radix - half
+                e.append(digit)
+                rest = (rest - digit) // radix
+            if any(sum(map(mul, n, e)) > b for n, b in level):
+                allowed = range(0)
+            else:
+                allowed = range(
+                    max([-((b - sum(map(mul, n, e))) // m)
+                         for m, n, b in below], default=-half),
+                    min([(b - sum(map(mul, n, e))) // m
+                         for m, n, b in above], default=half) + 1)
+            rows[base] = allowed
+        if d0 in allowed:
+            out[key] = c
+    return out
+
+
 def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
     """The steps whose product takes f^(a-1) to f^a.
 
@@ -148,7 +211,27 @@ def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
             steps.extend([L] * m)
     if monomial is not None:
         steps[:1] = [monomial * steps[0] if steps else monomial]
-    return steps
+    return steps or [LaurentPoly.constant(1, f.variables)]
+
+
+def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int):
+    """(n, h, peak) for each facet n.x + h >= 0 of the Newton polytope
+    Delta of f in the period variables, n in the order of the period digits
+    and peak the largest n.v over Delta; empty when f is zero or Delta is not
+    full-dimensional there, and then nothing is pruned."""
+    if f.is_zero():
+        return []
+    if dims == len(positions):
+        delta = newton_polytope(f)
+    else:
+        delta = Polytope({tuple(e[i] for i in positions[:dims])
+                          for e in f.exponents()})
+        positions = range(dims)
+    if not delta.is_full_dimensional():
+        return []
+    return [(tuple(n[i] for i in positions), h,
+             max(sum(map(mul, n, v)) for v in delta.vertices))
+            for n, h in delta.facets]
 
 
 def phi_coefficients(f: LaurentPoly, order: int,
@@ -161,7 +244,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
     formal parameters riding along in the coefficients are preserved.
     With factors, pairs (L_i, m_i) whose product of L_i^m_i is f, each
     power of f is built from the one before factor by factor; a list that
-    does not multiply out to f raises a ValueError once f^1 is built.
+    does not multiply out to f raises a ValueError.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
@@ -184,7 +267,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
     n = order - 1
     half = n // 2
     top = reach(f)
-    radix = 2 * max(n * top, (half - 1) * top + sum(map(reach, steps))) + 1
+    radix = 2 * max(n * top, half * top + sum(map(reach, steps))) + 1
     weights = [radix ** d for d in range(len(positions))]
 
     def pack(p: LaurentPoly) -> list:
@@ -193,6 +276,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
 
     packed = pack(f)
     steps = [pack(step) for step in steps]
+    facets = _period_facets(f, positions, len(period))
     # the parameter digits sit above the period digits: a key splits into
     # its period part low(key), in [-width/2, width/2], and its parameter
     # part key - low(key), a multiple of width
@@ -230,19 +314,30 @@ def phi_coefficients(f: LaurentPoly, order: int,
             terms[tuple(digits)] = c
         return LaurentPoly(rest, terms)
 
+    def partial(power: dict) -> dict:
+        """power times every step but the last."""
+        for step in steps[:-1]:
+            power = _times(power, step)
+        return power
+
+    if factors is not None and \
+            _times(partial({0: 1}), steps[-1]) != dict(packed):
+        raise ValueError("the factors do not multiply out to f")
     out: List[LaurentPoly] = [LaurentPoly.constant(1, rest)]
     cur = {0: 1}
     for a in range(1, half + 1):
-        prev = cur
-        for step in steps:
-            cur = _times(cur, step)
-        if a == 1 and cur != dict(packed):
-            raise ValueError("the factors do not multiply out to f")
+        prev, cur = cur, _times(partial(cur), steps[-1])
+        # f^a lies in a Delta, which the facet n.x + h >= 0 of
+        # -(n - a) Delta cuts only when a * peak > (n - a) * h
+        cuts = [(normal, h) for normal, h, peak in facets
+                if a * peak > (n - a) * h] if a < half or n % 2 else ()
+        if cuts:
+            cur = _prune(cur, cuts, n - a, radix, len(period))
         out.append(coefficient(cur, prev, [(0, 1)]))
         out.append(coefficient(cur, cur, [(0, 1)]))
     if n % 2:
-        # f^(2p+1) = f^p * f * f^p without building f^(p+1)
-        out.append(coefficient(cur, cur, packed))
+        # f^(2p+1) = f^p * (f / L) * L * f^p, with L the last step
+        out.append(coefficient(partial(cur), cur, steps[-1]))
     return out
 
 

@@ -224,6 +224,15 @@ def test_verify_entry_multiplies_by_the_factors():
         verify_entry(replace(e, factors=(monomial, (linear[0], 5))), 9)
 
 
+def test_malformed_laurent_term_is_located_by_index():
+    data = _entry_json()
+    del data["laurent"]["terms"][1]["c"]
+    with pytest.raises(ParseError) as info:
+        entry_from_json_dict(data, "cat.json entry 5")
+    assert info.value.location == "cat.json entry 5 field laurent"
+    assert str(info.value).endswith("terms[1]: missing key 'c'")
+
+
 def test_non_integer_laurent_exponent_is_located():
     for bad in (-1.0, True):
         data = _entry_json()

@@ -207,6 +207,41 @@ def test_phi_rejects_a_non_integer_exponent(tmp_path, capsys, exponent):
                               "message": "exponents must be lists of integers"}
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"vars": ["x"], "terms": [{"e": [1], "c": "1"}, {"e": [-1]}]},
+     "terms[1]: missing key 'c'"),
+    ({"vars": ["x"], "terms": [{"c": "1"}]}, "terms[0]: missing key 'e'"),
+    ({"vars": ["x"], "terms": [[1, "1"]]},
+     "terms[0]: a term must be an object, got [1, '1']"),
+    ({"vars": ["x"], "terms": 5}, "terms must be a list, got 5"),
+    ({"vars": ["x"], "terms": [{"e": [1], "c": "1"}, {"e": [2], "c": "1/0"}]},
+     "terms[1]: bad coefficient '1/0': Fraction(1, 0)"),
+    ({"vars": ["x"], "terms": [{"e": [1], "c": True}]},
+     "terms[0]: bad coefficient True: coefficient must be int, Fraction or "
+     "string, got bool"),
+    ({"vars": "xy", "terms": [{"e": [1, 0], "c": "1"}]},
+     "vars must be a list of names, got 'xy'"),
+    ({"vars": ["x", 7], "terms": [{"e": [1, 0], "c": "1"}]},
+     "vars must be a list of names, got ['x', 7]"),
+    ({"vars": ["x"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
+     "terms[1]: exponent [1] repeats"),
+    ({"terms": [{"e": [1], "c": "1"}]}, "missing key 'vars'"),
+], ids=["missing-c", "missing-e", "term-not-object", "terms-not-list",
+        "zero-denominator", "bool-coefficient", "vars-string", "vars-not-names",
+        "repeated-exponent", "missing-vars"])
+def test_malformed_laurent_input_is_a_located_parse_error(tmp_path, capsys,
+                                                          data, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    commands = [["phi", "--order", "5"], ["minkowski", "check"]]
+    if "vars" in data:  # else polytope hull reads no Laurent polynomial
+        commands.append(["polytope", "hull"])
+    for argv in commands:
+        assert main(argv + ["--input", str(path)]) == 1
+        assert _error(capsys) == {"type": "ParseError",
+                                  "message": f"{path}: {message}"}
+
+
 @pytest.mark.parametrize("argv, data, key", [
     (["build", "wci", "--weights", "1,1,1,1", "--partition", "IN"],
      {"class": [[0, 1, 2, 3]]}, "classes"),

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -377,6 +378,17 @@ def _phi_cases(draw):
 # radix of 24, x^3*y^-1 * (x^3)^7 would pack to 0
 @example((x2 ** 3 + x2 ** 3 * y2 ** -1 + x2 ** -3 + y2, 9, ("x", "y")))
 @example((x2 ** 3 + x2 ** 3 * y2 ** -1 + x2 ** -3 + y2, 9, ("y", "x")))
+# the half powers are pruned to -(N - a) Delta, Delta the Newton polytope
+# of f in the period variables: a segment in (x, y) prunes nothing
+@example((x2 + x2 ** -1, 8, ("x", "y")))
+# the origin outside Delta: every ct(f^j), j >= 1, is 0, on a segment and
+# on a triangle
+@example((LaurentPoly.variable("x", ("x",)) * (1 + LaurentPoly.variable(
+    "x", ("x",))), 8, ("x",)))
+@example((x2 + x2 ** 2 + x2 * y2, 9, ("x", "y")))
+# the parameter y rides in the coefficients; Delta is the hull of the
+# x-exponents only
+@example((x2 + y2 * x2 ** -1 + y2 ** 2 + x2 ** 2 * y2 ** -1, 8, ("x",)))
 def test_phi_coefficients_match_brute_force_powers(case):
     f, order, period = case
     got = phi_coefficients(f, order, period)
@@ -431,6 +443,13 @@ def _factor_cases(draw):
 # a monomial factor is folded into the first longer step
 @example(([(2 * x2 ** -1, 2), (x2 + y2, 3)], 8, ("x", "y")))
 @example(([(1 + x2, 1), (1 - x2, 1)], 9, ("y", "x")))
+# for odd N = 2p + 1 the last pairing reads f^p times every step but the
+# last; at N = 1 that is x^3 + x^2, beyond N |f| = 2 and the (p - 1)|f| +
+# sum |L| = 2 of the chain, and the radix grows to p |f| + sum |L| = 4
+@example(([(x2 ** 3 + x2 ** 2, 1), (x2 ** -1 + x2 ** -1 * y2, 1)],
+          2, ("x", "y")))
+@example(([(x2 ** 3 + x2 ** 2, 1), (x2 ** -1 + x2 ** -1 * y2, 1)],
+          2, ("x",)))
 def test_phi_of_factors_equals_phi_of_their_product(case):
     factors, order, period = case
     vs = factors[0][0].variables
@@ -455,3 +474,75 @@ def test_factors_that_miss_f_raise():
     # the key of y; the radix covers the steps, so the check sees the miss
     with pytest.raises(ValueError):
         phi(1 + y2, 3, factors=[(1 + x2 ** 5, 1)])
+
+
+# sha256 of phi at orders 13-17 (odd and even N) of each catalog entry with
+# at most three variables, computed by an engine that pruned no half power
+# and, for odd N, paired f^p with f^p shifted by each term of f; one line
+# per order, each coefficient written as "type:value"
+PHI_13_TO_17 = {
+    "1-1":
+        "4263c2e87ce8bb3980deb3b93c445df04cd4a4f5ced8ade671373b091f2add4b",
+    "1-2":
+        "2a0b6ea4285cc17424ed4433b278ebe657960c89bd2be41470f2540e698a9607",
+    "1-3":
+        "a0ba9b95e2fb468c924dacec405bdd3a7eba17ffe8941f4ff67e3f69baa52abd",
+    "1-4":
+        "7f8904935aa6fb5e1af56e1c619210681312c807a512d8216555939d04851071",
+    "1-5":
+        "c7020c481373671c1f524122c3dbfad98bd5c54ec09a071261a1f113dbb33fa1",
+    "1-6":
+        "c6cd33b8c951cc90314ce61d46391bb4c552ce1c39087878ebe8ec3c6b085624",
+    "1-7":
+        "6e30cabc34cf972eb654f0592374984d8df1fb8a41c4f0775fb3342d9b0935c7",
+    "1-8":
+        "320b546d860d912b3d78a69484ca812caffd2d43ebdac7e46f843fe9de228ff6",
+    "1-9":
+        "6ab7eda6035e79a386d75920b6c91b1689e9bf32eb2a9253eb66197d1a15192e",
+    "1-10":
+        "a9902913e28cd447fc870223a2f71ceda0312e24a3a6da377296167bb27ce058",
+    "1-11":
+        "39ad7ae390ffe46d423e17b2f77d6c4bd745b39fa3b5c6073e7e42b5b0338a1a",
+    "1-12":
+        "10ceea9fd5dc79ce03a8b832948c8bf9e648197b3e501fcb31b726d02b5b8970",
+    "1-13":
+        "3fe566ad2775a85647cb157c9c4135c3271bf7d445b454557fa546f57b8250ba",
+    "1-14":
+        "a2ee3511726d7b48971f6cbe2e9d98b852a23e384afb326b3c177b5c95ba0ece",
+    "1-15":
+        "432c74d1cd4cd24387696f1eecd355f818877dc6e8958dcd9d3d929566060bbc",
+    "1-16":
+        "87baa60826dd5f99665ff5d48c76c56151de83a7a5bae090265614b0af415525",
+    "1-17":
+        "5fb316800800cdbe6bd01e845618807fc2ff871cd2204ba2a3c68da83bbe9390",
+    "2-1":
+        "c486cfe9334ec99d7ed42abb15b8d904f8e800a713de2b909561f67e45cc422e",
+    "2-2":
+        "34b2a7ed1a56b704face516eaa0fa7fb2db633dd3928012574e16e6be0bdefe6",
+    "2-3":
+        "e473a84c0281fe5036b3c167544fb6a35757c87b1bf013dd3e683213e3209980",
+    "9-1":
+        "db8f9fc1735e5895185a339fdacf3da3ac0a595035545a3d8d7953be0b6264e3",
+    "10-1":
+        "f6eaf3aa0fb09170209e6c20d9e29976a68055ead837da7a3ca3b22cd31ba3d1",
+    "S7-d1":
+        "40d6f0eb65ea479c78d04ba14a8bcb832fc0518e18de592de172fca660509c36",
+}
+
+
+def _small_catalog():
+    return {e.id: e for e in catalog.load() if len(e.laurent.variables) <= 3}
+
+
+def test_phi_pins_cover_every_small_catalog_entry():
+    assert sorted(_small_catalog()) == sorted(PHI_13_TO_17)
+
+
+@pytest.mark.parametrize("entry_id", sorted(PHI_13_TO_17))
+def test_phi_of_small_catalog_entries_is_pinned(entry_id):
+    entry = _small_catalog()[entry_id]
+    series = [phi(entry.laurent, order, factors=entry.factors)
+              for order in range(13, 18)]
+    text = "\n".join(" ".join(f"{type(c).__name__}:{c}" for c in s.coeffs)
+                     for s in series)
+    assert hashlib.sha256(text.encode()).hexdigest() == PHI_13_TO_17[entry_id]
