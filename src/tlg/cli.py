@@ -94,40 +94,88 @@ def _laurent_from(data, path: str) -> LaurentPoly:
         raise _catalog.ParseError(path, str(exc)) from None
 
 
+def _points(raw, what: str, path: str) -> list:
+    """raw as a list of points with int or Fraction coordinates; a
+    coordinate is an integer or a rational string, and anything else, a
+    float or a bool included, is a ParseError located at path."""
+    if type(raw) is not list:
+        raise _catalog.ParseError(
+            path, f"{what} must be a list of points, got {raw!r}")
+    out = []
+    for i, p in enumerate(raw):
+        if type(p) is not list or any(type(x) not in (int, str) for x in p):
+            raise _catalog.ParseError(
+                path, f"{what}[{i}]: coordinates must be integers or "
+                      f"rational strings, got {p!r}")
+        try:
+            out.append([Fraction(x) if type(x) is str else x for x in p])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _catalog.ParseError(path, f"{what}[{i}]: {exc}") from None
+    return out
+
+
 def _polytope_from(data, path: str) -> Polytope:
+    """The polytope of the JSON read from path: a list of points, an object
+    with "vertices" (and "dim") or "points", or a Laurent polynomial for
+    its Newton polytope; malformed input is a ParseError located at path."""
     if isinstance(data, list):
-        return Polytope(data)
+        return Polytope(_points(data, "points", path))
     if isinstance(data, dict):
         if "vertices" in data and "dim" in data:
-            return Polytope.from_json_dict(data)
-        if "vertices" in data:
-            return Polytope(data["vertices"])
-        if "points" in data:
-            return Polytope(data["points"])
+            if type(data["dim"]) is not int:
+                raise _catalog.ParseError(
+                    path, f"dim must be an integer, got {data['dim']!r}")
+            return Polytope.from_json_dict(
+                dict(data, vertices=_points(data["vertices"], "vertices",
+                                            path)))
+        for key in ("vertices", "points"):
+            if key in data:
+                return Polytope(_points(data[key], key, path))
         if "vars" in data and "terms" in data:
             return newton_polytope(_laurent_from(data, path))
-    raise ValueError("expected polytope points or a Laurent polynomial")
+    raise _catalog.ParseError(
+        path, "expected polytope points or a Laurent polynomial")
 
 
-def _series_from(data) -> PowerSeries:
+def _series_from(data, path: str) -> PowerSeries:
+    """The power series of the JSON read from path: a list of coefficients,
+    or an object with "coeffs" and optionally "order"; malformed input is a
+    ParseError located at path, with the index of the coefficient at
+    fault."""
     if isinstance(data, list):
-        return PowerSeries.from_json_dict(
-            {"order": len(data), "coeffs": data})
-    if isinstance(data, dict) and "coeffs" in data:
-        if "order" not in data:
-            data = {"order": len(data["coeffs"]), "coeffs": data["coeffs"]}
+        data = {"coeffs": data}
+    if not isinstance(data, dict) or "coeffs" not in data:
+        raise _catalog.ParseError(
+            path, "expected a power series with 'order' and 'coeffs'")
+    try:
         return PowerSeries.from_json_dict(data)
-    raise ValueError("expected a power series with 'order' and 'coeffs'")
+    except ValueError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
 
 
-def _gram_from(data) -> GramLattice:
-    if isinstance(data, dict) and "gram" in data:
-        base = GramLattice(tuple(tuple(row) for row in data["gram"]))
-        twist = data.get("twist", 1)
+def _gram_from(data, path: str) -> GramLattice:
+    """The lattice of the JSON read from path, {'gram': rows} or
+    {'name': name}, each with an optional integer "twist"; malformed input
+    is a ParseError located at path."""
+    if not isinstance(data, dict) or ("gram" not in data
+                                      and "name" not in data):
+        raise _catalog.ParseError(
+            path, "expected a lattice as {'gram': ...} or {'name': ...}")
+    twist = data.get("twist", 1)
+    if type(twist) is not int or twist == 0:
+        raise _catalog.ParseError(
+            path, f"twist must be a nonzero integer, got {twist!r}")
+    if "gram" in data:
+        rows = _int_rows(data["gram"], "gram", path)
+        try:
+            base = GramLattice(rows)
+        except ValueError as exc:
+            raise _catalog.ParseError(path, str(exc)) from None
         return base if twist == 1 else base.twist(twist)
-    if isinstance(data, dict) and "name" in data:
-        return standard_lattice(data["name"], data.get("twist", 1))
-    raise ValueError("expected a lattice as {'gram': ...} or {'name': ...}")
+    if type(data["name"]) is not str:
+        raise _catalog.ParseError(
+            path, f"name must be a string, got {data['name']!r}")
+    return standard_lattice(data["name"], twist)
 
 
 def _int_list(value: str) -> Tuple[int, ...]:
@@ -277,7 +325,7 @@ def iseries_toric_cmd(input_path, order, output):
 def verify_cmd(input_path, against, order, period_vars, output):
     """Compare the period of a Laurent polynomial with a target series."""
     f = _laurent_from(_read_json(input_path), input_path)
-    target = _series_from(_read_json(against))
+    target = _series_from(_read_json(against), against)
     if order is not None:
         target = target.truncate(order)
     report = verify_period(f, target, period_vars=_name_list(period_vars))
@@ -478,7 +526,7 @@ def _lattice_input(name: Optional[str], twist: int,
         raise UsageError("give exactly one of --name or --input")
     if name is not None:
         return standard_lattice(name, twist)
-    l = _gram_from(_read_json(input_path))
+    l = _gram_from(_read_json(input_path), input_path)
     return l if twist == 1 else l.twist(twist)
 
 
@@ -518,8 +566,8 @@ def lattice_sig_cmd(name, twist, input_path, output):
 def lattice_index_cmd(input_path, output):
     """Index of a finite-index isometric embedding."""
     data = _read_json(input_path)
-    idx = index_check(_gram_from(_field(data, "sub", input_path)),
-                      _gram_from(_field(data, "sup", input_path)),
+    idx = index_check(_gram_from(_field(data, "sub", input_path), input_path),
+                      _gram_from(_field(data, "sup", input_path), input_path),
                       _field(data, "embedding", input_path))
     _emit(output, {"index": idx}, idx)
 
@@ -551,7 +599,7 @@ def lattice_duval_cmd(sing, k, r, self_int, branch, output):
           _OUTPUT)
 def pf_fit_cmd(input_path, max_order, max_degree, output):
     """Fit an operator to a truncated series and cross-check the tail."""
-    series = _series_from(_read_json(input_path))
+    series = _series_from(_read_json(input_path), input_path)
     op = pf_fit(series, max_order, max_degree)
     if output == "json":
         _echo_json(None if op is None else op.to_json_dict())

@@ -2,12 +2,14 @@
 
 Convex hulls are computed incrementally in integer arithmetic, in one pass
 that yields the vertices and the facets together. Rational input points are
-first scaled by their common denominator, so the hull only ever eliminates
-over Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives
-every rank and every primitive facet normal. Polytopes may have integer or
-rational vertex coordinates; operations that need the induced lattice
-structure (normalized volume, lattice point enumeration in the degenerate
-case) insist on integer vertices.
+first scaled by their common denominator, so the hull only ever works over
+Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives the
+affine rank, the facets of the starting simplex and the vertex test, and
+every later facet is an integer combination of two facet planes divided by
+a gcd. Polytopes may have integer or rational vertex coordinates;
+operations that need the induced lattice structure (normalized volume,
+lattice point enumeration in the degenerate case) insist on integer
+vertices.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h. Heights are integers for lattice
@@ -128,14 +130,25 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
     A face of dimension k lies in at least d - k facets, so a face of
     dimension <= d - 3, or the empty face, lies in a third facet. A ridge
     lies in exactly two, and a facet holding the ridge's points holds their
-    hull. So the incidence sets alone decide a ridge, with no elimination,
-    and the new plane is spanned by ridge points up to rank d - 2 and then
-    the new point. The old hull meets a new facet exactly in its ridge, so
-    the ridge's incidents plus the new point are the new facet's.
+    hull. So the incidence sets alone decide a ridge, with no elimination.
+    The old hull meets a new facet exactly in its ridge, so the ridge's
+    incidents plus the new point are the new facet's.
+
+    The new plane comes from the pencil of the two facet planes, with no
+    elimination either. Let v_F < 0 and v_G >= 0 be the values of the new
+    point p on F and G. Every hyperplane through the ridge F ∩ G is a
+    combination of the planes (n_F, h_F) and (n_G, h_G), and the one
+    through p is v_G (n_F, h_F) - v_F (n_G, h_G). Its normal is not zero
+    (F and G are not parallel, as they share a ridge), and divided by its
+    gcd it is primitive; the height stays an integer because the plane
+    holds the integer point p. Both weights are >= 0, so every point of
+    the old hull keeps a value >= 0 and the normal already points inward.
+    When v_G = 0 the combination is G's own plane, which the new facets
+    skip.
 
     The reference point is the sum of the simplex vertices, (d+1) times
-    their centroid, so it stays integral and strictly inside every
-    intermediate hull.
+    their centroid, so it stays integral and strictly inside the starting
+    simplex; it orients the simplex facets only.
     """
     d = len(pts[0])
     ref = tuple(sum(col) for col in zip(*[pts[i] for i in simplex]))
@@ -153,35 +166,30 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
         if i in in_simplex:
             continue
         values = [sum(map(mul, f.normal, p)) + f.height for f in facets]
-        visible = [f for f, v in zip(facets, values) if v < 0]
+        visible = [(f, v) for f, v in zip(facets, values) if v < 0]
         for f, v in zip(facets, values):
             if v == 0:
                 f.incidents.add(i)
         if not visible:
             continue
-        survivors = [f for f, v in zip(facets, values) if v >= 0]
-        planes = {(f.normal, f.height) for f in survivors}
+        survivors = [(f, v) for f, v in zip(facets, values) if v >= 0]
+        planes = {(f.normal, f.height) for f, _ in survivors}
         new_facets: Dict[Facet, Set[int]] = {}
-        for F in visible:
-            for G in survivors:
+        for F, vF in visible:
+            for G, vG in survivors:
                 common = F.incidents & G.incidents
                 if len(common) < d - 1 or any(
                         H is not F and H is not G and common <= H.incidents
                         for H in facets):
                     continue
-                it = iter(common)
-                base = pts[next(it)]
-                ech = _IntEchelon()
-                for j in it:
-                    if ech.rank == d - 2:
-                        break
-                    ech.add(_sub(pts[j], base))
-                ech.add(_sub(p, base))
-                key = _oriented_plane(ech, base, ref)
+                n = [vG * a - vF * b for a, b in zip(F.normal, G.normal)]
+                g = math.gcd(*n)
+                key = (tuple(x // g for x in n),
+                       (vG * F.height - vF * G.height) // g)
                 if key not in planes:
                     new_facets.setdefault(key, {i}).update(common)
-        facets = survivors + [_Facet(n, h, inc)
-                              for (n, h), inc in new_facets.items()]
+        facets = [f for f, _ in survivors] + [
+            _Facet(n, h, inc) for (n, h), inc in new_facets.items()]
 
     normals_at: Dict[int, List[Tuple[int, ...]]] = {}
     for f in facets:

@@ -83,7 +83,7 @@ from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
-                      _norm)
+                      _coerce_coeff, _norm)
 from .polytope import Polytope, newton_polytope
 
 factorial = math.factorial
@@ -123,10 +123,22 @@ class PowerSeries:
 
     @classmethod
     def from_json_dict(cls, data) -> "PowerSeries":
-        coeffs = tuple(_norm(Fraction(c)) for c in data["coeffs"])
-        if len(coeffs) != data["order"]:
+        """{"order": n, "coeffs": [n coefficients]}, the order defaulting to
+        the number of coefficients; a malformed coefficient raises a
+        ValueError that gives its index."""
+        raw = data["coeffs"]
+        if type(raw) is not list:
+            raise ValueError(f"coeffs must be a list, got {raw!r}")
+        coeffs = []
+        for i, c in enumerate(raw):
+            try:
+                coeffs.append(_coerce_coeff(c))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"coeffs[{i}]: bad coefficient {c!r}: {exc}") from None
+        if len(coeffs) != data.get("order", len(coeffs)):
             raise ValueError("declared order does not match coefficient count")
-        return cls(coeffs)
+        return cls(tuple(coeffs))
 
     def __str__(self) -> str:
         parts = [str(c) for c in self.coeffs]

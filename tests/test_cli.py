@@ -261,6 +261,75 @@ def test_missing_key_is_a_parse_error_at_the_input_file(tmp_path, capsys,
                               "message": f"{path}: missing key {key!r}"}
 
 
+VERIFY = ["verify", "--input", "MODEL", "--order", "2", "--against", "IN"]
+HULL = ["polytope", "hull", "--input", "IN"]
+SIG = ["lattice", "sig", "--input", "IN"]
+NOT_A_NUMBER = "coefficient must be int, Fraction or string, got"
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (VERIFY, {"coeffs": ["1", "1/0"], "order": 2},
+     "coeffs[1]: bad coefficient '1/0': Fraction(1, 0)"),
+    (VERIFY, [1, "x"],
+     "coeffs[1]: bad coefficient 'x': Invalid literal for Fraction: 'x'"),
+    (VERIFY, [1, 0.5], f"coeffs[1]: bad coefficient 0.5: {NOT_A_NUMBER} float"),
+    (VERIFY, {"coeffs": 5}, "coeffs must be a list, got 5"),
+    (VERIFY, {"coeffs": [1, 2], "order": 3},
+     "declared order does not match coefficient count"),
+    (VERIFY, {"order": 2}, "expected a power series with 'order' and 'coeffs'"),
+    (["pf", "fit", "--input", "IN", "--max-order", "1", "--max-degree", "1"],
+     [1, True], f"coeffs[1]: bad coefficient True: {NOT_A_NUMBER} bool"),
+    (HULL, {"points": 5}, "points must be a list of points, got 5"),
+    (HULL, [[1, 0], [0, True], [-1, -1]],
+     "points[1]: coordinates must be integers or rational strings, "
+     "got [0, True]"),
+    (HULL, {"vertices": [[0.5, 0]]},
+     "vertices[0]: coordinates must be integers or rational strings, "
+     "got [0.5, 0]"),
+    (HULL, {"dim": 2, "vertices": [[1, 0], [0, "1/0"]]},
+     "vertices[1]: Fraction(1, 0)"),
+    (HULL, {"dim": "2", "vertices": [[1, 0], [0, 1], [-1, -1]]},
+     "dim must be an integer, got '2'"),
+    (HULL, {"dim": 2}, "expected polytope points or a Laurent polynomial"),
+    (SIG, {"gram": [[1.5]]}, "gram must be a list of integers, got [1.5]"),
+    (SIG, {"gram": [[1, 2], [3, 1]]}, "gram matrix must be symmetric"),
+    (SIG, {"name": 5}, "name must be a string, got 5"),
+    (SIG, {"name": "A2", "twist": 0}, "twist must be a nonzero integer, got 0"),
+    (SIG, {"rank": 2},
+     "expected a lattice as {'gram': ...} or {'name': ...}"),
+    (["lattice", "index", "--input", "IN"],
+     {"sub": {"gram": "x"}, "sup": {"name": "H"}, "embedding": [[1]]},
+     "gram must be a list of integer lists, got 'x'"),
+], ids=["series-zero-denominator", "series-not-a-number", "series-float",
+        "series-coeffs-not-list", "series-wrong-order", "series-no-coeffs",
+        "pf-fit-bool", "points-not-list", "points-bool", "vertices-float",
+        "vertices-zero-denominator", "dim-string", "polytope-unknown-object",
+        "gram-float", "gram-not-symmetric", "lattice-name-not-string",
+        "twist-zero", "lattice-unknown-object", "lattice-index-sub"])
+def test_malformed_input_is_a_parse_error_at_the_input_file(
+        tmp_path, capsys, model, argv, data, message):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    argv = [{"IN": str(path), "MODEL": model}.get(a, a) for a in argv]
+    assert main(argv) == 1
+    assert _error(capsys) == {"type": "ParseError",
+                              "message": f"{path}: {message}"}
+
+
+def test_polytope_and_series_input_keep_their_accepted_forms(tmp_path, capsys,
+                                                             model):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps({"points": [["1/2", 0], [0, 1], [-1, -1]]}))
+    assert main(["polytope", "hull", "--input", str(points),
+                 "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "dim": 2, "vertices": [[-1, -1], [0, 1], ["1/2", 0]]}
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"coeffs": [1, "0", 2]}))
+    assert main(["verify", "--input", model, "--order", "3",
+                 "--against", str(series)]) == 0
+
+
 # -- golden output of every other command ------------------------------------
 
 SERIES_P1 = [1, 0, 2, 0, 6, 0, 20, 0, 70, 0, 252, 0, 924, 0, 3432, 0, 12870,

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pickle
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tlg import catalog
 from tlg.builders import _boundary_cycle
 from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
 from tlg.laurent import LaurentPoly
@@ -386,12 +388,18 @@ def _small_point_sets(draw):
     return d, points
 
 
-# In the example a visible and a surviving facet share d - 1 = 3 points,
-# the collinear (1, y, 0, -1): they meet in an edge, not in a ridge.
+# In the first example a visible and a surviving facet share d - 1 = 3
+# points, the collinear (1, y, 0, -1): they meet in an edge, not in a ridge.
+# In the second, (1, 1, 0) lies on the surviving plane z = 0 while it sees
+# x + y + z <= 1, and (2, 0, 1) lies on y = 0 while it sees two facets: the
+# pencil of such a ridge gives the surviving plane back, which is no new
+# facet.
 @settings(max_examples=150, deadline=None)
 @given(_small_point_sets())
 @example((4, [(-1, -1, 0, 1), (-1, 0, -1, 0), (-1, 0, -1, 1), (0, -1, 0, -1),
               (1, -1, 0, -1), (1, 0, 0, -1), (1, 1, 0, -1), (1, 1, 1, 0)]))
+@example((3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0),
+              (2, 0, 1)]))
 def test_facets_match_brute_force(case):
     d, points = case
     rank = _rank([[a - b for a, b in zip(q, points[0])] for q in points[1:]])
@@ -454,3 +462,81 @@ def test_normalized_volume_is_determinant_and_unimodular_invariant(case):
 def test_normalized_volume_of_the_unit_cube(d):
     cube = Polytope(itertools.product((0, 1), repeat=d))
     assert normalized_volume(cube) == factorial(d)
+
+
+# sha256 of the facets and vertices of each catalog entry's Newton
+# polytope, the vertices of its dual and its normalized volume (see
+# _geometry_text), computed at 4befdb7, before the hull built its new
+# facets from pencils of facet planes
+CATALOG_GEOMETRY = {
+    "1-1":
+        "77e5f4108178254978032cf0430bf9656c1ef74b4c8b332fdd292a1555ee1779",
+    "1-2":
+        "c5fe8e1743a3e4a131825c1ca86a38f1d80da4170858f9b4215dd97900b98bbc",
+    "1-3":
+        "ca00d6b221734fee78fc5efefb8c4daa7d54409145c92afb6987aaebd41ec291",
+    "1-4":
+        "6a93bb6f675aec495b3c95b287282fb500166f71f166f3a7066ea49cb029f29d",
+    "1-5":
+        "9a9c26932b9cbdf2e57733b562163ef06fb3e470fcbc1d2a4712ba3c58ddab87",
+    "1-6":
+        "746520b9f694b3fd113c9b5e0b1cdf4d4b28e6f2d991a8c39d1e535c81b516cb",
+    "1-7":
+        "0f031ca6ac8cc0945b198fe384a4b6334d1507d8e9af6051a36c60d69065c026",
+    "1-8":
+        "7fabb3c108829702e988e6e072566c9f48d3a6a6e8697c7e73a282ad260b5ffa",
+    "1-9":
+        "0fde612902cdc630a5d5de87b9a0fa706e1cca6d363e62f53c55b65d319bd30d",
+    "1-10":
+        "0b90d91e465c39407ea054a89a9d98754caabe7e8a43b469650284f3125b2dfb",
+    "1-11":
+        "e96da6c45228b85bfc98648984b90d08c76c25d0ba73ac1c0f128bfccbe186bd",
+    "1-12":
+        "dd90daa76ef9721dc06580b1e793f3247626ff51dd693abab0cc006022a96c4d",
+    "1-13":
+        "8990ff6e8f3d55242ac1b8cdf935aa56abb93037872fcc17bfa99781ec23f3e0",
+    "1-14":
+        "b93812ef9d48b8b2ddfd399dc368d61d64b5ceacce928711c99d2bdee4a4b789",
+    "1-15":
+        "32a1626559260fbb2dce389c68ffabc682ae5e0943352657d53faa224889253e",
+    "1-16":
+        "fe4ed467f038d233ecb9a4d397a084f9c6a3eaa8b452e5d5081ca376e007626c",
+    "1-17":
+        "daf41ef83277fa12eface3549a9de9906153da21b5017d6212be06dc662524b4",
+    "2-1":
+        "c99ef27c44bc44ce1d46f67206583143364b9f24b6eda41599b6ed4cc3e7f8b4",
+    "2-2":
+        "edfabfd4ea85c474bb54cdc9a9c1df767142d588c40efad21c91072387f2d8cb",
+    "2-3":
+        "0d4f30c7436294b72351b7d5490f25ff20dbe7f41e6ec8f12403056bbc0d3151",
+    "9-1":
+        "fdd2093505106f26c1fd0b608695cbe53c07040daf4d98655031b6f5eabf4e3d",
+    "10-1":
+        "b57af68dc082590abd03c9fb89dff858fd7799a4d3e29d1339e336b54c7bf9c4",
+    "S7-d1":
+        "cf51fa502547b41a3581e17eff75fbacebece6d5b38cf2f45b00746fb95bc8f1",
+    "G36-2111":
+        "13617b98e431f9dda6ea80be66f0bc2ec6b2e7d5bec7a30443beba3cff275d0e",
+    "G36-1112":
+        "d772cb4eb1dc78fc6393ed65c55f2189e7839b7c30e348ff46b87487ca1e12b0",
+}
+
+
+def _geometry_text(p: Polytope) -> str:
+    lines = [f"facet {list(n)} {h}" for n, h in p.facets]
+    lines += [f"vertex {list(v)}" for v in p.vertices]
+    lines += [f"dual {[str(x) for x in v]}" for v in dual(p).vertices]
+    lines.append(f"volume {normalized_volume(p)}")
+    return "\n".join(lines)
+
+
+def test_geometry_pins_cover_every_catalog_entry():
+    assert sorted(e.id for e in catalog.load()) == sorted(CATALOG_GEOMETRY)
+
+
+@pytest.mark.parametrize("entry_id", sorted(CATALOG_GEOMETRY))
+def test_catalog_geometry_is_pinned(entry_id):
+    entry = next(e for e in catalog.load() if e.id == entry_id)
+    text = _geometry_text(newton_polytope(entry.laurent))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        CATALOG_GEOMETRY[entry_id]
