@@ -6,10 +6,9 @@ first scaled by their common denominator, so the hull only ever works over
 Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives the
 affine rank, the facets of the starting simplex and the vertex test, and
 every later facet is an integer combination of two facet planes divided by
-a gcd. Polytopes may have integer or rational vertex coordinates;
-operations that need the induced lattice structure (normalized volume,
-lattice point enumeration in the degenerate case) insist on integer
-vertices.
+a gcd. Polytopes may have integer or rational vertex coordinates. The
+normalized volume needs integer vertices but no induced facet lattice;
+lattice point enumeration in the degenerate case needs both.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h. Heights are integers for lattice
@@ -60,6 +59,10 @@ class DimensionTooLarge(PolytopeError):
 
 class DimensionMismatch(PolytopeError):
     """Operands live in different ambient dimensions."""
+
+
+class NotLatticePolytope(PolytopeError, ValueError):
+    """The operation needs integer vertices."""
 
 
 def _norm_point(p: Sequence) -> Point:
@@ -437,31 +440,44 @@ def normalized_volume(p: Polytope) -> int:
     if not p.is_full_dimensional():
         raise NotFullDimensional("normalized volume needs full dimension")
     if not p.is_lattice():
-        raise ValueError("normalized volume requires integer vertices")
+        raise NotLatticePolytope("normalized volume requires integer vertices")
     return _nvol(p)
 
 
+def _incidences(p: Polytope) -> List[frozenset]:
+    """The vertex indices on each facet of p, in facet order; none in Z^0."""
+    return [frozenset(i for i, v in enumerate(p.vertices) if _dot(n, v) + h == 0)
+            for n, h in p._facets or ()]
+
+
 def _nvol(p: Polytope) -> int:
-    d = p.ambient_dim
-    if d == 0:
-        return 1
-    if d == 1:
-        return p.vertices[-1][0] - p.vertices[0][0]
-    v0 = p.vertices[0]
+    """Normalized volume from the vertex-facet incidences of p alone.
+
+    A face F is the set of its vertex indices; its facets are the maximal
+    sets F ∩ G over the facets G of p not containing F. Pulling F from its
+    smallest vertex v cones v over the facets of F that miss v, each pulled
+    in turn, down to faces of dimension k with k + 1 vertices. The cones
+    triangulate p, and the volume is the sum of their |det| in ambient
+    coordinates. A lattice simplex has |det| >= 1, so there are at most as
+    many simplices as the volume.
+    """
+    verts = p.vertices
+    facets = _incidences(p)
+    below: Dict[frozenset, List[frozenset]] = {}
     total = 0
-    for n, h in p.facets:
-        dist = _dot(n, v0) + h
-        if dist == 0:
+    stack = [(frozenset(range(len(verts))), p.ambient_dim, ())]
+    while stack:
+        face, k, apexes = stack.pop()
+        if len(face) == k + 1:
+            v0, *rest = (verts[i] for i in apexes + tuple(face))
+            total += abs(det_bareiss([_sub(v, v0) for v in rest]))
             continue
-        face = [v for v in p.vertices if _dot(n, v) + h == 0]
-        chart = lattice_chart(face, n)[2]
-        if len(face) == d:
-            # a simplex: its normalized volume is the determinant of its
-            # edge vectors in the facet lattice
-            c0 = chart[0]
-            total += dist * abs(det_bareiss([_sub(c, c0) for c in chart[1:]]))
-        else:
-            total += dist * _nvol(Polytope(chart))
+        if face not in below:
+            meets = {face & g for g in facets if not face <= g}
+            below[face] = [e for e in meets if not any(e < m for m in meets)]
+        apex = min(face)
+        stack.extend((e, k - 1, apexes + (apex,))
+                     for e in below[face] if apex not in e)
     return total
 
 
@@ -494,25 +510,18 @@ def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
 def edges(p: Polytope) -> List[Tuple[Point, Point]]:
     """Vertex pairs spanning the one-dimensional faces of a full-dimensional p.
 
-    Two vertices are joined exactly when the facets containing both have
-    normals of rank dim - 1.
+    Two vertices are joined exactly when the smallest face holding both, the
+    meet of the facets through them (p itself if there is none), has no
+    other vertex.
     """
     if not p.is_full_dimensional():
         raise NotFullDimensional("edge enumeration needs full dimension")
-    d = p.ambient_dim
-    if d == 1:
-        return [(p.vertices[0], p.vertices[-1])]
-    out = []
-    verts = p.vertices
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            ech = _IntEchelon()
-            for n, h in p.facets:
-                if _dot(n, verts[a]) + h == 0 and _dot(n, verts[b]) + h == 0:
-                    ech.add(n)
-            if ech.rank == d - 1:
-                out.append((verts[a], verts[b]))
-    return out
+    verts, facets = p.vertices, _incidences(p)
+    every = frozenset(range(len(verts)))
+    return [(verts[a], verts[b])
+            for a, b in itertools.combinations(range(len(verts)), 2)
+            if every.intersection(*(f for f in facets if a in f and b in f))
+            == {a, b}]
 
 
 def polygon_edges(p: Polytope) -> List[Tuple[Point, Tuple[int, int], int]]:

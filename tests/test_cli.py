@@ -68,6 +68,15 @@ def test_domain_error_exits_one_with_json_error(model, capsys):
                               "message": "order must be at least 1"}
 
 
+def test_volume_of_a_rational_polytope_exits_one(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([[0, 0], ["1/2", 0], [0, 1]]))
+    assert main(["polytope", "volume", "--input", str(path)]) == 1
+    assert _error(capsys) == {
+        "type": "NotLatticePolytope",
+        "message": "normalized volume requires integer vertices"}
+
+
 def test_keyboard_interrupt_exits_130(model, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt

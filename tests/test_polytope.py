@@ -8,15 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tlg import catalog
+from tlg import catalog, polytope
 from tlg.builders import _boundary_cycle
 from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
-                          OriginNotInterior, Polytope, PolytopeError,
-                          dual, edges, is_reflexive, lattice_chart,
-                          lattice_points, minkowski_sum, newton_polytope,
-                          normalized_volume, polygon_edges,
+                          NotLatticePolytope, OriginNotInterior, Polytope,
+                          PolytopeError, dual, edges, is_reflexive,
+                          lattice_chart, lattice_points, minkowski_sum,
+                          newton_polytope, normalized_volume, polygon_edges,
                           unimodular_equivalent)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
@@ -88,6 +88,8 @@ def test_normalized_volume():
     assert normalized_volume(simplex3) == 1
     with pytest.raises(NotFullDimensional):
         normalized_volume(Polytope([(0, 0), (3, 0)]))
+    with pytest.raises(NotLatticePolytope):
+        normalized_volume(Polytope([(0, 0), (Fraction(1, 2), 0), (0, 1)]))
 
 
 def test_newton_polytope():
@@ -409,11 +411,16 @@ def test_facets_match_brute_force(case):
     p = Polytope(points)
     facets = _brute_force_facets(points, d)
     assert list(p.facets) == facets
-    # a vertex is a point where the facet normals reach rank d
+    def normals_through(*qs):
+        return [n for n, h in facets
+                if all(sum(a * b for a, b in zip(n, q)) + h == 0 for q in qs)]
+    # a vertex is a point where the facet normals reach rank d, and an edge
+    # a vertex pair where they reach rank d - 1
     assert list(p.vertices) == sorted(
-        q for q in points
-        if _rank([n for n, h in facets
-                  if sum(a * b for a, b in zip(n, q)) + h == 0]) == d)
+        q for q in points if _rank(normals_through(q)) == d)
+    assert edges(p) == [
+        (a, b) for a, b in itertools.combinations(p.vertices, 2)
+        if _rank(normals_through(a, b)) == d - 1]
 
 
 def _unimodular(draw, d):
@@ -462,6 +469,51 @@ def test_normalized_volume_is_determinant_and_unimodular_invariant(case):
 def test_normalized_volume_of_the_unit_cube(d):
     cube = Polytope(itertools.product((0, 1), repeat=d))
     assert normalized_volume(cube) == factorial(d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_volume_cases(), st.integers(2, 3))
+def test_normalized_volume_scales_with_dilation(case, k):
+    d, points, _, _ = case
+    p = Polytope(points)
+    if p.dim < d:
+        return
+    dilated = Polytope([tuple(k * x for x in q) for q in points])
+    assert normalized_volume(dilated) == k ** d * normalized_volume(p)
+
+
+def test_reflexive_catalog_duals_have_the_boundary_point_volume():
+    # a reflexive polygon has as many boundary points as its normalized
+    # area; the boundary of a reflexive 3-polytope has a unimodular
+    # triangulation with B vertices and 2B - 4 triangles, each the base of
+    # a cone of height one over the origin
+    duals = [q for q in (dual(newton_polytope(e.laurent))
+                         for e in catalog.load())
+             if q.ambient_dim <= 3 and q.is_lattice() and is_reflexive(q)]
+    assert len(duals) == 16
+    for q in duals:
+        boundary = len(lattice_points(q, "boundary"))
+        expected = boundary if q.ambient_dim == 2 else 2 * boundary - 4
+        assert normalized_volume(q) == expected
+
+
+def test_normalized_volume_builds_no_polytope_and_no_chart(monkeypatch):
+    entry = next(e for e in catalog.load() if e.id == "G36-2111")
+    q = dual(newton_polytope(entry.laurent))
+    calls = []
+    init, chart = Polytope.__init__, polytope.lattice_chart
+
+    def counting_init(self, points):
+        calls.append("Polytope")
+        init(self, points)
+
+    def counting_chart(*args):
+        calls.append("lattice_chart")
+        return chart(*args)
+    monkeypatch.setattr(Polytope, "__init__", counting_init)
+    monkeypatch.setattr(polytope, "lattice_chart", counting_chart)
+    assert normalized_volume(q) == 84
+    assert calls == []
 
 
 # sha256 of the facets and vertices of each catalog entry's Newton
