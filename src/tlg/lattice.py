@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .intlinalg import det_bareiss, inverse_rational, snf_with_transforms
+from .intlinalg import det_bareiss, snf_with_transforms
 
 Gram = Tuple[Tuple[int, ...], ...]
 
@@ -186,21 +186,17 @@ def discriminant(l: GramLattice) -> DiscriminantData:
     """Discriminant group and form of a nondegenerate lattice.
 
     The quotient of the dual by the lattice is read off the Smith normal
-    form of the Gram matrix; each cyclic factor gets a generator lifted to
-    a rational vector, and the form value of that lift reduced into
-    [0, 2). For odd lattices the value is only canonical modulo 1; the
-    reduction of the particular lift is reported anyway.
+    form S = U G V of the Gram matrix G: since G^-1 U^-1 = V S^-1, the
+    cyclic factor of order s_i is generated by column i of V divided by
+    s_i, and the form value of that lift is reduced into [0, 2). For odd
+    lattices the value is only canonical modulo 1; the reduction of the
+    particular lift is reported anyway.
     """
     d = l.det()
     if d == 0:
         raise DegenerateLattice("discriminant needs det != 0")
     n = l.rank
-    s, u, _v = snf_with_transforms([list(row) for row in l.gram])
-    ginv = inverse_rational(l.gram)
-    try:
-        uinv = inverse_rational(u)
-    except ZeroDivisionError as exc:
-        raise DegenerateLattice("Smith normal form transform is singular") from exc
+    s, _u, v = snf_with_transforms([list(row) for row in l.gram])
     group: List[int] = []
     gens: List[Tuple[Fraction, ...]] = []
     values: List[Fraction] = []
@@ -208,8 +204,7 @@ def discriminant(l: GramLattice) -> DiscriminantData:
         if s[i][i] in (0, 1):
             continue
         group.append(s[i][i])
-        coords = tuple(sum(ginv[r][c] * uinv[c][i] for c in range(n))
-                       for r in range(n))
+        coords = tuple(Fraction(v[r][i], s[i][i]) for r in range(n))
         gens.append(coords)
         values.append(reduce_mod2(q_value(l, coords)))
     if math.prod(group) != abs(d):

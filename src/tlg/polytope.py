@@ -6,9 +6,12 @@ first scaled by their common denominator, so the hull only ever works over
 Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives the
 affine rank, the facets of the starting simplex and the vertex test, and
 every later facet is an integer combination of two facet planes divided by
-a gcd. Polytopes may have integer or rational vertex coordinates. The
-normalized volume needs integer vertices but no induced facet lattice;
-lattice point enumeration in the degenerate case needs both.
+a gcd. A lower-dimensional polytope is read through the projection onto
+the pivot coordinates of that echelon, which is injective on its affine
+span: the hull, membership and lattice point enumeration all use it, and a
+projected point lifts back through the reduced echelon rows. Polytopes may
+have integer or rational vertex coordinates; only the normalized volume
+needs integer vertices.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h. Heights are integers for lattice
@@ -22,11 +25,11 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
-from .intlinalg import (_IntEchelon, _denominator, _integral, det_bareiss,
-                        inverse_rational, kernel_lattice_chart, mat_vec,
-                        snf_with_transforms)
+from .intlinalg import (_echelon, _IntEchelon, _denominator, _integral,
+                        det_bareiss, kernel_lattice_chart, mat_vec)
 from .laurent import LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
@@ -276,21 +279,10 @@ class Polytope:
         if self.is_full_dimensional():
             return all(_dot(n, p) + h >= 0 for n, h in self.facets) \
                 if self.ambient_dim else True
-        # lower-dimensional: must sit in the affine span and inside the
-        # hull projected onto the pivot coordinates, which is injective on
-        # the span and leaves a full-dimensional polytope
-        base = self.vertices[0]
-        if len(self.vertices) == 1:
-            return p == base
-        den = _denominator(self.vertices + (p,))
-        ech = _IntEchelon()
-        for v in self.vertices[1:]:
-            ech.add([int(x * den) for x in _sub(v, base)])
-        cols = sorted(ech.pivots)
-        if ech.add([int(x * den) for x in _sub(p, base)]):
-            return False
-        return Polytope([tuple(v[j] for j in cols) for v in self.vertices]
-                        ).contains(tuple(p[j] for j in cols))
+        # lower-dimensional: in the affine span and in the projected hull
+        cols, q, lift, den = _span_chart(self)
+        y = tuple(p[j] for j in cols)
+        return all(x * den == n for x, n in zip(p, lift(y))) and q.contains(y)
 
     # -- serialization ----------------------------------------------------
 
@@ -354,85 +346,65 @@ def is_reflexive(p: Polytope) -> bool:
     return all(h == 1 for h in heights)
 
 
-def _bbox(vertices: Sequence[Point]) -> List[Tuple[int, int]]:
-    return [(math.ceil(min(col)), math.floor(max(col)))
-            for col in zip(*vertices)]
-
-
 def lattice_points(p: Polytope, region: str = "all") -> List[Tuple[int, ...]]:
     """Integer points of p: region is all, boundary or interior.
 
     Boundary and interior are taken relative to the affine span, so a
-    segment has two boundary points no matter the ambient dimension.
+    segment has two boundary points no matter the ambient dimension. A
+    lower-dimensional p, with integer or rational vertices, takes the
+    points of its projection onto the pivot coordinates (`_span_chart`)
+    and keeps the ones whose lift is integral.
     """
     if region not in ("all", "boundary", "interior"):
         raise ValueError(f"unknown region {region!r}")
     if p.ambient_dim == 0:
         return [()] if region != "boundary" else []
-    if p.is_full_dimensional():
-        box = _bbox(p.vertices)
-        facets = p.facets
-        out = []
-        for cand in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
-            vals = [_dot(n, cand) + h for n, h in facets]
-            if any(v < 0 for v in vals):
-                continue
-            on_boundary = any(v == 0 for v in vals)
-            if region == "boundary" and not on_boundary:
-                continue
-            if region == "interior" and on_boundary:
-                continue
+    if not p.is_full_dimensional():
+        _cols, q, lift, den = _span_chart(p)
+        lifts = (lift(y) for y in lattice_points(q, region))
+        return sorted(tuple(n // den for n in x) for x in lifts
+                      if all(n % den == 0 for n in x))
+    box = [range(math.ceil(min(col)), math.floor(max(col)) + 1)
+           for col in zip(*p.vertices)]
+    facets, out = p.facets, []
+    for cand in itertools.product(*box):
+        vals = [_dot(n, cand) + h for n, h in facets]
+        if min(vals) >= 0 and (region == "all"
+                               or (region == "boundary") == (0 in vals)):
             out.append(cand)
-        return out
-    if not p.is_lattice():
-        raise NotFullDimensional(
-            "lattice point enumeration of a degenerate rational polytope")
-    if p.dim == 0:
-        v = p.vertices[0]
-        if all(isinstance(x, int) for x in v):
-            return [] if region == "boundary" else [v]
-        return []
-    base, basis, proj = _saturated_projection(p.vertices)
-    inner = lattice_points(Polytope(proj), region)
-    out = []
-    for c in inner:
-        pt = tuple(base[j] + sum(ci * basis[k][j] for k, ci in enumerate(c))
-                   for j in range(p.ambient_dim))
-        out.append(pt)
-    return sorted(out)
+    return out
 
 
-def _saturated_projection(vertices: Sequence[Point]
-                          ) -> Tuple[Point, List[Tuple[int, ...]], List[Point]]:
-    """Coordinates on span(vertices) identifying span ∩ Z^n with Z^rank.
+def _span_chart(p: Polytope
+                ) -> Tuple[List[int], Polytope, Callable[[Sequence], List], int]:
+    """Pivot chart (cols, q, lift, D) of the span of a lower-dimensional p.
 
-    Returns (base point, integer basis of the saturated direction lattice,
-    coordinates of the vertices in that basis). With S = U * D * V the
-    Smith form of the difference columns D, the basis is the first rank
-    columns of U^-1, and the coordinates of v are the first rank entries of
-    U (v - base); the rest vanish because v - base is 0 or a column of D.
+    cols are the pivot columns of the echelon of the vertex differences,
+    which `_hull` projects onto too, and q is the full-dimensional image of
+    p there. lift(y) gives the numerators over D of the point of the span
+    with coordinates y at cols. The echelon is reduced, so column c is zero
+    in every row but its own: with the vertices scaled by den, base B and
+    row R_c scaled to pivot entry L, the lift is
+    (L B + sum_c (den y_c - B_c) R_c) / (den L).
     """
-    base = vertices[0]
-    diffs = [list(_sub(v, base)) for v in vertices[1:]]
-    cols = [list(col) for col in zip(*diffs)]  # n x m, columns are directions
-    s, u, _v = snf_with_transforms(cols)
-    rank = sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0)
-    uinv = inverse_rational(u)
-    basis = []
-    for k in range(rank):
-        col = [uinv[j][k] for j in range(len(uinv))]
-        if any(f.denominator != 1 for f in col):
-            raise PolytopeError(
-                f"saturated basis vector {[str(f) for f in col]} is not integral")
-        basis.append(tuple(int(f) for f in col))
-    proj = []
-    for v in vertices:
-        y = mat_vec(u, _sub(v, base))
-        if any(y[rank:]):
-            raise PolytopeError(
-                f"vertex {v} has no integer coordinates in the saturated basis")
-        proj.append(tuple(y[:rank]))
-    return base, basis, proj
+    den = _denominator(p.vertices)
+    ivs = [tuple(int(x * den) for x in v) for v in p.vertices]
+    ech = _affine_basis(ivs)[1]
+    lcm = math.lcm(*(row[c] for row, c in zip(ech.rows, ech.pivots)))
+    rows = sorted((c, [x * (lcm // row[c]) for x in row])
+                  for row, c in zip(ech.rows, ech.pivots))
+    cols = [c for c, _ in rows]
+    base = ivs[0]
+
+    def lift(y: Sequence) -> List:
+        out = [lcm * b for b in base]
+        for yc, (c, row) in zip(y, rows):
+            t = den * yc - base[c]
+            out = [o + t * r for o, r in zip(out, row)]
+        return out
+
+    q = Polytope([tuple(v[c] for c in cols) for v in p.vertices])
+    return cols, q, lift, den * lcm
 
 
 def normalized_volume(p: Polytope) -> int:
@@ -581,29 +553,21 @@ def unimodular_equivalent(p: Polytope, q: Polytope
         return None
     if n == 0:
         return []
+    # the vertices of a full-dimensional p span Q^n linearly
     ech = _IntEchelon()
-    chosen = []
-    for v in p.vertices:
-        if ech.add(_integral(v)):
-            chosen.append(v)
-        if len(chosen) == n:
-            break
-    if len(chosen) < n:
-        return None
-    s_cols = [list(col) for col in zip(*chosen)]
-    s_inv = inverse_rational(s_cols)
-    pset = set(p.vertices)
-    qset = set(q.vertices)
-    for tup in itertools.permutations(sorted(qset), n):
-        t_cols = [[tup[j][i] for j in range(n)] for i in range(n)]
-        u = [[sum(t_cols[i][k] * s_inv[k][j] for k in range(n)) for j in range(n)]
-             for i in range(n)]
-        if any(x.denominator != 1 for row in u for x in row):
+    chosen = [v for v in p.vertices if ech.add(_integral(v))]
+    for tup in itertools.permutations(q.vertices, n):
+        # U v = w for the chosen v and their images w: the reduced echelon
+        # of the rows (v | w) is (I | U^T) up to the scale of each row,
+        # and a primitive row has integral U entries only at pivot 1
+        ech = _echelon(v + w for v, w in zip(chosen, tup))
+        if any(row[c] != 1 for row, c in zip(ech.rows, ech.pivots)):
             continue
-        ui = [[int(x) for x in row] for row in u]
+        column = dict(zip(ech.pivots, ech.rows))
+        ui = [[column[c][n + i] for c in range(n)] for i in range(n)]
         if abs(det_bareiss(ui)) != 1:
             continue
-        image = {tuple(_dot(row, v) for row in ui) for v in pset}
-        if image == qset:
+        image = {tuple(_dot(row, v) for row in ui) for v in p.vertices}
+        if image == set(q.vertices):
             return ui
     return None

@@ -100,6 +100,12 @@ DUAL_BOUNDARY = [
     [0, 0, 1], [0, 1, -1], [0, 1, 0], [1, -1, -1], [1, -1, 0], [1, -1, 1],
     [1, 0, -1], [1, 0, 0], [1, 1, -1]]
 
+# A triangle in the plane z = x + y of Z^3: its lattice points are the
+# (x, y, x + y) with x, y >= 0 and x + y <= 3.
+PLANE_TRIANGLE = [[0, 0, 0], [3, 0, 3], [0, 3, 3]]
+PLANE_TRIANGLE_POINTS = [[x, y, x + y] for x in range(4)
+                         for y in range(4 - x)]
+
 
 @pytest.mark.parametrize("argv, points, expected", [
     (["hull"], REFLEXIVE_POINTS, {"dim": 3, "vertices": VERTICES}),
@@ -114,9 +120,17 @@ DUAL_BOUNDARY = [
      {"count": 1, "points": [[0, 0, 0]]}),
     (["points", "--region", "boundary"], DUAL_VERTICES,
      {"count": 26, "points": DUAL_BOUNDARY}),
+    (["points", "--region", "all"], PLANE_TRIANGLE,
+     {"count": 10, "points": PLANE_TRIANGLE_POINTS}),
+    (["points", "--region", "interior"], PLANE_TRIANGLE,
+     {"count": 1, "points": [[1, 1, 2]]}),
+    (["points", "--region", "boundary"], PLANE_TRIANGLE,
+     {"count": 9, "points": [x for x in PLANE_TRIANGLE_POINTS
+                             if x != [1, 1, 2]]}),
 ], ids=["hull", "dual", "reflexive", "reflexive-dual", "volume",
         "volume-dual", "points", "points-interior-dual",
-        "points-boundary-dual"])
+        "points-boundary-dual", "points-plane", "points-interior-plane",
+        "points-boundary-plane"])
 def test_polytope_commands_print_golden_json(tmp_path, capsys, argv, points,
                                              expected):
     path = tmp_path / "points.json"

@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import pickle
 from fractions import Fraction
-from math import factorial, gcd
+from math import ceil, factorial, floor, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -421,6 +421,88 @@ def test_facets_match_brute_force(case):
     assert edges(p) == [
         (a, b) for a, b in itertools.combinations(p.vertices, 2)
         if _rank(normals_through(a, b)) == d - 1]
+
+
+@st.composite
+def _degenerate_point_sets(draw):
+    """Points base + sum of c_k w_k in Q^d, d <= 5, with fewer steps w_k
+    than d: small integer steps, and coefficients c_k in {0, 1/den, ..., 2}
+    with den 1 or 2, so the coordinates are integers or halves."""
+    d = draw(st.integers(1, 5))
+    rank = draw(st.integers(0, d - 1))
+    base = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    steps = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * d),
+                          min_size=rank, max_size=rank))
+    den = draw(st.sampled_from([1, 2]))
+    coeff = st.builds(Fraction, st.integers(0, 2 * den), st.just(den))
+    points = [tuple(b + sum(c * w[j] for c, w in zip(cs, steps))
+                    for j, b in enumerate(base))
+              for cs in draw(st.lists(st.tuples(*[coeff] * rank),
+                                      min_size=1, max_size=rank + 3))]
+    return d, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_point_sets())
+@example((3, [(0, 0, 0), (3, 0, 3), (0, 3, 3)]))
+@example((2, [(Fraction(1, 2), Fraction(1, 2)), (Fraction(5, 2), Fraction(5, 2))]))
+def test_degenerate_lattice_points_match_brute_force(case):
+    d, points = case
+    p = Polytope(points)
+    assert p.dim < d
+    box = [range(ceil(min(col)), floor(max(col)) + 1) for col in zip(*points)]
+    expected = [x for x in itertools.product(*box) if p.contains(x)]
+    every = lattice_points(p)
+    assert every == expected
+    boundary = lattice_points(p, "boundary")
+    interior = lattice_points(p, "interior")
+    assert sorted(boundary + interior) == every
+    assert not set(boundary) & set(interior)
+    # relative to the span, a point has no boundary and a segment's
+    # boundary is its two ends
+    if p.dim == 0:
+        assert boundary == []
+    if p.dim == 1:
+        assert set(boundary) == set(p.vertices) & set(every)
+
+
+# A 4-simplex in Z^5 whose direction lattice has a Smith basis with entries
+# up to 1.4e13: a chart in that basis enumerates a box of 9 x 1724 x
+# 658147772 x 46978 points, while the pivot coordinates of the echelon have
+# a box no larger than the ambient one.
+SKEWED_SIMPLEX = [(-4, 2, 5, 0, -2), (-7, 6, -1, -7, 1), (0, 2, 7, 1, -7),
+                  (8, 5, 7, -7, -5), (3, -2, 3, 0, -5)]
+
+
+def test_skewed_simplex_lattice_points_match_brute_force():
+    p = Polytope(SKEWED_SIMPLEX)
+    assert p.dim == 4 and len(p.vertices) == 5
+    # the simplex spans the hyperplane <n, x> = <n, v0>; the brute force
+    # runs over the ambient box and asks contains only on that hyperplane
+    base = SKEWED_SIMPLEX[0]
+    diffs = [[a - b for a, b in zip(v, base)] for v in SKEWED_SIMPLEX[1:]]
+    n = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in diffs]) for j in range(5)]
+    level = sum(a * b for a, b in zip(n, base))
+    box = [range(min(col), max(col) + 1) for col in zip(*SKEWED_SIMPLEX)]
+    expected = [x for x in itertools.product(*box)
+                if sum(a * b for a, b in zip(n, x)) == level
+                and p.contains(x)]
+    assert lattice_points(p) == expected
+    assert set(p.vertices) <= set(expected)
+    boundary = lattice_points(p, "boundary")
+    assert sorted(boundary + lattice_points(p, "interior")) == expected
+
+
+def test_rational_degenerate_lattice_points():
+    segment = Polytope([("1/2", "1/2"), ("5/2", "5/2")])
+    assert lattice_points(segment) == [(1, 1), (2, 2)]
+    assert lattice_points(segment, "interior") == [(1, 1), (2, 2)]
+    assert lattice_points(segment, "boundary") == []
+    point = Polytope([("1/2", 3, 0)])
+    assert lattice_points(point) == []
+    assert lattice_points(point, "interior") == []
+    assert lattice_points(Polytope([(1, 3, 0)])) == [(1, 3, 0)]
+    assert lattice_points(Polytope([(1, 3, 0)]), "boundary") == []
 
 
 def _unimodular(draw, d):
