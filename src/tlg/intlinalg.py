@@ -8,7 +8,8 @@ denominators of each row first and forms Fractions only from its final
 rows. Lattice questions go through the Smith form instead: membership in
 an integer span, and the chart of a hyperplane's kernel lattice, whose
 coordinates are read off the unimodular transform by one matrix-vector
-product per point, with no linear system solved.
+product per point, with no linear system solved. That chart serves only
+`polytope.lattice_chart`, the facet charts of the Minkowski check.
 """
 
 from __future__ import annotations

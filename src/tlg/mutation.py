@@ -5,21 +5,22 @@ polynomial in the other variables and clears denominators. The polytope
 counterpart (Akhtar-Coates-Galkin-Kasprzyk, arXiv:1212.1785), in any
 dimension, moves every integer-height slice by a multiple of the factor's
 Newton polytope F: a Minkowski sum for positive multiples and an exact
-Minkowski difference for negative ones, which is the slice in facet form
-with each facet height raised by the minimum of its normal over F.
+Minkowski difference for negative ones. Everything stays in vertex form in
+ambient coordinates: a slice's vertices are the polytope's vertices at that
+height and the crossings of its edges, and the difference is read from the
+candidates v - mq (v a slice vertex, q a vertex of F) whose translate of mF
+stays inside the polytope.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Mapping, Set, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
-from .intlinalg import _echelon, kernel_lattice_chart, mat_vec
 from .laurent import LaurentPoly, divide_exact
-from .polytope import NotFullDimensional, Polytope, _dot
+from .polytope import (DimensionMismatch, NotFullDimensional, Polytope, _dot,
+                       edges)
 
 
 class PivotInFactor(ValueError):
@@ -36,11 +37,13 @@ ExponentRule = Union[Mapping[int, int], Callable[[int], int], None]
 def _rule_power(rule: ExponentRule, k: int) -> int:
     if rule is None:
         return -k
-    if callable(rule):
-        return int(rule(k))
-    if k in rule:
-        return int(rule[k])
-    raise ValueError(f"exponent rule gives no power for slice {k}")
+    if not callable(rule) and k not in rule:
+        raise ValueError(f"exponent rule gives no power for slice {k}")
+    power = rule(k) if callable(rule) else rule[k]
+    if not isinstance(power, int):
+        raise ValueError(f"exponent rule gives the non-integer power "
+                         f"{power!r} for slice {k}")
+    return power
 
 
 def elementary_mutation(f: LaurentPoly, pivot: str, factor: LaurentPoly,
@@ -93,80 +96,53 @@ def _sum_points(ps, qs):
     return {tuple(a + b for a, b in zip(p, q)) for p in ps for q in qs}
 
 
-def _vertices(rows, dim: int) -> Set[Tuple[Fraction, ...]]:
-    """Vertices of the bounded integer system <a, c> + b >= 0 over (a, b)
-    in rows: the feasible points where dim independent inequalities are
-    tight, each dim-subset solved by one echelon of [A | -b]. A point or a
-    segment comes out the same way."""
-    out = set()
-    for subset in itertools.combinations(rows, dim):
-        ech = _echelon(list(a) + [-b] for a, b in subset)
-        if sorted(ech.pivots) != list(range(dim)):
-            continue
-        den = math.lcm(*(row[piv] for row, piv in zip(ech.rows, ech.pivots)))
-        c = [0] * dim
-        for row, piv in zip(ech.rows, ech.pivots):
-            c[piv] = row[dim] * (den // row[piv])
-        if all(_dot(a, c) + b * den >= 0 for a, b in rows):
-            out.add(tuple(Fraction(x, den) for x in c))
-    return out
-
-
 def polytope_mutation_effect(p: Polytope, data: MutationData) -> Polytope:
-    """Mutate a full-dimensional lattice polytope of any dimension slice
-    by slice.
+    """Mutate a full-dimensional lattice polytope of any dimension by slices.
 
     The height-k slice P_k (heights measured along data.direction) is
-    shifted by m = |power(k)| copies of the factor polytope F: a Minkowski
-    sum for positive powers, an exact Minkowski difference for negative
-    ones. In the chart of the kernel lattice of the direction, with base
-    k w / <w, w>, P_k is the system <n B, c> + <n, base> + h >= 0 over the
-    facets (n, h) of p whose vertices bracket height k, and P_k - mF is
-    the same system with each height raised by m min over q in F of
-    <n, q>. The difference is verified by adding mF back; a mismatch
-    raises SliceNotDivisible.
+    shifted by power(k) copies of the factor polytope F: a Minkowski sum
+    for positive powers, an exact Minkowski difference for negative ones.
+    The vertices of P_k are the vertices of p at height k and the points
+    a + t (b - a), t = (k - h_a) / (h_b - h_a), where an edge (a, b) of p
+    crosses height k. With m = -power(k) > 0, the candidates v - mq (v in
+    P_k, q in F, both vertices) are kept when every facet (n, h) of p holds
+    on their translate of mF: <n, c> + h + m min over F of <n, q> >= 0.
+    The kept set lies in P_k - mF and, when P_k is divisible, holds each of
+    its vertices; adding mF back verifies that, and a mismatch raises
+    SliceNotDivisible.
     """
     if not p.is_full_dimensional():
         raise NotFullDimensional("mutation needs a full-dimensional polytope")
-    w = tuple(int(x) for x in data.direction)
-    if all(x == 0 for x in w):
-        raise ValueError("direction must be nonzero")
-    for v in data.factor.vertices:
-        if _dot(w, v) != 0:
-            raise ValueError("factor polytope must lie in the kernel of the direction")
+    w, f_verts = tuple(data.direction), data.factor.vertices
+    if len(w) != p.ambient_dim or data.factor.ambient_dim != p.ambient_dim:
+        raise DimensionMismatch(
+            f"direction and factor must lie in Z^{p.ambient_dim}")
+    if not all(isinstance(x, int) for x in w) or not any(w):
+        raise ValueError(f"direction {w} must be a nonzero integer vector")
+    if any(_dot(w, q) != 0 for q in f_verts):
+        raise ValueError("factor polytope must lie in the kernel of the direction")
     if not p.is_lattice():
         raise ValueError("mutation needs a lattice polytope")
 
-    basis, coords = kernel_lattice_chart(w)
-    dim, ww = len(basis), _dot(w, w)
-    f_chart = [mat_vec(coords, q) for q in data.factor.vertices]
     heights = {v: _dot(w, v) for v in p.vertices}
-    # the facet (n, h) at height k, times ww to stay integral:
-    # <ww n B, c> + k <n, w> + ww h >= 0
-    facets = []
-    for n, h in p.facets:
-        on = [heights[v] for v in p.vertices if _dot(n, v) + h == 0]
-        facets.append((min(on), max(on), [ww * _dot(n, b) for b in basis],
-                       _dot(n, w), ww * h,
-                       ww * min(_dot(n, q) for q in data.factor.vertices)))
-    cols = [[b[j] for b in basis] for j in range(len(w))]
-    collected: List[Tuple[Fraction, ...]] = []
+    rising = [(a, b, heights[a], heights[b]) for e in edges(p)
+              for a, b in [sorted(e, key=heights.get)]]
+    lifts = [(n, h, min(_dot(n, q) for q in f_verts)) for n, h in p.facets]
+    collected = []
     for k in range(min(heights.values()), max(heights.values()) + 1):
-        rows = [(a, k * nw + hw, lift)
-                for lo, hi, a, nw, hw, lift in facets if lo <= k <= hi]
-        piece = _vertices([(a, b) for a, b, _ in rows], dim)
+        piece = {v for v, hv in heights.items() if hv == k} | {
+            tuple(x + Fraction(k - ha, hb - ha) * (y - x) for x, y in zip(a, b))
+            for a, b, ha, hb in rising if ha < k < hb}
         power = _rule_power(data.exponent_rule, k)
-        scaled = [[abs(power) * x for x in q] for q in f_chart]
-        if power >= 0:
-            moved = _sum_points(piece, scaled)
-        else:
-            moved = _vertices([(a, b - power * lift) for a, b, lift in rows],
-                              dim)
+        # v + power q: the sum itself, or the difference's candidates
+        moved = _sum_points(piece, [[power * x for x in q] for q in f_verts])
+        if power < 0:
+            moved = {c for c in moved if all(_dot(n, c) + h - power * lift >= 0
+                                             for n, h, lift in lifts)}
             # moved + mF lies in P_k, so equals it iff it holds every vertex
-            if not piece <= _sum_points(moved, scaled):
+            if not piece <= _sum_points(moved, [[-power * x for x in q]
+                                                for q in f_verts]):
                 raise SliceNotDivisible(
                     f"slice at height {k} is not an exact multiple away")
-        base = [Fraction(k * wi, ww) for wi in w]
-        collected.extend(tuple(x + _dot(c, col) for x, col in zip(base, cols))
-                         for c in moved)
+        collected.extend(moved)
     return Polytope(collected)

@@ -1,9 +1,15 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tlg import intlinalg, mutation, polytope
 from tlg.laurent import LaurentPoly, NotLaurent
 from tlg.mutation import (MutationData, PivotInFactor, SliceNotDivisible,
                           elementary_mutation, polytope_mutation_effect)
-from tlg.polytope import NotFullDimensional, Polytope, newton_polytope
+from tlg.polytope import (DimensionMismatch, NotFullDimensional, Polytope,
+                          newton_polytope)
 from tlg.series import phi_coefficients
 
 S7_VARS = ("x", "y", "q0", "q1", "q2")
@@ -149,10 +155,12 @@ X4, Y4, U4, Z4 = (LaurentPoly.variable(n, FOUR_VARS) for n in FOUR_VARS)
 def _layered(layers, factor):
     """The sum of z^k g_k factor^max(k, 0) over the items k: g_k of layers,
     plus a simplex at height 0 that makes the Newton polytope
-    full-dimensional."""
-    f = X4 + Y4 + U4 + (X4 * Y4 * U4) ** -1
+    full-dimensional. The variables are those of factor, with z last."""
+    *xs, z = (LaurentPoly.variable(n, factor.variables)
+              for n in factor.variables)
+    f = sum(xs[1:], xs[0]) + math.prod(xs[1:], start=xs[0]) ** -1
     for k, g in layers.items():
-        f = f + Z4 ** k * g * factor ** max(k, 0)
+        f = f + z ** k * g * factor ** max(k, 0)
     return f
 
 
@@ -173,6 +181,153 @@ def test_polytope_mutation_effect_in_4d_matches_newton_polytope(layers,
     moved = polytope_mutation_effect(newton_polytope(f), data)
     assert moved == newton_polytope(elementary_mutation(f, "z", factor))
     assert moved != newton_polytope(f)
+
+
+FIVE_VARS = ("x", "y", "u", "v", "z")
+X5, Y5, U5, V5, Z5 = (LaurentPoly.variable(n, FIVE_VARS) for n in FIVE_VARS)
+FIVE_VARIABLE_CASES = {
+    "segment": ({1: Y5 + U5 * V5, -1: (X5 * Y5) ** -1 + V5}, 1 + X5),
+    "triangle": ({2: U5, 1: X5 ** -1 + V5, -1: U5 ** -1 + Y5 * V5 ** -1},
+                 1 + X5 + Y5),
+    "square": ({1: Y5 * U5 ** -1 + V5, -2: Y5 ** -1 + X5 * V5},
+               (1 + X5) * (1 + U5)),
+}
+
+
+@pytest.mark.parametrize("layers, factor", FIVE_VARIABLE_CASES.values(),
+                         ids=FIVE_VARIABLE_CASES.keys())
+def test_polytope_mutation_effect_in_5d_matches_newton_polytope(layers,
+                                                                factor):
+    f = _layered(layers, factor)
+    data = MutationData((0, 0, 0, 0, 1), newton_polytope(factor))
+    moved = polytope_mutation_effect(newton_polytope(f), data)
+    assert moved == newton_polytope(elementary_mutation(f, "z", factor))
+    assert moved != newton_polytope(f)
+
+
+def _unimodular(draw, d):
+    """A random product of elementary shears and its inverse."""
+    a = [[int(i == j) for j in range(d)] for i in range(d)]
+    inv = [row[:] for row in a]
+    for _ in range(draw(st.integers(0, 2 * d))):
+        i, j = draw(st.permutations(range(d)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in inv:
+            row[j] -= c * row[i]
+    return a, inv
+
+
+@st.composite
+def _layered_mutations(draw):
+    """A layered f in 3 to 5 variables, pivot last, with a factor in the
+    others and a unimodular shear A with its inverse."""
+    n = draw(st.integers(3, 5))
+    names = tuple(f"x{i}" for i in range(n))
+    exps = st.tuples(*[st.integers(-1, 1)] * (n - 1), st.just(0))
+
+    def poly(size):
+        return LaurentPoly(names, {e: 1 for e in draw(
+            st.lists(exps, min_size=1, max_size=size))})
+    factor = poly(3)
+    layers = {k: poly(2) for k in draw(st.lists(
+        st.sampled_from([-2, -1, 1, 2]), min_size=1, max_size=3,
+        unique=True))}
+    return _layered(layers, factor), factor, _unimodular(draw, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_layered_mutations())
+def test_polytope_mutation_matches_laurent_mutation_under_a_shear(case):
+    f, factor, (a, inv) = case
+
+    def sheared(q):
+        return Polytope(tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+                        for v in q.vertices)
+    g = elementary_mutation(f, f.variables[-1], factor)
+    # heights <e_n, v> become <w, A v> with w the last row of A^-1
+    data = MutationData(tuple(inv[-1]), sheared(newton_polytope(factor)))
+    assert polytope_mutation_effect(sheared(newton_polytope(f)), data) \
+        == sheared(newton_polytope(g))
+
+
+SIMPLEX3 = Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+
+
+def test_polytope_mutation_rejects_a_short_direction():
+    with pytest.raises(DimensionMismatch):
+        polytope_mutation_effect(SIMPLEX3, MutationData(
+            (0, 1), Polytope([(0, 0)])))
+
+
+def test_polytope_mutation_rejects_a_factor_in_another_dimension():
+    with pytest.raises(DimensionMismatch):
+        polytope_mutation_effect(SIMPLEX3, MutationData(
+            (0, 0, 1), Polytope([(0, 0), (1, 0)])))
+
+
+def test_polytope_mutation_rejects_a_non_integer_direction():
+    with pytest.raises(ValueError, match="integer"):
+        polytope_mutation_effect(SIMPLEX3, MutationData(
+            (0, 0.5, 1), Polytope([(0, 0, 0)])))
+
+
+def test_exponent_rule_rejects_a_non_integer_power():
+    vs = ("x", "y")
+    x, y = (LaurentPoly.variable(n, vs) for n in vs)
+    square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    seg = Polytope([(0, 0), (1, 0)])
+    for rule in (lambda k: 0.7 * k if k else 0, {0: 0, 1: 0.5}):
+        with pytest.raises(ValueError, match="slice 1"):
+            elementary_mutation(y + x * y + 1, "y", 1 + x, exponent_rule=rule)
+        with pytest.raises(ValueError, match="slice 1"):
+            polytope_mutation_effect(square, MutationData((0, 1), seg, rule))
+
+
+def test_polytope_mutation_reads_a_slice_from_edge_crossings():
+    # no vertex of the square lies at height 0: its slice there is the
+    # crossing of its two vertical edges, and the rule keeps it in place
+    # while it halves the slices above and below
+    vs = ("x", "y")
+    x, y = (LaurentPoly.variable(n, vs) for n in vs)
+    f, rule = (1 + x) * (y + 1 + y ** -1), {1: -1, 0: 0, -1: -1}
+    data = MutationData((0, 1), Polytope([(0, 0), (1, 0)]), rule)
+    moved = polytope_mutation_effect(newton_polytope(f), data)
+    assert moved == Polytope([(0, -1), (1, 0), (0, 1)])
+    assert moved == newton_polytope(
+        elementary_mutation(f, "y", 1 + x, exponent_rule=rule))
+
+
+def test_polytope_mutation_inexact_difference_with_surviving_candidates():
+    # the candidates (0, 0, 1) and (1, 0, 1) fit the segment inside the
+    # top triangle, but with it they miss its vertex (0, 2, 1)
+    p = Polytope([(0, 0, 1), (2, 0, 1), (0, 2, 1), (0, 0, -1)])
+    data = MutationData((0, 0, 1), Polytope([(0, 0, 0), (1, 0, 0)]))
+    with pytest.raises(SliceNotDivisible, match="slice at height 1 "):
+        polytope_mutation_effect(p, data)
+
+
+def test_polytope_mutation_builds_one_polytope_and_no_chart(monkeypatch):
+    f, factor = THREE_VARIABLE_CASES["triangle"]
+    p, data = newton_polytope(f), MutationData((0, 0, 1),
+                                               newton_polytope(factor))
+    calls = []
+    init, chart = Polytope.__init__, intlinalg.kernel_lattice_chart
+
+    def counting_init(self, points):
+        calls.append("Polytope")
+        init(self, points)
+
+    def counting_chart(*args):
+        calls.append("kernel_lattice_chart")
+        return chart(*args)
+    monkeypatch.setattr(Polytope, "__init__", counting_init)
+    for module in (intlinalg, polytope):
+        monkeypatch.setattr(module, "kernel_lattice_chart", counting_chart)
+    assert not hasattr(mutation, "kernel_lattice_chart")
+    moved = polytope_mutation_effect(p, data)
+    assert calls == ["Polytope"]
+    assert moved == newton_polytope(elementary_mutation(f, "z", factor))
 
 
 def test_polytope_mutation_errors():
