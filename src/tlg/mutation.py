@@ -31,6 +31,11 @@ class SliceNotDivisible(ValueError):
     """A slice cannot absorb the required multiple of the factor polytope."""
 
 
+# The power of each height k along the pivot: a mapping, a callable, or
+# None for k -> -k. `elementary_mutation` asks it only at the pivot heights
+# that have terms; `polytope_mutation_effect` asks it at every integer
+# height from the polytope's lowest to its highest, and so checks a mapping
+# for all of them first.
 ExponentRule = Union[Mapping[int, int], Callable[[int], int], None]
 
 
@@ -125,15 +130,22 @@ def polytope_mutation_effect(p: Polytope, data: MutationData) -> Polytope:
         raise ValueError("mutation needs a lattice polytope")
 
     heights = {v: _dot(w, v) for v in p.vertices}
+    lo, hi = min(heights.values()), max(heights.values())
+    rule = data.exponent_rule
+    missing = [] if rule is None or callable(rule) else [
+        k for k in range(lo, hi + 1) if k not in rule]
+    if missing:
+        raise ValueError(f"exponent rule gives no power for heights {missing}; "
+                         f"the polytope needs every height from {lo} to {hi}")
     rising = [(a, b, heights[a], heights[b]) for e in edges(p)
               for a, b in [sorted(e, key=heights.get)]]
     lifts = [(n, h, min(_dot(n, q) for q in f_verts)) for n, h in p.facets]
     collected = []
-    for k in range(min(heights.values()), max(heights.values()) + 1):
+    for k in range(lo, hi + 1):
         piece = {v for v, hv in heights.items() if hv == k} | {
             tuple(x + Fraction(k - ha, hb - ha) * (y - x) for x, y in zip(a, b))
             for a, b, ha, hb in rising if ha < k < hb}
-        power = _rule_power(data.exponent_rule, k)
+        power = _rule_power(rule, k)
         # v + power q: the sum itself, or the difference's candidates
         moved = _sum_points(piece, [[power * x for x in q] for q in f_verts])
         if power < 0:

@@ -4,17 +4,23 @@ Convex hulls are computed incrementally in integer arithmetic, in one pass
 that yields the vertices and the facets together. Rational input points are
 first scaled by their common denominator, so the hull only ever works over
 Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives the
-affine rank, the facets of the starting simplex and the vertex test, and
-every later facet is an integer combination of two facet planes divided by
-a gcd. A lower-dimensional polytope is read through the projection onto
-the pivot coordinates of that echelon, which is injective on its affine
-span: the hull, membership and lattice point enumeration all use it, and a
-projected point lifts back through the reduced echelon rows. Polytopes may
-have integer or rational vertex coordinates; only the normalized volume
-needs integer vertices.
+affine rank, the equations of the affine span and the facets of the
+starting simplex; every later facet is an integer combination of two facet
+planes divided by a gcd, and a point is a vertex when the facets through it
+meet in it alone.
+
+Every polytope is stored as one H-form: the equations of its affine span
+next to its facets. A lower-dimensional polytope is hulled through its
+projection onto the pivot coordinates of the echelon, which is injective on
+the span, and keeps the facets of that projection; each equation solves for
+one of the other coordinates. Membership and lattice point enumeration read
+the H-form alone, in every dimension. Polytopes may have integer or
+rational vertex coordinates; only the normalized volume needs integer
+vertices.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
-meaning the halfspace <n, x> >= -h. Heights are integers for lattice
+meaning the halfspace <n, x> >= -h, and equations as triples (f, a, b)
+meaning <a, x> = b. Heights and right-hand sides are integers for lattice
 polytopes and rationals otherwise. Facets and vertices are kept sorted so
 that identical polytopes always print identically.
 """
@@ -24,9 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from operator import itemgetter, mul
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import (_echelon, _IntEchelon, _denominator, _integral,
                         det_bareiss, kernel_lattice_chart, mat_vec)
@@ -34,6 +39,7 @@ from .laurent import LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
 Facet = Tuple[Tuple[int, ...], object]
+Equation = Tuple[int, Tuple[int, ...], object]
 
 
 class PolytopeError(Exception):
@@ -197,49 +203,59 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
         facets = [f for f, _ in survivors] + [
             _Facet(n, h, inc) for (n, h), inc in new_facets.items()]
 
-    normals_at: Dict[int, List[Tuple[int, ...]]] = {}
+    # the facets through a point meet in its smallest face, whose points
+    # they all hold; a point is a vertex when that face is the point alone
+    meet: Dict[int, Set[int]] = {}
     for f in facets:
         for i in f.incidents:
-            normals_at.setdefault(i, []).append(f.normal)
-    vertices: Set[int] = set()
-    for i, normals in normals_at.items():
-        if len(normals) < d:
-            continue
-        ech = _IntEchelon()
-        for n in normals:
-            if ech.add(n) and ech.rank == d:
-                vertices.add(i)
-                break
+            if i in meet:
+                meet[i] &= f.incidents
+            else:
+                meet[i] = set(f.incidents)
+    vertices = {i for i, face in meet.items() if len(face) == 1}
     return [(f.normal, f.height) for f in facets], vertices
 
 
 def _hull(pts: List[Tuple[int, ...]]
-          ) -> Tuple[int, Optional[List[Facet]], Set[int]]:
-    """(affine dimension, facets when full-dimensional, vertex indices) of
-    distinct integer points. Facets of dimension >= 2 come sorted; the two
-    facets of a segment come as ((1,), -lo), ((-1,), hi)."""
+          ) -> Tuple[int, List[Equation], List[Facet], Set[int]]:
+    """(affine dimension, span equations, facets, vertex indices) of
+    distinct integer points.
+
+    The equations come from the kernel of the echelon of the differences
+    from pts[0], one (f, a, b) meaning <a, x> = b per non-pivot column f:
+    a is zero at every other non-pivot column, so the equation solves for
+    x_f from the pivot coordinates. The projection onto the pivot
+    coordinates is injective on the affine span, so a lower-dimensional
+    set keeps the vertices and the facets of its projection, the normals
+    padded with zeros at the non-pivot columns. Facets of dimension >= 2
+    come sorted; the two facets of a segment come as ((1,), -lo),
+    ((-1,), hi).
+    """
     simplex, ech = _affine_basis(pts)
-    rank = len(simplex) - 1
-    if rank == 0:
-        return 0, None, {0}
-    d = len(pts[0])
-    if rank < d:
-        # the projection onto the pivot coordinates is injective on the
-        # affine span, so it keeps the vertices
-        cols = sorted(ech.pivots)
-        return rank, None, _hull([tuple(p[j] for j in cols) for p in pts])[2]
-    if d == 1:
+    rank, d = len(simplex) - 1, len(pts[0])
+    if rank == d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i][0])
         hi = max(range(len(pts)), key=lambda i: pts[i][0])
-        return 1, [((1,), -pts[lo][0]), ((-1,), pts[hi][0])], {lo, hi}
-    facets, vertices = _full_hull(pts, simplex)
-    return d, sorted(facets), vertices
+        return 1, [], [((1,), -pts[lo][0]), ((-1,), pts[hi][0])], {lo, hi}
+    if rank == d > 1:
+        facets, vertices = _full_hull(pts, simplex)
+        return d, [], sorted(facets), vertices
+    free = [j for j in range(d) if j not in ech.pivots]
+    equations = [(f, tuple(a), _dot(a, pts[0]))
+                 for f, a in zip(free, ech.kernel_basis(d))]
+    if rank == 0:
+        return 0, equations, [], {0}
+    cols = sorted(ech.pivots)
+    _, _, facets, vertices = _hull([tuple(p[j] for j in cols) for p in pts])
+    # n + (0,) holds a zero at index rank for the non-pivot columns
+    pad = itemgetter(*(cols.index(j) if j in cols else rank for j in range(d)))
+    return rank, equations, [(pad(n + (0,)), h) for n, h in facets], vertices
 
 
 class Polytope:
     """Convex hull of a finite point set, exact and immutable."""
 
-    __slots__ = ("ambient_dim", "dim", "vertices", "_facets")
+    __slots__ = ("ambient_dim", "dim", "vertices", "_equations", "_facets")
 
     def __init__(self, points: Iterable[Sequence]):
         pts = sorted({_norm_point(p) for p in points})
@@ -251,23 +267,24 @@ class Polytope:
         self.ambient_dim = dims.pop()
         den = _denominator(pts)
         ipts = pts if den == 1 else [tuple(int(x * den) for x in p) for p in pts]
-        self.dim, facets, vidx = _hull(ipts)
+        self.dim, equations, facets, vidx = _hull(ipts)
         self.vertices: Tuple[Point, ...] = tuple(pts[i] for i in sorted(vidx))
-        self._facets: Optional[Tuple[Facet, ...]] = None
-        if facets is not None:
+        if den != 1:
             # dividing every height by the same den > 0 keeps the order
-            self._facets = tuple(facets) if den == 1 else tuple(
-                (n, _norm(Fraction(h, den))) for n, h in facets)
+            equations = [(f, a, _norm(Fraction(b, den))) for f, a, b in equations]
+            facets = [(n, _norm(Fraction(h, den))) for n, h in facets]
+        self._equations: Tuple[Equation, ...] = tuple(equations)
+        self._facets: Tuple[Facet, ...] = tuple(facets)
 
     @property
-    def facets(self) -> Tuple[Tuple[Tuple[int, ...], object], ...]:
-        if self._facets is None:
+    def facets(self) -> Tuple[Facet, ...]:
+        if self._equations:
             raise NotFullDimensional(
                 f"dim {self.dim} < ambient {self.ambient_dim}: no facet description")
         return self._facets
 
     def is_full_dimensional(self) -> bool:
-        return self._facets is not None or self.ambient_dim == 0
+        return not self._equations
 
     def is_lattice(self) -> bool:
         return all(isinstance(x, int) for v in self.vertices for x in v)
@@ -276,13 +293,8 @@ class Polytope:
         p = _norm_point(point)
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point has wrong length")
-        if self.is_full_dimensional():
-            return all(_dot(n, p) + h >= 0 for n, h in self.facets) \
-                if self.ambient_dim else True
-        # lower-dimensional: in the affine span and in the projected hull
-        cols, q, lift, den = _span_chart(self)
-        y = tuple(p[j] for j in cols)
-        return all(x * den == n for x, n in zip(p, lift(y))) and q.contains(y)
+        return (all(_dot(a, p) == b for _, a, b in self._equations)
+                and all(_dot(n, p) + h >= 0 for n, h in self._facets))
 
     # -- serialization ----------------------------------------------------
 
@@ -347,64 +359,36 @@ def is_reflexive(p: Polytope) -> bool:
 
 
 def lattice_points(p: Polytope, region: str = "all") -> List[Tuple[int, ...]]:
-    """Integer points of p: region is all, boundary or interior.
+    """Integer points of p, sorted: region is all, boundary or interior.
 
     Boundary and interior are taken relative to the affine span, so a
-    segment has two boundary points no matter the ambient dimension. A
-    lower-dimensional p, with integer or rational vertices, takes the
-    points of its projection onto the pivot coordinates (`_span_chart`)
-    and keeps the ones whose lift is integral.
+    segment has two boundary points no matter the ambient dimension. The
+    walk runs over the box of the pivot coordinates, which are all the
+    coordinates of a full-dimensional p, and solves every other coordinate
+    from its span equation, dropping the points where it is no integer;
+    so integer and rational vertices take the same path.
     """
     if region not in ("all", "boundary", "interior"):
         raise ValueError(f"unknown region {region!r}")
-    if p.ambient_dim == 0:
-        return [()] if region != "boundary" else []
-    if not p.is_full_dimensional():
-        _cols, q, lift, den = _span_chart(p)
-        lifts = (lift(y) for y in lattice_points(q, region))
-        return sorted(tuple(n // den for n in x) for x in lifts
-                      if all(n % den == 0 for n in x))
-    box = [range(math.ceil(min(col)), math.floor(max(col)) + 1)
-           for col in zip(*p.vertices)]
-    facets, out = p.facets, []
+    equations, facets = p._equations, p._facets
+    free = {f for f, _, _ in equations}
+    box = [(0,) if j in free
+           else range(math.ceil(min(col)), math.floor(max(col)) + 1)
+           for j, col in enumerate(zip(*p.vertices))]
+    out = []
     for cand in itertools.product(*box):
-        vals = [_dot(n, cand) + h for n, h in facets]
-        if min(vals) >= 0 and (region == "all"
-                               or (region == "boundary") == (0 in vals)):
-            out.append(cand)
-    return out
-
-
-def _span_chart(p: Polytope
-                ) -> Tuple[List[int], Polytope, Callable[[Sequence], List], int]:
-    """Pivot chart (cols, q, lift, D) of the span of a lower-dimensional p.
-
-    cols are the pivot columns of the echelon of the vertex differences,
-    which `_hull` projects onto too, and q is the full-dimensional image of
-    p there. lift(y) gives the numerators over D of the point of the span
-    with coordinates y at cols. The echelon is reduced, so column c is zero
-    in every row but its own: with the vertices scaled by den, base B and
-    row R_c scaled to pivot entry L, the lift is
-    (L B + sum_c (den y_c - B_c) R_c) / (den L).
-    """
-    den = _denominator(p.vertices)
-    ivs = [tuple(int(x * den) for x in v) for v in p.vertices]
-    ech = _affine_basis(ivs)[1]
-    lcm = math.lcm(*(row[c] for row, c in zip(ech.rows, ech.pivots)))
-    rows = sorted((c, [x * (lcm // row[c]) for x in row])
-                  for row, c in zip(ech.rows, ech.pivots))
-    cols = [c for c, _ in rows]
-    base = ivs[0]
-
-    def lift(y: Sequence) -> List:
-        out = [lcm * b for b in base]
-        for yc, (c, row) in zip(y, rows):
-            t = den * yc - base[c]
-            out = [o + t * r for o, r in zip(out, row)]
-        return out
-
-    q = Polytope([tuple(v[c] for c in cols) for v in p.vertices])
-    return cols, q, lift, den * lcm
+        x = list(cand) if equations else cand
+        for f, a, b in equations:
+            # x_f is 0 here, and a is 0 at every other equation's column
+            x[f], r = divmod(b - _dot(a, x), a[f])
+            if r:
+                break
+        else:
+            vals = [_dot(n, x) + h for n, h in facets]
+            if min(vals, default=0) >= 0 and (
+                    region == "all" or (region == "boundary") == (0 in vals)):
+                out.append(tuple(x))
+    return sorted(out)
 
 
 def normalized_volume(p: Polytope) -> int:
@@ -419,7 +403,7 @@ def normalized_volume(p: Polytope) -> int:
 def _incidences(p: Polytope) -> List[frozenset]:
     """The vertex indices on each facet of p, in facet order; none in Z^0."""
     return [frozenset(i for i, v in enumerate(p.vertices) if _dot(n, v) + h == 0)
-            for n, h in p._facets or ()]
+            for n, h in p.facets]
 
 
 def _nvol(p: Polytope) -> int:

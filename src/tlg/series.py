@@ -79,15 +79,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, factorial
 from operator import mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
                       _coerce_coeff, _norm)
 from .polytope import Polytope, newton_polytope
-
-factorial = math.factorial
-binomial = math.comb
 
 
 class NonScalarConstantTerm(ValueError):
@@ -431,7 +429,7 @@ def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
     form of Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288). The degree-d
     coefficient is prod_i (d_i d)!/(d!)^(k+n) times a sum over
     (k-1)x(n-1) integer arrays s, padded by s_{k,j} = s_{i,n} = d, of the
-    product of binomial(below, s_{i,j}) * binomial(right, s_{i,j}) over
+    product of C(below, s_{i,j}) * C(right, s_{i,j}) over
     every entry and its lower and right neighbours. A product is nonzero
     only when every entry is at most both neighbours, so only those arrays,
     the plane partitions in a (k-1)x(n-1)xd box, are summed.
@@ -456,8 +454,8 @@ def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
 
 def _plane_partition_sum(rows: int, cols: int, d: int) -> int:
     """Sum over rows x cols arrays with every entry at most its lower and
-    right neighbours (padding d) of the product of binomial(below, s) *
-    binomial(right, s). The bottom row is filled first, each row right to
+    right neighbours (padding d) of the product of C(below, s) *
+    C(right, s). The bottom row is filled first, each row right to
     left; each cell takes 0..min(below, right), and the product so far is
     carried down the recursion."""
     grid = [[0] * cols for _ in range(rows)] + [[d] * cols]
@@ -473,7 +471,7 @@ def _plane_partition_sum(rows: int, cols: int, d: int) -> int:
         for a in range(min(below, right) + 1):
             row[j] = a
             total += fill(cell - 1,
-                          prod * binomial(below, a) * binomial(right, a))
+                          prod * comb(below, a) * comb(right, a))
         return total
 
     return fill(rows * cols - 1, 1)

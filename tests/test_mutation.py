@@ -68,6 +68,19 @@ def test_mutation_custom_rule_mapping():
         elementary_mutation(f, "y", 1 + x, exponent_rule={1: -1})
 
 
+
+def test_a_mapping_rule_must_cover_every_height_of_the_polytope():
+    # the Laurent side asks the rule only at the heights 1 and -1 that
+    # have terms; the polytope side slices at every height from -1 to 1
+    vs = ("x", "y")
+    x, y = (LaurentPoly.variable(n, vs) for n in vs)
+    f, rule = y + x * y + y ** -1, {1: -1, -1: 1}
+    assert elementary_mutation(f, "y", 1 + x, exponent_rule=rule) == \
+        y ** -1 + y + x * y ** -1
+    data = MutationData((0, 1), Polytope([(0, 0), (1, 0)]), rule)
+    with pytest.raises(ValueError, match=r"heights \[0\]; .* from -1 to 1"):
+        polytope_mutation_effect(newton_polytope(f), data)
+
 def test_mutation_witness_errors():
     vs = ("x", "y")
     x, y = (LaurentPoly.variable(n, vs) for n in vs)

@@ -466,6 +466,90 @@ def test_degenerate_lattice_points_match_brute_force(case):
         assert set(boundary) == set(p.vertices) & set(every)
 
 
+def _off_span_step(points):
+    """A unit vector outside the directions of the affine span of points."""
+    d = len(points[0])
+    diffs = [[a - b for a, b in zip(q, points[0])] for q in points[1:]]
+    rank = _rank(diffs or [[0] * d])
+    return next(e for e in (tuple(int(i == j) for j in range(d))
+                            for i in range(d))
+                if _rank(diffs + [list(e)]) > rank)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_degenerate_point_sets(),
+       st.lists(st.integers(0, 4), min_size=7, max_size=7))
+@example((3, [(0, 0, 0), (3, 0, 3), (0, 3, 3)]), [1] * 7)
+@example((2, [(Fraction(1, 2), Fraction(1, 2)),
+              (Fraction(5, 2), Fraction(5, 2))]), [1] * 7)
+def test_degenerate_contains_matches_convex_combinations(case, ws):
+    d, points = case
+    p = Polytope(points)
+    verts = p.vertices
+    # at most rank + 3 <= 7 points are drawn
+    weights = ws[:len(verts)] if any(ws[:len(verts)]) else [1] * len(verts)
+    total = sum(weights)
+    inside = tuple(sum(Fraction(w) * v[j] for w, v in zip(weights, verts)) / total
+                   for j in range(d))
+    assert p.contains(inside)
+    assert all(p.contains(v) for v in verts)
+    step = _off_span_step(verts)
+    for t in (1, Fraction(1, 2)):
+        assert not p.contains(tuple(x + t * e for x, e in zip(inside, step)))
+    # a vertex is no convex combination of the centroid and a point beyond it
+    centroid = [sum(col) / Fraction(len(verts)) for col in zip(*verts)]
+    for v in verts if len(verts) > 1 else ():
+        for t in (Fraction(1, 3), 1):
+            assert not p.contains(tuple(x + t * (x - c)
+                                        for x, c in zip(v, centroid)))
+
+
+def test_degenerate_contains_and_lattice_points_build_no_polytope(monkeypatch):
+    lower = [Polytope([(0, 1, 2), (3, 4, 5)]),
+             Polytope([("1/2", 0, 1, 0), (2, "3/2", 1, 0), (0, 0, 1, "5/2")]),
+             Polytope([(1, "1/2")])]
+    calls = []
+    init = Polytope.__init__
+
+    def counting_init(self, points):
+        calls.append("Polytope")
+        init(self, points)
+    monkeypatch.setattr(Polytope, "__init__", counting_init)
+    for p in lower:
+        assert p.contains(p.vertices[-1])
+        assert not p.contains(tuple(x + 1 for x in p.vertices[-1]))
+        for region in ("all", "boundary", "interior"):
+            lattice_points(p, region)
+    assert calls == []
+    assert lattice_points(lower[0]) == [(0, 1, 2), (1, 2, 3), (2, 3, 4),
+                                        (3, 4, 5)]
+
+
+def test_the_point_of_z0_is_full_dimensional_with_no_facets():
+    p = Polytope([()])
+    assert p.dim == 0 and p.is_full_dimensional()
+    assert p.facets == ()
+    assert p.contains(())
+    assert lattice_points(p) == lattice_points(p, "interior") == [()]
+    assert lattice_points(p, "boundary") == []
+
+
+def test_rational_degenerate_polytope_pickles():
+    # a rectangle in the plane x_1 = x_2, x_3 = 1 of Z^4
+    p = Polytope([("1/2", "1/2", 1, 0), ("5/2", "5/2", 1, 0),
+                  ("1/2", "1/2", 1, 2), ("5/2", "5/2", 1, 2)])
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q.dim == 2 and not q.is_full_dimensional()
+    with pytest.raises(NotFullDimensional):
+        q.facets
+    probes = list(p.vertices) + [(1, 1, 1, 1), (1, 2, 1, 1), (1, 1, 0, 1),
+                                 (3, 3, 1, 1)]
+    assert [q.contains(x) for x in probes] == [True] * 5 + [False] * 3
+    assert lattice_points(q) == [(1, 1, 1, k) for k in range(3)] + [
+        (2, 2, 1, k) for k in range(3)]
+    assert lattice_points(q, "interior") == [(1, 1, 1, 1), (2, 2, 1, 1)]
+
+
 # A 4-simplex in Z^5 whose direction lattice has a Smith basis with entries
 # up to 1.4e13: a chart in that basis enumerates a box of 9 x 1724 x
 # 658147772 x 46978 points, while the pivot coordinates of the echelon have

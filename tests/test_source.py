@@ -126,3 +126,28 @@ def test_every_private_top_level_definition_is_used():
              and node.name.startswith("_") and not node.name.startswith("__")
              and used[node.name] == _names_used(node)[node.name]]
     assert found == []
+
+
+def _aliases(tree):
+    """Top-level assignments whose value is an imported name or an
+    attribute of one, such as `factorial = math.factorial`."""
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                yield node.lineno
+
+
+def test_no_top_level_aliases_of_imported_names():
+    # import the name itself instead: a second name for one object is one
+    # more thing to read, and the import is as fast a global lookup
+    found = [f"{path.name}:{line}"
+             for path in SOURCES
+             for line in _aliases(ast.parse(path.read_text()))]
+    assert found == []
