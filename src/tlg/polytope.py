@@ -5,9 +5,9 @@ that yields the vertices and the facets together. Rational input points are
 first scaled by their common denominator, so the hull only ever works over
 Z: the fraction-free echelon of `intlinalg`, reduced by gcd, gives the
 affine rank, the equations of the affine span and the facets of the
-starting simplex; every later facet is an integer combination of two facet
-planes divided by a gcd, and a point is a vertex when the facets through it
-meet in it alone.
+starting simplex; every later facet combines a plane the new point sees
+with one it lies strictly inside, divided by a gcd, and a point is a
+vertex when the facets through it meet in it alone.
 
 Every polytope is stored as one H-form: the equations of its affine span
 next to its facets. A lower-dimensional polytope is hulled through its
@@ -147,16 +147,17 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
     incidents plus the new point are the new facet's.
 
     The new plane comes from the pencil of the two facet planes, with no
-    elimination either. Let v_F < 0 and v_G >= 0 be the values of the new
-    point p on F and G. Every hyperplane through the ridge F ∩ G is a
+    elimination either. Let v_F < 0 and v_G be the values of the new point
+    p on F and G. Every hyperplane through the ridge F ∩ G is a
     combination of the planes (n_F, h_F) and (n_G, h_G), and the one
-    through p is v_G (n_F, h_F) - v_F (n_G, h_G). Its normal is not zero
-    (F and G are not parallel, as they share a ridge), and divided by its
-    gcd it is primitive; the height stays an integer because the plane
-    holds the integer point p. Both weights are >= 0, so every point of
-    the old hull keeps a value >= 0 and the normal already points inward.
-    When v_G = 0 the combination is G's own plane, which the new facets
-    skip.
+    through p is v_G (n_F, h_F) - v_F (n_G, h_G). Only survivors with
+    v_G > 0 are paired: for v_G = 0 this is G's own plane, which holds p.
+    For v_G > 0 it is no surviving plane, whose facet would be a third
+    holder of the ridge, so every pencil is a new facet. Its normal is not
+    zero (F and G are not parallel, as they share a ridge), and divided by
+    its gcd it is primitive; the height stays an integer because the plane
+    holds the integer point p. Both weights are > 0, so every point of the
+    old hull keeps a value >= 0 and the normal already points inward.
 
     The reference point is the sum of the simplex vertices, (d+1) times
     their centroid, so it stays integral and strictly inside the starting
@@ -184,23 +185,21 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
                 f.incidents.add(i)
         if not visible:
             continue
-        survivors = [(f, v) for f, v in zip(facets, values) if v >= 0]
-        planes = {(f.normal, f.height) for f, _ in survivors}
+        leaning = [(f, v) for f, v in zip(facets, values) if v > 0]
         new_facets: Dict[Facet, Set[int]] = {}
+        held = [f.incidents for f in facets]
         for F, vF in visible:
-            for G, vG in survivors:
+            for G, vG in leaning:
                 common = F.incidents & G.incidents
-                if len(common) < d - 1 or any(
-                        H is not F and H is not G and common <= H.incidents
-                        for H in facets):
+                if len(common) < d - 1 or sum(
+                        map(common.issubset, held)) > 2:
                     continue
                 n = [vG * a - vF * b for a, b in zip(F.normal, G.normal)]
                 g = math.gcd(*n)
                 key = (tuple(x // g for x in n),
                        (vG * F.height - vF * G.height) // g)
-                if key not in planes:
-                    new_facets.setdefault(key, {i}).update(common)
-        facets = [f for f, _ in survivors] + [
+                new_facets.setdefault(key, {i}).update(common)
+        facets = [f for f, v in zip(facets, values) if v >= 0] + [
             _Facet(n, h, inc) for (n, h), inc in new_facets.items()]
 
     # the facets through a point meet in its smallest face, whose points
@@ -338,19 +337,20 @@ def newton_polytope(f: LaurentPoly) -> Polytope:
 
 def dual(p: Polytope) -> Polytope:
     """Polar dual {y : <y, x> >= -1 on p}; rational when p is not reflexive."""
-    if not p.is_full_dimensional() or p.ambient_dim == 0:
+    if not p.is_full_dimensional():
         raise NotFullDimensional("dual needs a full-dimensional polytope")
     verts = []
     for n, h in p.facets:
         if h <= 0:
             raise OriginNotInterior("origin is not strictly inside")
         verts.append(tuple(Fraction(x, 1) / h for x in n))
-    return Polytope(verts)
+    # only the point of Z^0 has no facets, and it is its own dual
+    return Polytope(verts) if verts else p
 
 
 def is_reflexive(p: Polytope) -> bool:
     """True when every facet has lattice distance one from the origin."""
-    if not p.is_full_dimensional() or p.ambient_dim == 0:
+    if not p.is_full_dimensional():
         raise NotFullDimensional("reflexivity needs a full-dimensional polytope")
     heights = [h for _, h in p.facets]
     if any(h <= 0 for h in heights):

@@ -106,12 +106,17 @@ PLANE_TRIANGLE = [[0, 0, 0], [3, 0, 3], [0, 3, 3]]
 PLANE_TRIANGLE_POINTS = [[x, y, x + y] for x in range(4)
                          for y in range(4 - x)]
 
+# The point of Z^0: no facets, so it is its own dual and reflexive.
+Z0_POINT = {"dim": 0, "vertices": [[]]}
+
 
 @pytest.mark.parametrize("argv, points, expected", [
     (["hull"], REFLEXIVE_POINTS, {"dim": 3, "vertices": VERTICES}),
     (["dual"], REFLEXIVE_POINTS, {"dim": 3, "vertices": DUAL_VERTICES}),
     (["reflexive"], REFLEXIVE_POINTS, True),
     (["reflexive"], DUAL_VERTICES, True),
+    (["dual"], Z0_POINT, Z0_POINT),
+    (["reflexive"], Z0_POINT, True),
     (["volume"], REFLEXIVE_POINTS, {"volume": 8}),
     (["volume"], DUAL_VERTICES, {"volume": 48}),
     (["points"], REFLEXIVE_POINTS,
@@ -127,7 +132,8 @@ PLANE_TRIANGLE_POINTS = [[x, y, x + y] for x in range(4)
     (["points", "--region", "boundary"], PLANE_TRIANGLE,
      {"count": 9, "points": [x for x in PLANE_TRIANGLE_POINTS
                              if x != [1, 1, 2]]}),
-], ids=["hull", "dual", "reflexive", "reflexive-dual", "volume",
+], ids=["hull", "dual", "reflexive", "reflexive-dual", "dual-z0",
+        "reflexive-z0", "volume",
         "volume-dual", "points", "points-interior-dual",
         "points-boundary-dual", "points-plane", "points-interior-plane",
         "points-boundary-plane"])

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import math
 import pickle
 from fractions import Fraction
 from math import ceil, factorial, floor, gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -382,22 +384,29 @@ def _brute_force_facets(points, d):
 
 @st.composite
 def _small_point_sets(draw):
-    d = draw(st.integers(2, 4))
-    # the unit grid gives coplanar points and non-simplicial facets
-    coord = draw(st.sampled_from([st.integers(-1, 1), st.integers(-3, 3)]))
+    d = draw(st.integers(2, 5))
+    # the unit grid gives coplanar points and non-simplicial facets; in Z^5
+    # at most 8 points of {0, 1}^5 or {-1, 0, 1}^5 keep the brute force
+    # small, and a new point often lies on a surviving facet (v_G = 0)
+    coord = draw(st.sampled_from(
+        [st.integers(0, 1), st.integers(-1, 1)] if d == 5
+        else [st.integers(-1, 1), st.integers(-3, 3)]))
     points = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1,
-                           max_size=10, unique=True))
+                           max_size=8 if d == 5 else 10, unique=True))
     return d, points
 
 
-# In the first example a visible and a surviving facet share d - 1 = 3
+# In the 4-D example a visible and a surviving facet share d - 1 = 3
 # points, the collinear (1, y, 0, -1): they meet in an edge, not in a ridge.
-# In the second, (1, 1, 0) lies on the surviving plane z = 0 while it sees
+# In the 3-D one, (1, 1, 0) lies on the surviving plane z = 0 while it sees
 # x + y + z <= 1, and (2, 0, 1) lies on y = 0 while it sees two facets: the
 # pencil of such a ridge gives the surviving plane back, which is no new
-# facet.
-@settings(max_examples=150, deadline=None)
+# facet. The 5-D one has such ridges too: pairing them gives a duplicate.
+@settings(max_examples=200, deadline=None)
 @given(_small_point_sets())
+@example((5, [(0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
+              (0, 0, 1, 0, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
+              (1, 1, 0, 0, 0), (1, 1, 1, 1, 1)]))
 @example((4, [(-1, -1, 0, 1), (-1, 0, -1, 0), (-1, 0, -1, 1), (0, -1, 0, -1),
               (1, -1, 0, -1), (1, 0, 0, -1), (1, 1, 0, -1), (1, 1, 1, 0)]))
 @example((3, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 0),
@@ -532,6 +541,9 @@ def test_the_point_of_z0_is_full_dimensional_with_no_facets():
     assert p.contains(())
     assert lattice_points(p) == lattice_points(p, "interior") == [()]
     assert lattice_points(p, "boundary") == []
+    # with no facets it is its own dual, and reflexive
+    assert dual(p) == p and is_reflexive(p)
+    assert normalized_volume(p) == 1
 
 
 def test_rational_degenerate_polytope_pickles():
@@ -680,6 +692,26 @@ def test_normalized_volume_builds_no_polytope_and_no_chart(monkeypatch):
     monkeypatch.setattr(polytope, "lattice_chart", counting_chart)
     assert normalized_volume(q) == 84
     assert calls == []
+
+
+def test_g36_hulls_pair_visible_facets_only_with_leaning_survivors(monkeypatch):
+    # every new facet is the pencil of a visible facet F and a surviving
+    # facet G, reduced by one gcd; pairing F with the survivors G whose
+    # plane holds the new point too made 1,452 and 1,078 pencils
+    pencils = []
+
+    def counting_gcd(*args):
+        pencils.append(args)
+        return gcd(*args)
+    monkeypatch.setattr(polytope, "math",
+                        SimpleNamespace(**{**vars(math), "gcd": counting_gcd}))
+    entries = {e.id: e for e in catalog.load()}
+    counts = {}
+    for entry_id in ("G36-2111", "G36-1112"):
+        pencils.clear()
+        Polytope(entries[entry_id].laurent.exponents())
+        counts[entry_id] = len(pencils)
+    assert counts == {"G36-2111": 293, "G36-1112": 207}
 
 
 # sha256 of the facets and vertices of each catalog entry's Newton
