@@ -9,6 +9,12 @@ Every polygon edge walk reads `polytope.polygon_edges`, the edges of the
 already hulled polygon, and every edge rule that puts 1 at the ends and
 C(n, k) at the k-th lattice point is `_edge_binomials`. Products of edge
 and facet polynomials are `LaurentPoly` products.
+
+A Minkowski certificate, searched or supplied, is checked on edge steps by
+`_check_facet_decomposition`: the summands' edge lengths per primitive
+step and their first vertices must add up to the facet's, with no hull of
+the Minkowski sum, and their lattice is read from the steps of segments
+alone, with no Smith form.
 """
 
 from __future__ import annotations
@@ -18,11 +24,9 @@ from dataclasses import dataclass
 from math import comb, gcd, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .intlinalg import in_lattice
 from .laurent import LaurentPoly
 from .polytope import (Polytope, _sub, edges, is_reflexive, lattice_chart,
-                       lattice_points, minkowski_sum, newton_polytope,
-                       polygon_edges)
+                       lattice_points, newton_polytope, polygon_edges)
 from .series import WciSpec
 
 
@@ -270,20 +274,23 @@ class MinkowskiCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "MinkowskiCertificate":
-        return cls(tuple(
-            FacetDecomposition(tuple(fd["normal"]),
-                               tuple(Polytope.from_json_dict(s)
-                                     for s in fd["summands"]))
-            for fd in data["facets"]))
+        """The certificate of to_json_dict; a missing key is a
+        BadCertificate naming it and the facet and summand that lack it."""
+        def field(obj, key, where):
+            if not isinstance(obj, dict) or key not in obj:
+                raise BadCertificate(f"{where}missing key {key!r}")
+            return obj[key]
 
-
-def _diff_lattice(points: Sequence[Tuple[int, ...]]) -> List[List[int]]:
-    base = points[0]
-    return [list(b - a for a, b in zip(base, p)) for p in points[1:]]
-
-
-def _lattice_equal(gens_a: List[List[int]], gens_b: List[List[int]]) -> bool:
-    return in_lattice(gens_b, gens_a) and in_lattice(gens_a, gens_b)
+        facets = []
+        for i, fd in enumerate(field(data, "facets", "")):
+            normal = tuple(field(fd, "normal", f"facet {i}: "))
+            summands = []
+            for j, s in enumerate(field(fd, "summands", f"facet {i}: ")):
+                for key in ("vertices", "dim"):
+                    field(s, key, f"facet {i}, summand {j}: ")
+                summands.append(Polytope.from_json_dict(s))
+            facets.append(FacetDecomposition(normal, tuple(summands)))
+        return cls(tuple(facets))
 
 
 def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
@@ -295,21 +302,39 @@ def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
     return pts, base, basis, proj
 
 
-def _check_facet_decomposition(proj: Sequence[Tuple[int, int]],
-                               facet: Polytope,
+def _check_facet_decomposition(facet: Polytope,
                                summands: Sequence[Polytope]) -> None:
-    """Raise BadCertificate unless summands sum to the facet admissibly;
-    facet is the polygon of the chart points proj."""
-    total = summands[0]
-    for s in summands[1:]:
-        total = minkowski_sum(total, s)
-    if total != facet:
-        raise BadCertificate("summands do not add up to the facet")
-    facet_gens = _diff_lattice(sorted(proj))
-    summand_gens: List[List[int]] = []
+    """Raise BadCertificate unless the summands, lattice segments and
+    polygons in Z^2, sum to the lattice polygon facet admissibly.
+
+    A convex polygon is fixed by its first vertex and its edge length per
+    primitive step, and a Minkowski sum adds both up: a segment has an edge
+    each way along its step. The lattice points of a lattice polygon
+    generate Z^2, so the summands' lattice falls short of the facet's only
+    when all are segments and their primitive steps do not span Z^2, that
+    is when the gcd of their pairwise crosses is not 1.
+    """
+    budget: Dict[Tuple[int, int], int] = {}
+    steps: List[Tuple[int, int]] = []
     for s in summands:
-        summand_gens.extend(_diff_lattice(lattice_points(s)))
-    if not _lattice_equal(facet_gens, summand_gens):
+        if s.ambient_dim != 2 or s.dim == 0 or not s.is_lattice():
+            raise BadCertificate(f"summand {s!r} is not an A-type polygon")
+        if s.dim == 2:
+            edges_of_s = [(step, n) for _, step, n in polygon_edges(s)]
+        else:
+            diff = _sub(s.vertices[1], s.vertices[0])
+            n = gcd(*diff)
+            step = (diff[0] // n, diff[1] // n)
+            steps.append(step)
+            edges_of_s = [(step, n), ((-step[0], -step[1]), n)]
+        for step, n in edges_of_s:
+            budget[step] = budget.get(step, 0) + n
+    first = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
+    if (budget != {step: n for _, step, n in polygon_edges(facet)}
+            or first != facet.vertices[0]):
+        raise BadCertificate("summands do not add up to the facet")
+    if len(steps) == len(summands) and gcd(
+            *(_cross(u, v) for u, v in itertools.combinations(steps, 2))) != 1:
         raise BadCertificate("summand lattices do not generate the facet lattice")
 
 
@@ -324,7 +349,8 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     if p.ambient_dim != 3 or not is_reflexive(p):
         raise ValueError("Minkowski polynomials live on reflexive 3-polytopes")
     by_normal = {fd.normal: fd.summands for fd in cert.facets}
-    if set(by_normal) != {n for n, _ in p.facets}:
+    if len(by_normal) != len(cert.facets) or \
+            set(by_normal) != {n for n, _ in p.facets}:
         raise BadCertificate("certificate facets do not match the polytope")
     names = _default_names(3)
     terms: Dict[Tuple[int, ...], int] = {}
@@ -332,7 +358,7 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     for normal, height in p.facets:
         summands = by_normal[normal]
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
-        _check_facet_decomposition(proj, Polytope(proj), summands)
+        _check_facet_decomposition(Polytope(proj), summands)
         for e, c in _facet_product(summands).terms():
             ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
                             for j in range(3))
@@ -393,7 +419,7 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
                           for v in chosen[0].vertices])
         summands = (first,) + tuple(chosen[1:])
         try:
-            _check_facet_decomposition(proj, facet, summands)
+            _check_facet_decomposition(facet, summands)
         except BadCertificate:
             return None
         if _facet_product(summands) != target:
@@ -430,8 +456,11 @@ def check_minkowski(f: LaurentPoly,
     """Search per-facet admissible A-type decompositions matching f.
 
     None means no certificate was found within the bounded search (at most
-    max_summands per facet); it is not a proof that none exists.
+    max_summands per facet); it is not a proof that none exists. A bound
+    below 1 is a ValueError.
     """
+    if max_summands < 1:
+        raise ValueError(f"max_summands must be at least 1, got {max_summands}")
     p = newton_polytope(f)
     if p.ambient_dim != 3 or not is_reflexive(p):
         raise ValueError("Minkowski check needs a reflexive Newton 3-polytope")

@@ -446,6 +446,9 @@ def build_binomial_cmd(input_path, output):
           _OUTPUT)
 def minkowski_check_cmd(input_path, max_summands, output):
     """Certify facet decompositions into A-type polygons."""
+    if max_summands < 1:
+        raise UsageError(
+            f"--max-summands must be at least 1, got {max_summands}")
     f = _laurent_from(_read_json(input_path), input_path)
     cert = check_minkowski(f, max_summands=max_summands)
     _emit(output, {"minkowski": cert is not None, "certificate":

@@ -5,11 +5,11 @@ Matrices are lists of lists (rows). Everything here is arbitrary precision
 and stays in int while it eliminates: the one row elimination is the
 fraction-free echelon `_IntEchelon`, and `inverse_rational` clears the
 denominators of each row first and forms Fractions only from its final
-rows. Lattice questions go through the Smith form instead: membership in
-an integer span, and the chart of a hyperplane's kernel lattice, whose
-coordinates are read off the unimodular transform by one matrix-vector
-product per point, with no linear system solved. That chart serves only
-`polytope.lattice_chart`, the facet charts of the Minkowski check.
+rows. The Smith form serves the lattice invariants of `lattice` and the
+chart of a hyperplane's kernel lattice, whose coordinates are read off the
+unimodular transform by one matrix-vector product per point, with no
+linear system solved. That chart serves only `polytope.lattice_chart`,
+the facet charts of the Minkowski check.
 """
 
 from __future__ import annotations
@@ -23,21 +23,6 @@ Matrix = List[List[int]]
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
 
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
@@ -303,25 +288,6 @@ def inverse_rational(mat: Sequence[Sequence]) -> List[List[Fraction]]:
             raise ZeroDivisionError("singular matrix")
         inv[piv] = [Fraction(x, row[piv]) for x in row[n:]]
     return inv
-
-
-def in_lattice(generators: Sequence[Sequence[int]],
-               vectors: Iterable[Sequence[int]]) -> bool:
-    """Whether every vector lies in the integer span of the generators.
-
-    With S = U * G * V the Smith form of the generator columns G, x lies
-    in the span exactly when each entry of U x is divisible by the
-    matching invariant factor, and zero past the nonzero ones; the one
-    transform serves every vector.
-    """
-    if not generators:
-        return all(x == 0 for vec in vectors for x in vec)
-    s, u, _v = snf_with_transforms(transpose(generators))
-    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
-    diag += [0] * (len(u) - len(diag))
-    return all(y % d == 0 if d else y == 0
-               for vec in vectors
-               for y, d in zip(mat_vec(u, vec), diag))
 
 
 def kernel_lattice_chart(vec: Sequence[int]

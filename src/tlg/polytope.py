@@ -508,14 +508,6 @@ def polygon_edges(p: Polytope) -> List[Tuple[Point, Tuple[int, int], int]]:
     return out
 
 
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    if p.ambient_dim != q.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {p.ambient_dim} vs {q.ambient_dim}")
-    return Polytope(tuple(a + b for a, b in zip(v, w))
-                    for v in p.vertices for w in q.vertices)
-
-
 def unimodular_equivalent(p: Polytope, q: Polytope
                           ) -> Optional[List[List[int]]]:
     """A matrix U in GL(n, Z) with U.vertices(p) = vertices(q), or None.

@@ -1,12 +1,17 @@
+import itertools
+from math import gcd
+
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from tlg import builders, catalog
 from tlg.builders import (BadBase, BadCertificate, BadPartition,
-                          DelPezzoScript, EdgesDisagree, InteriorFacetPoint,
-                          MinkowskiCertificate, NefPartition, PointInsideHull,
-                          a_type_polynomial, binomial_principle,
-                          check_minkowski, del_pezzo_model,
-                          find_nef_partitions, is_An_polygon,
+                          DelPezzoScript, EdgesDisagree, FacetDecomposition,
+                          InteriorFacetPoint, MinkowskiCertificate,
+                          NefPartition, PointInsideHull, a_type_polynomial,
+                          binomial_principle, check_minkowski,
+                          del_pezzo_model, find_nef_partitions, is_An_polygon,
                           minkowski_polynomial, wci_laurent)
 from tlg.laurent import LaurentPoly
 from tlg.polytope import Polytope, lattice_points, newton_polytope
@@ -143,10 +148,14 @@ def test_check_minkowski_quartic():
     assert rebuilt == f - 24
 
 
-def test_check_minkowski_projective_space():
+def _p3_model():
     vs = ("x", "y", "z")
     x, y, z = (LaurentPoly.variable(n, vs) for n in vs)
-    f = x + y + z + (x * y * z) ** -1
+    return x + y + z + (x * y * z) ** -1
+
+
+def test_check_minkowski_projective_space():
+    f = _p3_model()
     cert = check_minkowski(f)
     assert cert is not None
     assert minkowski_polynomial(newton_polytope(f), cert) == f
@@ -164,10 +173,125 @@ def test_check_minkowski_needs_reflexive_3d():
         check_minkowski(x + y + (x * y) ** -1)
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_check_minkowski_needs_a_bound_of_at_least_one(bound):
+    # 0 used to find nothing and -1 to search with no limit
+    with pytest.raises(ValueError, match="max_summands"):
+        check_minkowski(_p3_model(), max_summands=bound)
+
+
+def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
+    # the facets, the candidate summands and the shifted first summand of
+    # each verified choice; hulling every choice's Minkowski sum made 62
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    newton_polytope(f)
+    calls = []
+    init = Polytope.__init__
+
+    def counting_init(self, points):
+        calls.append(points)
+        init(self, points)
+    monkeypatch.setattr(Polytope, "__init__", counting_init)
+    assert check_minkowski(f) is not None
+    assert len(calls) == 50
+
+
+def _vertex_sums_hull(summands):
+    return Polytope([tuple(map(sum, zip(*vs)))
+                     for vs in itertools.product(*(s.vertices
+                                                   for s in summands))])
+
+
+def _generates_z2(summands):
+    # the index of the lattice that vectors span in Z^2 is the gcd of their
+    # 2x2 minors; here the vectors are every difference of lattice points
+    diffs = [(p[0] - pts[0][0], p[1] - pts[0][1])
+             for pts in map(lattice_points, summands) for p in pts[1:]]
+    return gcd(*(u[0] * v[1] - u[1] * v[0]
+                 for u, v in itertools.combinations(diffs, 2))) == 1
+
+
+BOX = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+SUMMAND = st.lists(BOX, min_size=2, max_size=5, unique=True).map(Polytope) \
+    .filter(lambda s: s.dim > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SUMMAND, min_size=1, max_size=3),
+       st.one_of(st.none(), st.lists(BOX, min_size=3, max_size=6)))
+@example([Polytope([(0, 0), (1, 1)]), Polytope([(0, 0), (1, -1)])], None)
+@example([Polytope([(0, 0), (2, 0)]), Polytope([(0, 0), (0, 1)])], None)
+@example([Polytope([(0, 0), (1, 0), (0, 1)])], [(1, 0), (2, 0), (1, 1)])
+def test_facet_check_accepts_exactly_the_admissible_sums(summands, other):
+    # other None: the facet is the hull of the vertex sums, else a polygon
+    # drawn on its own or that hull with the drawn points added
+    exact = _vertex_sums_hull(summands)
+    if other is None:
+        facet = exact
+    else:
+        facet = Polytope(other if len(other) % 2 else
+                         list(exact.vertices) + other)
+    assume(facet.dim == 2)
+    adds_up = exact == facet
+    try:
+        builders._check_facet_decomposition(facet, summands)
+        message = None
+    except BadCertificate as exc:
+        message = str(exc)
+    if not adds_up:
+        assert message == "summands do not add up to the facet"
+    elif not _generates_z2(summands):
+        assert message == "summand lattices do not generate the facet lattice"
+    else:
+        assert message is None
+
+
+@pytest.mark.parametrize("summand, message", [
+    (Polytope([(1, 0), (2, 0), (1, 1)]), "do not add up"),
+    (Polytope([(0, 0)]), "not an A-type polygon"),
+    (Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), "not an A-type polygon"),
+])
+def test_minkowski_polynomial_checks_supplied_summands(summand, message):
+    f = _p3_model()
+    cert = check_minkowski(f)
+    first = cert.facets[0]
+    bad = FacetDecomposition(first.normal, (summand,))
+    with pytest.raises(BadCertificate, match=message):
+        minkowski_polynomial(newton_polytope(f),
+                             MinkowskiCertificate((bad,) + cert.facets[1:]))
+
+
+def test_minkowski_polynomial_rejects_a_facet_listed_twice():
+    f = _p3_model()
+    cert = check_minkowski(f)
+    twice = MinkowskiCertificate(cert.facets + (cert.facets[0],))
+    with pytest.raises(BadCertificate, match="do not match"):
+        minkowski_polynomial(newton_polytope(f), twice)
+
+
+@pytest.mark.parametrize("path, key, message", [
+    ((), "facets", "missing key 'facets'"),
+    (("facets", 1), "normal", "facet 1: missing key 'normal'"),
+    (("facets", 2), "summands", "facet 2: missing key 'summands'"),
+    (("facets", 3, "summands", 0), "dim",
+     "facet 3, summand 0: missing key 'dim'"),
+    (("facets", 0, "summands", 0), "vertices",
+     "facet 0, summand 0: missing key 'vertices'"),
+])
+def test_minkowski_certificate_missing_keys_are_bad_certificates(path, key,
+                                                                 message):
+    data = check_minkowski(_p3_model()).to_json_dict()
+    holder = data
+    for step in path:
+        holder = holder[step]
+    del holder[key]
+    with pytest.raises(BadCertificate) as exc:
+        MinkowskiCertificate.from_json_dict(data)
+    assert str(exc.value) == message
+
+
 def test_minkowski_certificate_json_round_trip():
-    vs = ("x", "y", "z")
-    x, y, z = (LaurentPoly.variable(n, vs) for n in vs)
-    f = x + y + z + (x * y * z) ** -1
+    f = _p3_model()
     cert = check_minkowski(f)
     again = MinkowskiCertificate.from_json_dict(cert.to_json_dict())
     assert minkowski_polynomial(newton_polytope(f), again) == f

@@ -521,9 +521,12 @@ def test_catalog_report_is_byte_identical(capsys):
     ["build", "grass", "--k", "2", "--n", "3", "--method", "closed"],
     ["catalog", "verify", "--id", "1-1", "--jobs", "0"],
     ["catalog", "verify", "--id", "1-1", "--jobs", "-3"],
+    ["minkowski", "check", "--input", "MODEL", "--max-summands", "0"],
+    ["minkowski", "check", "--input", "MODEL", "--max-summands", "-1"],
 ], ids=["missing-input-file", "bad-output-choice", "unknown-id",
         "lattice-without-input", "bad-int-list", "group-only",
-        "removed-method-option", "zero-jobs", "negative-jobs"])
+        "removed-method-option", "zero-jobs", "negative-jobs",
+        "zero-max-summands", "negative-max-summands"])
 def test_more_usage_errors_exit_two(model, tmp_path, monkeypatch, capsys,
                                     argv):
     monkeypatch.chdir(tmp_path)

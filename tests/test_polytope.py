@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from tlg import catalog, polytope
 from tlg.builders import _boundary_cycle
-from tlg.intlinalg import identity, kernel_lattice_chart, mat_mul, transpose
+from tlg.intlinalg import identity, kernel_lattice_chart
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           NotLatticePolytope, OriginNotInterior, Polytope,
                           PolytopeError, dual, edges, is_reflexive,
-                          lattice_chart, lattice_points, minkowski_sum,
-                          newton_polytope, normalized_volume, polygon_edges,
+                          lattice_chart, lattice_points, newton_polytope,
+                          normalized_volume, polygon_edges,
                           unimodular_equivalent)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
@@ -109,15 +109,6 @@ def test_newton_polytope_of_threefold_model():
     assert set(nabla.vertices) == {(3, -1, -1), (-1, 3, -1), (-1, -1, 3),
                                    (-1, -1, -1)}
     assert normalized_volume(nabla) == 64
-
-
-def test_minkowski_sum():
-    seg_x = Polytope([(0, 0), (1, 0)])
-    seg_y = Polytope([(0, 0), (0, 1)])
-    sq = minkowski_sum(seg_x, seg_y)
-    assert set(sq.vertices) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert minkowski_sum(TRIANGLE, TRIANGLE) == \
-        Polytope([(2, 0), (0, 2), (-2, -2)])
 
 
 def test_edges_and_ccw():
@@ -248,7 +239,8 @@ def test_lattice_chart_properties(case):
                      for j in range(d)) == pt
     same_basis, rows = kernel_lattice_chart(n)
     assert basis == same_basis
-    assert mat_mul(rows, transpose(basis)) == identity(d - 1)
+    assert [[sum(x * y for x, y in zip(r, b)) for b in basis]
+            for r in rows] == identity(d - 1)
     # off the plane: a step along coordinate i changes <n, x> by n_i
     off = tuple(x + (j == i) for j, x in enumerate(pts[0]))
     with pytest.raises(PolytopeError):

@@ -112,19 +112,25 @@ def _names_used(node):
     return used
 
 
-def test_every_private_top_level_definition_is_used():
-    # a top-level _name that nothing else in the package reads, counting
-    # neither its own definition nor a call from inside itself, is dead
+def _unread_top_level_definitions():
+    """(file name, definition) for each top-level function or class that
+    nothing else in the package reads, counting neither its own definition
+    nor a call from inside itself."""
     trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
     used = collections.Counter()
     for tree in trees.values():
         used.update(_names_used(tree))
+    return [(name, node) for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and used[node.name] == _names_used(node)[node.name]]
+
+
+def test_every_private_top_level_definition_is_used():
+    # a top-level _name that nothing else in the package reads is dead
     found = [f"{name}:{node.lineno}: {node.name}"
-             for name, tree in trees.items() for node in tree.body
-             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef))
-             and node.name.startswith("_") and not node.name.startswith("__")
-             and used[node.name] == _names_used(node)[node.name]]
+             for name, node in _unread_top_level_definitions()
+             if node.name.startswith("_") and not node.name.startswith("__")]
     assert found == []
 
 
@@ -150,4 +156,13 @@ def test_no_top_level_aliases_of_imported_names():
     found = [f"{path.name}:{line}"
              for path in SOURCES
              for line in _aliases(ast.parse(path.read_text()))]
+    assert found == []
+
+
+
+def test_every_intlinalg_function_is_used_in_the_package():
+    # the shared linear algebra keeps no public helper that only tests call
+    found = [f"{name}:{node.lineno}: {node.name}"
+             for name, node in _unread_top_level_definitions()
+             if name == "intlinalg.py" and isinstance(node, ast.FunctionDef)]
     assert found == []
