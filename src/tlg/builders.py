@@ -25,8 +25,9 @@ from math import comb, gcd, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly
-from .polytope import (Polytope, _sub, edges, is_reflexive, lattice_chart,
-                       lattice_points, newton_polytope, polygon_edges)
+from .polytope import (Polytope, PolytopeError, _sub, edges, is_reflexive,
+                       lattice_chart, lattice_points, newton_polytope,
+                       polygon_edges)
 from .series import WciSpec
 
 
@@ -274,8 +275,10 @@ class MinkowskiCertificate:
 
     @classmethod
     def from_json_dict(cls, data) -> "MinkowskiCertificate":
-        """The certificate of to_json_dict; a missing key is a
-        BadCertificate naming it and the facet and summand that lack it."""
+        """The certificate of to_json_dict; a missing key, a normal that is
+        not a list of integers or a summand that is no polytope of its
+        declared dimension, such as one with a bad coordinate, is a
+        BadCertificate naming the facet and summand at fault."""
         def field(obj, key, where):
             if not isinstance(obj, dict) or key not in obj:
                 raise BadCertificate(f"{where}missing key {key!r}")
@@ -283,13 +286,23 @@ class MinkowskiCertificate:
 
         facets = []
         for i, fd in enumerate(field(data, "facets", "")):
-            normal = tuple(field(fd, "normal", f"facet {i}: "))
+            normal = field(fd, "normal", f"facet {i}: ")
+            if type(normal) is not list or \
+                    any(type(x) is not int for x in normal):
+                raise BadCertificate(
+                    f"facet {i}: normal must be a list of integers, "
+                    f"got {normal!r}")
             summands = []
             for j, s in enumerate(field(fd, "summands", f"facet {i}: ")):
+                where = f"facet {i}, summand {j}: "
                 for key in ("vertices", "dim"):
-                    field(s, key, f"facet {i}, summand {j}: ")
-                summands.append(Polytope.from_json_dict(s))
-            facets.append(FacetDecomposition(normal, tuple(summands)))
+                    field(s, key, where)
+                try:
+                    summands.append(Polytope.from_json_dict(s))
+                except (PolytopeError, TypeError, ValueError,
+                        ZeroDivisionError) as exc:
+                    raise BadCertificate(f"{where}{exc}") from exc
+            facets.append(FacetDecomposition(tuple(normal), tuple(summands)))
         return cls(tuple(facets))
 
 

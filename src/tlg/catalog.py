@@ -1,8 +1,9 @@
 """Bundled Laurent models with a batch verification harness.
 
 Each entry stores an explicit Laurent polynomial, optionally also as a
-product of factors (which the period engine multiplies one at a time, and
-which loading checks against the polynomial), together with optional
+product of factors (which loading checks against the polynomial, and
+which the period engine checks again, multiplies one at a time and hulls
+the Newton polytope from), together with optional
 anchors: a generator (weighted complete intersection, Grassmannian or toric
 curve-class data) whose closed-form series the period must reproduce, or a
 frozen series prefix for entries with no generating formula. The provenance

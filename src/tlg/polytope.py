@@ -16,7 +16,8 @@ the span, and keeps the facets of that projection; each equation solves for
 one of the other coordinates. Membership and lattice point enumeration read
 the H-form alone, in every dimension. Polytopes may have integer or
 rational vertex coordinates; only the normalized volume needs integer
-vertices.
+vertices. The polar dual runs no hull: polarity turns the facets into its
+vertices and the vertices into its facets.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h, and equations as triples (f, a, b)
@@ -226,16 +227,14 @@ def _hull(pts: List[Tuple[int, ...]]
     x_f from the pivot coordinates. The projection onto the pivot
     coordinates is injective on the affine span, so a lower-dimensional
     set keeps the vertices and the facets of its projection, the normals
-    padded with zeros at the non-pivot columns. Facets of dimension >= 2
-    come sorted; the two facets of a segment come as ((1,), -lo),
-    ((-1,), hi).
+    padded with zeros at the non-pivot columns. Facets come sorted.
     """
     simplex, ech = _affine_basis(pts)
     rank, d = len(simplex) - 1, len(pts[0])
     if rank == d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i][0])
         hi = max(range(len(pts)), key=lambda i: pts[i][0])
-        return 1, [], [((1,), -pts[lo][0]), ((-1,), pts[hi][0])], {lo, hi}
+        return 1, [], [((-1,), pts[hi][0]), ((1,), -pts[lo][0])], {lo, hi}
     if rank == d > 1:
         facets, vertices = _full_hull(pts, simplex)
         return d, [], sorted(facets), vertices
@@ -274,6 +273,18 @@ class Polytope:
             facets = [(n, _norm(Fraction(h, den))) for n, h in facets]
         self._equations: Tuple[Equation, ...] = tuple(equations)
         self._facets: Tuple[Facet, ...] = tuple(facets)
+
+    @classmethod
+    def _full(cls, vertices: List[Point], facets: List[Facet]) -> "Polytope":
+        """The full-dimensional polytope with these vertices and facets,
+        known to be right, with no hull: both are kept sorted, as
+        __init__ keeps them."""
+        p = cls.__new__(cls)
+        p.ambient_dim = p.dim = len(vertices[0])
+        p.vertices = tuple(sorted(vertices))
+        p._equations = ()
+        p._facets = tuple(sorted(facets))
+        return p
 
     @property
     def facets(self) -> Tuple[Facet, ...]:
@@ -327,7 +338,18 @@ class Polytope:
 
 
 def newton_polytope(f: LaurentPoly) -> Polytope:
-    """Convex hull of the exponents of f, built on first use and kept on f."""
+    """Convex hull of the exponents of f, built on first use and kept on f.
+
+    For a product f = prod of L_i^m_i, Ostrowski's theorem gives
+    Newton(f) = sum of m_i Newton(L_i), the hull of the sums of m_i e_i
+    with each e_i an exponent of L_i. The coefficients at its vertices
+    never cancel: a vertex of a Minkowski sum is the sum of one vertex of
+    each summand in one way only, so the coefficient of f there is a
+    product of nonzero coefficients. `phi`, once it has checked that its
+    factors multiply out to f, keeps that hull on f (`_newton_of_product`)
+    when there are fewer sums than exponents of f; a list that was not
+    checked never builds the polytope kept here.
+    """
     if f._newton is None:
         if f.is_zero():
             raise ZeroPolynomial("zero polynomial has no Newton polytope")
@@ -335,17 +357,48 @@ def newton_polytope(f: LaurentPoly) -> Polytope:
     return f._newton
 
 
+def _newton_of_product(f: LaurentPoly, factors) -> Polytope:
+    """newton_polytope(f) for pairs (L_i, m_i) whose product of L_i^m_i
+    has been checked to be f: the hull of the sums of m_i e_i when there
+    are fewer of them than exponents of f, else the hull of the
+    exponents."""
+    if f._newton is None:
+        sums = {(0,) * len(f.variables)}
+        for L, m in factors:
+            sums = {tuple(a + m * b for a, b in zip(s, e))
+                    for s in sums for e in L.exponents()}
+            # adding a summand never shrinks the set of sums
+            if len(sums) >= len(f):
+                break
+        else:
+            f._newton = Polytope(sums)
+    return newton_polytope(f)
+
+
 def dual(p: Polytope) -> Polytope:
-    """Polar dual {y : <y, x> >= -1 on p}; rational when p is not reflexive."""
+    """Polar dual {y : <y, x> >= -1 on p}; rational when p is not reflexive.
+
+    Polarity swaps facets and vertices, so no hull is run. The facet
+    <n, x> >= -h of p is the vertex n/h of the dual, and the vertex
+    v = w/den of p, with den > 0 its least denominator, is the facet
+    <w/g, y> >= -den/g, with g = gcd(w) making the normal primitive.
+    """
     if not p.is_full_dimensional():
         raise NotFullDimensional("dual needs a full-dimensional polytope")
-    verts = []
-    for n, h in p.facets:
-        if h <= 0:
-            raise OriginNotInterior("origin is not strictly inside")
-        verts.append(tuple(Fraction(x, 1) / h for x in n))
+    if any(h <= 0 for _, h in p.facets):
+        raise OriginNotInterior("origin is not strictly inside")
     # only the point of Z^0 has no facets, and it is its own dual
-    return Polytope(verts) if verts else p
+    if not p.facets:
+        return p
+    facets = []
+    for v in p.vertices:
+        den = _denominator((v,))
+        w = [int(x * den) for x in v]
+        g = math.gcd(*w)
+        facets.append((tuple(x // g for x in w), _norm(Fraction(den, g))))
+    return Polytope._full(
+        [_norm_point([Fraction(x) / h for x in n]) for n, h in p.facets],
+        facets)
 
 
 def is_reflexive(p: Polytope) -> bool:
@@ -410,12 +463,14 @@ def _nvol(p: Polytope) -> int:
     """Normalized volume from the vertex-facet incidences of p alone.
 
     A face F is the set of its vertex indices; its facets are the maximal
-    sets F ∩ G over the facets G of p not containing F. Pulling F from its
-    smallest vertex v cones v over the facets of F that miss v, each pulled
-    in turn, down to faces of dimension k with k + 1 vertices. The cones
-    triangulate p, and the volume is the sum of their |det| in ambient
-    coordinates. A lattice simplex has |det| >= 1, so there are at most as
-    many simplices as the volume.
+    sets F ∩ G over the facets G of p not containing F. A facet of a
+    k-face has at least k vertices, so the sets F ∩ G with fewer are
+    dropped before the maximality test, which is quadratic in the sets
+    left. Pulling F from its smallest vertex v cones v over the facets of
+    F that miss v, each pulled in turn, down to faces of dimension k with
+    k + 1 vertices. The cones triangulate p, and the volume is the sum of
+    their |det| in ambient coordinates. A lattice simplex has |det| >= 1,
+    so there are at most as many simplices as the volume.
     """
     verts = p.vertices
     facets = _incidences(p)
@@ -429,7 +484,8 @@ def _nvol(p: Polytope) -> int:
             total += abs(det_bareiss([_sub(v, v0) for v in rest]))
             continue
         if face not in below:
-            meets = {face & g for g in facets if not face <= g}
+            meets = {e for e in (face & g for g in facets if not face <= g)
+                     if len(e) >= k}
             below[face] = [e for e in meets if not any(e < m for m in meets)]
         apex = min(face)
         stack.extend((e, k - 1, apexes + (apex,))

@@ -21,16 +21,22 @@ from f^(a-1) one factor step at a time: the chain multiplies by each L_i
 m_i times, with the monomial factors folded into the first step. A step
 costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
 (x+y+z+1)^6/(xyz), six steps of 4 terms instead of one of 84. Only
-f^(a-1), the partial product and the next one are held at a time. An
-unfactored f is the one-step chain (f, 1).
+f^(a-1), the partial product and the next one are held at a time; f^1
+is f itself, packed once. An unfactored f is the one-step chain (f, 1).
+The product of the steps is checked against f before anything else is
+built from the factors.
 
 Each finished power is pruned. Let Delta be the Newton polytope of f in
-the period variables, with facets n.x + h >= 0. A term of f^a at e meets
-only partners of degree b <= N - a: f^(a-1) or f^a in a pairing, f^p and
-one more f in the fold, or, carried into f^(a+1), the partners of that
-power. A partner's exponents lie in b Delta, so a term that reaches a
-constant term has -e in b Delta, and when the origin lies in Delta, b
-Delta lies in (N - a) Delta. So f^a keeps only the e in -(N - a) Delta,
+the period variables, with facets n.x + h >= 0. For a factored f, once
+the check has passed, Delta is the hull of the sums of m_i e_i with one
+exponent e_i of each L_i (Ostrowski: Newton(gh) = Newton(g) + Newton(h)),
+when there are fewer sums than exponents of f: 84 in place of 149 for
+the G(3,6) model G36-2111. A term of f^a at e meets only partners of
+degree b <= N - a: f^(a-1) or f^a in a pairing, f^p and one more f in
+the fold, or, carried into f^(a+1), the partners of that power. A
+partner's exponents lie in b Delta, so a term that reaches a constant
+term has -e in b Delta, and when the origin lies in Delta, b Delta lies
+in (N - a) Delta. So f^a keeps only the e in -(N - a) Delta,
 those with n.e <= (N - a) h for every facet, and no ct(f^j), j <= N,
 changes. Building f^(a+1) from the pruned f^a is exact on
 -(N - a - 1) Delta, the part it keeps, because -(N - a - 1) Delta - Delta
@@ -85,7 +91,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
                       _coerce_coeff, _norm)
-from .polytope import Polytope, newton_polytope
+from .polytope import Polytope, _newton_of_product, newton_polytope
 
 
 class NonScalarConstantTerm(ValueError):
@@ -224,15 +230,18 @@ def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
     return steps or [LaurentPoly.constant(1, f.variables)]
 
 
-def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int):
+def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int,
+                   factors):
     """(n, h, peak) for each facet n.x + h >= 0 of the Newton polytope
     Delta of f in the period variables, n in the order of the period digits
     and peak the largest n.v over Delta; empty when f is zero or Delta is not
-    full-dimensional there, and then nothing is pruned."""
+    full-dimensional there, and then nothing is pruned. Factors, when
+    given, have been checked to multiply out to f."""
     if f.is_zero():
         return []
     if dims == len(positions):
-        delta = newton_polytope(f)
+        delta = newton_polytope(f) if factors is None \
+            else _newton_of_product(f, factors)
     else:
         delta = Polytope({tuple(e[i] for i in positions[:dims])
                           for e in f.exponents()})
@@ -286,7 +295,17 @@ def phi_coefficients(f: LaurentPoly, order: int,
 
     packed = pack(f)
     steps = [pack(step) for step in steps]
-    facets = _period_facets(f, positions, len(period))
+
+    def partial(power: dict) -> dict:
+        """power times every step but the last."""
+        for step in steps[:-1]:
+            power = _times(power, step)
+        return power
+
+    if factors is not None and \
+            _times(partial({0: 1}), steps[-1]) != dict(packed):
+        raise ValueError("the factors do not multiply out to f")
+    facets = _period_facets(f, positions, len(period), factors)
     # the parameter digits sit above the period digits: a key splits into
     # its period part low(key), in [-width/2, width/2], and its parameter
     # part key - low(key), a multiple of width
@@ -324,19 +343,12 @@ def phi_coefficients(f: LaurentPoly, order: int,
             terms[tuple(digits)] = c
         return LaurentPoly(rest, terms)
 
-    def partial(power: dict) -> dict:
-        """power times every step but the last."""
-        for step in steps[:-1]:
-            power = _times(power, step)
-        return power
-
-    if factors is not None and \
-            _times(partial({0: 1}), steps[-1]) != dict(packed):
-        raise ValueError("the factors do not multiply out to f")
     out: List[LaurentPoly] = [LaurentPoly.constant(1, rest)]
     cur = {0: 1}
     for a in range(1, half + 1):
-        prev, cur = cur, _times(partial(cur), steps[-1])
+        # f^1 is the packed f, with no chain
+        prev, cur = cur, _times(partial(cur), steps[-1]) if a > 1 \
+            else dict(packed)
         # f^a lies in a Delta, which the facet n.x + h >= 0 of
         # -(n - a) Delta cuts only when a * peak > (n - a) * h
         cuts = [(normal, h) for normal, h, peak in facets

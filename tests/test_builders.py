@@ -290,6 +290,30 @@ def test_minkowski_certificate_missing_keys_are_bad_certificates(path, key,
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", 3, "declared dim 3 but points live in 2"),
+    ("vertices", [[0, "a"]], "Invalid literal for Fraction: 'a'"),
+])
+def test_minkowski_certificate_summand_that_is_no_polytope_is_bad(
+        key, value, message):
+    # Polytope.from_json_dict raised DimensionMismatch or ValueError here
+    data = check_minkowski(_p3_model()).to_json_dict()
+    data["facets"][1]["summands"][0][key] = value
+    with pytest.raises(BadCertificate) as exc:
+        MinkowskiCertificate.from_json_dict(data)
+    assert str(exc.value) == f"facet 1, summand 0: {message}"
+
+
+def test_minkowski_certificate_normal_holding_a_list_is_bad():
+    # hashing the normal in minkowski_polynomial raised a bare TypeError
+    data = check_minkowski(_p3_model()).to_json_dict()
+    data["facets"][2]["normal"] = [[1], 0, 0]
+    with pytest.raises(BadCertificate) as exc:
+        MinkowskiCertificate.from_json_dict(data)
+    assert str(exc.value) == \
+        "facet 2: normal must be a list of integers, got [[1], 0, 0]"
+
+
 def test_minkowski_certificate_json_round_trip():
     f = _p3_model()
     cert = check_minkowski(f)

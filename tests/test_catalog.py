@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from tlg import catalog
+from tlg import catalog, polytope
 from tlg.catalog import (CatalogEntry, ParseError, entry_from_json_dict,
                          entry_to_json_dict, verify_all, verify_entry)
 from tlg.cli import main
@@ -222,6 +222,22 @@ def test_verify_entry_multiplies_by_the_factors():
     monomial, linear = e.factors
     with pytest.raises(ValueError):
         verify_entry(replace(e, factors=(monomial, (linear[0], 5))), 9)
+
+
+def test_g36_verify_hulls_the_factor_sums_once_and_not_the_dual(monkeypatch):
+    # Newton(f) is the hull of the 84 sums of factor exponents, in place of
+    # the 149 exponents of f, and the dual is read off it by polarity
+    hulls = []
+    full_hull = polytope._full_hull
+
+    def counting_hull(pts, simplex):
+        hulls.append(len(pts))
+        return full_hull(pts, simplex)
+    monkeypatch.setattr(polytope, "_full_hull", counting_hull)
+    entry = next(e for e in catalog.load() if e.id == "G36-2111")
+    assert len(entry.laurent) == 149
+    assert verify_entry(entry, 4).passed
+    assert hulls == [84]
 
 
 def test_malformed_laurent_term_is_located_by_index():

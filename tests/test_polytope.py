@@ -66,6 +66,47 @@ def test_dual_requires_interior_origin():
         dual(segment)
 
 
+def _h_form(p: Polytope):
+    return p.ambient_dim, p.dim, p.vertices, p._equations, p._facets
+
+
+@st.composite
+def _polytopes_around_the_origin(draw):
+    """Polytopes in Q^d, d <= 4, holding the points +-c e_i, c > 0, and up
+    to six more, all with coordinates in [-3, 3] over one denominator 1, 2
+    or 3: full-dimensional with the origin strictly inside."""
+    d = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    coord = st.builds(Fraction, st.integers(-3 * den, 3 * den), st.just(den))
+    axis = coord.filter(lambda c: c > 0)
+    points = [tuple(s * draw(axis) if j == i else 0 for j in range(d))
+              for i in range(d) for s in (1, -1)]
+    points += draw(st.lists(st.tuples(*[coord] * d), max_size=6))
+    return Polytope(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polytopes_around_the_origin())
+@example(Polytope([(-2,), (1,)]))
+@example(Polytope([(2, 0), (0, 2), (-2, 0), (0, -2)]))
+def test_polar_dual_is_the_hull_of_its_vertices(p):
+    nabla = dual(p)
+    assert _h_form(nabla) == _h_form(Polytope(nabla.vertices))
+    assert _h_form(dual(nabla)) == _h_form(p)
+
+
+def test_polar_dual_of_every_catalog_newton_polytope():
+    rational = 0
+    for entry in catalog.load():
+        delta = newton_polytope(entry.laurent)
+        nabla = dual(delta)
+        assert _h_form(nabla) == _h_form(Polytope(nabla.vertices))
+        assert _h_form(dual(nabla)) == _h_form(delta)
+        rational += not nabla.is_lattice()
+    # the duals of the seven Newton polytopes that are not reflexive
+    assert rational == 7
+
+
 def test_lattice_points_regions():
     cube = Polytope([(a, b, c) for a in (-1, 1) for b in (-1, 1)
                      for c in (-1, 1)])
@@ -707,67 +748,72 @@ def test_g36_hulls_pair_visible_facets_only_with_leaning_survivors(monkeypatch):
 
 
 # sha256 of the facets and vertices of each catalog entry's Newton
-# polytope, the vertices of its dual and its normalized volume (see
-# _geometry_text), computed at 4befdb7, before the hull built its new
-# facets from pencils of facet planes
+# polytope, the vertices and facets of its dual and its normalized volume
+# (see _geometry_text). Every line but the dual facets hashed the same at
+# 4befdb7, before the hull built its new facets from pencils of facet
+# planes. The hashes were computed at 23a54f0, where the dual was still
+# the hull of its vertices, so they check the dual read off by polarity
+# against that hull
 CATALOG_GEOMETRY = {
     "1-1":
-        "77e5f4108178254978032cf0430bf9656c1ef74b4c8b332fdd292a1555ee1779",
+        "01eb94d9c58d37c9d0d9552790616ec102655eed6cdd6fa2f4e694ceefd170bd",
     "1-2":
-        "c5fe8e1743a3e4a131825c1ca86a38f1d80da4170858f9b4215dd97900b98bbc",
+        "83bf4c62ad5231a6682399c0ba775cf3f22e8a3654609b885845e1725bf65dc6",
     "1-3":
-        "ca00d6b221734fee78fc5efefb8c4daa7d54409145c92afb6987aaebd41ec291",
+        "26090ce838e905d548068ea566f451449b13142f52fec620e6124c97cf8ec0dc",
     "1-4":
-        "6a93bb6f675aec495b3c95b287282fb500166f71f166f3a7066ea49cb029f29d",
+        "62b333cacc83f748bffcbff3d2ee0091b0dbba4d0f4985d350249d07ca5f85a1",
     "1-5":
-        "9a9c26932b9cbdf2e57733b562163ef06fb3e470fcbc1d2a4712ba3c58ddab87",
+        "2f2d82fea9d4d24b1d0ee0f5a053b9e46c74a1d8b32595bf89a6b587e334a11e",
     "1-6":
-        "746520b9f694b3fd113c9b5e0b1cdf4d4b28e6f2d991a8c39d1e535c81b516cb",
+        "f78ae8d0428a28382f317dc5453b17cbdbb767b00467c50d2cf3f23cec7b6e4b",
     "1-7":
-        "0f031ca6ac8cc0945b198fe384a4b6334d1507d8e9af6051a36c60d69065c026",
+        "faa64483d9fb4f1c6cc6b6be2a8eade7bfe3596ce6a0db332f0343fbfabd8cb8",
     "1-8":
-        "7fabb3c108829702e988e6e072566c9f48d3a6a6e8697c7e73a282ad260b5ffa",
+        "355c66d9ba7339f6ed3ed6f1e5b146c1fa1e46145b52486616cce94d4f5f7717",
     "1-9":
-        "0fde612902cdc630a5d5de87b9a0fa706e1cca6d363e62f53c55b65d319bd30d",
+        "12f79227ebacf548e7a7593e5fddfa3f6df6aaedafd1bfa5f2d74e341065b6f9",
     "1-10":
-        "0b90d91e465c39407ea054a89a9d98754caabe7e8a43b469650284f3125b2dfb",
+        "db32dd8fe8c3b710e53e18c56e3138c9693c1b10bdd2f7c4bf412a951dbba353",
     "1-11":
-        "e96da6c45228b85bfc98648984b90d08c76c25d0ba73ac1c0f128bfccbe186bd",
+        "e3ea83f371e49e7b8fca281310d17dc1dc2c46480bfdcf0420980fc74b674638",
     "1-12":
-        "dd90daa76ef9721dc06580b1e793f3247626ff51dd693abab0cc006022a96c4d",
+        "259d3ca281f083b3182b785ea2be3db0bc8b0fc2c2b4d050584e40bf4338c8a3",
     "1-13":
-        "8990ff6e8f3d55242ac1b8cdf935aa56abb93037872fcc17bfa99781ec23f3e0",
+        "f89a902384d01b8580d12516e2b5e0b96bb76b345483404380eb85985aa9cced",
     "1-14":
-        "b93812ef9d48b8b2ddfd399dc368d61d64b5ceacce928711c99d2bdee4a4b789",
+        "e61c5c19ace6eb13ce079d74ad53656418500f7d5f038cc64398199a6f53b472",
     "1-15":
-        "32a1626559260fbb2dce389c68ffabc682ae5e0943352657d53faa224889253e",
+        "02af125f2efab551496d225050fbb330e7c23d95571f3d4eb8d5cf921d17dde5",
     "1-16":
-        "fe4ed467f038d233ecb9a4d397a084f9c6a3eaa8b452e5d5081ca376e007626c",
+        "b27f7a198dc613627e5465691c68ac7da109a9ed37c2d51b5b087ab402731ace",
     "1-17":
-        "daf41ef83277fa12eface3549a9de9906153da21b5017d6212be06dc662524b4",
+        "62448da73bbf1f72851e67311a29f0a572ac96ee149843f53576e2ad44fdf0d8",
     "2-1":
-        "c99ef27c44bc44ce1d46f67206583143364b9f24b6eda41599b6ed4cc3e7f8b4",
+        "6d5d828ffcde4d929cd999c852215306d2ecb2091042a1969a4cea52088ee052",
     "2-2":
-        "edfabfd4ea85c474bb54cdc9a9c1df767142d588c40efad21c91072387f2d8cb",
+        "418a9967c28cf041be73033e38e933a8458bd0c19f55264cb12472a22ec0644a",
     "2-3":
-        "0d4f30c7436294b72351b7d5490f25ff20dbe7f41e6ec8f12403056bbc0d3151",
+        "980ad80ee30bb215727d464c2f0e2d144af3bef8b4fe7a76cf44e04f967a84f1",
     "9-1":
-        "fdd2093505106f26c1fd0b608695cbe53c07040daf4d98655031b6f5eabf4e3d",
+        "ab3282c2f3663f690a49836b3ee66bc4aa2af4790c4c6759fd18245ab36c49db",
     "10-1":
-        "b57af68dc082590abd03c9fb89dff858fd7799a4d3e29d1339e336b54c7bf9c4",
+        "9011ad9fb055f04c19faf76003fbc7d7fa24c84fc012ac27a4b3b0aa5c6fb48e",
     "S7-d1":
-        "cf51fa502547b41a3581e17eff75fbacebece6d5b38cf2f45b00746fb95bc8f1",
+        "321c6089c908d42e69235a23a36b454698646909a59dba9622eadfea15a090c2",
     "G36-2111":
-        "13617b98e431f9dda6ea80be66f0bc2ec6b2e7d5bec7a30443beba3cff275d0e",
+        "397ff7b623ccac8db4db5a5018b5d4bebf71f138cfaa7677b213d4c805ded9d2",
     "G36-1112":
-        "d772cb4eb1dc78fc6393ed65c55f2189e7839b7c30e348ff46b87487ca1e12b0",
+        "175a393d74d76132870f06eddbf0f3a8026a8f1c6e733755b0faa726727e597d",
 }
 
 
 def _geometry_text(p: Polytope) -> str:
     lines = [f"facet {list(n)} {h}" for n, h in p.facets]
     lines += [f"vertex {list(v)}" for v in p.vertices]
-    lines += [f"dual {[str(x) for x in v]}" for v in dual(p).vertices]
+    nabla = dual(p)
+    lines += [f"dual {[str(x) for x in v]}" for v in nabla.vertices]
+    lines += [f"dual facet {list(n)} {h}" for n, h in nabla.facets]
     lines.append(f"volume {normalized_volume(p)}")
     return "\n".join(lines)
 

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import catalog
 from tlg.laurent import LaurentPoly
+from tlg.polytope import Polytope, _newton_of_product, newton_polytope
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree,
                         NonScalarConstantTerm, PowerSeries,
                         ToricCurveClassData, WciSpec, iseries_grassmannian,
@@ -474,6 +475,44 @@ def test_factors_that_miss_f_raise():
     # the key of y; the radix covers the steps, so the check sees the miss
     with pytest.raises(ValueError):
         phi(1 + y2, 3, factors=[(1 + x2 ** 5, 1)])
+
+
+def _h_form(p: Polytope):
+    return p.ambient_dim, p.dim, p.vertices, p._equations, p._facets
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_cases())
+@example(([(2 * x2 ** -1, 2), (x2 + y2, 3)], 1, ("x", "y")))
+@example(([(1 + x2, 1), (1 - x2, 1)], 1, ("x", "y")))
+def test_newton_polytope_of_a_product_is_the_hull_of_the_factor_sums(case):
+    # Ostrowski: Newton(gh) = Newton(g) + Newton(h), and the coefficients at
+    # its vertices never cancel, even where inner terms do, as in
+    # (1 + x)(1 - x) = 1 - x^2
+    factors, _, _ = case
+    f = _expand(factors, factors[0][0].variables)
+    assume(not f.is_zero())
+    hull = _h_form(Polytope(f.exponents()))
+    sums = [tuple(map(sum, zip(*choice))) for choice in itertools.product(
+        *([tuple(m * x for x in e) for e in L.exponents()]
+          for L, m in factors))]
+    assert _h_form(Polytope(sums)) == hull
+    assert _h_form(_newton_of_product(f, factors)) == hull
+
+
+@settings(max_examples=60, deadline=None)
+@given(_factor_cases())
+def test_a_wrong_factor_list_raises_and_builds_no_newton_polytope(case):
+    factors, order, _ = case
+    vs = factors[0][0].variables
+    f = _expand(factors, vs)
+    assume(not f.is_zero())
+    (L, m), *rest = factors
+    wrong = [(L, m + 1)] + rest
+    assume(_expand(wrong, vs) != f)
+    with pytest.raises(ValueError, match="do not multiply out"):
+        phi(f, order, factors=wrong)
+    assert _h_form(newton_polytope(f)) == _h_form(Polytope(f.exponents()))
 
 
 # sha256 of phi at orders 13-17 (odd and even N) of each catalog entry with
