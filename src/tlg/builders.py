@@ -526,11 +526,12 @@ class DelPezzoScript:
     params: Tuple[str, ...] = ()
 
 
-def _boundary_cycle(markings_keys) -> List[Tuple[int, int]]:
-    """All boundary lattice points of the hull, counterclockwise."""
+def _boundary_cycle(p) -> List[Tuple[int, int]]:
+    """Boundary lattice points of p (or of the hull of p), counterclockwise."""
+    if not isinstance(p, Polytope):
+        p = Polytope(p)
     return [(v[0] + k * s[0], v[1] + k * s[1])
-            for v, s, n in polygon_edges(Polytope(markings_keys))
-            for k in range(n)]
+            for v, s, n in polygon_edges(p) for k in range(n)]
 
 
 def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
@@ -557,10 +558,11 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
 
     for s_idx, k_pt in enumerate(script.steps):
         k_pt = (int(k_pt[0]), int(k_pt[1]))
-        poly = Polytope(markings.keys())
-        if poly.contains(k_pt):
+        # k lies outside the old hull exactly when it is a new vertex
+        poly = Polytope([*markings, k_pt])
+        if k_pt in markings or k_pt not in poly.vertices:
             raise PointInsideHull(f"step point {k_pt} is already inside")
-        cycle = _boundary_cycle(list(markings.keys()) + [k_pt])
+        cycle = _boundary_cycle(poly)
         pos = cycle.index(k_pt)
         left = cycle[pos - 1]
         right = cycle[(pos + 1) % len(cycle)]
@@ -572,10 +574,10 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
         exp = tuple(a + (1 if i == nbase + s_idx else 0) for i, a in enumerate(exp))
         markings[k_pt] = exp
 
-    final = Polytope(markings.keys())
+    final = Polytope(markings)
     if not all(h > 0 for _, h in final.facets):
         raise ValueError("origin must end up strictly inside the polygon")
-    boundary = _boundary_cycle(markings.keys())
+    boundary = _boundary_cycle(final)
     missing = sorted(set(boundary) - set(markings))
     if missing:
         raise ValueError(f"boundary points {missing} never received markings")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -357,11 +358,6 @@ class CatalogSummary:
                 "reports": [r.to_json_dict() for r in self.reports]}
 
 
-def _verify_job(args) -> EntryReport:
-    entry, order = args
-    return verify_entry(entry, order)
-
-
 def verify_all(entries: Sequence[CatalogEntry], order: int,
                jobs: int = 1) -> CatalogSummary:
     """Reports for every entry, ordered by id regardless of worker count."""
@@ -369,8 +365,7 @@ def verify_all(entries: Sequence[CatalogEntry], order: int,
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_verify_job,
-                                    [(e, order) for e in ordered]))
+            reports = list(pool.map(partial(verify_entry, order=order), ordered))
     else:
         reports = [verify_entry(e, order) for e in ordered]
     return CatalogSummary(tuple(reports))

@@ -1,8 +1,20 @@
 """Quiver models for complete intersections in Grassmannians.
 
-The quiver for G(k, n+k) is a k-by-n grid with one extra source vertex and
-one extra sink vertex. Hypersurface degrees are absorbed by consecutive
-blocks of arrows; eliminating one weight variable per block turns the
+The quiver for G(k, n+k) is a k-by-n grid with one extra source vertex
+(0, 1) and one extra sink vertex (k, n+1). Its arrows fall into k + n
+lines, numbered in layout order: line i < k holds the vertical arrows
+leaving row i (row 0 is the source arrow), and line k + j - 1 holds the
+horizontal arrows leaving column j (column n is the sink arrow). Every path
+from a vertex (i, j) to the sink takes one arrow from each line L with
+i <= L < k or L >= k + j - 1, and from no other line.
+
+The p-th hypersurface degree takes the block of lines [c_(p-1), c_p), the
+interval between consecutive running sums c of the degrees (Przyjalkowski-
+Shramov, arXiv:1409.3729). A block's weight at a vertex counts the block's
+lines that its paths to the sink cross; the source crosses them all. An
+arrow's head crosses the lines of its tail minus the arrow's own line, so
+the weight drops by one along each arrow of the block and stays put along
+every other arrow. Eliminating one weight variable per block turns the
 superpotential into a Laurent polynomial in kn - l variables.
 """
 
@@ -24,61 +36,42 @@ class BlocksDontFit(ValueError):
 
 @dataclass(frozen=True)
 class Block:
-    """A set of arrows: kind HB (rows r..s-1 of vertical arrows), VB
-    (columns r..s-1 of horizontal arrows) or MB (HB(r,k) plus VB(1,s))."""
+    """An interval of arrow lines, row i being line i and column j line
+    k + j - 1: kind HB is rows r..s-1, VB columns r..s-1 and MB rows
+    r..k-1 with columns 1..s-1. Its weight at (i, j) counts its lines L with
+    i <= L < k or L >= k + j - 1. `lines` is the only code that reads the
+    kind."""
 
     kind: str
     r: int
     s: int
 
+    def lines(self, k: int) -> range:
+        first = k + self.r - 1 if self.kind == "VB" else self.r
+        end = self.s if self.kind == "HB" else k + self.s - 1
+        return range(first, end)
+
     def size(self, k: int) -> int:
-        if self.kind == "MB":
-            return (k - self.r) + (self.s - 1)
-        return self.s - self.r
+        return len(self.lines(k))
 
     def weight_vertex(self, k: int) -> Vertex:
-        if self.kind == "HB":
-            return (self.s - 1, 1)
-        return (k, self.s - 1)
+        """Start of the last line: (i, 1) on row i, (k, j) on column j."""
+        last = self.lines(k)[-1]
+        return (last, 1) if last < k else (k, last - k + 1)
 
 
-def vertical_arrows(k: int, n: int) -> List[Arrow]:
-    out: List[Arrow] = [((0, 1), (1, 1))]
-    for i in range(1, k):
-        for j in range(1, n + 1):
-            out.append(((i, j), (i + 1, j)))
-    return out
-
-
-def horizontal_arrows(k: int, n: int) -> List[Arrow]:
-    out: List[Arrow] = []
-    for i in range(1, k + 1):
-        for j in range(1, n):
-            out.append(((i, j), (i, j + 1)))
-    out.append(((k, n), (k, n + 1)))
-    return out
+def quiver_arrows(k: int, n: int) -> List[List[Arrow]]:
+    """The arrows of each of the k + n lines, in line order."""
+    rows = [[((i, j), (i + 1, j)) for j in range(1, n + 1)]
+            for i in range(1, k)]
+    columns = [[((i, j), (i, j + 1)) for i in range(1, k + 1)]
+               for j in range(1, n)]
+    return [[((0, 1), (1, 1))], *rows, *columns, [((k, n), (k, n + 1))]]
 
 
 def block_arrows(block: Block, k: int, n: int) -> List[Arrow]:
-    out: List[Arrow] = []
-    if block.kind in ("HB", "MB"):
-        top = block.s - 1 if block.kind == "HB" else k - 1
-        for i in range(block.r, top + 1):
-            if i == 0:
-                out.append(((0, 1), (1, 1)))
-            else:
-                for j in range(1, n + 1):
-                    out.append(((i, j), (i + 1, j)))
-    if block.kind in ("VB", "MB"):
-        left = block.r if block.kind == "VB" else 1
-        right = block.s - 1
-        for j in range(left, right + 1):
-            for i in range(1, k + 1):
-                if j < n:
-                    out.append(((i, j), (i, j + 1)))
-                elif i == k:
-                    out.append(((k, n), (k, n + 1)))
-    return out
+    lines = quiver_arrows(k, n)
+    return [arrow for line in block.lines(k) for arrow in lines[line]]
 
 
 @dataclass(frozen=True)
@@ -89,7 +82,8 @@ class QuiverModel:
     blocks: Tuple[Block, ...]
 
     def all_arrows(self) -> List[Arrow]:
-        return vertical_arrows(self.k, self.n) + horizontal_arrows(self.k, self.n)
+        return [arrow for line in quiver_arrows(self.k, self.n)
+                for arrow in line]
 
     def arrows_of(self, p: int) -> List[Arrow]:
         """Arrows of block p (1-based); p = 0 gives the complement block."""
@@ -102,63 +96,32 @@ class QuiverModel:
 
 
 def consecutive_blocks(spec: GrassSpec) -> QuiverModel:
-    """Lay the degrees out as horizontal blocks, then at most one mixed
-    block, then vertical blocks."""
+    """Lay degree p out on the lines [c_(p-1), c_p) of the running sums c:
+    horizontal blocks end by line k, vertical blocks start at line k or
+    later, and at most one mixed block straddles line k."""
     k, n = spec.k, spec.n
     blocks: List[Block] = []
-    row = 0
-    col: Optional[int] = None
+    a = 0
     for d in spec.degrees:
-        if col is None and row + d <= k:
-            blocks.append(Block("HB", row, row + d))
-            row += d
-            if row == k:
-                col = 1
-        elif col is None:
-            s = d - (k - row) + 1
-            if s > n + 1:
-                raise BlocksDontFit(
-                    f"degree {d} overruns the quiver after row {row}")
-            blocks.append(Block("MB", row, s))
-            row, col = k, s
+        b = a + d
+        if b > k + n:
+            raise BlocksDontFit(
+                f"degree {d} overruns the {k + n} arrow lines after line {a}")
+        if b <= k:
+            blocks.append(Block("HB", a, b))
+        elif a >= k:
+            blocks.append(Block("VB", a - k + 1, b - k + 1))
         else:
-            if col + d > n + 1:
-                raise BlocksDontFit(
-                    f"degree {d} overruns the quiver after column {col}")
-            blocks.append(Block("VB", col, col + d))
-            col += d
-    model = QuiverModel(k, n, spec.degrees, tuple(blocks))
-    for b, d in zip(blocks, spec.degrees):
-        if b.size(k) != d:
-            raise BlocksDontFit(f"block {b} has size {b.size(k)}, wanted {d}")
-    return model
+            blocks.append(Block("MB", a, b - k + 1))
+        a = b
+    return QuiverModel(k, n, spec.degrees, tuple(blocks))
 
 
 def _weight(block: Block, k: int, v: Vertex) -> int:
+    """The block's lines that the paths from v to the sink cross."""
     i, j = v
-    r, s = block.r, block.s
-    if block.kind == "HB":
-        if v == (0, 1):
-            return s - r
-        if r <= i <= s:
-            return s - i
-        if i > s:
-            return 0
-        return s - r
-    if block.kind == "VB":
-        if v == (0, 1):
-            return s - r
-        if r <= j <= s:
-            return s - j
-        if j < r:
-            return s - r
-        return 0
-    # mixed
-    if v == (0, 1):
-        return (k - r) + (s - 1)
-    if i >= r:
-        return (k - i) + (s - j) if j <= s else k - i
-    return (k - r) + (s - j) if j <= s else k - r
+    return sum(1 for line in block.lines(k)
+               if i <= line < k or line >= k + j - 1)
 
 
 def weight_table(model: QuiverModel) -> List[Dict[Vertex, int]]:

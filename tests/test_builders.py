@@ -346,6 +346,29 @@ def test_del_pezzo_steps_toric():
     })
 
 
+def test_del_pezzo_hulls_each_step_once(monkeypatch):
+    # one hull of the markings and the new point per step, one of the final
+    # markings; a contains check on the old hull and a second hull for the
+    # boundary walk made 8
+    calls = []
+    init = Polytope.__init__
+
+    def counting_init(self, points):
+        calls.append(points)
+        init(self, points)
+    monkeypatch.setattr(Polytope, "__init__", counting_init)
+    del_pezzo_model(DelPezzoScript("P2", ((1, 1), (0, -1), (1, -1)),
+                                   ("q0", "q1", "q2", "q3")))
+    assert len(calls) == 4
+
+
+def test_del_pezzo_step_on_a_marked_vertex_is_inside():
+    # a marked vertex stays a vertex of the new hull, so only the marking
+    # tells it apart from a point outside
+    with pytest.raises(PointInsideHull):
+        del_pezzo_model(DelPezzoScript("P2", ((1, 0),), ("q0", "q1")))
+
+
 def test_del_pezzo_steps_surface():
     script = DelPezzoScript("P2", ((1, 1), (0, -1), (1, -1)),
                             ("q0", "q1", "q2", "q3"))

@@ -511,6 +511,28 @@ def test_catalog_report_is_byte_identical(capsys):
         CATALOG_O4_SHA256
 
 
+# sha256 of `build grass --explain --output json` for a mixed block and
+# for horizontal then vertical blocks, with the layout spelled out
+@pytest.mark.parametrize("argv, blocks, variables, sha256", [
+    ("--k 2 --n 3 --degrees 3", [("MB", 0, 2)], ["a2_1"],
+     "fca699a258a8451b8e7db5293c4c4e4d9486ded2858a44e3fa937f34a5561112"),
+    ("--k 3 --n 3 --degrees 2,1,1,1",
+     [("HB", 0, 2), ("HB", 2, 3), ("VB", 1, 2), ("VB", 2, 3)],
+     ["a1_1", "a2_1", "a3_1", "a3_2"],
+     "0ea53adb7816e7556df78e96ae4686bafaddb976d5a044f2825e8b40184556b5"),
+], ids=["mixed", "horizontal-vertical"])
+def test_build_grass_explain_json_is_byte_identical(capsys, argv, blocks,
+                                                    variables, sha256):
+    assert main(["build", "grass", *argv.split(), "--explain",
+                 "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert [(b["kind"], b["r"], b["s"]) for b in payload["blocks"]] == blocks
+    assert payload["weight_variables"] == variables
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("argv", [
     ["phi", "--input", "no-such-file.json", "--order", "3"],
     ["phi", "--input", "MODEL", "--order", "3", "--output", "yaml"],

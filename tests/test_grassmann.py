@@ -1,11 +1,18 @@
+import hashlib
+import itertools
+import json
+from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlg import grassmann
 from tlg.grassmann import (Block, BlocksDontFit, QuiverModel, bcfks_laurent,
-                           consecutive_blocks, elimination_identity_holds,
-                           weight_table, weight_variables)
+                           block_arrows, consecutive_blocks,
+                           elimination_identity_holds, weight_table,
+                           weight_variables)
 from tlg.laurent import LaurentPoly
 from tlg.series import GrassSpec, iseries_grassmannian, phi
 
@@ -226,3 +233,61 @@ def test_weight_vertex_without_a_variable_raises_blocks_dont_fit():
     model = QuiverModel(2, 3, (3,), (Block("VB", 1, 4),))
     with pytest.raises(BlocksDontFit, match="carries no variable"):
         weight_variables(model)
+
+
+# sha256 per spec of the layout, the weights, the arrows and the model, over
+# k in {2, 3}, n in {2, 3, 4} and up to four degrees in 1..4: any change to a
+# block, a weight or a Laurent model shows here
+BOX_SHA256 = json.loads(
+    (Path(__file__).parent / "grassmann_box_sha256.json").read_text())
+
+
+def _box_specs():
+    for k, n in itertools.product((2, 3), (2, 3, 4)):
+        for length in range(5):
+            for degrees in itertools.product(range(1, 5), repeat=length):
+                if sum(degrees) < k + n:
+                    yield GrassSpec(k, n, degrees)
+
+
+def _model_digest(spec: GrassSpec) -> str:
+    model = consecutive_blocks(spec)
+    k, n = model.k, model.n
+    record = {
+        "blocks": [[b.kind, b.r, b.s] for b in model.blocks],
+        "weight_vertices": [list(b.weight_vertex(k)) for b in model.blocks],
+        "weight_variables": weight_variables(model),
+        "weight_tables": [sorted([*v, w] for v, w in t.items())
+                          for t in weight_table(model)],
+        "block_arrows": [sorted(block_arrows(b, k, n)) for b in model.blocks],
+        "laurent": bcfks_laurent(spec).to_json_dict(),
+    }
+    return hashlib.sha256(
+        json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
+def test_models_over_a_box_of_specs_are_byte_identical():
+    digests = {f"{s.k},{s.n}:{','.join(map(str, s.degrees))}": _model_digest(s)
+               for s in _box_specs()}
+    assert len(digests) == 153
+    assert digests == BOX_SHA256
+
+
+@st.composite
+def grass_specs(draw) -> GrassSpec:
+    k, n = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    degrees, room = [], k + n - 1
+    while room and draw(st.booleans()):
+        d = draw(st.integers(1, room))
+        degrees.append(d)
+        room -= d
+    return GrassSpec(k, n, tuple(degrees))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grass_specs())
+def test_weight_table_accepts_every_valid_spec(spec):
+    model = consecutive_blocks(spec)
+    assert len(weight_table(model)) == len(spec.degrees)
+    assert [b.size(spec.k) for b in model.blocks] == list(spec.degrees)
+    assert len(set(weight_variables(model))) == len(spec.degrees)
