@@ -21,6 +21,7 @@ superpotential into a Laurent polynomial in kn - l variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .laurent import LaurentPoly
@@ -60,30 +61,54 @@ class Block:
         return (last, 1) if last < k else (k, last - k + 1)
 
 
+def _line_arrows(k: int, n: int, line: int) -> List[Arrow]:
+    """The arrows of one line: the source arrow, a row, a column or the
+    sink arrow."""
+    if line == 0:
+        return [((0, 1), (1, 1))]
+    if line < k:
+        return [((line, j), (line + 1, j)) for j in range(1, n + 1)]
+    if line < k + n - 1:
+        j = line - k + 1
+        return [((i, j), (i, j + 1)) for i in range(1, k + 1)]
+    return [((k, n), (k, n + 1))]
+
+
 def quiver_arrows(k: int, n: int) -> List[List[Arrow]]:
     """The arrows of each of the k + n lines, in line order."""
-    rows = [[((i, j), (i + 1, j)) for j in range(1, n + 1)]
-            for i in range(1, k)]
-    columns = [[((i, j), (i, j + 1)) for i in range(1, k + 1)]
-               for j in range(1, n)]
-    return [[((0, 1), (1, 1))], *rows, *columns, [((k, n), (k, n + 1))]]
+    return [_line_arrows(k, n, line) for line in range(k + n)]
 
 
 def block_arrows(block: Block, k: int, n: int) -> List[Arrow]:
-    lines = quiver_arrows(k, n)
-    return [arrow for line in block.lines(k) for arrow in lines[line]]
+    return [arrow for line in block.lines(k)
+            for arrow in _line_arrows(k, n, line)]
 
 
 @dataclass(frozen=True)
 class QuiverModel:
+    """A layout of blocks; the arrows and the variable names are built on
+    first use and kept, so one model builds each of them once."""
+
     k: int
     n: int
     degrees: Tuple[int, ...]
     blocks: Tuple[Block, ...]
 
-    def all_arrows(self) -> List[Arrow]:
+    @cached_property
+    def arrows(self) -> List[Arrow]:
+        """Every arrow, in line order."""
         return [arrow for line in quiver_arrows(self.k, self.n)
                 for arrow in line]
+
+    @cached_property
+    def eliminated(self) -> frozenset:
+        """The weight variables, one per block."""
+        return frozenset(weight_variables(self))
+
+    @cached_property
+    def names(self) -> Tuple[str, ...]:
+        """The variables that survive the elimination, sorted."""
+        return _surviving_names(self)
 
     def arrows_of(self, p: int) -> List[Arrow]:
         """Arrows of block p (1-based); p = 0 gives the complement block."""
@@ -91,7 +116,7 @@ class QuiverModel:
             used = set()
             for b in self.blocks:
                 used.update(block_arrows(b, self.k, self.n))
-            return [a for a in self.all_arrows() if a not in used]
+            return [a for a in self.arrows if a not in used]
         return block_arrows(self.blocks[p - 1], self.k, self.n)
 
 
@@ -135,7 +160,7 @@ def weight_table(model: QuiverModel) -> List[Dict[Vertex, int]]:
         wt = {v: _weight(block, k, v) for v in vertices}
         wt[(k, n + 1)] = wt[(0, 1)]
         in_p = set(model.arrows_of(p))
-        for arrow in model.all_arrows():
+        for arrow in model.arrows:
             tail, head = arrow
             diff = wt[head] - wt[tail]
             if arrow in in_p:
@@ -177,19 +202,18 @@ def weight_variables(model: QuiverModel) -> List[str]:
 
 def _surviving_names(model: QuiverModel) -> Tuple[str, ...]:
     k, n = model.k, model.n
-    eliminated = set(weight_variables(model))
     names = ["a"] + [f"a{i}_{j}" for i in range(1, k + 1)
                      for j in range(1, n + 1) if (i, j) != (k, n)]
-    return tuple(sorted(v for v in names if v not in eliminated))
+    return tuple(sorted(v for v in names if v not in model.eliminated))
 
 
-def _arrow_monomial(model: QuiverModel, names: Tuple[str, ...],
-                    eliminated: set, arrow: Arrow) -> LaurentPoly:
+def _arrow_monomial(model: QuiverModel, arrow: Arrow) -> LaurentPoly:
+    names = model.names
     exp = {v: 0 for v in names}
     tail, head = arrow
     for v, sign in ((head, 1), (tail, -1)):
         nm = _vertex_name(model.k, model.n, v)
-        if nm is None or nm in eliminated:
+        if nm is None or nm in model.eliminated:
             continue
         exp[nm] += sign
     return LaurentPoly.monomial(names, tuple(exp[v] for v in names))
@@ -197,11 +221,9 @@ def _arrow_monomial(model: QuiverModel, names: Tuple[str, ...],
 
 def restricted_block_sum(model: QuiverModel, p: int) -> LaurentPoly:
     """F over block p with the fixed and eliminated variables set to 1."""
-    names = _surviving_names(model)
-    eliminated = set(weight_variables(model))
-    total = LaurentPoly.zero(names)
+    total = LaurentPoly.zero(model.names)
     for arrow in model.arrows_of(p):
-        total = total + _arrow_monomial(model, names, eliminated, arrow)
+        total = total + _arrow_monomial(model, arrow)
     return total
 
 
@@ -211,15 +233,13 @@ def bcfks_laurent(spec: GrassSpec) -> LaurentPoly:
     left of the extra sink arrow."""
     model = consecutive_blocks(spec)
     weight_table(model)
-    names = _surviving_names(model)
-    eliminated = set(weight_variables(model))
     k, n = model.k, model.n
     sink_arrow = ((k, n), (k, n + 1))
-    f = LaurentPoly.zero(names)
+    f = LaurentPoly.zero(model.names)
     for arrow in model.arrows_of(0):
         if arrow != sink_arrow:
-            f = f + _arrow_monomial(model, names, eliminated, arrow)
-    correction = _arrow_monomial(model, names, eliminated, sink_arrow)
+            f = f + _arrow_monomial(model, arrow)
+    correction = _arrow_monomial(model, sink_arrow)
     for p, d in enumerate(spec.degrees, start=1):
         correction = correction * restricted_block_sum(model, p) ** d
     return f + correction
@@ -235,8 +255,7 @@ def elimination_identity_holds(spec: GrassSpec) -> bool:
     """
     model = consecutive_blocks(spec)
     tables = weight_table(model)
-    names = _surviving_names(model)
-    eliminated = set(weight_variables(model))
+    names = model.names
     k, n = model.k, model.n
     one = LaurentPoly.constant(1, names)
     bars = [restricted_block_sum(model, p)
@@ -244,7 +263,7 @@ def elimination_identity_holds(spec: GrassSpec) -> bool:
 
     def image(v: Vertex) -> LaurentPoly:
         nm = _vertex_name(k, n, v)
-        if nm is None or nm in eliminated:
+        if nm is None or nm in model.eliminated:
             base = one
         else:
             base = LaurentPoly.variable(nm, names)

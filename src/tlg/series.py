@@ -68,6 +68,13 @@ out once per row. Coefficients are ints or Fractions. A pairing matches
 the period digits only and keys its sums by the parameter digits, which
 become the exponents of a Laurent polynomial in the parameters.
 
+A chain step loops over the power once per term of the step, adding the
+shifted power into the product; a term with coefficient 1, as in almost
+every step of the catalog's factored models, skips its multiply. A dict
+paired with itself, as in ct(f^(2a)) and, for an unfactored f, in every
+pairing of the fold, looks up only its keys below half the target, since
+the sum is symmetric under k -> target - k.
+
 The closed forms the periods are checked against are I-series of complete
 intersections X of nef divisors L_1..L_r in a toric variety Y with toric
 divisors D_j: Givental's mirror theorem (alg-geom/9701016) in the form of
@@ -150,20 +157,48 @@ class PowerSeries:
 
 
 def _pairing(a: dict, b: dict, target: int = 0):
-    """Sum of a[k] * b[target - k] over the keys of the smaller dict."""
+    """Sum of a[k] * b[target - k] over the keys of the smaller dict.
+
+    A dict paired with itself is symmetric under k -> target - k, so only
+    the keys below target / 2 are looked up, their sum doubled, and the
+    middle key, when target is even, added once."""
+    if a is b:
+        get = a.get
+        total = 2 * sum(c * get(target - k, 0)
+                        for k, c in a.items() if 2 * k < target)
+        if target % 2:
+            return total
+        return total + get(target // 2, 0) ** 2
     if len(a) > len(b):
         a, b = b, a
-    return sum(c * b[target - k] for k, c in a.items() if target - k in b)
+    get = b.get
+    return sum(c * get(target - k, 0) for k, c in a.items())
 
 
 def _times(power: dict, factor: list) -> dict:
-    """Packed product of a power with the (key, value) pairs of a factor."""
-    out: dict = {}
+    """Packed product of a power with the (key, value) pairs of a factor.
+
+    The loop runs once over the power per term of the factor: the first
+    term fills the product, each later one adds into it, and a term with
+    coefficient 1, as in almost every chain step, skips its multiply."""
+    if not factor:
+        return {}
+    (s, d), *more = factor
+    items = power.items()
+    if d == 1:
+        out = {k + s: c for k, c in items}
+    else:
+        out = {k + s: c * d for k, c in items}
     get = out.get
-    for k, c in power.items():
-        for s, d in factor:
-            key = k + s
-            out[key] = get(key, 0) + c * d
+    for s, d in more:
+        if d == 1:
+            for k, c in items:
+                key = k + s
+                out[key] = get(key, 0) + c
+        else:
+            for k, c in items:
+                key = k + s
+                out[key] = get(key, 0) + c * d
     for key in [key for key, c in out.items() if not c]:
         del out[key]
     return out
@@ -205,6 +240,14 @@ def _prune(power: dict, facets, budget: int, radix: int, dims: int) -> dict:
         if d0 in allowed:
             out[key] = c
     return out
+
+
+def _check_order(order) -> None:
+    """Refuse an order that is not an int >= 1, bool included."""
+    if type(order) is not int:
+        raise ValueError(f"order must be an int >= 1, got {order!r}")
+    if order < 1:
+        raise ValueError("order must be at least 1")
 
 
 def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
@@ -265,8 +308,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
     power of f is built from the one before factor by factor; a list that
     does not multiply out to f raises a ValueError.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(order)
     vs = f.variables
     period = tuple(period_vars) if period_vars is not None else vs
     if not period:
@@ -446,8 +488,7 @@ def iseries_grassmannian(spec: GrassSpec, order: int) -> PowerSeries:
     only when every entry is at most both neighbours, so only those arrays,
     the plane partitions in a (k-1)x(n-1)xd box, are summed.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(order)
     k, n = spec.k, spec.n
     d0 = spec.index
     coeffs: List[Coeff] = [0] * order
@@ -556,8 +597,7 @@ def iseries_toric_parametrized(data: ToricCurveClassData, order: int
     Coefficient i is a Laurent polynomial in data.param_vars collecting all
     generator combinations of total anticanonical degree i.
     """
-    if order < 1:
-        raise ValueError("order must be at least 1")
+    _check_order(order)
     kappa = data.t_degrees
     vs = data.param_vars
     columns = list(zip(*data.rows))

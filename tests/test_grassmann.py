@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
@@ -193,6 +194,22 @@ def test_elimination_identity_fails_for_a_wrong_block_sum(monkeypatch):
     monkeypatch.setattr(grassmann, "restricted_block_sum",
                         lambda model, p: 2 * block_sum(model, p))
     assert not elimination_identity_holds(GrassSpec(2, 3, (3,)))
+
+
+@pytest.mark.parametrize("build, spec", [
+    (bcfks_laurent, GrassSpec(3, 3, (2, 1, 1, 1))),
+    (elimination_identity_holds, GrassSpec(2, 3, (1, 1))),
+])
+def test_each_structure_is_built_once_per_call(monkeypatch, build, spec):
+    calls: Counter = Counter()
+    for name in ("quiver_arrows", "weight_variables", "_surviving_names"):
+        def counted(*args, _build=getattr(grassmann, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+        monkeypatch.setattr(grassmann, name, counted)
+    build(spec)
+    assert calls == {"quiver_arrows": 1, "weight_variables": 1,
+                     "_surviving_names": 1}
 
 
 def test_block_sizes_and_weight_vertices():

@@ -12,9 +12,10 @@ from tlg.laurent import LaurentPoly
 from tlg.polytope import Polytope, _newton_of_product, newton_polytope
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree,
                         NonScalarConstantTerm, PowerSeries,
-                        ToricCurveClassData, WciSpec, iseries_grassmannian,
-                        iseries_toric, iseries_toric_parametrized, phi,
-                        phi_coefficients, verify_period)
+                        ToricCurveClassData, WciSpec, _pairing, _times,
+                        iseries_grassmannian, iseries_toric,
+                        iseries_toric_parametrized, phi, phi_coefficients,
+                        verify_period)
 
 V3 = ("x", "y", "z")
 x3, y3, z3 = (LaurentPoly.variable(n, V3) for n in V3)
@@ -215,6 +216,17 @@ def test_iseries_grassmannian_quadric_section():
     assert iseries_grassmannian(GrassSpec(3, 3, (1, 1, 1, 2)), 24) == s
 
 
+# not an int, or a bool: refused before any work, in the wording of the
+# factor powers
+NON_INT_ORDERS = [True, 2.5, "3", Fraction(3)]
+
+
+@pytest.mark.parametrize("order", NON_INT_ORDERS)
+def test_iseries_grassmannian_refuses_a_non_int_order(order):
+    with pytest.raises(ValueError, match="order must be an int >= 1, got"):
+        iseries_grassmannian(GrassSpec(2, 2), order)
+
+
 def test_grass_spec_validation():
     with pytest.raises(ValueError):
         GrassSpec(3, 3, (3, 1, 1, 1))  # degree sum hits n+k
@@ -249,6 +261,12 @@ def test_iseries_toric_projective_line():
     data = ToricCurveClassData(((1, 1),))
     xv = LaurentPoly.variable("x", ("x",))
     assert iseries_toric(data, 9) == phi(xv + xv ** -1, 9)
+
+
+@pytest.mark.parametrize("order", NON_INT_ORDERS)
+def test_iseries_toric_parametrized_refuses_a_non_int_order(order):
+    with pytest.raises(ValueError, match="order must be an int >= 1, got"):
+        iseries_toric_parametrized(ToricCurveClassData(((1, 1),)), order)
 
 
 def test_iseries_toric_unit_kappa_warns():
@@ -459,6 +477,57 @@ def test_phi_of_factors_equals_phi_of_their_product(case):
     assert phi_coefficients(f, order, period, factors) == want
     if set(period) == set(vs):
         assert phi(f, order, factors=factors) == phi(f, order)
+
+
+@pytest.mark.parametrize("order", NON_INT_ORDERS)
+def test_phi_coefficients_refuses_a_non_int_order(order):
+    with pytest.raises(ValueError, match="order must be an int >= 1, got"):
+        phi_coefficients(P3_MODEL, order)
+    with pytest.raises(ValueError, match="order must be an int >= 1, got"):
+        phi(P3_MODEL, order)
+
+
+# the kernels on packed keys: coefficients 1 (the multiply is skipped), other
+# ints and Fractions, never 0, as in a packed power or factor
+_KERNEL_COEFFS = st.one_of(
+    st.just(1), st.integers(-3, 3).filter(bool),
+    st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 4)))
+_PACKED = st.dictionaries(st.integers(-20, 20), _KERNEL_COEFFS, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PACKED, st.lists(st.tuples(st.integers(-6, 6), _KERNEL_COEFFS),
+                         max_size=4, unique_by=lambda t: t[0]))
+@example({}, [(0, 1), (2, 3)])
+# an empty factor, from f = 0: the product is empty
+@example({0: 1, 3: Fraction(1, 2)}, [])
+# (1 + x)(1 - x): the x terms cancel and are deleted
+@example({0: 1, 1: 1}, [(0, 1), (1, -1)])
+@example({-1: Fraction(2, 3), 4: -2}, [(1, -3), (0, Fraction(3, 2))])
+def test_times_is_the_double_loop(power, factor):
+    want: dict = {}
+    for k, c in power.items():
+        for s, d in factor:
+            want[k + s] = want.get(k + s, 0) + c * d
+    assert _times(power, factor) == {k: c for k, c in want.items() if c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PACKED, _PACKED, st.integers(-45, 45))
+@example({}, {}, 0)
+# even targets read the middle key once, odd ones have none
+@example({-1: 2, 0: 5, 1: 3}, {}, 0)
+@example({-1: 2, 0: 5, 1: 3}, {}, 1)
+@example({-3: Fraction(1, 2), -1: 1, 2: -4}, {0: 1}, -4)
+@example({-3: Fraction(1, 2), -1: 1, 2: -4}, {0: 1}, -1)
+@example({5: 1, 7: 2}, {1: 1}, 12)
+def test_pairing_is_the_sum_over_keys(a, b, target):
+    def want(a, b):
+        return sum(c * b.get(target - k, 0) for k, c in a.items())
+
+    assert _pairing(a, a, target) == want(a, a)
+    assert _pairing(a, dict(a), target) == want(a, a)
+    assert _pairing(a, b, target) == want(a, b)
 
 
 def test_factors_that_miss_f_raise():
