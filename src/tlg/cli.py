@@ -13,7 +13,11 @@ error on stderr) or a failed verification, 2 usage error, 130 interrupted.
 
 Each command is a function registered with ``_command`` under its name
 ("build wci" names a subcommand of a group); argparse parses the options,
-and the parser is built once, on the first call of ``main``.
+and the parser is built once, on the first call of ``main``. Each command
+imports the modules it runs: the module level holds only what ``catalog
+verify`` needs, so ``import tlg.cli`` loads no more than that command
+does, and grassmann, hodge, lattice, mutation and picard_fuchs are loaded
+by the commands that call them.
 """
 
 from __future__ import annotations
@@ -24,28 +28,22 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from . import catalog as _catalog
 from .builders import (DelPezzoScript, NefPartition, _quality,
                        binomial_principle, check_minkowski, del_pezzo_model,
                        wci_laurent)
-from .grassmann import (bcfks_laurent, consecutive_blocks, weight_table,
-                        weight_variables)
-from .hodge import (components_at_infinity, harder_diamond, k_components,
-                    k_matrix, kkp_surface_numbers)
 from .intlinalg import inverse_rational
-from .lattice import (GramLattice, discriminant, duval_intersection,
-                      duval_self_intersection, index_check, signature,
-                      standard_lattice)
 from .laurent import LaurentPoly
-from .mutation import elementary_mutation
-from .picard_fuchs import fit as pf_fit
 from .polytope import (Polytope, dual, is_reflexive, lattice_points,
                        newton_polytope, normalized_volume,
                        unimodular_equivalent)
 from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
                      iseries_toric, phi, verify_period)
+
+if TYPE_CHECKING:
+    from .lattice import GramLattice
 
 
 class UsageError(Exception):
@@ -157,6 +155,7 @@ def _gram_from(data, path: str) -> GramLattice:
     """The lattice of the JSON read from path, {'gram': rows} or
     {'name': name}, each with an optional integer "twist"; malformed input
     is a ParseError located at path."""
+    from .lattice import GramLattice, standard_lattice
     if not isinstance(data, dict) or ("gram" not in data
                                       and "name" not in data):
         raise _catalog.ParseError(
@@ -373,6 +372,8 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
           _OUTPUT)
 def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
     """Quiver model for a complete intersection in G(k, n+k)."""
+    from .grassmann import (bcfks_laurent, consecutive_blocks, weight_table,
+                            weight_variables)
     if sort_dir == "asc":
         degrees = tuple(sorted(degrees))
     elif sort_dir == "desc":
@@ -464,6 +465,7 @@ def minkowski_check_cmd(input_path, max_summands, output):
           _OUTPUT)
 def mutate_cmd(input_path, pivot, factor, output):
     """Apply an elementary mutation pivot -> pivot / factor."""
+    from .mutation import elementary_mutation
     f = _laurent_from(_read_json(input_path), input_path)
     g = _laurent_from(_read_json(factor), factor)
     _emit_laurent(elementary_mutation(f, pivot, g), output)
@@ -525,6 +527,7 @@ def polytope_equiv_cmd(input_path, output):
 
 def _lattice_input(name: Optional[str], twist: int,
                    input_path: Optional[str]) -> GramLattice:
+    from .lattice import standard_lattice
     if (name is None) == (input_path is None):
         raise UsageError("give exactly one of --name or --input")
     if name is not None:
@@ -546,6 +549,7 @@ _LATTICE_OPTIONS = (
 @_command("lattice disc", *_LATTICE_OPTIONS)
 def lattice_disc_cmd(name, twist, input_path, output):
     """Discriminant group and quadratic form values."""
+    from .lattice import discriminant
     data = discriminant(_lattice_input(name, twist, input_path))
     if output == "json":
         _echo_json({"group": list(data.group),
@@ -561,6 +565,7 @@ def lattice_disc_cmd(name, twist, input_path, output):
 @_command("lattice sig", *_LATTICE_OPTIONS)
 def lattice_sig_cmd(name, twist, input_path, output):
     """Signature (positive, negative) of the bilinear form."""
+    from .lattice import signature
     pos, neg = signature(_lattice_input(name, twist, input_path))
     _emit(output, {"signature": [pos, neg]}, f"{pos},{neg}")
 
@@ -568,6 +573,7 @@ def lattice_sig_cmd(name, twist, input_path, output):
 @_command("lattice index", _INPUT, _OUTPUT)
 def lattice_index_cmd(input_path, output):
     """Index of a finite-index isometric embedding."""
+    from .lattice import index_check
     data = _read_json(input_path)
     idx = index_check(_gram_from(_field(data, "sub", input_path), input_path),
                       _gram_from(_field(data, "sup", input_path), input_path),
@@ -587,6 +593,7 @@ def lattice_index_cmd(input_path, output):
           _OUTPUT)
 def lattice_duval_cmd(sing, k, r, self_int, branch, output):
     """Intersection corrections for curves through a du Val point."""
+    from .lattice import duval_intersection, duval_self_intersection
     if self_int:
         value = duval_self_intersection(sing, k=k, branch=branch)
     else:
@@ -602,8 +609,9 @@ def lattice_duval_cmd(sing, k, r, self_int, branch, output):
           _OUTPUT)
 def pf_fit_cmd(input_path, max_order, max_degree, output):
     """Fit an operator to a truncated series and cross-check the tail."""
+    from .picard_fuchs import fit
     series = _series_from(_read_json(input_path), input_path)
-    op = pf_fit(series, max_order, max_degree)
+    op = fit(series, max_order, max_degree)
     if output == "json":
         _echo_json(None if op is None else op.to_json_dict())
     elif op is None:
@@ -617,6 +625,7 @@ def pf_fit_cmd(input_path, max_order, max_degree, output):
           _OUTPUT)
 def hodge_surface_cmd(d, output):
     """Surface invariants of the mirror of a degree d del Pezzo."""
+    from .hodge import kkp_surface_numbers
     report = kkp_surface_numbers(d)
     if output == "json":
         _echo_json({
@@ -645,6 +654,7 @@ def hodge_surface_cmd(d, output):
           _OUTPUT)
 def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
     """Threefold diamond from fiber bookkeeping."""
+    from .hodge import harder_diamond
     diamond = harder_diamond(ky, ph, h12z=h12z, h21z=h21z)
     if output == "json":
         _echo_json({"dim": diamond.dim,
@@ -658,6 +668,7 @@ def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
 @_command("hodge components", _INPUT, _OUTPUT)
 def hodge_components_cmd(input_path, output):
     """Components of the fiber over infinity for a reflexive 3-polytope."""
+    from .hodge import components_at_infinity
     p = _polytope_from(_read_json(input_path), input_path)
     count = components_at_infinity(p)
     _emit(output, {"components": count}, count)
@@ -669,6 +680,7 @@ def hodge_components_cmd(input_path, output):
           _OUTPUT)
 def hodge_kmatrix_cmd(degrees, fano_index, output):
     """Ray matrix of the fiber over infinity and its component count."""
+    from .hodge import k_components, k_matrix
     matrix = k_matrix(degrees, fano_index)
     count = k_components(degrees, fano_index)
     if output == "json":

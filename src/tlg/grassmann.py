@@ -249,35 +249,42 @@ def elimination_identity_holds(spec: GrassSpec) -> bool:
     """Exact check that each block sum pulls back to 1 along the
     parametrization of the cut-out subvariety.
 
-    Every weight is nonnegative, so the image of each vertex is a Laurent
-    polynomial; the sum of head/tail ratios over a block is carried as one
-    fraction num/den and the identity is num == den.
+    The image of a vertex v is its variable times the product of the block
+    sums bar_q raised to the weights w_q(v), so the head/tail ratio of an
+    arrow is its monomial times the product of bar_q^(w_q(head) - w_q(tail)).
+    Each block clears one common denominator: with E_q the largest deficit
+    w_q(tail) - w_q(head) over its arrows (and at least 0), the identity
+    reads sum of monomial * prod bar_q^(E_q + w_q(head) - w_q(tail)) ==
+    prod bar_q^E_q, with every power nonnegative.
     """
     model = consecutive_blocks(spec)
     tables = weight_table(model)
     names = model.names
-    k, n = model.k, model.n
-    one = LaurentPoly.constant(1, names)
     bars = [restricted_block_sum(model, p)
             for p in range(1, len(model.degrees) + 1)]
+    powers: Dict[Tuple[int, int], LaurentPoly] = {}
 
-    def image(v: Vertex) -> LaurentPoly:
-        nm = _vertex_name(k, n, v)
-        if nm is None or nm in model.eliminated:
-            base = one
-        else:
-            base = LaurentPoly.variable(nm, names)
-        for p, wt in enumerate(tables):
-            w = wt[v]
-            if w:
-                base = base * bars[p] ** w
-        return base
+    def power(q: int, e: int) -> LaurentPoly:
+        if (q, e) not in powers:
+            powers[q, e] = bars[q] ** e
+        return powers[q, e]
 
     for p in range(1, len(model.degrees) + 1):
-        num, den = LaurentPoly.zero(names), one
-        for tail, head in model.arrows_of(p):
-            a, b = image(head), image(tail)
-            num, den = num * b + a * den, den * b
-        if num != den:
+        arrows = model.arrows_of(p)
+        deficits = [max([0] + [wt[tail] - wt[head] for tail, head in arrows])
+                    for wt in tables]
+        total = LaurentPoly.zero(names)
+        for tail, head in arrows:
+            term = _arrow_monomial(model, (tail, head))
+            for q, (wt, e) in enumerate(zip(tables, deficits)):
+                exponent = e + wt[head] - wt[tail]
+                if exponent:
+                    term = term * power(q, exponent)
+            total = total + term
+        cleared = LaurentPoly.constant(1, names)
+        for q, e in enumerate(deficits):
+            if e:
+                cleared = cleared * power(q, e)
+        if total != cleared:
             return False
     return True

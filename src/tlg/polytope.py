@@ -419,7 +419,11 @@ def lattice_points(p: Polytope, region: str = "all") -> List[Tuple[int, ...]]:
     walk runs over the box of the pivot coordinates, which are all the
     coordinates of a full-dimensional p, and solves every other coordinate
     from its span equation, dropping the points where it is no integer;
-    so integer and rational vertices take the same path.
+    so integer and rational vertices take the same path. The walk sets
+    one pivot coordinate at a time, in a range the facets bound as
+    `series._prune` bounds a row: given the coordinates already set, with
+    the later ones anywhere in their box. The last one is bounded exactly,
+    so every point reached lies in p.
     """
     if region not in ("all", "boundary", "interior"):
         raise ValueError(f"unknown region {region!r}")
@@ -428,19 +432,43 @@ def lattice_points(p: Polytope, region: str = "all") -> List[Tuple[int, ...]]:
     box = [(0,) if j in free
            else range(math.ceil(min(col)), math.floor(max(col)) + 1)
            for j, col in enumerate(zip(*p.vertices))]
+    pivots = [j for j in range(len(box)) if j not in free]
+    # reach[i][k]: the most facet k gains from the pivots after the i-th
+    # over their box, so the facets bound each pivot given the ones before
+    reach = [[sum(max(n[j] * box[j].start, n[j] * (box[j].stop - 1))
+                  for j in pivots[i + 1:]) for n, _ in facets]
+             for i in range(len(pivots))]
+    x = [0] * len(box)
     out = []
-    for cand in itertools.product(*box):
-        x = list(cand) if equations else cand
-        for f, a, b in equations:
-            # x_f is 0 here, and a is 0 at every other equation's column
-            x[f], r = divmod(b - _dot(a, x), a[f])
-            if r:
-                break
-        else:
-            vals = [_dot(n, x) + h for n, h in facets]
-            if min(vals, default=0) >= 0 and (
-                    region == "all" or (region == "boundary") == (0 in vals)):
-                out.append(tuple(x))
+
+    def walk(i: int, vals: List) -> None:
+        """Every point with the pivots before the i-th as set in x; vals
+        holds each facet's value with the later pivots at 0."""
+        if i == len(pivots):
+            y = list(x)
+            for f, a, b in equations:
+                # y_f is 0 here, and a is 0 at every other equation's column
+                y[f], r = divmod(b - _dot(a, y), a[f])
+                if r:
+                    return
+            if region == "all" or (region == "boundary") == (0 in vals):
+                out.append(tuple(y))
+            return
+        j = pivots[i]
+        lo, hi = box[j].start, box[j].stop - 1
+        for (n, _), v, r in zip(facets, vals, reach[i]):
+            # n_j * x_j + v + r >= 0
+            if n[j] > 0:
+                lo = max(lo, -((v + r) // n[j]))
+            elif n[j] < 0:
+                hi = min(hi, (v + r) // -n[j])
+            elif v + r < 0:
+                return
+        for xj in range(lo, hi + 1):
+            x[j] = xj
+            walk(i + 1, [v + n[j] * xj for (n, _), v in zip(facets, vals)])
+
+    walk(0, [h for _, h in facets])
     return sorted(out)
 
 

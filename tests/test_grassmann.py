@@ -184,9 +184,31 @@ def test_period_matches_hypergeometric_series():
 
 
 def test_elimination_identity():
+    # the last two have weights up to 4, where one fraction over all arrows
+    # of a block, its denominator the product of every tail image, blows up
     for spec in [GrassSpec(2, 2, (1, 1)), GrassSpec(2, 3, (3,)),
-                 GrassSpec(3, 3, (2, 1, 1, 1))]:
+                 GrassSpec(3, 3, (2, 1, 1, 1)), GrassSpec(2, 3, (4,)),
+                 GrassSpec(2, 4, (4,))]:
         assert elimination_identity_holds(spec)
+
+
+@pytest.mark.parametrize("spec", [GrassSpec(2, 3, (4,)),
+                                  GrassSpec(3, 3, (2, 1, 1, 1))])
+def test_elimination_identity_fails_for_a_raised_weight(monkeypatch, spec):
+    # raising one weight of a vertex on a block arrow by 1 multiplies that
+    # arrow's ratio by a power of a block sum that is not 1
+    model = consecutive_blocks(spec)
+    on_blocks = {v for p in range(1, len(spec.degrees) + 1)
+                 for arrow in model.arrows_of(p) for v in arrow}
+    table = weight_table
+    for q in range(len(spec.degrees)):
+        for v in sorted(on_blocks):
+            def raised(model, q=q, v=v):
+                tables = [dict(t) for t in table(model)]
+                tables[q][v] += 1
+                return tables
+            monkeypatch.setattr(grassmann, "weight_table", raised)
+            assert not elimination_identity_holds(spec), (q, v)
 
 
 def test_elimination_identity_fails_for_a_wrong_block_sum(monkeypatch):

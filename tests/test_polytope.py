@@ -7,7 +7,7 @@ from math import ceil, factorial, floor, gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import catalog, polytope
@@ -620,6 +620,54 @@ def test_skewed_simplex_lattice_points_match_brute_force():
     assert set(p.vertices) <= set(expected)
     boundary = lattice_points(p, "boundary")
     assert sorted(boundary + lattice_points(p, "interior")) == expected
+
+
+# A skewed 4-polytope in Z^5: a walk over the box of its four pivot
+# coordinates visits 137,088 points for its 13 lattice points. Its points
+# were listed by that walk, which tested every point of the box.
+SKEWED_4_POLYTOPE = [(-10, -8, -2, -3, 7), (-10, -8, -1, -8, 8),
+                     (-7, -14, 7, 6, 9), (-7, -14, 8, 1, 10),
+                     (-3, 1, -7, -5, 0), (1, 1, 2, 1, -1),
+                     (5, 13, -9, -10, -8)]
+
+
+def test_skewed_4_polytope_lattice_points():
+    p = Polytope(SKEWED_4_POLYTOPE)
+    assert p.dim == 4
+    interior = [(-6, -4, -3, -5, 4), (-5, -5, -1, -2, 4), (-5, -2, -3, -7, 3),
+                (-4, -3, -1, -4, 3), (-3, -4, 1, -1, 3), (0, 4, -5, -6, -2)]
+    assert lattice_points(p, "interior") == interior
+    assert lattice_points(p, "boundary") == sorted(SKEWED_4_POLYTOPE)
+    assert lattice_points(p) == sorted(SKEWED_4_POLYTOPE + interior)
+
+
+@st.composite
+def _full_point_sets(draw):
+    """Up to eight points in Q^d, d <= 4, with integer or half-integer
+    coordinates in [-3, 3]."""
+    d = draw(st.integers(1, 4))
+    den = draw(st.sampled_from([1, 2]))
+    coord = st.builds(Fraction, st.integers(-3 * den, 3 * den), st.just(den))
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1,
+                         max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_full_point_sets())
+@example([(0, 0), (3, 1), (1, 3)])
+@example([(Fraction(1, 2), 0), (Fraction(5, 2), 1), (0, Fraction(5, 2))])
+def test_full_dimensional_lattice_points_match_brute_force(points):
+    p = Polytope(points)
+    assume(p.is_full_dimensional())
+    box = [range(ceil(min(col)), floor(max(col)) + 1) for col in zip(*points)]
+    expected = [x for x in itertools.product(*box) if p.contains(x)]
+    assert lattice_points(p) == expected
+    on_facet = [x for x in expected
+                if any(sum(a * b for a, b in zip(n, x)) + h == 0
+                       for n, h in p.facets)]
+    assert lattice_points(p, "boundary") == on_facet
+    assert lattice_points(p, "interior") == sorted(set(expected)
+                                                   - set(on_facet))
 
 
 def test_rational_degenerate_lattice_points():

@@ -48,16 +48,47 @@ def test_no_undeclared_heavy_imports_in_the_package():
     assert found == []
 
 
-def test_importing_the_command_line_loads_no_undeclared_package():
-    # a fresh interpreter, since this one may have loaded click elsewhere
-    code = "import sys, tlg.cli; print(sorted({'click', 'numpy', " \
-           "'sympy'} & set(sys.modules)))"
+def _fresh_interpreter(code: str) -> str:
+    """The standard output of code run in a new interpreter that imports
+    this package."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(tlg.__file__).parent.parent),
          os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_importing_the_command_line_loads_no_undeclared_package():
+    # a fresh interpreter, since this one may have loaded click elsewhere
+    out = _fresh_interpreter("import sys, tlg.cli; print(sorted({'click', "
+                             "'numpy', 'sympy'} & set(sys.modules)))")
     assert out == "[]\n"
+
+
+_LOADED_TLG_MODULES = ("print(' '.join(sorted(m for m in sys.modules "
+                       "if m == 'tlg' or m.startswith('tlg.'))))")
+
+
+def test_importing_the_command_line_loads_only_what_catalog_verify_needs():
+    # the modules of single commands are imported inside those commands
+    out = _fresh_interpreter("import sys, tlg.cli; " + _LOADED_TLG_MODULES)
+    assert out.split() == ["tlg", "tlg.builders", "tlg.catalog", "tlg.cli",
+                           "tlg.intlinalg", "tlg.laurent", "tlg.polytope",
+                           "tlg.series"]
+
+
+def test_catalog_verify_loads_no_single_command_module():
+    out = _fresh_interpreter(
+        "import contextlib, io, sys\n"
+        "from tlg.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['catalog', 'verify', '--order', '2', "
+        "'--id', '1-17'])\n"
+        "print(code)\n" + _LOADED_TLG_MODULES)
+    code, loaded = out.splitlines()
+    assert code == "0"
+    assert not {"tlg.grassmann", "tlg.hodge", "tlg.lattice", "tlg.mutation",
+                "tlg.picard_fuchs"} & set(loaded.split())
 
 
 def _annotation_names(node):
