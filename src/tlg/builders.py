@@ -315,10 +315,13 @@ def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
     return pts, base, basis, proj
 
 
-def _check_facet_decomposition(facet: Polytope,
+def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
+                               facet_first: Tuple[int, ...],
                                summands: Sequence[Polytope]) -> None:
     """Raise BadCertificate unless the summands, lattice segments and
-    polygons in Z^2, sum to the lattice polygon facet admissibly.
+    polygons in Z^2, sum admissibly to the facet, the lattice polygon with
+    edge length facet_budget[step] per primitive step and first vertex
+    facet_first.
 
     A convex polygon is fixed by its first vertex and its edge length per
     primitive step, and a Minkowski sum adds both up: a segment has an edge
@@ -343,8 +346,7 @@ def _check_facet_decomposition(facet: Polytope,
         for step, n in edges_of_s:
             budget[step] = budget.get(step, 0) + n
     first = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
-    if (budget != {step: n for _, step, n in polygon_edges(facet)}
-            or first != facet.vertices[0]):
+    if budget != facet_budget or first != facet_first:
         raise BadCertificate("summands do not add up to the facet")
     if len(steps) == len(summands) and gcd(
             *(_cross(u, v) for u, v in itertools.combinations(steps, 2))) != 1:
@@ -371,7 +373,9 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     for normal, height in p.facets:
         summands = by_normal[normal]
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
-        _check_facet_decomposition(Polytope(proj), summands)
+        facet = Polytope(proj)
+        budget = {step: n for _, step, n in polygon_edges(facet)}
+        _check_facet_decomposition(budget, facet.vertices[0], summands)
         for e, c in _facet_product(summands).terms():
             ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
                             for j in range(3))
@@ -432,7 +436,7 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
                           for v in chosen[0].vertices])
         summands = (first,) + tuple(chosen[1:])
         try:
-            _check_facet_decomposition(facet, summands)
+            _check_facet_decomposition(budget, facet.vertices[0], summands)
         except BadCertificate:
             return None
         if _facet_product(summands) != target:

@@ -6,9 +6,9 @@ which the period engine checks again, multiplies one at a time and hulls
 the Newton polytope from), together with optional
 anchors: a generator (weighted complete intersection, Grassmannian or toric
 curve-class data) whose closed-form series the period must reproduce, or a
-frozen series prefix for entries with no generating formula. The provenance
-tag says which kind of anchor the entry carries, so reports can separate
-genuine cross-checks from regression baselines.
+frozen series prefix for entries with no generating formula. An entry with
+a generator is anchored by the paper and one without is a regression
+baseline, so reports can separate genuine cross-checks from baselines.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .builders import check_minkowski
 from .laurent import LaurentPoly
-from .polytope import dual, is_reflexive, newton_polytope, normalized_volume
+from .polytope import (OriginNotInterior, dual, is_reflexive, newton_polytope,
+                       normalized_volume)
 from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
                      iseries_grassmannian, iseries_toric, phi)
-
-PROVENANCE_PAPER = "paper"
-PROVENANCE_REGRESSION = "derived-regression"
 
 
 class ParseError(ValueError):
@@ -48,7 +46,6 @@ class CatalogEntry:
     laurent: LaurentPoly
     generator: Optional[Generator] = None
     expected_series_prefix: Optional[PowerSeries] = None
-    provenance: Optional[str] = None
     polytope_notes: Optional[Tuple[Tuple[int, ...], ...]] = None
     minkowski_flag: bool = False
     degree: Optional[int] = None
@@ -58,8 +55,7 @@ class CatalogEntry:
 
     @property
     def anchored(self) -> str:
-        return PROVENANCE_PAPER if self.generator is not None \
-            else PROVENANCE_REGRESSION
+        return "paper" if self.generator is not None else "derived-regression"
 
     def generator_series(self, order: int) -> Optional[PowerSeries]:
         g = self.generator
@@ -87,18 +83,32 @@ def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
     raise TypeError(f"unknown generator {g!r}")
 
 
-# a JSON number with a fraction part is a float and true/false is a bool,
-# so neither passes for an int here
-def _int(x, what: str) -> int:
-    if type(x) is not int:
-        raise TypeError(f"{what} must be an integer, got {x!r}")
-    return x
+def _exactly(kind: type, name: str):
+    """A check that a JSON value has exactly the type kind: a number with a
+    fraction part is a float and true/false is a bool, so neither is an
+    int."""
+    def check(x, what: str):
+        if type(x) is not kind:
+            raise TypeError(f"{what} must be {name}, got {x!r}")
+        return x
+    return check
+
+
+_int = _exactly(int, "an integer")
+_str = _exactly(str, "a string")
+_bool = _exactly(bool, "true or false")
 
 
 def _ints(xs, what: str) -> Tuple[int, ...]:
     if type(xs) is not list or any(type(x) is not int for x in xs):
         raise TypeError(f"{what} must be a list of integers, got {xs!r}")
     return tuple(xs)
+
+
+def _int_lists(xs, what: str) -> Tuple[Tuple[int, ...], ...]:
+    if type(xs) is not list:
+        raise TypeError(f"{what} must be a list of integer lists, got {xs!r}")
+    return tuple(_ints(x, what) for x in xs)
 
 
 def generator_from_json(data, location: str,
@@ -151,7 +161,6 @@ def entry_to_json_dict(e: CatalogEntry) -> dict:
         "generator": _generator_to_json(e.generator),
         "expected_series_prefix": (None if e.expected_series_prefix is None
                                    else e.expected_series_prefix.to_json_dict()),
-        "provenance": e.provenance,
         "polytope_notes": (None if e.polytope_notes is None
                            else [list(v) for v in e.polytope_notes]),
         "minkowski": e.minkowski_flag,
@@ -167,6 +176,18 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         raise ParseError(location, "entry must be a JSON object")
     if "id" not in data:
         raise ParseError(f"{location} field id", "missing")
+
+    # data[key] (default when absent, None passing when optional) through
+    # check, whose refusal is a ParseError at the field
+    def field(key, check, default=None, optional=False):
+        value = data.get(key, default)
+        if optional and value is None:
+            return None
+        try:
+            return check(value, key)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{location} field {key}", str(exc)) from exc
+
     try:
         laurent = LaurentPoly.from_json_dict(data["laurent"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -187,28 +208,21 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         if not factors or product != laurent:
             raise ParseError(f"{location} field factors",
                              "the product of the factors is not laurent")
-    prefix = data.get("expected_series_prefix")
-    try:
-        series = None if prefix is None else PowerSeries.from_json_dict(prefix)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"{location} field expected_series_prefix",
-                         str(exc)) from exc
-    notes = data.get("polytope_notes")
     return CatalogEntry(
-        id=str(data["id"]),
+        id=field("id", _str),
         description=str(data.get("description", "")),
         laurent=laurent,
         generator=(None if data.get("generator") is None else
                    generator_from_json(data["generator"],
                                        f"{location} field generator")),
-        expected_series_prefix=series,
-        provenance=data.get("provenance"),
-        polytope_notes=(None if notes is None
-                        else tuple(tuple(int(x) for x in v) for v in notes)),
-        minkowski_flag=bool(data.get("minkowski", False)),
-        degree=data.get("degree"),
-        index=data.get("index"),
-        rho=data.get("rho"),
+        expected_series_prefix=field(
+            "expected_series_prefix",
+            lambda x, _: PowerSeries.from_json_dict(x), optional=True),
+        polytope_notes=field("polytope_notes", _int_lists, optional=True),
+        minkowski_flag=field("minkowski", _bool, False),
+        degree=field("degree", _int, optional=True),
+        index=field("index", _int, optional=True),
+        rho=field("rho", _int, optional=True),
         factors=factors,
     )
 
@@ -280,7 +294,6 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
         stored = entry.expected_series_prefix
         if stored is None:
             messages.append("no generator and no stored series prefix")
-            target = None
         else:
             compared = min(order, stored.order)
             if compared < order:
@@ -302,7 +315,11 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
                 break
 
     delta = newton_polytope(entry.laurent)
-    reflexive = is_reflexive(delta) if delta.dim == delta.ambient_dim else False
+    try:
+        reflexive = delta.dim == delta.ambient_dim and is_reflexive(delta)
+    except OriginNotInterior as exc:
+        reflexive = False
+        messages.append(f"Newton polytope is not reflexive: {exc}")
     degree_ok: Optional[bool] = None
     polytope_ok: Optional[bool] = None
     if reflexive:

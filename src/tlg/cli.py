@@ -73,10 +73,7 @@ def _int_rows(rows, what: str, path: str) -> Tuple[Tuple[int, ...], ...]:
     """rows as a tuple of integer tuples; anything else, a float or a bool
     included, is a ParseError located at path."""
     try:
-        if type(rows) is not list:
-            raise TypeError(f"{what} must be a list of integer lists, "
-                            f"got {rows!r}")
-        return tuple(_catalog._ints(r, what) for r in rows)
+        return _catalog._int_lists(rows, what)
     except TypeError as exc:
         raise _catalog.ParseError(path, str(exc)) from None
 
@@ -577,7 +574,8 @@ def lattice_index_cmd(input_path, output):
     data = _read_json(input_path)
     idx = index_check(_gram_from(_field(data, "sub", input_path), input_path),
                       _gram_from(_field(data, "sup", input_path), input_path),
-                      _field(data, "embedding", input_path))
+                      _int_rows(_field(data, "embedding", input_path),
+                                "embedding", input_path))
     _emit(output, {"index": idx}, idx)
 
 

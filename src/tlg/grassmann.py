@@ -15,7 +15,8 @@ lines that its paths to the sink cross; the source crosses them all. An
 arrow's head crosses the lines of its tail minus the arrow's own line, so
 the weight drops by one along each arrow of the block and stays put along
 every other arrow. Eliminating one weight variable per block turns the
-superpotential into a Laurent polynomial in kn - l variables.
+superpotential into a Laurent polynomial in kn - l variables; the model
+reads only the weight vertices, and the weight table serves --explain.
 """
 
 from __future__ import annotations
@@ -232,7 +233,6 @@ def bcfks_laurent(spec: GrassSpec) -> LaurentPoly:
     product of restricted block sums raised to the degrees, times what is
     left of the extra sink arrow."""
     model = consecutive_blocks(spec)
-    weight_table(model)
     k, n = model.k, model.n
     sink_arrow = ((k, n), (k, n + 1))
     f = LaurentPoly.zero(model.names)
@@ -243,48 +243,3 @@ def bcfks_laurent(spec: GrassSpec) -> LaurentPoly:
     for p, d in enumerate(spec.degrees, start=1):
         correction = correction * restricted_block_sum(model, p) ** d
     return f + correction
-
-
-def elimination_identity_holds(spec: GrassSpec) -> bool:
-    """Exact check that each block sum pulls back to 1 along the
-    parametrization of the cut-out subvariety.
-
-    The image of a vertex v is its variable times the product of the block
-    sums bar_q raised to the weights w_q(v), so the head/tail ratio of an
-    arrow is its monomial times the product of bar_q^(w_q(head) - w_q(tail)).
-    Each block clears one common denominator: with E_q the largest deficit
-    w_q(tail) - w_q(head) over its arrows (and at least 0), the identity
-    reads sum of monomial * prod bar_q^(E_q + w_q(head) - w_q(tail)) ==
-    prod bar_q^E_q, with every power nonnegative.
-    """
-    model = consecutive_blocks(spec)
-    tables = weight_table(model)
-    names = model.names
-    bars = [restricted_block_sum(model, p)
-            for p in range(1, len(model.degrees) + 1)]
-    powers: Dict[Tuple[int, int], LaurentPoly] = {}
-
-    def power(q: int, e: int) -> LaurentPoly:
-        if (q, e) not in powers:
-            powers[q, e] = bars[q] ** e
-        return powers[q, e]
-
-    for p in range(1, len(model.degrees) + 1):
-        arrows = model.arrows_of(p)
-        deficits = [max([0] + [wt[tail] - wt[head] for tail, head in arrows])
-                    for wt in tables]
-        total = LaurentPoly.zero(names)
-        for tail, head in arrows:
-            term = _arrow_monomial(model, (tail, head))
-            for q, (wt, e) in enumerate(zip(tables, deficits)):
-                exponent = e + wt[head] - wt[tail]
-                if exponent:
-                    term = term * power(q, exponent)
-            total = total + term
-        cleared = LaurentPoly.constant(1, names)
-        for q, e in enumerate(deficits):
-            if e:
-                cleared = cleared * power(q, e)
-        if total != cleared:
-            return False
-    return True

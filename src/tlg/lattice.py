@@ -245,7 +245,9 @@ def index_check(sub: GramLattice, sup: GramLattice,
                 embedding: Sequence[Sequence[int]]) -> int:
     """Index of a finite-index isometric image, with the determinant
     identity index^2 * det(sup) = det(sub) checked on the way out."""
-    e = [list(map(int, row)) for row in embedding]
+    e = embedding
+    if any(type(x) is not int for row in e for x in row):
+        raise TypeError(f"embedding entries must be integers, got {e!r}")
     if len(e) != sub.rank or any(len(row) != sup.rank for row in e):
         raise NotFiniteIndex("embedding matrix has the wrong shape")
     if sub.rank != sup.rank:

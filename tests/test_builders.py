@@ -14,7 +14,8 @@ from tlg.builders import (BadBase, BadCertificate, BadPartition,
                           del_pezzo_model, find_nef_partitions, is_An_polygon,
                           minkowski_polynomial, wci_laurent)
 from tlg.laurent import LaurentPoly
-from tlg.polytope import Polytope, lattice_points, newton_polytope
+from tlg.polytope import (Polytope, lattice_points, newton_polytope,
+                          polygon_edges)
 from tlg.series import WciSpec, phi_coefficients
 
 
@@ -196,6 +197,21 @@ def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
     assert len(calls) == 50
 
 
+def test_check_minkowski_walks_each_facet_once(monkeypatch):
+    # one edge walk per facet (1-8 has 10) and one per triangle summand
+    # checked (4); walking the facet again per checked choice made 24
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    calls = []
+    walk = builders.polygon_edges
+
+    def counting_walk(p):
+        calls.append(p)
+        return walk(p)
+    monkeypatch.setattr(builders, "polygon_edges", counting_walk)
+    assert check_minkowski(f) is not None
+    assert len(calls) == 14
+
+
 def _vertex_sums_hull(summands):
     return Polytope([tuple(map(sum, zip(*vs)))
                      for vs in itertools.product(*(s.vertices
@@ -234,7 +250,9 @@ def test_facet_check_accepts_exactly_the_admissible_sums(summands, other):
     assume(facet.dim == 2)
     adds_up = exact == facet
     try:
-        builders._check_facet_decomposition(facet, summands)
+        budget = {step: n for _, step, n in polygon_edges(facet)}
+        builders._check_facet_decomposition(budget, facet.vertices[0],
+                                            summands)
         message = None
     except BadCertificate as exc:
         message = str(exc)

@@ -9,7 +9,7 @@ from tlg.catalog import (CatalogEntry, ParseError, entry_from_json_dict,
 from tlg.cli import main
 from tlg.laurent import LaurentPoly
 from tlg.polytope import newton_polytope
-from tlg.series import ToricCurveClassData
+from tlg.series import PowerSeries, ToricCurveClassData
 
 GENERATORS = {
     "wci": {"kind": "wci", "weights": [1, 1, 1, 1], "degrees": [3]},
@@ -146,6 +146,60 @@ def test_non_integer_generator_values_are_located(generator):
         entry_from_json_dict(data, "cat.json entry 4")
     assert info.value.location == "cat.json entry 4 field generator"
     assert "integer" in str(info.value)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("id", 7, "id must be a string, got 7"),
+    ("polytope_notes", [[1.5, 0, 0]],
+     "polytope_notes must be a list of integers, got [1.5, 0, 0]"),
+    ("polytope_notes", [["a"]],
+     "polytope_notes must be a list of integers, got ['a']"),
+    ("polytope_notes", 5, "polytope_notes must be a list of integer lists, "
+                          "got 5"),
+    ("degree", "12", "degree must be an integer, got '12'"),
+    ("index", True, "index must be an integer, got True"),
+    ("rho", 1.0, "rho must be an integer, got 1.0"),
+    ("minkowski", "no", "minkowski must be true or false, got 'no'"),
+    ("minkowski", None, "minkowski must be true or false, got None"),
+], ids=["id-int", "notes-float", "notes-string", "notes-int",
+        "degree-string", "index-bool", "rho-float", "minkowski-string",
+        "minkowski-null"])
+def test_bad_entry_fields_are_located_parse_errors(key, value, message):
+    data = dict(_entry_json(), **{key: value})
+    with pytest.raises(ParseError) as info:
+        entry_from_json_dict(data, "cat.json entry 0")
+    assert info.value.location == f"cat.json entry 0 field {key}"
+    assert str(info.value) == f"cat.json entry 0 field {key}: {message}"
+
+
+def test_entry_fields_keep_their_null_and_absent_forms():
+    data = dict(_entry_json(), polytope_notes=[[1, 0, 0]], degree=None,
+                index=None, rho=None)
+    del data["minkowski"]
+    entry = entry_from_json_dict(data, "ok")
+    assert entry.polytope_notes == ((1, 0, 0),)
+    assert (entry.degree, entry.index, entry.rho) == (None, None, None)
+    assert entry.minkowski_flag is False
+
+
+def test_verify_reports_a_newton_polytope_without_the_origin_inside(
+        tmp_path, monkeypatch, capsys):
+    # x + y + xy: every exponent has a positive coordinate, so the origin
+    # lies outside its triangle and reflexivity cannot be asked
+    outside = CatalogEntry(
+        id="0-outside", description="",
+        laurent=LaurentPoly(("x", "y"), {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+        expected_series_prefix=PowerSeries((1, 0, 0, 0)))
+    path = tmp_path / "catalog.json"
+    catalog.save([outside, catalog.load()[0]], path)
+    monkeypatch.setenv("TLG_CATALOG", str(path))
+    assert main(["catalog", "verify", "--output", "json"]) == 0
+    first, second = json.loads(capsys.readouterr().out)["reports"]
+    assert first["id"] == "0-outside" and first["passed"] is True
+    assert first["reflexive"] is False
+    assert first["messages"] == [
+        "Newton polytope is not reflexive: origin is not strictly inside"]
+    assert second["passed"] is True
 
 
 def _factored():

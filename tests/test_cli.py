@@ -329,12 +329,22 @@ NOT_A_NUMBER = "coefficient must be int, Fraction or string, got"
     (["lattice", "index", "--input", "IN"],
      {"sub": {"gram": "x"}, "sup": {"name": "H"}, "embedding": [[1]]},
      "gram must be a list of integer lists, got 'x'"),
+    (["lattice", "index", "--input", "IN"],
+     {"sub": {"gram": [[1]]}, "sup": {"gram": [[1]]}, "embedding": [[1.5]]},
+     "embedding must be a list of integers, got [1.5]"),
+    (["lattice", "index", "--input", "IN"],
+     {"sub": {"gram": [[1]]}, "sup": {"gram": [[1]]}, "embedding": [[True]]},
+     "embedding must be a list of integers, got [True]"),
+    (["lattice", "index", "--input", "IN"],
+     {"sub": {"gram": [[1]]}, "sup": {"gram": [[1]]}, "embedding": "x"},
+     "embedding must be a list of integer lists, got 'x'"),
 ], ids=["series-zero-denominator", "series-not-a-number", "series-float",
         "series-coeffs-not-list", "series-wrong-order", "series-no-coeffs",
         "pf-fit-bool", "points-not-list", "points-bool", "vertices-float",
         "vertices-zero-denominator", "dim-string", "polytope-unknown-object",
         "gram-float", "gram-not-symmetric", "lattice-name-not-string",
-        "twist-zero", "lattice-unknown-object", "lattice-index-sub"])
+        "twist-zero", "lattice-unknown-object", "lattice-index-sub",
+        "lattice-index-float", "lattice-index-bool", "lattice-index-string"])
 def test_malformed_input_is_a_parse_error_at_the_input_file(
         tmp_path, capsys, model, argv, data, message):
     path = tmp_path / "in.json"

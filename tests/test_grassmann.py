@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 from tlg import grassmann
 from tlg.grassmann import (Block, BlocksDontFit, QuiverModel, bcfks_laurent,
-                           block_arrows, consecutive_blocks,
-                           elimination_identity_holds, weight_table,
+                           block_arrows, consecutive_blocks, weight_table,
                            weight_variables)
 from tlg.laurent import LaurentPoly
 from tlg.series import GrassSpec, iseries_grassmannian, phi
@@ -183,44 +182,8 @@ def test_period_matches_hypergeometric_series():
         assert phi(f, order).coeffs == iseries_grassmannian(spec, order).coeffs
 
 
-def test_elimination_identity():
-    # the last two have weights up to 4, where one fraction over all arrows
-    # of a block, its denominator the product of every tail image, blows up
-    for spec in [GrassSpec(2, 2, (1, 1)), GrassSpec(2, 3, (3,)),
-                 GrassSpec(3, 3, (2, 1, 1, 1)), GrassSpec(2, 3, (4,)),
-                 GrassSpec(2, 4, (4,))]:
-        assert elimination_identity_holds(spec)
-
-
-@pytest.mark.parametrize("spec", [GrassSpec(2, 3, (4,)),
-                                  GrassSpec(3, 3, (2, 1, 1, 1))])
-def test_elimination_identity_fails_for_a_raised_weight(monkeypatch, spec):
-    # raising one weight of a vertex on a block arrow by 1 multiplies that
-    # arrow's ratio by a power of a block sum that is not 1
-    model = consecutive_blocks(spec)
-    on_blocks = {v for p in range(1, len(spec.degrees) + 1)
-                 for arrow in model.arrows_of(p) for v in arrow}
-    table = weight_table
-    for q in range(len(spec.degrees)):
-        for v in sorted(on_blocks):
-            def raised(model, q=q, v=v):
-                tables = [dict(t) for t in table(model)]
-                tables[q][v] += 1
-                return tables
-            monkeypatch.setattr(grassmann, "weight_table", raised)
-            assert not elimination_identity_holds(spec), (q, v)
-
-
-def test_elimination_identity_fails_for_a_wrong_block_sum(monkeypatch):
-    block_sum = grassmann.restricted_block_sum
-    monkeypatch.setattr(grassmann, "restricted_block_sum",
-                        lambda model, p: 2 * block_sum(model, p))
-    assert not elimination_identity_holds(GrassSpec(2, 3, (3,)))
-
-
 @pytest.mark.parametrize("build, spec", [
     (bcfks_laurent, GrassSpec(3, 3, (2, 1, 1, 1))),
-    (elimination_identity_holds, GrassSpec(2, 3, (1, 1))),
 ])
 def test_each_structure_is_built_once_per_call(monkeypatch, build, spec):
     calls: Counter = Counter()
@@ -310,6 +273,17 @@ def test_models_over_a_box_of_specs_are_byte_identical():
                for s in _box_specs()}
     assert len(digests) == 153
     assert digests == BOX_SHA256
+
+
+def test_bcfks_laurent_builds_no_weight_table(monkeypatch):
+    # the model reads only the weight vertices; the table serves --explain
+    # (the digest below calls this module's own unpatched weight_table)
+    def no_table(model):
+        raise AssertionError("bcfks_laurent built a weight table")
+    monkeypatch.setattr(grassmann, "weight_table", no_table)
+    for spec in [GrassSpec(3, 3, (2, 1, 1, 1)), GrassSpec(2, 3, (4,))]:
+        key = f"{spec.k},{spec.n}:{','.join(map(str, spec.degrees))}"
+        assert _model_digest(spec) == BOX_SHA256[key]
 
 
 @st.composite

@@ -181,6 +181,14 @@ def test_discriminant_checks_raise_degenerate_lattice(monkeypatch):
         discriminant(l)
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_index_check_refuses_an_embedding_entry_that_is_no_int(entry):
+    # int() would read 1.5 and True as 1 and accept the identity embedding
+    z = GramLattice(((1,),))
+    with pytest.raises(TypeError, match="must be integers"):
+        index_check(z, z, [[entry]])
+
+
 def test_index_check_determinant_identity_raises_not_finite_index(monkeypatch):
     h = hyperbolic()
     monkeypatch.setattr(lattice, "det_bareiss", lambda m: 2)
