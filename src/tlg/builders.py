@@ -1,9 +1,11 @@
-"""Builders of Laurent superpotential models.
+"""Builders of Laurent superpotential models on lattice polytopes.
 
-Four families live here: the nef-partition formula for weighted complete
-intersections, binomial coefficient placement on reflexive polytopes,
-Minkowski-type polynomials with their per-facet certificates, and the
-divisor-decorated del Pezzo chains.
+Two families live here: binomial coefficient placement on reflexive
+polytopes, and Minkowski-type polynomials with their per-facet
+certificates, which `catalog verify` checks on every entry flagged
+Minkowski. The weighted complete intersection models are in `tlg.wci`
+and the del Pezzo chains in `tlg.delpezzo`, so a process that runs only
+`catalog verify` compiles neither.
 
 Every polygon edge walk reads `polytope.polygon_edges`, the edges of the
 already hulled polygon, and every edge rule that puts 1 at the ends and
@@ -28,11 +30,6 @@ from .laurent import LaurentPoly
 from .polytope import (Polytope, PolytopeError, _sub, edges, is_reflexive,
                        lattice_chart, lattice_points, newton_polytope,
                        polygon_edges)
-from .series import WciSpec
-
-
-class BadPartition(ValueError):
-    """The partition is malformed or lacks a weight-one index in its tail class."""
 
 
 class InteriorFacetPoint(ValueError):
@@ -41,140 +38,6 @@ class InteriorFacetPoint(ValueError):
 
 class BadCertificate(ValueError):
     """A Minkowski certificate does not match the polytope it claims to cover."""
-
-
-class PointInsideHull(ValueError):
-    """A build step tried to add a point the polygon already contains."""
-
-
-class BadBase(ValueError):
-    """Unknown starting polygon for a del Pezzo chain."""
-
-
-class EdgesDisagree(ValueError):
-    """Two boundary edges of a surface-mode model give one term different
-    coefficients."""
-
-
-# ---------------------------------------------------------------------------
-# nef partitions and the weighted complete intersection formula
-
-
-@dataclass(frozen=True)
-class NefPartition:
-    """Index classes (E_0, E_1, ..., E_l); E_i weights sum to degree i for i >= 1.
-
-    quality is "very_good" when every E_0 weight is one, "good" when at
-    least one is, and "plain" otherwise.
-    """
-
-    classes: Tuple[Tuple[int, ...], ...]
-    quality: str
-
-
-def _quality(e0: Sequence[int], weights: Sequence[int]) -> str:
-    if all(weights[j] == 1 for j in e0):
-        return "very_good"
-    if any(weights[j] == 1 for j in e0):
-        return "good"
-    return "plain"
-
-
-def find_nef_partitions(spec: WciSpec,
-                        want: str = "plain") -> List[NefPartition]:
-    """All splittings of the weight indices with class sums matching degrees.
-
-    want narrows the result: "plain" keeps everything, "good" keeps
-    partitions whose E_0 holds a weight-one index, "very_good" keeps those
-    whose E_0 weights are all one. Output order is the deterministic
-    backtracking order over sorted index combinations.
-    """
-    if want not in ("plain", "good", "very_good"):
-        raise ValueError(f"unknown filter {want!r}")
-    weights = spec.weights
-    out: List[NefPartition] = []
-
-    def rec(deg_idx: int, remaining: Tuple[int, ...], acc: List[Tuple[int, ...]]):
-        if deg_idx == len(spec.degrees):
-            e0 = tuple(remaining)
-            q = _quality(e0, weights)
-            part = NefPartition((e0,) + tuple(acc), q)
-            if want == "plain" or q == "very_good" or (want == "good" and q == "good"):
-                out.append(part)
-            return
-        target = spec.degrees[deg_idx]
-        for size in range(1, len(remaining) + 1):
-            for combo in itertools.combinations(remaining, size):
-                if sum(weights[j] for j in combo) == target:
-                    rest = tuple(j for j in remaining if j not in combo)
-                    acc.append(combo)
-                    rec(deg_idx + 1, rest, acc)
-                    acc.pop()
-
-    rec(0, tuple(range(len(weights))), [])
-    return out
-
-
-def _dropped_index(cls: Sequence[int], weights: Sequence[int]) -> int:
-    return max(cls, key=lambda j: (weights[j], j))
-
-
-def wci_laurent(spec: WciSpec, part: Optional[NefPartition] = None,
-                var_names: Optional[Sequence[str]] = None) -> LaurentPoly:
-    """Laurent model of a weighted complete intersection from a nef partition.
-
-    Within each class the index of largest weight (ties resolved towards
-    the last position) is dropped; every kept index becomes a variable
-    whose denominator exponent is its weight. The model is the product of
-    (sum of class variables + 1)^degree over the hypersurface classes,
-    divided by the full variable-weight monomial, plus the kept E_0
-    variables.
-    """
-    weights = spec.weights
-    if part is None:
-        found = find_nef_partitions(spec, "very_good") or find_nef_partitions(spec, "good")
-        if not found:
-            raise BadPartition("no good nef-partition exists for this spec")
-        part = found[0]
-    classes = part.classes
-    if len(classes) != len(spec.degrees) + 1:
-        raise BadPartition("need one class per degree plus the tail class")
-    flat = sorted(j for cls in classes for j in cls)
-    if flat != list(range(len(weights))):
-        raise BadPartition("classes must partition the weight indices")
-    for i, cls in enumerate(classes[1:], start=1):
-        if sum(weights[j] for j in cls) != spec.degrees[i - 1]:
-            raise BadPartition(
-                f"class {i} weights sum to {sum(weights[j] for j in cls)}, "
-                f"expected degree {spec.degrees[i - 1]}")
-    if not any(weights[j] == 1 for j in classes[0]):
-        raise BadPartition("tail class holds no weight-one index")
-
-    kept: List[List[int]] = []
-    for cls in classes:
-        drop = _dropped_index(cls, weights)
-        kept.append([j for j in sorted(cls) if j != drop])
-    m = sum(len(k) for k in kept)
-    if var_names is None:
-        names = tuple(f"x{i}" for i in range(1, m + 1))
-    else:
-        names = tuple(var_names)
-        if len(names) != m:
-            raise ValueError(f"need {m} variable names, got {len(names)}")
-
-    flat_kept = [j for k in kept for j in k]
-    var_of = {j: names[pos] for pos, j in enumerate(flat_kept)}
-    numer = LaurentPoly.constant(1, names)
-    for i, cls_kept in enumerate(kept[1:], start=1):
-        s = LaurentPoly.constant(1, names)
-        for j in cls_kept:
-            s = s + LaurentPoly.variable(var_of[j], names)
-        numer = numer * s ** spec.degrees[i - 1]
-    denom_exp = tuple(-weights[j] for j in flat_kept)
-    f = numer * LaurentPoly.monomial(names, denom_exp)
-    for j in kept[0]:
-        f = f + LaurentPoly.variable(var_of[j], names)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -492,122 +355,3 @@ def check_minkowski(f: LaurentPoly,
             return None
         found.append(FacetDecomposition(normal, dec))
     return MinkowskiCertificate(tuple(found))
-
-
-# ---------------------------------------------------------------------------
-# del Pezzo chains
-
-def _base_markings(base: str, nparams: int) -> Dict[Tuple[int, int], Tuple[int, ...]]:
-    """Initial boundary markings as exponent vectors over the parameters."""
-    def e(*idx):
-        v = [0] * nparams
-        for i in idx:
-            v[i] += 1
-        return tuple(v)
-
-    if base == "P2":
-        return {(1, 0): e(), (0, 1): e(), (-1, -1): e(0)}
-    if base == "quadric_square":
-        return {(1, 0): e(), (-1, 0): e(0), (0, 1): e(), (0, -1): e(1)}
-    if base == "quadric_F2":
-        return {(0, 1): e(), (-1, -1): e(0), (0, -1): e(1), (1, -1): e()}
-    raise BadBase(f"unknown base {base!r}")
-
-
-_BASE_PARAM_COUNT = {"P2": 1, "quadric_square": 2, "quadric_F2": 2}
-
-
-@dataclass(frozen=True)
-class DelPezzoScript:
-    """A starting polygon, points to attach, and parameter names to spend.
-
-    The base consumes the first one (P2) or two (quadrics) parameters; each
-    step consumes the next one.
-    """
-
-    base: str
-    steps: Tuple[Tuple[int, int], ...] = ()
-    params: Tuple[str, ...] = ()
-
-
-def _boundary_cycle(p) -> List[Tuple[int, int]]:
-    """Boundary lattice points of p (or of the hull of p), counterclockwise."""
-    if not isinstance(p, Polytope):
-        p = Polytope(p)
-    return [(v[0] + k * s[0], v[1] + k * s[1])
-            for v, s, n in polygon_edges(p) for k in range(n)]
-
-
-def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
-    """Divisor-decorated model built by attaching vertices to a base polygon.
-
-    Attaching K multiplies a fresh parameter by the markings of the two
-    boundary lattice points next to K. Toric mode returns the markings as
-    they stand; surface mode rewrites each boundary edge K_0..K_r so the
-    coefficient at K_i is the s^i coefficient of
-    m_{K_0} prod_j (1 + (m_{K_j}/m_{K_j-1}) s).
-    """
-    if mode not in ("toric", "surface"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if script.base not in _BASE_PARAM_COUNT:
-        raise BadBase(f"unknown base {script.base!r}")
-    nbase = _BASE_PARAM_COUNT[script.base]
-    need = nbase + len(script.steps)
-    params = tuple(script.params)
-    if len(params) != need:
-        raise ValueError(f"base {script.base} with {len(script.steps)} steps "
-                         f"needs {need} parameters, got {len(params)}")
-    np_ = len(params)
-    markings = _base_markings(script.base, np_)
-
-    for s_idx, k_pt in enumerate(script.steps):
-        k_pt = (int(k_pt[0]), int(k_pt[1]))
-        # k lies outside the old hull exactly when it is a new vertex
-        poly = Polytope([*markings, k_pt])
-        if k_pt in markings or k_pt not in poly.vertices:
-            raise PointInsideHull(f"step point {k_pt} is already inside")
-        cycle = _boundary_cycle(poly)
-        pos = cycle.index(k_pt)
-        left = cycle[pos - 1]
-        right = cycle[(pos + 1) % len(cycle)]
-        for nb in (left, right):
-            if nb not in markings:
-                raise ValueError(
-                    f"step {s_idx}: boundary neighbor {nb} carries no marking")
-        exp = tuple(a + b for a, b in zip(markings[left], markings[right]))
-        exp = tuple(a + (1 if i == nbase + s_idx else 0) for i, a in enumerate(exp))
-        markings[k_pt] = exp
-
-    final = Polytope(markings)
-    if not all(h > 0 for _, h in final.facets):
-        raise ValueError("origin must end up strictly inside the polygon")
-    boundary = _boundary_cycle(final)
-    missing = sorted(set(boundary) - set(markings))
-    if missing:
-        raise ValueError(f"boundary points {missing} never received markings")
-    swallowed = sorted(set(markings) - set(boundary))
-    if swallowed:
-        raise ValueError(f"marked points {swallowed} fell inside the polygon")
-
-    names = ("x", "y") + params
-    if mode == "toric":
-        terms = {(pt[0], pt[1]) + e: 1 for pt, e in markings.items()}
-        return LaurentPoly(names, terms)
-
-    # surface mode: rework every edge by the marking product rule, as a
-    # polynomial in s over the parameters
-    svars = ("s",) + params
-    one = LaurentPoly.constant(1, svars)
-    terms: Dict[Tuple[int, ...], int] = {}
-    for v, step, n in polygon_edges(final):
-        marks = [markings[(v[0] + k * step[0], v[1] + k * step[1])]
-                 for k in range(n + 1)]
-        edge = prod((one + LaurentPoly.monomial(svars, (1,) + _sub(b, a))
-                     for a, b in zip(marks, marks[1:])),
-                    start=LaurentPoly.monomial(svars, (0,) + marks[0]))
-        for (k, *e), c in edge.terms():
-            key = (v[0] + k * step[0], v[1] + k * step[1], *e)
-            if terms.setdefault(key, c) != c:
-                raise EdgesDisagree(
-                    f"edges disagree on the coefficient at {key}")
-    return LaurentPoly(names, terms)

@@ -341,7 +341,10 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
                         "is not reflexive")
 
     minkowski_ok: Optional[bool] = None
-    if entry.minkowski_flag:
+    if entry.minkowski_flag and not (reflexive and delta.ambient_dim == 3):
+        minkowski_ok = False
+        messages.append("Minkowski flag needs a reflexive Newton 3-polytope")
+    elif entry.minkowski_flag:
         minkowski_ok = check_minkowski(entry.laurent) is not None
         if not minkowski_ok:
             messages.append("no facet decomposition certificate found")

@@ -1,0 +1,646 @@
+"""The commands of `tlg` other than the catalog group.
+
+Series (phi, iseries, verify), builders (build wci|grass|delpezzo|binomial,
+minkowski check), mutation, polytope queries, lattice invariants, operator
+fitting (pf fit) and Hodge-number bookkeeping, with the readers of their
+input files. Each command registers with `tlg.cli._command` when this
+module is imported, and `tlg.cli.main` imports it only to run one of these
+commands or to print the whole command tree, so a `catalog verify` process
+compiles none of it. Each command imports the modules it alone runs
+(grassmann, hodge, lattice, mutation, picard_fuchs, wci, delpezzo) inside
+itself.
+
+Malformed input is a ParseError located at the input file, and a request
+that parses but cannot be served is a UsageError; `tlg.cli.main` turns
+them into exit codes 1 and 2.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+from fractions import Fraction
+from typing import TYPE_CHECKING, Optional, Tuple
+
+from . import catalog as _catalog
+from .builders import binomial_principle, check_minkowski
+from .cli import _OUTPUT, UsageError, _command, _echo_json, _opt
+from .intlinalg import inverse_rational
+from .laurent import LaurentPoly
+from .polytope import (Polytope, dual, is_reflexive, lattice_points,
+                       newton_polytope, normalized_volume,
+                       unimodular_equivalent)
+from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
+                     iseries_toric, phi, verify_period)
+
+if TYPE_CHECKING:
+    from .lattice import GramLattice
+
+
+# -- input files and options ------------------------------------------------
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _field(data, key: str, path: str):
+    """data[key] of the JSON read from path; a missing key is a ParseError
+    located at that file."""
+    if not isinstance(data, dict) or key not in data:
+        raise _catalog.ParseError(path, f"missing key {key!r}")
+    return data[key]
+
+
+def _int_rows(rows, what: str, path: str) -> Tuple[Tuple[int, ...], ...]:
+    """rows as a tuple of integer tuples; anything else, a float or a bool
+    included, is a ParseError located at path."""
+    try:
+        return _catalog._int_lists(rows, what)
+    except TypeError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
+
+
+def _laurent_from(data, path: str) -> LaurentPoly:
+    """The Laurent polynomial data read from path; malformed input is a
+    ParseError located at path, with the index of the term at fault."""
+    for key in ("vars", "terms"):
+        _field(data, key, path)
+    try:
+        return LaurentPoly.from_json_dict(data)
+    except ValueError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
+
+
+def _points(raw, what: str, path: str) -> list:
+    """raw as a list of points with int or Fraction coordinates; a
+    coordinate is an integer or a rational string, and anything else, a
+    float or a bool included, is a ParseError located at path."""
+    if type(raw) is not list:
+        raise _catalog.ParseError(
+            path, f"{what} must be a list of points, got {raw!r}")
+    out = []
+    for i, p in enumerate(raw):
+        if type(p) is not list or any(type(x) not in (int, str) for x in p):
+            raise _catalog.ParseError(
+                path, f"{what}[{i}]: coordinates must be integers or "
+                      f"rational strings, got {p!r}")
+        try:
+            out.append([Fraction(x) if type(x) is str else x for x in p])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _catalog.ParseError(path, f"{what}[{i}]: {exc}") from None
+    return out
+
+
+def _polytope_from(data, path: str) -> Polytope:
+    """The polytope of the JSON read from path: a list of points, an object
+    with "vertices" (and "dim") or "points", or a Laurent polynomial for
+    its Newton polytope; malformed input is a ParseError located at path."""
+    if isinstance(data, list):
+        return Polytope(_points(data, "points", path))
+    if isinstance(data, dict):
+        if "vertices" in data and "dim" in data:
+            if type(data["dim"]) is not int:
+                raise _catalog.ParseError(
+                    path, f"dim must be an integer, got {data['dim']!r}")
+            return Polytope.from_json_dict(
+                dict(data, vertices=_points(data["vertices"], "vertices",
+                                            path)))
+        for key in ("vertices", "points"):
+            if key in data:
+                return Polytope(_points(data[key], key, path))
+        if "vars" in data and "terms" in data:
+            return newton_polytope(_laurent_from(data, path))
+    raise _catalog.ParseError(
+        path, "expected polytope points or a Laurent polynomial")
+
+
+def _series_from(data, path: str) -> PowerSeries:
+    """The power series of the JSON read from path: a list of coefficients,
+    or an object with "coeffs" and optionally "order"; malformed input is a
+    ParseError located at path, with the index of the coefficient at
+    fault."""
+    if isinstance(data, list):
+        data = {"coeffs": data}
+    if not isinstance(data, dict) or "coeffs" not in data:
+        raise _catalog.ParseError(
+            path, "expected a power series with 'order' and 'coeffs'")
+    try:
+        return PowerSeries.from_json_dict(data)
+    except ValueError as exc:
+        raise _catalog.ParseError(path, str(exc)) from None
+
+
+def _gram_from(data, path: str) -> GramLattice:
+    """The lattice of the JSON read from path, {'gram': rows} or
+    {'name': name}, each with an optional integer "twist"; malformed input
+    is a ParseError located at path."""
+    from .lattice import GramLattice, standard_lattice
+    if not isinstance(data, dict) or ("gram" not in data
+                                      and "name" not in data):
+        raise _catalog.ParseError(
+            path, "expected a lattice as {'gram': ...} or {'name': ...}")
+    twist = data.get("twist", 1)
+    if type(twist) is not int or twist == 0:
+        raise _catalog.ParseError(
+            path, f"twist must be a nonzero integer, got {twist!r}")
+    if "gram" in data:
+        rows = _int_rows(data["gram"], "gram", path)
+        try:
+            base = GramLattice(rows)
+        except ValueError as exc:
+            raise _catalog.ParseError(path, str(exc)) from None
+        return base if twist == 1 else base.twist(twist)
+    if type(data["name"]) is not str:
+        raise _catalog.ParseError(
+            path, f"name must be a string, got {data['name']!r}")
+    return standard_lattice(data["name"], twist)
+
+
+def _int_list(value: str) -> Tuple[int, ...]:
+    if value == "":
+        return ()
+    try:
+        return tuple(int(x) for x in value.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma separated integers") from None
+
+
+def _existing_file(value: str) -> str:
+    if not os.path.isfile(value):
+        raise argparse.ArgumentTypeError(f"no such file: {value!r}")
+    return value
+
+
+def _name_list(value: Optional[str]) -> Optional[Tuple[str, ...]]:
+    if not value:
+        return None
+    return tuple(s.strip() for s in value.split(","))
+
+
+def _cstr(value) -> str:
+    return str(Fraction(value))
+
+
+_INPUT = _opt("--input", "-i", dest="input_path", metavar="PATH",
+              required=True, type=_existing_file, help="Input JSON file.")
+_ORDER = _opt("--order", type=int, required=True)
+_DEGREES = _opt("--degrees", type=_int_list, default="",
+                help="Hypersurface degrees, comma separated (empty for the "
+                     "ambient space).")
+
+
+def _emit_series(series: PowerSeries, output: str) -> None:
+    if output == "json":
+        _echo_json(series.to_json_dict())
+    else:
+        print(",".join(str(c) for c in series.coeffs))
+
+
+def _emit_laurent(f: LaurentPoly, output: str) -> None:
+    if output == "json":
+        _echo_json(f.to_json_dict())
+    else:
+        print(f)
+
+
+def _emit_polytope(p: Polytope, output: str) -> None:
+    if output == "json":
+        _echo_json(p.to_json_dict())
+    else:
+        for v in p.vertices:
+            print(",".join(str(x) for x in v))
+
+
+def _emit(output: str, payload, text) -> None:
+    """payload as JSON under --output json, else the line text."""
+    if output == "json":
+        _echo_json(payload)
+    else:
+        print(text)
+
+
+# -- commands ---------------------------------------------------------------
+
+@_command("phi", _INPUT,
+          _opt("--order", type=int, required=True,
+               help="Number of series coefficients to compute."),
+          _opt("--period-vars", help="Comma separated variables to fold; "
+                                     "the rest are carried as parameters."),
+          _OUTPUT)
+def phi_cmd(input_path, order, period_vars, output):
+    """Constant-term period series of a Laurent polynomial."""
+    f = _laurent_from(_read_json(input_path), input_path)
+    series = phi(f, order, period_vars=_name_list(period_vars))
+    _emit_series(series, output)
+
+
+@_command("iseries wci",
+          _opt("--weights", type=_int_list, required=True,
+               help="Ambient weights, comma separated."),
+          _DEGREES, _ORDER, _OUTPUT)
+def iseries_wci_cmd(weights, degrees, order, output):
+    """Weighted complete intersection."""
+    _emit_series(iseries_toric(WciSpec(weights, degrees).toric_data(), order),
+                 output)
+
+
+@_command("iseries grass",
+          _opt("--k", type=int, required=True, help="Subspace dimension."),
+          _opt("--n", type=int, required=True,
+               help="Codimension part: the Grassmannian is G(k, n+k)."),
+          _DEGREES, _ORDER, _OUTPUT)
+def iseries_grass_cmd(k, n, degrees, order, output):
+    """Complete intersection in a Grassmannian."""
+    _emit_series(iseries_grassmannian(GrassSpec(k, n, degrees), order),
+                 output)
+
+
+@_command("iseries toric", _INPUT, _ORDER, _OUTPUT)
+def iseries_toric_cmd(input_path, order, output):
+    """Toric complete intersection: {"rows": [[D_j.C_s, ...], ...]} and
+    optionally {"degrees": [[L_i.C_s per row], ...]}."""
+    spec = _catalog.generator_from_json(_read_json(input_path), input_path,
+                                        "toric")
+    _emit_series(iseries_toric(spec, order), output)
+
+
+@_command("verify", _INPUT,
+          _opt("--against", required=True, type=_existing_file,
+               help="JSON file with the target series."),
+          _opt("--order", type=int,
+               help="Truncate the target before comparing."),
+          _opt("--period-vars"), _OUTPUT)
+def verify_cmd(input_path, against, order, period_vars, output):
+    """Compare the period of a Laurent polynomial with a target series."""
+    f = _laurent_from(_read_json(input_path), input_path)
+    target = _series_from(_read_json(against), against)
+    if order is not None:
+        target = target.truncate(order)
+    report = verify_period(f, target, period_vars=_name_list(period_vars))
+    if output == "json":
+        _echo_json(report.to_json_dict())
+    elif report.match:
+        print(f"match through order {report.order}")
+    else:
+        print(f"mismatch at t^{report.first_mismatch}: expected "
+              f"{report.expected}, found {report.found}")
+    return 0 if report.match else 1
+
+
+@_command("build wci",
+          _opt("--weights", type=_int_list, required=True), _DEGREES,
+          _opt("--partition", default="auto",
+               help="'auto' (the default) picks the drop-largest "
+                    "nef-partition; otherwise a JSON file with "
+                    "{'classes': [[...], ...]}."),
+          _opt("--var-names",
+               help="Comma separated names for the torus coordinates."),
+          _OUTPUT)
+def build_wci_cmd(weights, degrees, partition, var_names, output):
+    """Weighted complete intersection model."""
+    from .wci import NefPartition, _quality, wci_laurent
+    spec = WciSpec(weights, degrees)
+    part = None
+    if partition != "auto":
+        classes = _int_rows(_field(_read_json(partition), "classes",
+                                   partition), "classes", partition)
+        if not classes:
+            raise _catalog.ParseError(partition, "classes must not be empty")
+        part = NefPartition(classes, _quality(classes[0], weights))
+    f = wci_laurent(spec, part=part, var_names=_name_list(var_names))
+    _emit_laurent(f, output)
+
+
+@_command("build grass",
+          _opt("--k", type=int, required=True),
+          _opt("--n", type=int, required=True), _DEGREES,
+          _opt("--sort", dest="sort_dir", choices=("asc", "desc"),
+               help="Reorder the degrees before building."),
+          _opt("--explain", action="store_true",
+               help="Include blocks, weight table, weight vertices and the "
+                    "block-weight matrix with its inverse."),
+          _OUTPUT)
+def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
+    """Quiver model for a complete intersection in G(k, n+k)."""
+    from .grassmann import (bcfks_laurent, consecutive_blocks, weight_table,
+                            weight_variables)
+    if sort_dir == "asc":
+        degrees = tuple(sorted(degrees))
+    elif sort_dir == "desc":
+        degrees = tuple(sorted(degrees, reverse=True))
+    spec = GrassSpec(k, n, degrees)
+    f = bcfks_laurent(spec)
+    if not explain:
+        _emit_laurent(f, output)
+        return
+    model = consecutive_blocks(spec)
+    table = weight_table(model)
+    vertices = [b.weight_vertex(model.k) for b in model.blocks]
+    m = [[table[p].get(v, 0) for v in vertices]
+         for p in range(len(model.blocks))]
+    m_inv = [[_cstr(x) for x in row] for row in inverse_rational(m)]
+    payload = {
+        "laurent": f.to_json_dict(),
+        "blocks": [{"kind": b.kind, "r": b.r, "s": b.s}
+                   for b in model.blocks],
+        "weight_variables": weight_variables(model),
+        "weight_vertices": [list(v) for v in vertices],
+        "weight_table": [
+            sorted(({"vertex": list(v), "weight": w}
+                    for v, w in table[p].items()),
+                   key=lambda rec: rec["vertex"])
+            for p in range(len(model.blocks))],
+        "m_matrix": m,
+        "m_inverse": m_inv,
+    }
+    if output == "json":
+        _echo_json(payload)
+        return
+    print(str(f))
+    for p, b in enumerate(model.blocks):
+        print(f"block {p + 1}: {b.kind}({b.r},{b.s}) weight vertex "
+              f"{vertices[p]} variable {payload['weight_variables'][p]}")
+    for p, row in enumerate(m):
+        print(f"M[{p + 1}] = {row}")
+    for p, row in enumerate(m_inv):
+        print(f"Minv[{p + 1}] = {row}")
+
+
+@_command("build delpezzo", _INPUT,
+          _opt("--mode", choices=("toric", "surface"), default="toric",
+               help="(default: %(default)s)"),
+          _OUTPUT)
+def build_delpezzo_cmd(input_path, mode, output):
+    """Parametrized del Pezzo model from a blow-up script."""
+    from .delpezzo import DelPezzoScript, del_pezzo_model
+    data = _read_json(input_path)
+    base = _field(data, "base", input_path)
+    params = data.get("params", [])
+    if type(params) is not list or not all(isinstance(q, str) for q in params):
+        raise _catalog.ParseError(
+            input_path, f"params must be a list of strings, got {params!r}")
+    script = DelPezzoScript(
+        base, _int_rows(data.get("steps", []), "steps", input_path),
+        tuple(params))
+    _emit_laurent(del_pezzo_model(script, mode=mode), output)
+
+
+@_command("build binomial", _INPUT, _OUTPUT)
+def build_binomial_cmd(input_path, output):
+    """Coefficients from the binomial boundary rule on a polytope."""
+    p = _polytope_from(_read_json(input_path), input_path)
+    _emit_laurent(binomial_principle(p), output)
+
+
+@_command("minkowski check", _INPUT,
+          _opt("--max-summands", type=int, default=4,
+               help="(default: %(default)s)"),
+          _OUTPUT)
+def minkowski_check_cmd(input_path, max_summands, output):
+    """Certify facet decompositions into A-type polygons."""
+    if max_summands < 1:
+        raise UsageError(
+            f"--max-summands must be at least 1, got {max_summands}")
+    f = _laurent_from(_read_json(input_path), input_path)
+    cert = check_minkowski(f, max_summands=max_summands)
+    _emit(output, {"minkowski": cert is not None, "certificate":
+                   None if cert is None else cert.to_json_dict()},
+          json.dumps(cert is not None))
+
+
+@_command("mutate", _INPUT,
+          _opt("--pivot", required=True,
+               help="Variable the mutation rewrites."),
+          _opt("--factor", required=True, type=_existing_file,
+               help="JSON file with the mutation factor."),
+          _OUTPUT)
+def mutate_cmd(input_path, pivot, factor, output):
+    """Apply an elementary mutation pivot -> pivot / factor."""
+    from .mutation import elementary_mutation
+    f = _laurent_from(_read_json(input_path), input_path)
+    g = _laurent_from(_read_json(factor), factor)
+    _emit_laurent(elementary_mutation(f, pivot, g), output)
+
+
+@_command("polytope hull", _INPUT, _OUTPUT)
+def polytope_hull_cmd(input_path, output):
+    """Vertices of the convex hull of the input points."""
+    _emit_polytope(_polytope_from(_read_json(input_path), input_path), output)
+
+
+@_command("polytope dual", _INPUT, _OUTPUT)
+def polytope_dual_cmd(input_path, output):
+    """Polar dual polytope."""
+    p = _polytope_from(_read_json(input_path), input_path)
+    _emit_polytope(dual(p), output)
+
+
+@_command("polytope reflexive", _INPUT, _OUTPUT)
+def polytope_reflexive_cmd(input_path, output):
+    """Whether the polytope is reflexive."""
+    ok = is_reflexive(_polytope_from(_read_json(input_path), input_path))
+    _emit(output, ok, json.dumps(ok))
+
+
+@_command("polytope volume", _INPUT, _OUTPUT)
+def polytope_volume_cmd(input_path, output):
+    """Normalized lattice volume."""
+    p = _polytope_from(_read_json(input_path), input_path)
+    vol = normalized_volume(p)
+    _emit(output, {"volume": vol}, vol)
+
+
+@_command("polytope points", _INPUT,
+          _opt("--region", choices=("all", "boundary", "interior"),
+               default="all", help="(default: %(default)s)"),
+          _OUTPUT)
+def polytope_points_cmd(input_path, region, output):
+    """Lattice points of the polytope."""
+    pts = lattice_points(_polytope_from(_read_json(input_path), input_path),
+                         region=region)
+    if output == "json":
+        _echo_json({"count": len(pts), "points": [list(p) for p in pts]})
+    else:
+        for p in pts:
+            print(",".join(str(x) for x in p))
+
+
+@_command("polytope equiv", _INPUT, _OUTPUT)
+def polytope_equiv_cmd(input_path, output):
+    """Search for a lattice-linear isomorphism between two polytopes."""
+    data = _read_json(input_path)
+    p = _polytope_from(_field(data, "first", input_path), input_path)
+    q = _polytope_from(_field(data, "second", input_path), input_path)
+    u = unimodular_equivalent(p, q)
+    _emit(output, {"equivalent": u is not None, "map": u},
+          json.dumps(u is not None))
+
+
+def _lattice_input(name: Optional[str], twist: int,
+                   input_path: Optional[str]) -> GramLattice:
+    from .lattice import standard_lattice
+    if (name is None) == (input_path is None):
+        raise UsageError("give exactly one of --name or --input")
+    if name is not None:
+        return standard_lattice(name, twist)
+    l = _gram_from(_read_json(input_path), input_path)
+    return l if twist == 1 else l.twist(twist)
+
+
+_LATTICE_OPTIONS = (
+    _opt("--name", help="Named lattice such as A5, D_8, E7, H, M, M_6 or "
+                        "<-6>."),
+    _opt("--twist", type=int, default=1, help="(default: %(default)s)"),
+    _opt("--input", "-i", dest="input_path", metavar="PATH",
+         type=_existing_file,
+         help="JSON file with {'gram': ...} or {'name': ...}."),
+    _OUTPUT)
+
+
+@_command("lattice disc", *_LATTICE_OPTIONS)
+def lattice_disc_cmd(name, twist, input_path, output):
+    """Discriminant group and quadratic form values."""
+    from .lattice import discriminant
+    data = discriminant(_lattice_input(name, twist, input_path))
+    if output == "json":
+        _echo_json({"group": list(data.group),
+                    "generators": [[_cstr(x) for x in g]
+                                   for g in data.generators],
+                    "form_values": [_cstr(v) for v in data.form_values]})
+    else:
+        group = " x ".join(f"Z/{d}" for d in data.group) or "trivial"
+        values = ", ".join(_cstr(v) for v in data.form_values)
+        print(f"{group}; q = ({values})")
+
+
+@_command("lattice sig", *_LATTICE_OPTIONS)
+def lattice_sig_cmd(name, twist, input_path, output):
+    """Signature (positive, negative) of the bilinear form."""
+    from .lattice import signature
+    pos, neg = signature(_lattice_input(name, twist, input_path))
+    _emit(output, {"signature": [pos, neg]}, f"{pos},{neg}")
+
+
+@_command("lattice index", _INPUT, _OUTPUT)
+def lattice_index_cmd(input_path, output):
+    """Index of a finite-index isometric embedding."""
+    from .lattice import index_check
+    data = _read_json(input_path)
+    idx = index_check(_gram_from(_field(data, "sub", input_path), input_path),
+                      _gram_from(_field(data, "sup", input_path), input_path),
+                      _int_rows(_field(data, "embedding", input_path),
+                                "embedding", input_path))
+    _emit(output, {"index": idx}, idx)
+
+
+@_command("lattice duval",
+          _opt("--type", dest="sing", metavar="TYPE", required=True,
+               help="Singularity type such as A5, D_4 or E7."),
+          _opt("--k", type=int, help="Chain position."),
+          _opt("--r", type=int,
+               help="Second chain position for a transversal pair."),
+          _opt("--self", dest="self_int", action="store_true",
+               help="Self-intersection correction instead of a pair."),
+          _opt("--branch", help="'tail' or 'fork' for D_n."),
+          _OUTPUT)
+def lattice_duval_cmd(sing, k, r, self_int, branch, output):
+    """Intersection corrections for curves through a du Val point."""
+    from .lattice import duval_intersection, duval_self_intersection
+    if self_int:
+        value = duval_self_intersection(sing, k=k, branch=branch)
+    else:
+        value = duval_intersection(sing, k=k, r=r)
+    _emit(output, {"value": _cstr(value)}, _cstr(value))
+
+
+@_command("pf fit", _INPUT,
+          _opt("--max-order", type=int, required=True,
+               help="Logarithmic-derivative order of the ansatz."),
+          _opt("--max-degree", type=int, required=True,
+               help="Largest t-degree to try."),
+          _OUTPUT)
+def pf_fit_cmd(input_path, max_order, max_degree, output):
+    """Fit an operator to a truncated series and cross-check the tail."""
+    from .picard_fuchs import fit
+    series = _series_from(_read_json(input_path), input_path)
+    op = fit(series, max_order, max_degree)
+    if output == "json":
+        _echo_json(None if op is None else op.to_json_dict())
+    elif op is None:
+        print("no operator found")
+    else:
+        print(str(op))
+
+
+@_command("hodge surface",
+          _opt("--d", type=int, required=True, help="Anticanonical degree."),
+          _OUTPUT)
+def hodge_surface_cmd(d, output):
+    """Surface invariants of the mirror of a degree d del Pezzo."""
+    from .hodge import kkp_surface_numbers
+    report = kkp_surface_numbers(d)
+    if output == "json":
+        _echo_json({
+            "degree": report.degree,
+            "fano": report.fano_type,
+            "diamond": None if report.diamond is None else {
+                "dim": report.diamond.dim,
+                "h": [list(row) for row in report.diamond.h],
+                "middle_row": list(report.diamond.middle_row())},
+            "jordan_blocks": [list(b) for b in report.jordan_blocks]})
+    elif report.diamond is None:
+        blocks = ", ".join(f"{s}x{m}" for s, m in report.jordan_blocks)
+        print(f"not Fano type; Jordan blocks {blocks}")
+    else:
+        print(",".join(str(x) for x in report.diamond.middle_row()))
+
+
+@_command("hodge threefold",
+          _opt("--ky", type=int, required=True,
+               help="Total excess of fiber components."),
+          _opt("--ph", type=int, required=True,
+               help="Rank of the middle primitive part, fiber class "
+                    "included."),
+          _opt("--h12z", type=int, default=0, help="(default: %(default)s)"),
+          _opt("--h21z", type=int, default=0, help="(default: %(default)s)"),
+          _OUTPUT)
+def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
+    """Threefold diamond from fiber bookkeeping."""
+    from .hodge import harder_diamond
+    diamond = harder_diamond(ky, ph, h12z=h12z, h21z=h21z)
+    if output == "json":
+        _echo_json({"dim": diamond.dim,
+                    "h": [list(row) for row in diamond.h],
+                    "middle_row": list(diamond.middle_row())})
+    else:
+        for row in diamond.h:
+            print(",".join(str(x) for x in row))
+
+
+@_command("hodge components", _INPUT, _OUTPUT)
+def hodge_components_cmd(input_path, output):
+    """Components of the fiber over infinity for a reflexive 3-polytope."""
+    from .hodge import components_at_infinity
+    p = _polytope_from(_read_json(input_path), input_path)
+    count = components_at_infinity(p)
+    _emit(output, {"components": count}, count)
+
+
+@_command("hodge kmatrix", _DEGREES,
+          _opt("--index", dest="fano_index", metavar="INDEX", type=int,
+               required=True),
+          _OUTPUT)
+def hodge_kmatrix_cmd(degrees, fano_index, output):
+    """Ray matrix of the fiber over infinity and its component count."""
+    from .hodge import k_components, k_matrix
+    matrix = k_matrix(degrees, fano_index)
+    count = k_components(degrees, fano_index)
+    if output == "json":
+        _echo_json({"matrix": matrix, "components": count})
+    else:
+        for row in matrix:
+            print(",".join(str(x) for x in row))
+        print(f"components: {count}")

@@ -45,7 +45,9 @@ class HodgeDiamond:
 
     def __post_init__(self):
         n = self.dim + 1
-        rows = tuple(tuple(int(x) for x in row) for row in self.h)
+        rows = tuple(tuple(row) for row in self.h)
+        if any(type(x) is not int for row in rows for x in row):
+            raise TypeError(f"diamond entries must be integers, got {rows!r}")
         if len(rows) != n or any(len(r) != n for r in rows):
             raise BadInput("diamond needs an (n+1) x (n+1) grid")
         object.__setattr__(self, "h", rows)
@@ -131,7 +133,10 @@ def k_matrix(degrees: Sequence[int], index: int) -> List[List[int]]:
     with an all -1 row. For a threefold the rows land on the vertices of
     the dual of the model's Newton polytope.
     """
-    degrees = [int(d) for d in degrees]
+    degrees = list(degrees)
+    if any(type(x) is not int for x in (*degrees, index)):
+        raise TypeError(f"degrees and index must be integers, got "
+                        f"{degrees!r} and {index!r}")
     if any(d < 1 for d in degrees):
         raise BadDegrees("degrees must be positive")
     if index < 1:
@@ -194,7 +199,9 @@ def elliptic_euler_check(singular_fiber_components: Sequence[int]) -> EulerRepor
     to a wheel of d; the report states how many nodal fibers the wheel
     actually leaves room for instead of silently fixing the text.
     """
-    comps = [int(c) for c in singular_fiber_components]
+    comps = list(singular_fiber_components)
+    if any(type(c) is not int for c in comps):
+        raise TypeError(f"component counts must be integers, got {comps!r}")
     if not comps:
         return EulerReport(False, 0, 0, (), None, "no singular fibers given")
     if any(c < 1 for c in comps):

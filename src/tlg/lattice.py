@@ -45,7 +45,9 @@ class GramLattice:
     gram: Gram
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(row) for row in self.gram)
+        if any(type(x) is not int for row in g for x in row):
+            raise TypeError(f"gram entries must be integers, got {g!r}")
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("gram matrix must be square")

@@ -5,18 +5,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import builders, catalog
-from tlg.builders import (BadBase, BadCertificate, BadPartition,
-                          DelPezzoScript, EdgesDisagree, FacetDecomposition,
+from tlg import builders, catalog, delpezzo
+from tlg.builders import (BadCertificate, FacetDecomposition,
                           InteriorFacetPoint, MinkowskiCertificate,
-                          NefPartition, PointInsideHull, a_type_polynomial,
-                          binomial_principle, check_minkowski,
-                          del_pezzo_model, find_nef_partitions, is_An_polygon,
-                          minkowski_polynomial, wci_laurent)
+                          a_type_polynomial, binomial_principle,
+                          check_minkowski, is_An_polygon,
+                          minkowski_polynomial)
+from tlg.delpezzo import (BadBase, DelPezzoScript, EdgesDisagree,
+                          PointInsideHull, del_pezzo_model)
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (Polytope, lattice_points, newton_polytope,
                           polygon_edges)
 from tlg.series import WciSpec, phi_coefficients
+from tlg.wci import (BadPartition, NefPartition, find_nef_partitions,
+                     wci_laurent)
 
 
 def lp(expr_vars, terms):
@@ -442,9 +444,9 @@ def test_del_pezzo_surface_edges_that_disagree_raise(monkeypatch):
     # never disagree; a cycle with the chord (-1,2)..(0,-1), which ends
     # where the bottom edge carries C(3, 1) = 3, makes them
     marked = [(-1, -1), (0, -1), (1, -1), (2, -1), (1, 0), (0, 1), (-1, 2)]
-    monkeypatch.setattr(builders, "_base_markings",
+    monkeypatch.setattr(delpezzo, "_base_markings",
                         lambda base, n: {pt: (0,) * n for pt in marked})
-    monkeypatch.setattr(builders, "polygon_edges",
+    monkeypatch.setattr(delpezzo, "polygon_edges",
                         lambda p: [((-1, -1), (1, 0), 3), ((2, -1), (-1, 1), 3),
                                    ((-1, 2), (1, -3), 1), ((0, -1), (-1, 0), 1)])
     with pytest.raises(EdgesDisagree, match=r"\(0, -1, 0\)"):

@@ -202,6 +202,30 @@ def test_verify_reports_a_newton_polytope_without_the_origin_inside(
     assert second["passed"] is True
 
 
+@pytest.mark.parametrize("terms, cause", [
+    # x + y + z + xyz: the origin lies outside the tetrahedron
+    ({(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1, (1, 1, 1): 1},
+     "Newton polytope is not reflexive: origin is not strictly inside"),
+    # x^2 + y + z + their inverses: the facet x/2 + y + z = 1 lies at
+    # height 2 from the origin
+    ({(2, 0, 0): 1, (-2, 0, 0): 1, (0, 1, 0): 1, (0, -1, 0): 1,
+      (0, 0, 1): 1, (0, 0, -1): 1}, None),
+], ids=["origin-outside", "height-two"])
+def test_verify_reports_a_minkowski_flag_on_a_non_reflexive_polytope(terms,
+                                                                     cause):
+    # check_minkowski needs a reflexive 3-polytope; it used to be called
+    # anyway and abort the whole run
+    entry = CatalogEntry(
+        id="0-flagged", description="",
+        laurent=LaurentPoly(("x", "y", "z"), terms),
+        expected_series_prefix=PowerSeries((1, 0)), minkowski_flag=True)
+    report = catalog.verify_entry(entry, 2)
+    assert report.reflexive is False
+    assert report.minkowski_ok is False and report.passed is False
+    assert report.messages == tuple(m for m in (
+        cause, "Minkowski flag needs a reflexive Newton 3-polytope") if m)
+
+
 def _factored():
     return next(e for e in catalog.load() if e.id == "1-1")
 

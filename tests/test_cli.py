@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-import tlg.cli
+import tlg.commands
 from tlg import catalog
 from tlg.cli import main
 from tlg.laurent import LaurentPoly
@@ -80,7 +80,7 @@ def test_volume_of_a_rational_polytope_exits_one(tmp_path, capsys):
 def test_keyboard_interrupt_exits_130(model, monkeypatch):
     def interrupted(*args, **kwargs):
         raise KeyboardInterrupt
-    monkeypatch.setattr(tlg.cli, "phi", interrupted)
+    monkeypatch.setattr(tlg.commands, "phi", interrupted)
     assert main(["phi", "--input", model, "--order", "3"]) == 130
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tlg import lattice
+from tlg import hodge, lattice
 from tlg.lattice import (BadName, BadRange, DegenerateLattice, GramLattice,
                          NotFiniteIndex, NotIsometric, direct_sum,
                          discriminant, duval_intersection,
@@ -187,6 +187,21 @@ def test_index_check_refuses_an_embedding_entry_that_is_no_int(entry):
     z = GramLattice(((1,),))
     with pytest.raises(TypeError, match="must be integers"):
         index_check(z, z, [[entry]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GramLattice(((1.5,),)),
+    lambda: GramLattice(((True,),)),
+    lambda: hodge.HodgeDiamond(0, ((1.5,),)),
+    lambda: hodge.k_matrix((2.7,), 1),
+    lambda: hodge.elliptic_euler_check([1.9] * 12),
+], ids=["gram-float", "gram-bool", "diamond-float", "kmatrix-degree-float",
+        "euler-float"])
+def test_integer_inputs_refuse_what_int_would_truncate(build):
+    # int() read each as a nearby integer: the Gram entries as ((1,),),
+    # the degree as 2, and twelve fibres of 1.9 components added to 12
+    with pytest.raises(TypeError, match="must be integers"):
+        build()
 
 
 def test_index_check_determinant_identity_raises_not_finite_index(monkeypatch):

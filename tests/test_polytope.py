@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import catalog, polytope
-from tlg.builders import _boundary_cycle
+from tlg.delpezzo import _boundary_cycle
 from tlg.intlinalg import identity, kernel_lattice_chart
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,

@@ -48,14 +48,22 @@ def test_no_undeclared_heavy_imports_in_the_package():
     assert found == []
 
 
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports this package, run with args; its
+    output is captured as text, with help formatted for 80 columns."""
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+        [str(Path(tlg.__file__).parent.parent),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
 def _fresh_interpreter(code: str) -> str:
     """The standard output of code run in a new interpreter that imports
     this package."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(tlg.__file__).parent.parent),
-         os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    done = _python("-c", code)
+    done.check_returncode()
+    return done.stdout
 
 
 def test_importing_the_command_line_loads_no_undeclared_package():
@@ -89,6 +97,102 @@ def test_catalog_verify_loads_no_single_command_module():
     assert code == "0"
     assert not {"tlg.grassmann", "tlg.hodge", "tlg.lattice", "tlg.mutation",
                 "tlg.picard_fuchs"} & set(loaded.split())
+
+
+# every leaf of a parser, as the words that name it
+_LEAVES = """
+import argparse
+def leaves(p, prefix=()):
+    subs = [a for a in p._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [' '.join(prefix)]
+    return [leaf for name, q in subs[0].choices.items()
+            for leaf in leaves(q, prefix + (name,))]
+"""
+
+
+def test_catalog_verify_compiles_and_registers_only_the_catalog_group():
+    # the other commands and the model families only they build are
+    # imported, and their parsers built, when a command needs them
+    out = _fresh_interpreter(
+        "import contextlib, io, sys\n" + _LEAVES +
+        "from tlg.cli import _COMMANDS, _parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['catalog', 'verify', '--order', '2', '--id', '1-17'])\n"
+        "    main(['catalog', 'list'])\n"
+        "print(sorted(name for name, _, _ in _COMMANDS))\n"
+        "print(leaves(_parser(False)), _parser.cache_info().currsize)\n"
+        + _LOADED_TLG_MODULES)
+    registered, built, loaded = out.splitlines()
+    assert registered == "['catalog list', 'catalog verify']"
+    assert built == "['catalog verify', 'catalog list'] 1"
+    assert not {"tlg.commands", "tlg.delpezzo", "tlg.wci"} & set(loaded.split())
+
+
+ROOT_HELP = """\
+usage: tlg [-h] COMMAND ...
+
+Exact arithmetic tools for Laurent polynomial mirror models.
+
+positional arguments:
+  COMMAND
+    phi       Constant-term period series of a Laurent polynomial.
+    iseries   Regularized I-series from geometric input.
+    verify    Compare the period of a Laurent polynomial with a target series.
+    build     Construct Laurent polynomial models.
+    minkowski
+              Minkowski decompositions of Newton polytope facets.
+    mutate    Apply an elementary mutation pivot -> pivot / factor.
+    polytope  Lattice polytope queries.
+    lattice   Even lattice invariants.
+    pf        Differential operators annihilating period series.
+    hodge     Hodge number bookkeeping for mirror models.
+    catalog   Bundled model catalog.
+
+options:
+  -h, --help  show this help message and exit
+"""
+
+EVERY_COMMAND = [
+    "phi", "iseries wci", "iseries grass", "iseries toric", "verify",
+    "build wci", "build grass", "build delpezzo", "build binomial",
+    "minkowski check", "mutate", "polytope hull", "polytope dual",
+    "polytope reflexive", "polytope volume", "polytope points",
+    "polytope equiv", "lattice disc", "lattice sig", "lattice index",
+    "lattice duval", "pf fit", "hodge surface", "hodge threefold",
+    "hodge components", "hodge kmatrix", "catalog verify", "catalog list"]
+
+
+def test_help_lists_every_command_in_its_order():
+    # a bare --help builds the whole tree, the catalog group last
+    out = _fresh_interpreter(
+        "import contextlib, io\n" + _LEAVES +
+        "from tlg.cli import _parser, main\n"
+        "text = io.StringIO()\n"
+        "with contextlib.redirect_stdout(text):\n"
+        "    code = main(['--help'])\n"
+        "print(code, leaves(_parser(True)))\n"
+        "print(text.getvalue(), end='')\n")
+    status, help_text = out.split("\n", 1)
+    assert status == f"0 {EVERY_COMMAND}"
+    assert help_text == ROOT_HELP
+
+
+def test_running_the_module_registers_into_the_imported_module():
+    # `python -m tlg.cli` runs cli.py as __main__; tlg.commands registers
+    # its commands with, and raises the UsageError of, the module tlg.cli
+    moved = _python("-m", "tlg.cli", "iseries", "wci", "--weights", "1,1,1,1",
+                    "--degrees", "3", "--order", "5")
+    assert (moved.returncode, moved.stdout) == (0, "1,6,90,1680,34650\n")
+    misused = _python("-m", "tlg.cli", "lattice", "sig")
+    assert misused.returncode == 2
+    assert misused.stderr.endswith(
+        "tlg lattice sig: error: give exactly one of --name or --input\n")
+    own = _python("-m", "tlg.cli", "catalog", "verify", "--order", "2",
+                  "--id", "1-17")
+    assert (own.returncode, own.stdout) == (0, "PASS 1-17 [paper]\n"
+                                                "1/1 passed\n")
 
 
 def _annotation_names(node):
