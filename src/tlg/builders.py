@@ -12,11 +12,17 @@ already hulled polygon, and every edge rule that puts 1 at the ends and
 C(n, k) at the k-th lattice point is `_edge_binomials`. Products of edge
 and facet polynomials are `LaurentPoly` products.
 
-A Minkowski certificate, searched or supplied, is checked on edge steps by
-`_check_facet_decomposition`: the summands' edge lengths per primitive
-step and their first vertices must add up to the facet's, with no hull of
-the Minkowski sum, and their lattice is read from the steps of segments
-alone, with no Smith form.
+An A-type summand is its lattice data, with no `Polytope`: its sorted
+vertices, and its edges as (primitive step, lattice length)
+counterclockwise from the first vertex. The search writes both out for
+each candidate, with its polynomial, once per facet; a supplied summand's
+edges are read off its vertices (`_a_type_edges`). The only hull left in
+the search and the certificate check is the facet polygon, once per
+facet. A Minkowski certificate, searched or supplied, is checked on edge
+steps by `_check_facet_decomposition`: the summands' edge lengths per
+primitive step and their first vertices must add up to the facet's, with
+no hull of the Minkowski sum, and their lattice is read from the steps of
+segments alone, with no Smith form.
 """
 
 from __future__ import annotations
@@ -85,26 +91,45 @@ def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def is_An_polygon(q: Polytope) -> Optional[int]:
-    """n when q is an A-type polygon: a unit segment gives 0, a plane
-    triangle of height one over an edge of length n gives n, anything else
-    None.
+Summand = Tuple[Tuple[int, int], ...]
+Edges = Tuple[Tuple[Tuple[int, int], int], ...]
 
-    Height one means edge lengths (1, 1, n) and twice the area n; a taller
-    triangle with those edge lengths has interior lattice points.
+
+def _a_type_edges(s: Sequence) -> Optional[Edges]:
+    """The edges of s as (primitive step, lattice length), counterclockwise
+    from s[0], when s is the sorted vertex tuple of an A-type polygon in
+    Z^2; else None.
+
+    A unit segment has one edge each way. A triangle is A-type when its
+    edge lengths are (1, 1, n) and twice its area is n: a taller triangle
+    with those edge lengths has interior lattice points.
     """
-    if not q.is_lattice():
+    if len(s) not in (2, 3) or any(
+            len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int
+            for v in s) or any(a >= b for a, b in zip(s, s[1:])):
         return None
-    if q.dim == 1:
-        return 0 if gcd(*_sub(q.vertices[-1], q.vertices[0])) == 1 else None
-    if q.ambient_dim != 2 or q.dim != 2 or len(q.vertices) != 3:
+    if len(s) == 3 and _cross(_sub(s[1], s[0]), _sub(s[2], s[0])) < 0:
+        s = (s[0], s[2], s[1])
+    sides = [_sub(b, a) for a, b in zip(s, (*s[1:], s[0]))]
+    lens = [gcd(*d) for d in sides]
+    if sorted(lens)[:2] != [1, 1] or \
+            len(s) == 3 and _cross(sides[0], sides[1]) != max(lens):
         return None
-    a, b, c = q.vertices
-    sides = (_sub(b, a), _sub(c, a), _sub(c, b))
-    lens = sorted(gcd(*d) for d in sides)
-    if lens[:2] == [1, 1] and abs(_cross(*sides[:2])) == lens[2]:
-        return lens[2]
-    return None
+    return tuple(((d[0] // n, d[1] // n), n) for d, n in zip(sides, lens))
+
+
+def is_An_polygon(q: Polytope) -> Optional[int]:
+    """n when q is an A-type polygon in Z^2: a unit segment gives 0, a
+    triangle of height one over an edge of length n gives n, anything else
+    None."""
+    e = _a_type_edges(q.vertices)
+    if e is None:
+        return None
+    return 0 if len(e) == 2 else max(n for _, n in e)
+
+
+def _a_type_terms(s: Summand) -> Dict[Tuple[int, ...], int]:
+    return _edge_binomials(itertools.combinations(s, 2))
 
 
 def a_type_polynomial(q: Polytope, variables: Sequence[str] = ("x", "y")
@@ -113,16 +138,20 @@ def a_type_polynomial(q: Polytope, variables: Sequence[str] = ("x", "y")
     the endpoints, C(n, k) along the long edge."""
     if is_An_polygon(q) is None:
         raise BadCertificate(f"summand {q!r} is not an A-type polygon")
-    return LaurentPoly(tuple(variables),
-                       _edge_binomials(itertools.combinations(q.vertices, 2)))
+    return LaurentPoly(tuple(variables), _a_type_terms(q.vertices))
 
 
 @dataclass(frozen=True)
 class FacetDecomposition:
-    """A-type summands of one facet, written in that facet's chart."""
+    """A-type summands of one facet, written in that facet's chart.
+
+    Each summand is the sorted vertex tuple of a unit segment or an A-type
+    triangle in Z^2, the vertices its hull would have; no `Polytope` is
+    built for it.
+    """
 
     normal: Tuple[int, ...]
-    summands: Tuple[Polytope, ...]
+    summands: Tuple[Summand, ...]
 
 
 @dataclass(frozen=True)
@@ -133,15 +162,18 @@ class MinkowskiCertificate:
 
     def to_json_dict(self) -> dict:
         return {"facets": [{"normal": list(fd.normal),
-                            "summands": [s.to_json_dict() for s in fd.summands]}
+                            "summands": [{"dim": 2,
+                                          "vertices": [list(v) for v in s]}
+                                         for s in fd.summands]}
                            for fd in self.facets]}
 
     @classmethod
     def from_json_dict(cls, data) -> "MinkowskiCertificate":
         """The certificate of to_json_dict; a missing key, a normal that is
-        not a list of integers or a summand that is no polytope of its
-        declared dimension, such as one with a bad coordinate, is a
-        BadCertificate naming the facet and summand at fault."""
+        not a list of integers, or a summand that is no polytope of its
+        declared dimension, such as one with a bad coordinate, or whose
+        hull is no A-type polygon, is a BadCertificate naming the facet and
+        summand at fault."""
         def field(obj, key, where):
             if not isinstance(obj, dict) or key not in obj:
                 raise BadCertificate(f"{where}missing key {key!r}")
@@ -161,10 +193,14 @@ class MinkowskiCertificate:
                 for key in ("vertices", "dim"):
                     field(s, key, where)
                 try:
-                    summands.append(Polytope.from_json_dict(s))
+                    q = Polytope.from_json_dict(s)
                 except (PolytopeError, TypeError, ValueError,
                         ZeroDivisionError) as exc:
                     raise BadCertificate(f"{where}{exc}") from exc
+                if _a_type_edges(q.vertices) is None:
+                    raise BadCertificate(
+                        f"{where}summand {q.vertices} is not an A-type polygon")
+                summands.append(q.vertices)
             facets.append(FacetDecomposition(tuple(normal), tuple(summands)))
         return cls(tuple(facets))
 
@@ -180,11 +216,12 @@ def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
 
 def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
                                facet_first: Tuple[int, ...],
-                               summands: Sequence[Polytope]) -> None:
+                               summands: Sequence[Tuple[Tuple[int, int], Edges]]
+                               ) -> None:
     """Raise BadCertificate unless the summands, lattice segments and
-    polygons in Z^2, sum admissibly to the facet, the lattice polygon with
-    edge length facet_budget[step] per primitive step and first vertex
-    facet_first.
+    polygons in Z^2 given as (first vertex, edges), sum admissibly to the
+    facet, the lattice polygon with edge length facet_budget[step] per
+    primitive step and first vertex facet_first.
 
     A convex polygon is fixed by its first vertex and its edge length per
     primitive step, and a Minkowski sum adds both up: a segment has an edge
@@ -194,31 +231,24 @@ def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
     is when the gcd of their pairwise crosses is not 1.
     """
     budget: Dict[Tuple[int, int], int] = {}
-    steps: List[Tuple[int, int]] = []
-    for s in summands:
-        if s.ambient_dim != 2 or s.dim == 0 or not s.is_lattice():
-            raise BadCertificate(f"summand {s!r} is not an A-type polygon")
-        if s.dim == 2:
-            edges_of_s = [(step, n) for _, step, n in polygon_edges(s)]
-        else:
-            diff = _sub(s.vertices[1], s.vertices[0])
-            n = gcd(*diff)
-            step = (diff[0] // n, diff[1] // n)
-            steps.append(step)
-            edges_of_s = [(step, n), ((-step[0], -step[1]), n)]
+    for _, edges_of_s in summands:
         for step, n in edges_of_s:
             budget[step] = budget.get(step, 0) + n
-    first = tuple(map(sum, zip(*(s.vertices[0] for s in summands))))
+    first = tuple(map(sum, zip(*(v for v, _ in summands))))
     if budget != facet_budget or first != facet_first:
         raise BadCertificate("summands do not add up to the facet")
+    steps = [e[0][0] for _, e in summands if len(e) == 2]
     if len(steps) == len(summands) and gcd(
             *(_cross(u, v) for u, v in itertools.combinations(steps, 2))) != 1:
         raise BadCertificate("summand lattices do not generate the facet lattice")
 
 
-def _facet_product(summands: Sequence[Polytope]) -> LaurentPoly:
-    return prod(map(a_type_polynomial, summands),
-                start=LaurentPoly.constant(1, ("x", "y")))
+def _facet_budget(proj: Sequence[Tuple[int, int]]
+                  ) -> Tuple[Tuple[int, int], Dict[Tuple[int, int], int]]:
+    """The first vertex of the facet polygon hulled from its chart points,
+    and its edge length per primitive step: the one hull per facet."""
+    facet = Polytope(proj)
+    return facet.vertices[0], {step: n for _, step, n in polygon_edges(facet)}
 
 
 def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly:
@@ -236,10 +266,18 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
     for normal, height in p.facets:
         summands = by_normal[normal]
         pts, base, basis, proj = _facet_chart_points(points, normal, height)
-        facet = Polytope(proj)
-        budget = {step: n for _, step, n in polygon_edges(facet)}
-        _check_facet_decomposition(budget, facet.vertices[0], summands)
-        for e, c in _facet_product(summands).terms():
+        edged = []
+        for s in summands:
+            e = _a_type_edges(s)
+            if e is None:
+                raise BadCertificate(f"summand {s!r} is not an A-type polygon")
+            edged.append((s[0], e))
+        first, budget = _facet_budget(proj)
+        _check_facet_decomposition(budget, first, edged)
+        product = prod((LaurentPoly(("x", "y"), _a_type_terms(s))
+                        for s in summands),
+                       start=LaurentPoly.constant(1, ("x", "y")))
+        for e, c in product.terms():
             ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
                             for j in range(3))
             if terms.setdefault(ambient, c) != c:
@@ -249,11 +287,18 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
 
 
 def _candidate_summands(budget: Dict[Tuple[int, int], int]
-                        ) -> List[Tuple[Polytope, Dict[Tuple[int, int], int]]]:
-    """A-type polygons whose edges fit the direction budget, with their
-    per-direction consumption."""
-    cands: List[Tuple[Polytope, Dict[Tuple[int, int], int]]] = []
-    seen: Set[Tuple] = set()
+                        ) -> List[Tuple[Summand, Edges, LaurentPoly]]:
+    """A-type polygons whose edges fit the direction budget, as (sorted
+    vertices, edges counterclockwise from the first vertex, polynomial);
+    an edge's length is the candidate's consumption of its step.
+
+    A triangle is the edge (b, n) from the origin, then the steps d2 and
+    d3 = -(n b + d2), counterclockwise since cross(b, d2) = 1; one is kept
+    per translation class. A segment along d is (d, 1) and (-d, 1).
+    """
+    names = ("x", "y")
+    cands = []
+    seen: Set[Summand] = set()
     for b in budget:
         for n in range(1, budget[b] + 1):
             for d2 in budget:
@@ -262,52 +307,54 @@ def _candidate_summands(budget: Dict[Tuple[int, int], int]
                     continue
                 if _cross(b, d2) != 1:
                     continue
-                tri = Polytope([(0, 0), (n * b[0], n * b[1]),
-                                (n * b[0] + d2[0], n * b[1] + d2[1])])
-                v0 = tri.vertices[0]
-                key = tuple(tuple(a - b0 for a, b0 in zip(v, v0))
-                            for v in tri.vertices)
+                corners = ((0, 0), (n * b[0], n * b[1]),
+                           (n * b[0] + d2[0], n * b[1] + d2[1]))
+                verts = tuple(sorted(corners))
+                v0 = verts[0]
+                key = tuple((v[0] - v0[0], v[1] - v0[1]) for v in verts)
                 if key in seen:
                     continue
                 seen.add(key)
-                cons = {b: n}
-                cons[d2] = cons.get(d2, 0) + 1
-                cons[d3] = cons.get(d3, 0) + 1
-                cands.append((tri, cons))
+                sides = ((b, n), (d2, 1), (d3, 1))
+                i = corners.index(v0)
+                cands.append((verts, sides[i:] + sides[:i],
+                              LaurentPoly(names, _a_type_terms(verts))))
     for d in budget:
         nd = (-d[0], -d[1])
         if d < nd or nd not in budget:
             continue
-        seg = Polytope([(0, 0), d])
-        cands.append((seg, {d: 1, nd: 1}))
+        seg = ((0, 0), d)
+        cands.append((seg, ((d, 1), (nd, 1)),
+                      LaurentPoly(names, _a_type_terms(seg))))
     return cands
 
 
 def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
-                     max_summands: int) -> Optional[Tuple[Polytope, ...]]:
-    facet = Polytope(proj)
-    budget = {step: n for _, step, n in polygon_edges(facet)}
+                     max_summands: int) -> Optional[Tuple[Summand, ...]]:
+    facet_first, budget = _facet_budget(proj)
     cands = _candidate_summands(budget)
 
-    def verify(chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
+    def verify(chosen) -> Optional[Tuple[Summand, ...]]:
         # the lexicographically first vertex of a Minkowski sum is the sum
         # of the summands' first vertices; the shift lines it up with the
         # facet's
-        lows = [sum(col) for col in zip(*(s.vertices[0] for s in chosen))]
-        shift = tuple(a - b for a, b in zip(facet.vertices[0], lows))
-        first = Polytope([tuple(a + s for a, s in zip(v, shift))
-                          for v in chosen[0].vertices])
-        summands = (first,) + tuple(chosen[1:])
+        lows = [sum(col) for col in zip(*(vs[0] for vs, _, _ in chosen))]
+        sx, sy = (a - b for a, b in zip(facet_first, lows))
+        first = tuple((x + sx, y + sy) for x, y in chosen[0][0])
+        edged = [(first[0], chosen[0][1])] + [(vs[0], e)
+                                              for vs, e, _ in chosen[1:]]
         try:
-            _check_facet_decomposition(budget, facet.vertices[0], summands)
+            _check_facet_decomposition(budget, facet_first, edged)
         except BadCertificate:
             return None
-        if _facet_product(summands) != target:
+        product = prod((poly for _, _, poly in chosen),
+                       start=LaurentPoly.monomial(("x", "y"), (sx, sy)))
+        if product != target:
             return None
-        return summands
+        return (first,) + tuple(vs for vs, _, _ in chosen[1:])
 
     def rec(start: int, remaining: Dict[Tuple[int, int], int],
-            chosen: List[Polytope]) -> Optional[Tuple[Polytope, ...]]:
+            chosen: list) -> Optional[Tuple[Summand, ...]]:
         if all(v == 0 for v in remaining.values()):
             if chosen:
                 return verify(chosen)
@@ -315,13 +362,14 @@ def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
         if len(chosen) == max_summands:
             return None
         for idx in range(start, len(cands)):
-            shape, cons = cands[idx]
-            if any(remaining.get(d, 0) < c for d, c in cons.items()):
+            cand = cands[idx]
+            # a candidate consumes the length of each of its edges
+            if any(remaining[d] < n for d, n in cand[1]):
                 continue
             nxt = dict(remaining)
-            for d, c in cons.items():
-                nxt[d] -= c
-            chosen.append(shape)
+            for d, n in cand[1]:
+                nxt[d] -= n
+            chosen.append(cand)
             got = rec(idx, nxt, chosen)
             chosen.pop()
             if got is not None:

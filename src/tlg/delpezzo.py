@@ -88,6 +88,12 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
         raise ValueError(f"unknown mode {mode!r}")
     if script.base not in _BASE_PARAM_COUNT:
         raise BadBase(f"unknown base {script.base!r}")
+    steps = [tuple(k) for k in script.steps]
+    if any(type(x) is not int for k in steps for x in k):
+        raise TypeError(
+            f"step points must have integer coordinates, got {script.steps!r}")
+    if any(len(k) != 2 for k in steps):
+        raise ValueError(f"step points must be pairs, got {script.steps!r}")
     nbase = _BASE_PARAM_COUNT[script.base]
     need = nbase + len(script.steps)
     params = tuple(script.params)
@@ -97,8 +103,7 @@ def del_pezzo_model(script: DelPezzoScript, mode: str = "toric") -> LaurentPoly:
     np_ = len(params)
     markings = _base_markings(script.base, np_)
 
-    for s_idx, k_pt in enumerate(script.steps):
-        k_pt = (int(k_pt[0]), int(k_pt[1]))
+    for s_idx, k_pt in enumerate(steps):
         # k lies outside the old hull exactly when it is a new vertex
         poly = Polytope([*markings, k_pt])
         if k_pt in markings or k_pt not in poly.vertices:

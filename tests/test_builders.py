@@ -1,4 +1,8 @@
+import hashlib
+import io
 import itertools
+import json
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import builders, catalog, delpezzo
+from tlg.cli import main
 from tlg.builders import (BadCertificate, FacetDecomposition,
                           InteriorFacetPoint, MinkowskiCertificate,
                           a_type_polynomial, binomial_principle,
@@ -105,6 +110,9 @@ def test_is_An_polygon():
     assert is_An_polygon(Polytope([(0, 0), (2, 0), (0, 2)])) is None
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert is_An_polygon(square) is None
+    # a summand lives in its facet's chart Z^2
+    assert is_An_polygon(Polytope([(0, 0, 0), (1, 0, 0)])) is None
+    assert is_An_polygon(Polytope([(0, 0, 0), (2, 0, 0), (0, 1, 0)])) is None
 
 
 def test_is_An_polygon_needs_height_one():
@@ -144,7 +152,8 @@ def test_check_minkowski_quartic():
     assert cert is not None
     for fd in cert.facets:
         for s in fd.summands:
-            assert is_An_polygon(s) is not None
+            assert Polytope(s).vertices == s
+            assert is_An_polygon(Polytope(s)) is not None
     rebuilt = minkowski_polynomial(newton_polytope(f), cert)
     # the facet products pin every boundary coefficient; the interior
     # origin carries no term by convention
@@ -183,11 +192,7 @@ def test_check_minkowski_needs_a_bound_of_at_least_one(bound):
         check_minkowski(_p3_model(), max_summands=bound)
 
 
-def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
-    # the facets, the candidate summands and the shifted first summand of
-    # each verified choice; hulling every choice's Minkowski sum made 62
-    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
-    newton_polytope(f)
+def _counting_hulls(monkeypatch):
     calls = []
     init = Polytope.__init__
 
@@ -195,13 +200,34 @@ def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
         calls.append(points)
         init(self, points)
     monkeypatch.setattr(Polytope, "__init__", counting_init)
+    return calls
+
+
+def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
+    # one facet polygon per facet (1-8 has 10); a Polytope per candidate
+    # summand and per checked choice's first summand made 50, and hulling
+    # every choice's Minkowski sum before that 62
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    newton_polytope(f)
+    calls = _counting_hulls(monkeypatch)
     assert check_minkowski(f) is not None
-    assert len(calls) == 50
+    assert len(calls) == 10
+
+
+def test_catalog_pass_hull_count(monkeypatch):
+    # one `catalog verify --order 4` pass; 439 with a Polytope per
+    # Minkowski candidate summand and per checked choice
+    calls = _counting_hulls(monkeypatch)
+    with redirect_stdout(io.StringIO()):
+        assert main(["catalog", "verify", "--order", "4",
+                     "--output", "json"]) == 0
+    assert len(calls) == 115
 
 
 def test_check_minkowski_walks_each_facet_once(monkeypatch):
-    # one edge walk per facet (1-8 has 10) and one per triangle summand
-    # checked (4); walking the facet again per checked choice made 24
+    # one edge walk per facet (1-8 has 10); summands carry their edges,
+    # where walking each checked triangle made 14 and walking the facet
+    # again per checked choice 24
     f = next(e.laurent for e in catalog.load() if e.id == "1-8")
     calls = []
     walk = builders.polygon_edges
@@ -211,7 +237,75 @@ def test_check_minkowski_walks_each_facet_once(monkeypatch):
         return walk(p)
     monkeypatch.setattr(builders, "polygon_edges", counting_walk)
     assert check_minkowski(f) is not None
-    assert len(calls) == 14
+    assert len(calls) == 10
+
+
+# sha256 of check_minkowski's certificate JSON, or None or the error, for
+# each 3-variable catalog entry in catalog order: 13 certificates, 1-3 and
+# 1-12 without one, 7 entries whose Newton polytope is not reflexive
+MINKOWSKI_BOX_SHA256 = \
+    "dbb5e16ee4c686db94aa312f2d5c6edc1c9be115c2fc58cdfa851d27d2b3b284"
+
+
+def test_minkowski_certificates_are_byte_identical():
+    lines = []
+    for e in catalog.load():
+        if len(e.laurent.variables) != 3:
+            continue
+        try:
+            cert = check_minkowski(e.laurent)
+            rec = {"id": e.id, "certificate":
+                   None if cert is None else cert.to_json_dict()}
+        except ValueError as exc:
+            rec = {"id": e.id, "error": str(exc)}
+        lines.append(json.dumps(rec, sort_keys=True))
+    assert len(lines) == 22
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        MINKOWSKI_BOX_SHA256
+
+
+def test_minkowski_check_json_is_byte_identical(tmp_path, capsys):
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    model = tmp_path / "1-8.json"
+    model.write_text(json.dumps(f.to_json_dict()))
+    assert main(["minkowski", "check", "--input", str(model),
+                 "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        "fc2d7e66684bb6a3239a3d71b7cf44b6162bbd8a08f0d980f03c5f0d0129ceff"
+
+
+def _assert_candidates_match_their_hulls(budget):
+    for verts, edges_of_s, poly in builders._candidate_summands(budget):
+        q = Polytope(verts)
+        assert q.vertices == verts
+        if q.dim == 2:
+            assert edges_of_s == tuple((step, n)
+                                       for _, step, n in polygon_edges(q))
+        else:
+            d = (verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
+            assert gcd(*d) == 1
+            assert edges_of_s == ((d, 1), ((-d[0], -d[1]), 1))
+        assert builders._a_type_edges(verts) == edges_of_s
+        assert poly == a_type_polynomial(q)
+        assert all(budget[step] >= n for step, n in edges_of_s)
+
+
+def _facet_budgets(f):
+    p = newton_polytope(f)
+    points = lattice_points(p)
+    for normal, height in p.facets:
+        proj = builders._facet_chart_points(points, normal, height)[3]
+        yield {step: n for _, step, n in polygon_edges(Polytope(proj))}
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.load()
+                                      if e.minkowski_flag])
+def test_candidate_summands_match_their_hulls(entry_id):
+    f = next(e.laurent for e in catalog.load() if e.id == entry_id)
+    for budget in _facet_budgets(f):
+        _assert_candidates_match_their_hulls(budget)
 
 
 def _vertex_sums_hull(summands):
@@ -232,6 +326,37 @@ def _generates_z2(summands):
 BOX = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
 SUMMAND = st.lists(BOX, min_size=2, max_size=5, unique=True).map(Polytope) \
     .filter(lambda s: s.dim > 0)
+POLYGON = st.lists(BOX, min_size=3, max_size=6).map(Polytope) \
+    .filter(lambda q: q.dim == 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(POLYGON)
+@example(Polytope([(0, 0), (2, 0), (0, 1)]))
+@example(Polytope([(0, 0), (2, 0), (0, 2)]))
+@example(Polytope([(-2, -2), (2, -1), (-1, 2)]))
+def test_candidate_summands_of_a_polygon_match_their_hulls(q):
+    edges_of_q = tuple((step, n) for _, step, n in polygon_edges(q))
+    _assert_candidates_match_their_hulls(dict(edges_of_q))
+    # a supplied summand's edges are read off its vertices, for A-type
+    # polygons only: by Pick, a triangle with edge lengths (1, 1, n) and no
+    # interior lattice point has twice its area n
+    a_type = len(q.vertices) == 3 and \
+        sorted(n for _, n in edges_of_q)[:2] == [1, 1] and \
+        not lattice_points(q, "interior")
+    assert builders._a_type_edges(q.vertices) == \
+        (edges_of_q if a_type else None)
+
+
+def _edged(s):
+    # (first vertex, edges) of a lattice polygon or segment
+    if s.dim == 2:
+        return s.vertices[0], [(step, n) for _, step, n in polygon_edges(s)]
+    (a, b), (c, e) = s.vertices
+    d = (c - a, e - b)
+    n = gcd(*d)
+    step = (d[0] // n, d[1] // n)
+    return s.vertices[0], [(step, n), ((-step[0], -step[1]), n)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -254,7 +379,7 @@ def test_facet_check_accepts_exactly_the_admissible_sums(summands, other):
     try:
         budget = {step: n for _, step, n in polygon_edges(facet)}
         builders._check_facet_decomposition(budget, facet.vertices[0],
-                                            summands)
+                                            [_edged(s) for s in summands])
         message = None
     except BadCertificate as exc:
         message = str(exc)
@@ -267,9 +392,12 @@ def test_facet_check_accepts_exactly_the_admissible_sums(summands, other):
 
 
 @pytest.mark.parametrize("summand, message", [
-    (Polytope([(1, 0), (2, 0), (1, 1)]), "do not add up"),
-    (Polytope([(0, 0)]), "not an A-type polygon"),
-    (Polytope([(0, 0, 0), (1, 0, 0), (0, 1, 0)]), "not an A-type polygon"),
+    (((1, 0), (1, 1), (2, 0)), "do not add up"),
+    (((0, 0),), "not an A-type polygon"),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0)), "not an A-type polygon"),
+    (((0, 0), (2, 0)), "not an A-type polygon"),
+    (((0, 0), (1, 0), (0, 1), (1, 1)), "not an A-type polygon"),
+    (((1, 0), (0, 0)), "not an A-type polygon"),
 ])
 def test_minkowski_polynomial_checks_supplied_summands(summand, message):
     f = _p3_model()
@@ -324,6 +452,17 @@ def test_minkowski_certificate_summand_that_is_no_polytope_is_bad(
     assert str(exc.value) == f"facet 1, summand 0: {message}"
 
 
+def test_minkowski_certificate_summand_that_is_not_a_type_is_bad():
+    # the square's hull is a polygon, but no A-type one
+    data = check_minkowski(_p3_model()).to_json_dict()
+    data["facets"][1]["summands"][0]["vertices"] = \
+        [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
+    with pytest.raises(BadCertificate) as exc:
+        MinkowskiCertificate.from_json_dict(data)
+    assert str(exc.value) == ("facet 1, summand 0: summand ((0, 0), (0, 1), "
+                              "(1, 0), (1, 1)) is not an A-type polygon")
+
+
 def test_minkowski_certificate_normal_holding_a_list_is_bad():
     # hashing the normal in minkowski_polynomial raised a bare TypeError
     data = check_minkowski(_p3_model()).to_json_dict()
@@ -338,6 +477,7 @@ def test_minkowski_certificate_json_round_trip():
     f = _p3_model()
     cert = check_minkowski(f)
     again = MinkowskiCertificate.from_json_dict(cert.to_json_dict())
+    assert again == cert
     assert minkowski_polynomial(newton_polytope(f), again) == f
 
 
@@ -380,6 +520,19 @@ def test_del_pezzo_hulls_each_step_once(monkeypatch):
     del_pezzo_model(DelPezzoScript("P2", ((1, 1), (0, -1), (1, -1)),
                                    ("q0", "q1", "q2", "q3")))
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("coordinate", [1.5, True, "1"])
+def test_del_pezzo_step_needs_integer_coordinates(coordinate):
+    # int() read (1.5, 1) and (True, 1) as the step (1, 1)
+    with pytest.raises(TypeError, match="integer coordinates"):
+        del_pezzo_model(DelPezzoScript("P2", ((coordinate, 1),),
+                                       ("q0", "q1")))
+
+
+def test_del_pezzo_step_needs_two_coordinates():
+    with pytest.raises(ValueError, match="pairs"):
+        del_pezzo_model(DelPezzoScript("P2", ((1, 1, 0),), ("q0", "q1")))
 
 
 def test_del_pezzo_step_on_a_marked_vertex_is_inside():
