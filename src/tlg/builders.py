@@ -7,22 +7,20 @@ Minkowski. The weighted complete intersection models are in `tlg.wci`
 and the del Pezzo chains in `tlg.delpezzo`, so a process that runs only
 `catalog verify` compiles neither.
 
-Every polygon edge walk reads `polytope.polygon_edges`, the edges of the
-already hulled polygon, and every edge rule that puts 1 at the ends and
-C(n, k) at the k-th lattice point is `_edge_binomials`. Products of edge
-and facet polynomials are `LaurentPoly` products.
+Every polygon edge walk reads `polytope.polygon_edges`, and every edge
+rule that puts 1 at the ends and C(n, k) at the k-th lattice point is
+`_edge_binomials`. Products of edge and facet polynomials are
+`LaurentPoly` products.
 
-An A-type summand is its lattice data, with no `Polytope`: its sorted
-vertices, and its edges as (primitive step, lattice length)
-counterclockwise from the first vertex. The search writes both out for
-each candidate, with its polynomial, once per facet; a supplied summand's
-edges are read off its vertices (`_a_type_edges`). The only hull left in
-the search and the certificate check is the facet polygon, once per
-facet. A Minkowski certificate, searched or supplied, is checked on edge
-steps by `_check_facet_decomposition`: the summands' edge lengths per
-primitive step and their first vertices must add up to the facet's, with
-no hull of the Minkowski sum, and their lattice is read from the steps of
-segments alone, with no Smith form.
+Neither the certificate search nor its check builds a hull or walks
+lattice points: each facet polygon is read off the Newton polytope's
+hull (`_facet_polygons`), and an A-type summand is its lattice data, its
+sorted vertices and its edges as (primitive step, lattice length)
+counterclockwise from the first vertex, written out per candidate once
+per facet or read off a supplied summand's vertices (`_a_type_edges`).
+`_check_facet_decomposition` checks a certificate on edge steps: the
+summands' edge lengths per primitive step and first vertices add up to
+the facet's, and their lattice is read from the steps of segments alone.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from math import comb, gcd, prod
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly
-from .polytope import (Polytope, PolytopeError, _sub, edges, is_reflexive,
-                       lattice_chart, lattice_points, newton_polytope,
-                       polygon_edges)
+from .polytope import (Polytope, PolytopeError, _dot, _incidences, _sub,
+                       edges, is_reflexive, lattice_chart, lattice_points,
+                       newton_polytope, polygon_edges)
 
 
 class InteriorFacetPoint(ValueError):
@@ -146,8 +144,7 @@ class FacetDecomposition:
     """A-type summands of one facet, written in that facet's chart.
 
     Each summand is the sorted vertex tuple of a unit segment or an A-type
-    triangle in Z^2, the vertices its hull would have; no `Polytope` is
-    built for it.
+    triangle in Z^2, with no `Polytope` built for it.
     """
 
     normal: Tuple[int, ...]
@@ -205,15 +202,6 @@ class MinkowskiCertificate:
         return cls(tuple(facets))
 
 
-def _facet_chart_points(points: Sequence[Tuple[int, ...]], normal, height):
-    """The points on the facet <normal, x> = -height, its chart base and
-    basis, and the points in that chart."""
-    pts = [q for q in points
-           if sum(a * b for a, b in zip(normal, q)) + height == 0]
-    base, basis, proj = lattice_chart(pts, normal)
-    return pts, base, basis, proj
-
-
 def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
                                facet_first: Tuple[int, ...],
                                summands: Sequence[Tuple[Tuple[int, int], Edges]]
@@ -243,36 +231,52 @@ def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
         raise BadCertificate("summand lattices do not generate the facet lattice")
 
 
-def _facet_budget(proj: Sequence[Tuple[int, int]]
-                  ) -> Tuple[Tuple[int, int], Dict[Tuple[int, int], int]]:
-    """The first vertex of the facet polygon hulled from its chart points,
-    and its edge length per primitive step: the one hull per facet."""
-    facet = Polytope(proj)
-    return facet.vertices[0], {step: n for _, step, n in polygon_edges(facet)}
+def _facet_polygons(p: Polytope, points: Sequence[Tuple[int, ...]]):
+    """Per facet of the lattice 3-polytope p: its normal, the chart base
+    and basis `lattice_chart` gives the points on it, those points' chart
+    coordinates by point, and the facet polygon's first vertex and edge
+    length per primitive step, read off the hull of p.
+
+    points must hold p's vertices, so the chart base, the smallest point
+    on the facet, is a vertex. The polygon's vertices are the facet's, and
+    a facet m sharing two vertices with it, a ridge, is the side with
+    chart inner normal (<m, b1>, <m, b2>) over its gcd.
+    """
+    incidences = _incidences(p)
+    for (normal, height), on in zip(p.facets, incidences):
+        pts = [q for q in points if _dot(normal, q) + height == 0]
+        base, basis, proj = lattice_chart(pts, normal)
+        chart = dict(zip(pts, proj))
+        sides = []
+        for (m, _), other in zip(p.facets, incidences):
+            ridge = on & other
+            if len(ridge) == 2:
+                u = [_dot(m, b) for b in basis]
+                u = tuple(x // gcd(*u) for x in u)
+                sides.append((u, -_dot(u, chart[p.vertices[min(ridge)]])))
+        facet = Polytope._full([chart[p.vertices[i]] for i in on], sides)
+        yield (normal, base, basis, chart, facet.vertices[0],
+               {step: n for _, step, n in polygon_edges(facet)})
 
 
 def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly:
     """Assemble the Laurent polynomial whose facet restrictions are the
     certified products of A-type binomial polynomials."""
-    if p.ambient_dim != 3 or not is_reflexive(p):
+    if p.ambient_dim != 3 or not is_reflexive(p) or not p.is_lattice():
         raise ValueError("Minkowski polynomials live on reflexive 3-polytopes")
     by_normal = {fd.normal: fd.summands for fd in cert.facets}
     if len(by_normal) != len(cert.facets) or \
             set(by_normal) != {n for n, _ in p.facets}:
         raise BadCertificate("certificate facets do not match the polytope")
-    names = _default_names(3)
     terms: Dict[Tuple[int, ...], int] = {}
-    points = lattice_points(p)
-    for normal, height in p.facets:
+    for normal, base, basis, _, first, budget in _facet_polygons(p, p.vertices):
         summands = by_normal[normal]
-        pts, base, basis, proj = _facet_chart_points(points, normal, height)
         edged = []
         for s in summands:
             e = _a_type_edges(s)
             if e is None:
                 raise BadCertificate(f"summand {s!r} is not an A-type polygon")
             edged.append((s[0], e))
-        first, budget = _facet_budget(proj)
         _check_facet_decomposition(budget, first, edged)
         product = prod((LaurentPoly(("x", "y"), _a_type_terms(s))
                         for s in summands),
@@ -283,7 +287,7 @@ def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly
             if terms.setdefault(ambient, c) != c:
                 raise BadCertificate(
                     f"facets disagree on the coefficient at {ambient}")
-    return LaurentPoly(names, terms)
+    return LaurentPoly(_default_names(3), terms)
 
 
 def _candidate_summands(budget: Dict[Tuple[int, int], int]
@@ -303,20 +307,17 @@ def _candidate_summands(budget: Dict[Tuple[int, int], int]
         for n in range(1, budget[b] + 1):
             for d2 in budget:
                 d3 = (-n * b[0] - d2[0], -n * b[1] - d2[1])
-                if d3 not in budget:
-                    continue
-                if _cross(b, d2) != 1:
+                if d3 not in budget or _cross(b, d2) != 1:
                     continue
                 corners = ((0, 0), (n * b[0], n * b[1]),
                            (n * b[0] + d2[0], n * b[1] + d2[1]))
                 verts = tuple(sorted(corners))
-                v0 = verts[0]
-                key = tuple((v[0] - v0[0], v[1] - v0[1]) for v in verts)
+                key = tuple(_sub(v, verts[0]) for v in verts)
                 if key in seen:
                     continue
                 seen.add(key)
                 sides = ((b, n), (d2, 1), (d3, 1))
-                i = corners.index(v0)
+                i = corners.index(verts[0])
                 cands.append((verts, sides[i:] + sides[:i],
                               LaurentPoly(names, _a_type_terms(verts))))
     for d in budget:
@@ -329,9 +330,9 @@ def _candidate_summands(budget: Dict[Tuple[int, int], int]
     return cands
 
 
-def _decompose_facet(proj: Sequence[Tuple[int, int]], target: LaurentPoly,
+def _decompose_facet(facet_first: Tuple[int, int],
+                     budget: Dict[Tuple[int, int], int], target: LaurentPoly,
                      max_summands: int) -> Optional[Tuple[Summand, ...]]:
-    facet_first, budget = _facet_budget(proj)
     cands = _candidate_summands(budget)
 
     def verify(chosen) -> Optional[Tuple[Summand, ...]]:
@@ -385,20 +386,19 @@ def check_minkowski(f: LaurentPoly,
 
     None means no certificate was found within the bounded search (at most
     max_summands per facet); it is not a proof that none exists. A bound
-    below 1 is a ValueError.
+    that is no int, or below 1, is a ValueError.
     """
-    if max_summands < 1:
-        raise ValueError(f"max_summands must be at least 1, got {max_summands}")
+    if type(max_summands) is not int or max_summands < 1:
+        raise ValueError(f"max_summands must be an int >= 1, got {max_summands!r}")
     p = newton_polytope(f)
     if p.ambient_dim != 3 or not is_reflexive(p):
         raise ValueError("Minkowski check needs a reflexive Newton 3-polytope")
     found: List[FacetDecomposition] = []
-    points = lattice_points(p)
-    for normal, height in p.facets:
-        pts, base, basis, proj = _facet_chart_points(points, normal, height)
+    for normal, _, _, chart, first, budget in _facet_polygons(
+            p, tuple(f.exponents())):
         target = LaurentPoly(("x", "y"), {q: f.coefficient(c)
-                                          for q, c in zip(proj, pts)})
-        dec = _decompose_facet(proj, target, max_summands)
+                                          for c, q in chart.items()})
+        dec = _decompose_facet(first, budget, target, max_summands)
         if dec is None:
             return None
         found.append(FacetDecomposition(normal, dec))

@@ -427,6 +427,15 @@ def phi(f: LaurentPoly, order: int,
     return PowerSeries(tuple(p.constant_term() for p in polys))
 
 
+def _ints(xs, what: str) -> Tuple[int, ...]:
+    """xs as a tuple, refusing an entry that is no int, bool included,
+    where int() would read 1.5 or True as 1."""
+    xs = tuple(xs)
+    if any(type(x) is not int for x in xs):
+        raise TypeError(f"{what} must be integers, got {xs!r}")
+    return xs
+
+
 @dataclass(frozen=True)
 class WciSpec:
     """Weighted complete intersection of the given degrees."""
@@ -435,8 +444,8 @@ class WciSpec:
     degrees: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "weights", _ints(self.weights, "weights"))
+        object.__setattr__(self, "degrees", _ints(self.degrees, "degrees"))
         if any(w < 1 for w in self.weights):
             raise ValueError("weights must be positive")
         if any(d < 1 for d in self.degrees):
@@ -463,7 +472,8 @@ class GrassSpec:
     degrees: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        _ints((self.k, self.n), "k and n")
+        object.__setattr__(self, "degrees", _ints(self.degrees, "degrees"))
         if self.k < 2 or self.n < 2:
             raise ValueError("need k >= 2 and n >= 2")
         if any(d < 1 for d in self.degrees):
@@ -547,13 +557,14 @@ class ToricCurveClassData:
     param_exponents: Tuple[Tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(_ints(r, "rows") for r in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "degrees",
-                           tuple(tuple(int(x) for x in v) for v in self.degrees))
+                           tuple(_ints(v, "degrees") for v in self.degrees))
         object.__setattr__(self, "param_vars", tuple(self.param_vars))
         object.__setattr__(self, "param_exponents",
-                           tuple(tuple(int(x) for x in e) for e in self.param_exponents))
+                           tuple(_ints(e, "parameter exponents")
+                                 for e in self.param_exponents))
         if not rows:
             raise ValueError("need at least one curve class row")
         if len({len(r) for r in rows}) != 1:

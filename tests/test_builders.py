@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import builders, catalog, delpezzo
+from tlg import builders, catalog, delpezzo, polytope
 from tlg.cli import main
 from tlg.builders import (BadCertificate, FacetDecomposition,
                           InteriorFacetPoint, MinkowskiCertificate,
@@ -19,8 +19,8 @@ from tlg.builders import (BadCertificate, FacetDecomposition,
 from tlg.delpezzo import (BadBase, DelPezzoScript, EdgesDisagree,
                           PointInsideHull, del_pezzo_model)
 from tlg.laurent import LaurentPoly
-from tlg.polytope import (Polytope, lattice_points, newton_polytope,
-                          polygon_edges)
+from tlg.polytope import (Polytope, dual, is_reflexive, lattice_chart,
+                          lattice_points, newton_polytope, polygon_edges)
 from tlg.series import WciSpec, phi_coefficients
 from tlg.wci import (BadPartition, NefPartition, find_nef_partitions,
                      wci_laurent)
@@ -185,9 +185,10 @@ def test_check_minkowski_needs_reflexive_3d():
         check_minkowski(x + y + (x * y) ** -1)
 
 
-@pytest.mark.parametrize("bound", [0, -1])
+@pytest.mark.parametrize("bound", [0, -1, 2.5, True])
 def test_check_minkowski_needs_a_bound_of_at_least_one(bound):
-    # 0 used to find nothing and -1 to search with no limit
+    # 0 used to find nothing and -1 to search with no limit; 2.5 lifted the
+    # bound, so 1-2 got facets of 4 summands, and True ran as 1
     with pytest.raises(ValueError, match="max_summands"):
         check_minkowski(_p3_model(), max_summands=bound)
 
@@ -203,25 +204,45 @@ def _counting_hulls(monkeypatch):
     return calls
 
 
+def _refusing_lattice_points(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("lattice_points called")
+    for module in (builders, polytope):
+        monkeypatch.setattr(module, "lattice_points", refuse)
+
+
 def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
-    # one facet polygon per facet (1-8 has 10); a Polytope per candidate
-    # summand and per checked choice's first summand made 50, and hulling
-    # every choice's Minkowski sum before that 62
+    # every facet polygon is read off the Newton polytope's hull; hulling
+    # each facet again from its chart lattice points made 10 on 1-8, a
+    # Polytope per candidate summand and per checked choice's first summand
+    # 50, and hulling every choice's Minkowski sum before that 62
     f = next(e.laurent for e in catalog.load() if e.id == "1-8")
     newton_polytope(f)
     calls = _counting_hulls(monkeypatch)
+    _refusing_lattice_points(monkeypatch)
     assert check_minkowski(f) is not None
-    assert len(calls) == 10
+    assert len(calls) == 0
+
+
+def test_minkowski_polynomial_builds_no_hull(monkeypatch):
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    p = newton_polytope(f)
+    cert = check_minkowski(f)
+    calls = _counting_hulls(monkeypatch)
+    _refusing_lattice_points(monkeypatch)
+    minkowski_polynomial(p, cert)
+    assert len(calls) == 0
 
 
 def test_catalog_pass_hull_count(monkeypatch):
-    # one `catalog verify --order 4` pass; 439 with a Polytope per
-    # Minkowski candidate summand and per checked choice
+    # one `catalog verify --order 4` pass; 115 with a facet polygon hulled
+    # per Minkowski facet, 439 with a Polytope per candidate summand and
+    # per checked choice
     calls = _counting_hulls(monkeypatch)
     with redirect_stdout(io.StringIO()):
         assert main(["catalog", "verify", "--order", "4",
                      "--output", "json"]) == 0
-    assert len(calls) == 115
+    assert len(calls) == 25
 
 
 def test_check_minkowski_walks_each_facet_once(monkeypatch):
@@ -292,20 +313,80 @@ def _assert_candidates_match_their_hulls(budget):
         assert all(budget[step] >= n for step, n in edges_of_s)
 
 
-def _facet_budgets(f):
-    p = newton_polytope(f)
+def _rehulled_facets(p):
+    # the path the facet generator replaces: every lattice point of p on
+    # the facet, charted, hulled again and walked
     points = lattice_points(p)
     for normal, height in p.facets:
-        proj = builders._facet_chart_points(points, normal, height)[3]
-        yield {step: n for _, step, n in polygon_edges(Polytope(proj))}
+        pts = [q for q in points
+               if sum(a * b for a, b in zip(normal, q)) + height == 0]
+        base, basis, proj = lattice_chart(pts, normal)
+        facet = Polytope(proj)
+        yield (normal, base, basis, facet.vertices[0],
+               [(step, n) for _, step, n in polygon_edges(facet)])
+
+
+def _assert_facets_match_the_rehull(p, points):
+    # the budget's key order is the walk's, which orders the candidates
+    got = [(normal, base, basis, first, list(budget.items()))
+           for normal, base, basis, _, first, budget
+           in builders._facet_polygons(p, points)]
+    assert got == list(_rehulled_facets(p))
+
+
+def _reflexive_3d_entries():
+    for e in catalog.load():
+        p = newton_polytope(e.laurent)
+        if p.ambient_dim == 3 and p.is_full_dimensional() and \
+                min(h for _, h in p.facets) > 0 and is_reflexive(p):
+            yield e
+
+
+@pytest.mark.parametrize("entry_id",
+                         [e.id for e in _reflexive_3d_entries()])
+def test_facet_polygons_match_the_rehull(entry_id):
+    f = next(e.laurent for e in catalog.load() if e.id == entry_id)
+    p = newton_polytope(f)
+    # the search charts f's exponents, the certificate check p's vertices
+    _assert_facets_match_the_rehull(p, tuple(f.exponents()))
+    _assert_facets_match_the_rehull(p, p.vertices)
+
+
+def test_the_reflexive_3d_entries_are_the_minkowski_box():
+    # the 13 certified entries and 1-3 and 1-12, which have no certificate
+    assert len(list(_reflexive_3d_entries())) == 15
+
+
+POINT3 = st.tuples(*[st.integers(-2, 2)] * 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(POINT3, min_size=4, max_size=9).map(Polytope)
+       .filter(lambda q: q.dim == 3))
+@example(Polytope([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]))
+@example(Polytope([(a, b, c) for a in (-1, 1) for b in (-1, 1)
+                   for c in (-1, 1)]))
+def test_facet_polygons_of_a_polytope_match_the_rehull(q):
+    _assert_facets_match_the_rehull(q, q.vertices)
+    _assert_facets_match_the_rehull(q, lattice_points(q))
 
 
 @pytest.mark.parametrize("entry_id", [e.id for e in catalog.load()
                                       if e.minkowski_flag])
 def test_candidate_summands_match_their_hulls(entry_id):
     f = next(e.laurent for e in catalog.load() if e.id == entry_id)
-    for budget in _facet_budgets(f):
-        _assert_candidates_match_their_hulls(budget)
+    for *_, budget in _rehulled_facets(newton_polytope(f)):
+        _assert_candidates_match_their_hulls(dict(budget))
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in catalog.load()
+                                      if e.minkowski_flag])
+def test_minkowski_polynomial_rebuilds_each_flagged_entry(entry_id):
+    # the facet products pin every boundary coefficient; the interior
+    # origin carries f's constant term alone
+    f = next(e.laurent for e in catalog.load() if e.id == entry_id)
+    rebuilt = minkowski_polynomial(newton_polytope(f), check_minkowski(f))
+    assert rebuilt + f.constant_term() == f
 
 
 def _vertex_sums_hull(summands):
@@ -407,6 +488,17 @@ def test_minkowski_polynomial_checks_supplied_summands(summand, message):
     with pytest.raises(BadCertificate, match=message):
         minkowski_polynomial(newton_polytope(f),
                              MinkowskiCertificate((bad,) + cert.facets[1:]))
+
+
+def test_minkowski_polynomial_needs_a_lattice_polytope():
+    # every facet of this dual lies at height one, but it has the vertex
+    # (-1, -1, 3/2), which no facet chart holds
+    p = dual(Polytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)]))
+    assert is_reflexive(p) and not p.is_lattice()
+    cert = MinkowskiCertificate(tuple(FacetDecomposition(n, ())
+                                      for n, _ in p.facets))
+    with pytest.raises(ValueError, match="reflexive 3-polytopes"):
+        minkowski_polynomial(p, cert)
 
 
 def test_minkowski_polynomial_rejects_a_facet_listed_twice():

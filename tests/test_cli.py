@@ -521,6 +521,19 @@ def test_catalog_report_is_byte_identical(capsys):
         CATALOG_O4_SHA256
 
 
+# sha256 of the same report at order 8
+CATALOG_O8_SHA256 = \
+    "a194922f6d3268237fcc0706eed6bdd51fc0dfa7c6d4fc7a0329d667bfc14bd2"
+
+
+def test_catalog_report_at_order_8_is_byte_identical(capsys):
+    assert main(["catalog", "verify", "--order", "8", "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        CATALOG_O8_SHA256
+
+
 # sha256 of `build grass --explain --output json` for a mixed block and
 # for horizontal then vertical blocks, with the layout spelled out
 @pytest.mark.parametrize("argv, blocks, variables, sha256", [

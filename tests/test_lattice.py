@@ -10,6 +10,7 @@ from tlg.lattice import (BadName, BadRange, DegenerateLattice, GramLattice,
                          duval_self_intersection, form_matches, hyperbolic,
                          index_check, reduce_mod2, root_a, root_e, signature,
                          standard_lattice)
+from tlg.series import GrassSpec, ToricCurveClassData, WciSpec
 
 
 def test_gram_validation():
@@ -195,11 +196,24 @@ def test_index_check_refuses_an_embedding_entry_that_is_no_int(entry):
     lambda: hodge.HodgeDiamond(0, ((1.5,),)),
     lambda: hodge.k_matrix((2.7,), 1),
     lambda: hodge.elliptic_euler_check([1.9] * 12),
+    lambda: WciSpec((1.5, 1, 1, 1), (3,)),
+    lambda: WciSpec((1, 1, 1, 1, 1), (True,)),
+    lambda: GrassSpec(2, 3, (1.9,)),
+    lambda: GrassSpec(2.5, 3),
+    lambda: GrassSpec(2, 3.0),
+    lambda: ToricCurveClassData(((1.5, 1),)),
+    lambda: ToricCurveClassData(((1, 1, 1),), ((True,),)),
+    lambda: ToricCurveClassData(((1, 1),), param_vars=("q",),
+                                param_exponents=((0.5,),)),
 ], ids=["gram-float", "gram-bool", "diamond-float", "kmatrix-degree-float",
-        "euler-float"])
+        "euler-float", "wci-weight-float", "wci-degree-bool",
+        "grass-degree-float", "grass-k-float", "grass-n-float",
+        "toric-row-float", "toric-degree-bool", "toric-exponent-float"])
 def test_integer_inputs_refuse_what_int_would_truncate(build):
     # int() read each as a nearby integer: the Gram entries as ((1,),),
-    # the degree as 2, and twelve fibres of 1.9 components added to 12
+    # the degree as 2, twelve fibres of 1.9 components added to 12, the
+    # WCI weights as (1, 1, 1, 1) and the Grassmannian degree as 1, and
+    # k = 2.5 was kept as it came
     with pytest.raises(TypeError, match="must be integers"):
         build()
 
