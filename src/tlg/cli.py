@@ -13,13 +13,15 @@ error on stderr) or a failed verification, 2 usage error, 130 interrupted.
 
 Each command is a function registered with ``_command`` under its name
 ("build wci" names a subcommand of a group); argparse parses the options.
-This module defines only the catalog group, which ``catalog verify`` needs;
-every other command is in ``tlg.commands``. ``main`` imports that module,
-and builds the parser of every command, only when the first argument does
-not name the catalog group, so a ``tlg catalog verify`` process neither
-compiles the other commands nor builds their parsers. Each parser is built
-once per process. ``import tlg.cli`` loads only the modules ``catalog
-verify`` runs.
+A command returns its result, a JSON payload and the lines of its text
+form, and ``main`` alone prints one of the two, as --output asks, the one
+option every command takes. This module defines only the catalog group,
+which ``catalog verify`` needs; every other command is in
+``tlg.commands``. ``main`` imports that module, and builds the parser of
+every command, only when the first argument does not name the catalog
+group, so a ``tlg catalog verify`` process neither compiles the other
+commands nor builds their parsers. Each parser is built once per process.
+``import tlg.cli`` loads only the modules ``catalog verify`` runs.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ _COMMANDS = []
 def _command(name: str, *options):
     """Register the decorated function as the command ``name`` with the
     given options; it is called with one keyword argument per option and
-    returns the exit code, or None for 0."""
+    returns (payload, lines), its result as JSON and as lines of text, or
+    (payload, lines, exit code) where the exit code is not always 0."""
     def register(fn):
         _COMMANDS.append((name, options, fn))
         return fn
@@ -83,9 +86,8 @@ def _command(name: str, *options):
                help="Worker processes; the report is identical either way "
                     "(default: %(default)s)."),
           _opt("--id", dest="ids", metavar="ID", action="append",
-               help="Restrict to these entry ids (repeatable)."),
-          _OUTPUT)
-def catalog_verify_cmd(order, jobs, ids, output):
+               help="Restrict to these entry ids (repeatable)."))
+def catalog_verify_cmd(order, jobs, ids):
     """Re-derive and check every catalog entry."""
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
@@ -98,38 +100,32 @@ def catalog_verify_cmd(order, jobs, ids, output):
                 "unknown catalog ids: " + ", ".join(sorted(missing)))
         entries = [e for e in entries if e.id in set(ids)]
     summary = _catalog.verify_all(entries, order, jobs=jobs)
-    if output == "json":
-        _echo_json(summary.to_json_dict())
-    else:
+
+    def lines():
         for report in summary.reports:
             status = "PASS" if report.passed else "FAIL"
             line = f"{status} {report.id} [{report.anchored}]"
             if report.messages:
                 line += " " + "; ".join(report.messages)
-            print(line)
+            yield line
         passed = sum(1 for r in summary.reports if r.passed)
-        print(f"{passed}/{len(summary.reports)} passed")
-    return 0 if summary.all_passed else 1
+        yield f"{passed}/{len(summary.reports)} passed"
+    return summary.to_json_dict(), lines(), 0 if summary.all_passed else 1
 
 
-@_command("catalog list", _OUTPUT)
-def catalog_list_cmd(output):
+@_command("catalog list")
+def catalog_list_cmd():
     """Show catalog entries and their anchoring."""
     entries = sorted(_catalog.load(), key=lambda e: e.id)
-    if output == "json":
-        _echo_json([{
-            "id": e.id,
-            "description": e.description,
-            "anchored": e.anchored,
-            "degree": e.degree,
-            "index": e.index,
-            "rho": e.rho,
-            "minkowski": e.minkowski_flag,
-            "variables": list(e.laurent.variables)}
-            for e in entries])
-    else:
-        for e in entries:
-            print(f"{e.id}\t[{e.anchored}]\t{e.description}")
+    return ([{"id": e.id,
+              "description": e.description,
+              "anchored": e.anchored,
+              "degree": e.degree,
+              "index": e.index,
+              "rho": e.rho,
+              "minkowski": e.minkowski_flag,
+              "variables": list(e.laurent.variables)} for e in entries],
+            [f"{e.id}\t[{e.anchored}]\t{e.description}" for e in entries])
 
 
 def _own(command) -> bool:
@@ -141,8 +137,9 @@ def _own(command) -> bool:
 def _parser(every: bool) -> argparse.ArgumentParser:
     """The parser of this module's commands or, when every, of all commands:
     ``tlg.commands`` is imported and registers its commands, which come
-    first, as in --help. Each leaf parser stores its command function and
-    itself as the defaults ``run`` and ``parser``."""
+    first, as in --help. Each leaf parser takes its command's options and
+    then --output, and stores its command function and itself as the
+    defaults ``run`` and ``parser``."""
     if every:
         import_module(".commands", __package__)
     root = argparse.ArgumentParser(
@@ -165,7 +162,7 @@ def _parser(every: bool) -> argparse.ArgumentParser:
         doc = fn.__doc__
         p = subs.add_parser(leaf, help=doc.splitlines()[0], description=doc,
                             allow_abbrev=False)
-        for flags, kwargs in options:
+        for flags, kwargs in (*options, _OUTPUT):
             p.add_argument(*flags, **kwargs)
         p.set_defaults(run=fn, parser=p)
     return root
@@ -180,9 +177,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = vars(_parser(not argv or argv[0] not in own).parse_args(argv))
     except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
         return exc.code
-    run, parser = args.pop("run"), args.pop("parser")
+    run, parser, output = map(args.pop, ("run", "parser", "output"))
     try:
-        return int(run(**args) or 0)
+        payload, lines, *code = run(**args)
+        if output == "json":
+            _echo_json(payload)
+        else:
+            for line in lines:
+                print(line)
+        return code[0] if code else 0
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

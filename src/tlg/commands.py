@@ -8,7 +8,8 @@ module is imported, and `tlg.cli.main` imports it only to run one of these
 commands or to print the whole command tree, so a `catalog verify` process
 compiles none of it. Each command imports the modules it alone runs
 (grassmann, hodge, lattice, mutation, picard_fuchs, wci, delpezzo) inside
-itself.
+itself. A command returns its result, as a JSON payload and as the lines
+of its text form, and `tlg.cli.main` prints the one --output asks for.
 
 Malformed input is a ParseError located at the input file, and a request
 that parses but cannot be served is a UsageError; `tlg.cli.main` turns
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import catalog as _catalog
 from .builders import binomial_principle, check_minkowski
-from .cli import _OUTPUT, UsageError, _command, _echo_json, _opt
+from .cli import UsageError, _command, _opt
 from .intlinalg import inverse_rational
 from .laurent import LaurentPoly
 from .polytope import (Polytope, dual, is_reflexive, lattice_points,
@@ -192,102 +193,81 @@ _DEGREES = _opt("--degrees", type=_int_list, default="",
                      "ambient space).")
 
 
-def _emit_series(series: PowerSeries, output: str) -> None:
-    if output == "json":
-        _echo_json(series.to_json_dict())
-    else:
-        print(",".join(str(c) for c in series.coeffs))
+def _csv(rows) -> list:
+    """Each row as one line of comma separated values."""
+    return [",".join(str(x) for x in row) for row in rows]
 
 
-def _emit_laurent(f: LaurentPoly, output: str) -> None:
-    if output == "json":
-        _echo_json(f.to_json_dict())
-    else:
-        print(f)
+def _series(series: PowerSeries):
+    return series.to_json_dict(), _csv([series.coeffs])
 
 
-def _emit_polytope(p: Polytope, output: str) -> None:
-    if output == "json":
-        _echo_json(p.to_json_dict())
-    else:
-        for v in p.vertices:
-            print(",".join(str(x) for x in v))
+def _laurent(f: LaurentPoly):
+    return f.to_json_dict(), [f]
 
 
-def _emit(output: str, payload, text) -> None:
-    """payload as JSON under --output json, else the line text."""
-    if output == "json":
-        _echo_json(payload)
-    else:
-        print(text)
+def _polytope(p: Polytope):
+    return p.to_json_dict(), _csv(p.vertices)
 
 
 # -- commands ---------------------------------------------------------------
 
 @_command("phi", _INPUT,
           _opt("--order", type=int, required=True,
-               help="Number of series coefficients to compute."),
-          _opt("--period-vars", help="Comma separated variables to fold; "
-                                     "the rest are carried as parameters."),
-          _OUTPUT)
-def phi_cmd(input_path, order, period_vars, output):
+               help="Number of series coefficients to compute."))
+def phi_cmd(input_path, order):
     """Constant-term period series of a Laurent polynomial."""
     f = _laurent_from(_read_json(input_path), input_path)
-    series = phi(f, order, period_vars=_name_list(period_vars))
-    _emit_series(series, output)
+    return _series(phi(f, order))
 
 
 @_command("iseries wci",
           _opt("--weights", type=_int_list, required=True,
                help="Ambient weights, comma separated."),
-          _DEGREES, _ORDER, _OUTPUT)
-def iseries_wci_cmd(weights, degrees, order, output):
+          _DEGREES, _ORDER)
+def iseries_wci_cmd(weights, degrees, order):
     """Weighted complete intersection."""
-    _emit_series(iseries_toric(WciSpec(weights, degrees).toric_data(), order),
-                 output)
+    return _series(iseries_toric(WciSpec(weights, degrees).toric_data(),
+                                 order))
 
 
 @_command("iseries grass",
           _opt("--k", type=int, required=True, help="Subspace dimension."),
           _opt("--n", type=int, required=True,
                help="Codimension part: the Grassmannian is G(k, n+k)."),
-          _DEGREES, _ORDER, _OUTPUT)
-def iseries_grass_cmd(k, n, degrees, order, output):
+          _DEGREES, _ORDER)
+def iseries_grass_cmd(k, n, degrees, order):
     """Complete intersection in a Grassmannian."""
-    _emit_series(iseries_grassmannian(GrassSpec(k, n, degrees), order),
-                 output)
+    return _series(iseries_grassmannian(GrassSpec(k, n, degrees), order))
 
 
-@_command("iseries toric", _INPUT, _ORDER, _OUTPUT)
-def iseries_toric_cmd(input_path, order, output):
+@_command("iseries toric", _INPUT, _ORDER)
+def iseries_toric_cmd(input_path, order):
     """Toric complete intersection: {"rows": [[D_j.C_s, ...], ...]} and
     optionally {"degrees": [[L_i.C_s per row], ...]}."""
     spec = _catalog.generator_from_json(_read_json(input_path), input_path,
                                         "toric")
-    _emit_series(iseries_toric(spec, order), output)
+    return _series(iseries_toric(spec, order))
 
 
 @_command("verify", _INPUT,
           _opt("--against", required=True, type=_existing_file,
                help="JSON file with the target series."),
           _opt("--order", type=int,
-               help="Truncate the target before comparing."),
-          _opt("--period-vars"), _OUTPUT)
-def verify_cmd(input_path, against, order, period_vars, output):
+               help="Truncate the target before comparing."))
+def verify_cmd(input_path, against, order):
     """Compare the period of a Laurent polynomial with a target series."""
     f = _laurent_from(_read_json(input_path), input_path)
     target = _series_from(_read_json(against), against)
     if order is not None:
         target = target.truncate(order)
-    report = verify_period(f, target, period_vars=_name_list(period_vars))
-    if output == "json":
-        _echo_json(report.to_json_dict())
-    elif report.match:
-        print(f"match through order {report.order}")
+    report = verify_period(f, target)
+    if report.match:
+        line = f"match through order {report.order}"
     else:
-        print(f"mismatch at t^{report.first_mismatch}: expected "
-              f"{report.expected}, found {report.found}")
-    return 0 if report.match else 1
+        line = (f"mismatch at t^{report.first_mismatch}: expected "
+                f"{report.expected}, found {report.found}")
+    return report.to_json_dict(), [line], 0 if report.match else 1
 
 
 @_command("build wci",
@@ -297,9 +277,8 @@ def verify_cmd(input_path, against, order, period_vars, output):
                     "nef-partition; otherwise a JSON file with "
                     "{'classes': [[...], ...]}."),
           _opt("--var-names",
-               help="Comma separated names for the torus coordinates."),
-          _OUTPUT)
-def build_wci_cmd(weights, degrees, partition, var_names, output):
+               help="Comma separated names for the torus coordinates."))
+def build_wci_cmd(weights, degrees, partition, var_names):
     """Weighted complete intersection model."""
     from .wci import NefPartition, _quality, wci_laurent
     spec = WciSpec(weights, degrees)
@@ -310,8 +289,8 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
         if not classes:
             raise _catalog.ParseError(partition, "classes must not be empty")
         part = NefPartition(classes, _quality(classes[0], weights))
-    f = wci_laurent(spec, part=part, var_names=_name_list(var_names))
-    _emit_laurent(f, output)
+    return _laurent(wci_laurent(spec, part=part,
+                                var_names=_name_list(var_names)))
 
 
 @_command("build grass",
@@ -321,9 +300,8 @@ def build_wci_cmd(weights, degrees, partition, var_names, output):
                help="Reorder the degrees before building."),
           _opt("--explain", action="store_true",
                help="Include blocks, weight table, weight vertices and the "
-                    "block-weight matrix with its inverse."),
-          _OUTPUT)
-def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
+                    "block-weight matrix with its inverse."))
+def build_grass_cmd(k, n, degrees, sort_dir, explain):
     """Quiver model for a complete intersection in G(k, n+k)."""
     from .grassmann import (bcfks_laurent, consecutive_blocks, weight_table,
                             weight_variables)
@@ -334,11 +312,11 @@ def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
     spec = GrassSpec(k, n, degrees)
     f = bcfks_laurent(spec)
     if not explain:
-        _emit_laurent(f, output)
-        return
+        return _laurent(f)
     model = consecutive_blocks(spec)
     table = weight_table(model)
     vertices = [b.weight_vertex(model.k) for b in model.blocks]
+    variables = weight_variables(model)
     m = [[table[p].get(v, 0) for v in vertices]
          for p in range(len(model.blocks))]
     m_inv = [[_cstr(x) for x in row] for row in inverse_rational(m)]
@@ -346,7 +324,7 @@ def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
         "laurent": f.to_json_dict(),
         "blocks": [{"kind": b.kind, "r": b.r, "s": b.s}
                    for b in model.blocks],
-        "weight_variables": weight_variables(model),
+        "weight_variables": variables,
         "weight_vertices": [list(v) for v in vertices],
         "weight_table": [
             sorted(({"vertex": list(v), "weight": w}
@@ -356,24 +334,19 @@ def build_grass_cmd(k, n, degrees, sort_dir, explain, output):
         "m_matrix": m,
         "m_inverse": m_inv,
     }
-    if output == "json":
-        _echo_json(payload)
-        return
-    print(str(f))
-    for p, b in enumerate(model.blocks):
-        print(f"block {p + 1}: {b.kind}({b.r},{b.s}) weight vertex "
-              f"{vertices[p]} variable {payload['weight_variables'][p]}")
-    for p, row in enumerate(m):
-        print(f"M[{p + 1}] = {row}")
-    for p, row in enumerate(m_inv):
-        print(f"Minv[{p + 1}] = {row}")
+    return payload, [
+        f,
+        *(f"block {p + 1}: {b.kind}({b.r},{b.s}) weight vertex "
+          f"{vertices[p]} variable {variables[p]}"
+          for p, b in enumerate(model.blocks)),
+        *(f"M[{p + 1}] = {row}" for p, row in enumerate(m)),
+        *(f"Minv[{p + 1}] = {row}" for p, row in enumerate(m_inv))]
 
 
 @_command("build delpezzo", _INPUT,
           _opt("--mode", choices=("toric", "surface"), default="toric",
-               help="(default: %(default)s)"),
-          _OUTPUT)
-def build_delpezzo_cmd(input_path, mode, output):
+               help="(default: %(default)s)"))
+def build_delpezzo_cmd(input_path, mode):
     """Parametrized del Pezzo model from a blow-up script."""
     from .delpezzo import DelPezzoScript, del_pezzo_model
     data = _read_json(input_path)
@@ -385,98 +358,90 @@ def build_delpezzo_cmd(input_path, mode, output):
     script = DelPezzoScript(
         base, _int_rows(data.get("steps", []), "steps", input_path),
         tuple(params))
-    _emit_laurent(del_pezzo_model(script, mode=mode), output)
+    return _laurent(del_pezzo_model(script, mode=mode))
 
 
-@_command("build binomial", _INPUT, _OUTPUT)
-def build_binomial_cmd(input_path, output):
+@_command("build binomial", _INPUT)
+def build_binomial_cmd(input_path):
     """Coefficients from the binomial boundary rule on a polytope."""
     p = _polytope_from(_read_json(input_path), input_path)
-    _emit_laurent(binomial_principle(p), output)
+    return _laurent(binomial_principle(p))
 
 
 @_command("minkowski check", _INPUT,
           _opt("--max-summands", type=int, default=4,
-               help="(default: %(default)s)"),
-          _OUTPUT)
-def minkowski_check_cmd(input_path, max_summands, output):
+               help="(default: %(default)s)"))
+def minkowski_check_cmd(input_path, max_summands):
     """Certify facet decompositions into A-type polygons."""
     if max_summands < 1:
         raise UsageError(
             f"--max-summands must be at least 1, got {max_summands}")
     f = _laurent_from(_read_json(input_path), input_path)
     cert = check_minkowski(f, max_summands=max_summands)
-    _emit(output, {"minkowski": cert is not None, "certificate":
-                   None if cert is None else cert.to_json_dict()},
-          json.dumps(cert is not None))
+    return ({"minkowski": cert is not None, "certificate":
+             None if cert is None else cert.to_json_dict()},
+            [json.dumps(cert is not None)])
 
 
 @_command("mutate", _INPUT,
           _opt("--pivot", required=True,
                help="Variable the mutation rewrites."),
           _opt("--factor", required=True, type=_existing_file,
-               help="JSON file with the mutation factor."),
-          _OUTPUT)
-def mutate_cmd(input_path, pivot, factor, output):
+               help="JSON file with the mutation factor."))
+def mutate_cmd(input_path, pivot, factor):
     """Apply an elementary mutation pivot -> pivot / factor."""
     from .mutation import elementary_mutation
     f = _laurent_from(_read_json(input_path), input_path)
     g = _laurent_from(_read_json(factor), factor)
-    _emit_laurent(elementary_mutation(f, pivot, g), output)
+    return _laurent(elementary_mutation(f, pivot, g))
 
 
-@_command("polytope hull", _INPUT, _OUTPUT)
-def polytope_hull_cmd(input_path, output):
+@_command("polytope hull", _INPUT)
+def polytope_hull_cmd(input_path):
     """Vertices of the convex hull of the input points."""
-    _emit_polytope(_polytope_from(_read_json(input_path), input_path), output)
+    return _polytope(_polytope_from(_read_json(input_path), input_path))
 
 
-@_command("polytope dual", _INPUT, _OUTPUT)
-def polytope_dual_cmd(input_path, output):
+@_command("polytope dual", _INPUT)
+def polytope_dual_cmd(input_path):
     """Polar dual polytope."""
     p = _polytope_from(_read_json(input_path), input_path)
-    _emit_polytope(dual(p), output)
+    return _polytope(dual(p))
 
 
-@_command("polytope reflexive", _INPUT, _OUTPUT)
-def polytope_reflexive_cmd(input_path, output):
+@_command("polytope reflexive", _INPUT)
+def polytope_reflexive_cmd(input_path):
     """Whether the polytope is reflexive."""
     ok = is_reflexive(_polytope_from(_read_json(input_path), input_path))
-    _emit(output, ok, json.dumps(ok))
+    return ok, [json.dumps(ok)]
 
 
-@_command("polytope volume", _INPUT, _OUTPUT)
-def polytope_volume_cmd(input_path, output):
+@_command("polytope volume", _INPUT)
+def polytope_volume_cmd(input_path):
     """Normalized lattice volume."""
     p = _polytope_from(_read_json(input_path), input_path)
     vol = normalized_volume(p)
-    _emit(output, {"volume": vol}, vol)
+    return {"volume": vol}, [vol]
 
 
 @_command("polytope points", _INPUT,
           _opt("--region", choices=("all", "boundary", "interior"),
-               default="all", help="(default: %(default)s)"),
-          _OUTPUT)
-def polytope_points_cmd(input_path, region, output):
+               default="all", help="(default: %(default)s)"))
+def polytope_points_cmd(input_path, region):
     """Lattice points of the polytope."""
     pts = lattice_points(_polytope_from(_read_json(input_path), input_path),
                          region=region)
-    if output == "json":
-        _echo_json({"count": len(pts), "points": [list(p) for p in pts]})
-    else:
-        for p in pts:
-            print(",".join(str(x) for x in p))
+    return {"count": len(pts), "points": [list(p) for p in pts]}, _csv(pts)
 
 
-@_command("polytope equiv", _INPUT, _OUTPUT)
-def polytope_equiv_cmd(input_path, output):
+@_command("polytope equiv", _INPUT)
+def polytope_equiv_cmd(input_path):
     """Search for a lattice-linear isomorphism between two polytopes."""
     data = _read_json(input_path)
     p = _polytope_from(_field(data, "first", input_path), input_path)
     q = _polytope_from(_field(data, "second", input_path), input_path)
     u = unimodular_equivalent(p, q)
-    _emit(output, {"equivalent": u is not None, "map": u},
-          json.dumps(u is not None))
+    return {"equivalent": u is not None, "map": u}, [json.dumps(u is not None)]
 
 
 def _lattice_input(name: Optional[str], twist: int,
@@ -496,36 +461,32 @@ _LATTICE_OPTIONS = (
     _opt("--twist", type=int, default=1, help="(default: %(default)s)"),
     _opt("--input", "-i", dest="input_path", metavar="PATH",
          type=_existing_file,
-         help="JSON file with {'gram': ...} or {'name': ...}."),
-    _OUTPUT)
+         help="JSON file with {'gram': ...} or {'name': ...}."))
 
 
 @_command("lattice disc", *_LATTICE_OPTIONS)
-def lattice_disc_cmd(name, twist, input_path, output):
+def lattice_disc_cmd(name, twist, input_path):
     """Discriminant group and quadratic form values."""
     from .lattice import discriminant
     data = discriminant(_lattice_input(name, twist, input_path))
-    if output == "json":
-        _echo_json({"group": list(data.group),
-                    "generators": [[_cstr(x) for x in g]
-                                   for g in data.generators],
-                    "form_values": [_cstr(v) for v in data.form_values]})
-    else:
-        group = " x ".join(f"Z/{d}" for d in data.group) or "trivial"
-        values = ", ".join(_cstr(v) for v in data.form_values)
-        print(f"{group}; q = ({values})")
+    group = " x ".join(f"Z/{d}" for d in data.group) or "trivial"
+    values = [_cstr(v) for v in data.form_values]
+    return ({"group": list(data.group),
+             "generators": [[_cstr(x) for x in g] for g in data.generators],
+             "form_values": values},
+            [f"{group}; q = ({', '.join(values)})"])
 
 
 @_command("lattice sig", *_LATTICE_OPTIONS)
-def lattice_sig_cmd(name, twist, input_path, output):
+def lattice_sig_cmd(name, twist, input_path):
     """Signature (positive, negative) of the bilinear form."""
     from .lattice import signature
     pos, neg = signature(_lattice_input(name, twist, input_path))
-    _emit(output, {"signature": [pos, neg]}, f"{pos},{neg}")
+    return {"signature": [pos, neg]}, [f"{pos},{neg}"]
 
 
-@_command("lattice index", _INPUT, _OUTPUT)
-def lattice_index_cmd(input_path, output):
+@_command("lattice index", _INPUT)
+def lattice_index_cmd(input_path):
     """Index of a finite-index isometric embedding."""
     from .lattice import index_check
     data = _read_json(input_path)
@@ -533,7 +494,7 @@ def lattice_index_cmd(input_path, output):
                       _gram_from(_field(data, "sup", input_path), input_path),
                       _int_rows(_field(data, "embedding", input_path),
                                 "embedding", input_path))
-    _emit(output, {"index": idx}, idx)
+    return {"index": idx}, [idx]
 
 
 @_command("lattice duval",
@@ -544,58 +505,51 @@ def lattice_index_cmd(input_path, output):
                help="Second chain position for a transversal pair."),
           _opt("--self", dest="self_int", action="store_true",
                help="Self-intersection correction instead of a pair."),
-          _opt("--branch", help="'tail' or 'fork' for D_n."),
-          _OUTPUT)
-def lattice_duval_cmd(sing, k, r, self_int, branch, output):
+          _opt("--branch", help="'tail' or 'fork' for D_n."))
+def lattice_duval_cmd(sing, k, r, self_int, branch):
     """Intersection corrections for curves through a du Val point."""
     from .lattice import duval_intersection, duval_self_intersection
     if self_int:
-        value = duval_self_intersection(sing, k=k, branch=branch)
+        value = _cstr(duval_self_intersection(sing, k=k, branch=branch))
     else:
-        value = duval_intersection(sing, k=k, r=r)
-    _emit(output, {"value": _cstr(value)}, _cstr(value))
+        value = _cstr(duval_intersection(sing, k=k, r=r))
+    return {"value": value}, [value]
 
 
 @_command("pf fit", _INPUT,
           _opt("--max-order", type=int, required=True,
                help="Logarithmic-derivative order of the ansatz."),
           _opt("--max-degree", type=int, required=True,
-               help="Largest t-degree to try."),
-          _OUTPUT)
-def pf_fit_cmd(input_path, max_order, max_degree, output):
+               help="Largest t-degree to try."))
+def pf_fit_cmd(input_path, max_order, max_degree):
     """Fit an operator to a truncated series and cross-check the tail."""
     from .picard_fuchs import fit
     series = _series_from(_read_json(input_path), input_path)
     op = fit(series, max_order, max_degree)
-    if output == "json":
-        _echo_json(None if op is None else op.to_json_dict())
-    elif op is None:
-        print("no operator found")
-    else:
-        print(str(op))
+    if op is None:
+        return None, ["no operator found"]
+    return op.to_json_dict(), [op]
 
 
 @_command("hodge surface",
-          _opt("--d", type=int, required=True, help="Anticanonical degree."),
-          _OUTPUT)
-def hodge_surface_cmd(d, output):
+          _opt("--d", type=int, required=True, help="Anticanonical degree."))
+def hodge_surface_cmd(d):
     """Surface invariants of the mirror of a degree d del Pezzo."""
     from .hodge import kkp_surface_numbers
     report = kkp_surface_numbers(d)
-    if output == "json":
-        _echo_json({
-            "degree": report.degree,
-            "fano": report.fano_type,
-            "diamond": None if report.diamond is None else {
-                "dim": report.diamond.dim,
-                "h": [list(row) for row in report.diamond.h],
-                "middle_row": list(report.diamond.middle_row())},
-            "jordan_blocks": [list(b) for b in report.jordan_blocks]})
-    elif report.diamond is None:
+    diamond = report.diamond
+    payload = {
+        "degree": report.degree,
+        "fano": report.fano_type,
+        "diamond": None if diamond is None else {
+            "dim": diamond.dim,
+            "h": [list(row) for row in diamond.h],
+            "middle_row": list(diamond.middle_row())},
+        "jordan_blocks": [list(b) for b in report.jordan_blocks]}
+    if diamond is None:
         blocks = ", ".join(f"{s}x{m}" for s, m in report.jordan_blocks)
-        print(f"not Fano type; Jordan blocks {blocks}")
-    else:
-        print(",".join(str(x) for x in report.diamond.middle_row()))
+        return payload, [f"not Fano type; Jordan blocks {blocks}"]
+    return payload, _csv([diamond.middle_row()])
 
 
 @_command("hodge threefold",
@@ -605,42 +559,32 @@ def hodge_surface_cmd(d, output):
                help="Rank of the middle primitive part, fiber class "
                     "included."),
           _opt("--h12z", type=int, default=0, help="(default: %(default)s)"),
-          _opt("--h21z", type=int, default=0, help="(default: %(default)s)"),
-          _OUTPUT)
-def hodge_threefold_cmd(ky, ph, h12z, h21z, output):
+          _opt("--h21z", type=int, default=0, help="(default: %(default)s)"))
+def hodge_threefold_cmd(ky, ph, h12z, h21z):
     """Threefold diamond from fiber bookkeeping."""
     from .hodge import harder_diamond
     diamond = harder_diamond(ky, ph, h12z=h12z, h21z=h21z)
-    if output == "json":
-        _echo_json({"dim": diamond.dim,
-                    "h": [list(row) for row in diamond.h],
-                    "middle_row": list(diamond.middle_row())})
-    else:
-        for row in diamond.h:
-            print(",".join(str(x) for x in row))
+    return ({"dim": diamond.dim,
+             "h": [list(row) for row in diamond.h],
+             "middle_row": list(diamond.middle_row())}, _csv(diamond.h))
 
 
-@_command("hodge components", _INPUT, _OUTPUT)
-def hodge_components_cmd(input_path, output):
+@_command("hodge components", _INPUT)
+def hodge_components_cmd(input_path):
     """Components of the fiber over infinity for a reflexive 3-polytope."""
     from .hodge import components_at_infinity
     p = _polytope_from(_read_json(input_path), input_path)
     count = components_at_infinity(p)
-    _emit(output, {"components": count}, count)
+    return {"components": count}, [count]
 
 
 @_command("hodge kmatrix", _DEGREES,
           _opt("--index", dest="fano_index", metavar="INDEX", type=int,
-               required=True),
-          _OUTPUT)
-def hodge_kmatrix_cmd(degrees, fano_index, output):
+               required=True))
+def hodge_kmatrix_cmd(degrees, fano_index):
     """Ray matrix of the fiber over infinity and its component count."""
     from .hodge import k_components, k_matrix
     matrix = k_matrix(degrees, fano_index)
     count = k_components(degrees, fano_index)
-    if output == "json":
-        _echo_json({"matrix": matrix, "components": count})
-    else:
-        for row in matrix:
-            print(",".join(str(x) for x in row))
-        print(f"components: {count}")
+    return ({"matrix": matrix, "components": count},
+            [*_csv(matrix), f"components: {count}"])

@@ -63,7 +63,10 @@ class LaurentPoly:
             raise VariableMismatch(f"duplicate variable names in {vs}")
         clean: Dict[Exponent, Coeff] = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
+            e = tuple(e)
+            for x in e:  # int() would read 1.5 and True as exponent 1
+                if type(x) is not int:
+                    raise TypeError(f"exponent {e} must be integers")
             if len(e) != len(vs):
                 raise VariableMismatch(
                     f"exponent {e} has length {len(e)}, expected {len(vs)}")
@@ -214,7 +217,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
+        if type(n) is not int:  # a bool too, which is no exponent
             return NotImplemented
         if n < 0:
             if len(self._terms) == 1:

@@ -45,6 +45,9 @@ def _rule_power(rule: ExponentRule, k: int) -> int:
     if not callable(rule) and k not in rule:
         raise ValueError(f"exponent rule gives no power for slice {k}")
     power = rule(k) if callable(rule) else rule[k]
+    if type(power) is bool:
+        raise TypeError(f"exponent rule gives the bool {power!r} for slice "
+                        f"{k}, not a power")
     if not isinstance(power, int):
         raise ValueError(f"exponent rule gives the non-integer power "
                          f"{power!r} for slice {k}")
@@ -122,6 +125,8 @@ def polytope_mutation_effect(p: Polytope, data: MutationData) -> Polytope:
     if len(w) != p.ambient_dim or data.factor.ambient_dim != p.ambient_dim:
         raise DimensionMismatch(
             f"direction and factor must lie in Z^{p.ambient_dim}")
+    if any(type(x) is bool for x in w):
+        raise TypeError(f"direction {w} must be integers, not bools")
     if not all(isinstance(x, int) for x in w) or not any(w):
         raise ValueError(f"direction {w} must be a nonzero integer vector")
     if any(_dot(w, q) != 0 for q in f_verts):

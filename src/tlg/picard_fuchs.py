@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .intlinalg import _echelon
-from .laurent import Coeff, _norm
+from .laurent import Coeff, _coerce_coeff, _norm
 from .series import PowerSeries
 
 FIT_MARGIN = 10
@@ -100,9 +100,26 @@ class DifferentialOperator:
 
     @classmethod
     def from_json_dict(cls, data) -> "DifferentialOperator":
-        terms = tuple((int(t["t"]), int(t["theta"]), Fraction(t["c"]))
-                      for t in data["terms"])
-        return cls(terms)
+        """{"terms": [{"t": i, "theta": j, "c": coefficient}]}; a
+        malformed term raises a ValueError that gives its index."""
+        raw = data.get("terms")
+        if type(raw) is not list:
+            raise ValueError(f"terms must be a list, got {raw!r}")
+        terms = []
+        for k, term in enumerate(raw):
+            if type(term) is not dict or not {"t", "theta", "c"} <= set(term):
+                raise ValueError(f"terms[{k}]: a term needs the keys 't', "
+                                 f"'theta' and 'c', got {term!r}")
+            i, j, c = term["t"], term["theta"], term["c"]
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"terms[{k}]: t and theta must be integers, "
+                                 f"got {i!r} and {j!r}")
+            try:
+                terms.append((i, j, _coerce_coeff(c)))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(
+                    f"terms[{k}]: bad coefficient {c!r}: {exc}") from None
+        return cls(tuple(terms))
 
     def __str__(self) -> str:
         parts = []

@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import (_echelon, _IntEchelon, _denominator, _integral,
                         det_bareiss, kernel_lattice_chart, mat_vec)
-from .laurent import LaurentPoly, _norm
+from .laurent import Coeff, LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
 Facet = Tuple[Tuple[int, ...], object]
@@ -75,9 +75,14 @@ class NotLatticePolytope(PolytopeError, ValueError):
     """The operation needs integer vertices."""
 
 
+def _coordinate(x) -> Coeff:
+    if type(x) is bool:  # an int to Fraction and isinstance, but no number
+        raise TypeError(f"a coordinate must be a number, got {x!r}")
+    return _norm(x if isinstance(x, Fraction) else Fraction(x))
+
+
 def _norm_point(p: Sequence) -> Point:
-    return tuple(_norm(Fraction(x) if not isinstance(x, (int, Fraction)) else x)
-                 for x in p)
+    return tuple(x if type(x) is int else _coordinate(x) for x in p)
 
 
 def _dot(a: Sequence, b: Sequence):

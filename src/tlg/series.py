@@ -101,10 +101,6 @@ from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
 from .polytope import Polytope, _newton_of_product, newton_polytope
 
 
-class NonScalarConstantTerm(ValueError):
-    """phi needs every variable of f to be a period variable."""
-
-
 class NegativeAnticanonicalDegree(ValueError):
     """Every toric curve-class row must pair positively with -K_X."""
 
@@ -406,7 +402,6 @@ def phi_coefficients(f: LaurentPoly, order: int,
 
 
 def phi(f: LaurentPoly, order: int,
-        period_vars: Optional[Iterable[str]] = None,
         factors: Optional[Sequence[Tuple[LaurentPoly, int]]] = None
         ) -> PowerSeries:
     """Main period of f: coefficient i is the constant term of f^i.
@@ -414,16 +409,7 @@ def phi(f: LaurentPoly, order: int,
     Optional factors (L_i, m_i) with f = prod of L_i^m_i give the same
     series faster; see phi_coefficients.
     """
-    vs = f.variables
-    period = tuple(period_vars) if period_vars is not None else vs
-    nonperiod = set(vs) - set(period)
-    if nonperiod:
-        for e in f.exponents():
-            for i, v in enumerate(vs):
-                if v in nonperiod and e[i]:
-                    raise NonScalarConstantTerm(
-                        f"variable {v!r} occurs in f but is not a period variable")
-    polys = phi_coefficients(f, order, period, factors)
+    polys = phi_coefficients(f, order, factors=factors)
     return PowerSeries(tuple(p.constant_term() for p in polys))
 
 
@@ -658,12 +644,11 @@ class PeriodReport:
         return out
 
 
-def verify_period(f: LaurentPoly, target: PowerSeries,
-                  period_vars: Optional[Iterable[str]] = None) -> PeriodReport:
+def verify_period(f: LaurentPoly, target: PowerSeries) -> PeriodReport:
     """Exact comparison of the period of f against a target series."""
     if target.order < 2:
         raise ValueError("target must have order at least 2")
-    mine = phi(f, target.order, period_vars)
+    mine = phi(f, target.order)
     for i, (a, b) in enumerate(zip(mine.coeffs, target.coeffs)):
         if a != b:
             return PeriodReport(False, target.order, i, str(Fraction(b)),

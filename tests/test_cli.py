@@ -3,6 +3,7 @@ a JSON error object on stderr, 2 usage error, 130 interrupted."""
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +38,9 @@ def test_success_exits_zero(model, capsys):
     ["phi", "--input", "MODEL", "--order", "three"],  # not an int
     ["no-such-command"],
     ["--seed", "1", "catalog", "list"],              # the option is gone
+    ["phi", "--input", "MODEL", "--order", "3", "--period-vars", "x"],  # gone
+    ["verify", "--input", "MODEL", "--against", "MODEL",
+     "--period-vars", "x"],                          # gone too
 ])
 def test_usage_errors_exit_two(model, capsys, argv):
     argv = [model if a == "MODEL" else a for a in argv]
@@ -387,6 +391,14 @@ INPUTS = {
                    "embedding": [[2, 0], [0, 1]]},
     "series.json": SERIES_P1,
     "p3.json": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "p1-model.json": {"vars": ["x"], "terms": _terms(([-1], "1"),
+                                                     ([1], "1"))},
+    "toric.json": {"rows": [[1, 1, 1]], "degrees": [[2]]},
+    "mutate-f.json": {"vars": ["x", "y"], "terms": _terms(
+        ([-1, -1], "1"), ([-1, 0], "1"), ([1, 0], "1"), ([1, 1], "1"))},
+    "mutate-factor.json": {"vars": ["x", "y"], "terms": _terms(
+        ([0, 0], "1"), ([0, 1], "1"))},
+    "no-points.json": [["1/3", 0], ["2/3", 0]],
 }
 
 CATALOG_LIST = """\
@@ -422,6 +434,11 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+# Every command has a golden in --output text and in --output json, here or
+# in the golden JSON tests above (CATALOG_O4_SHA256 for catalog verify and
+# CATALOG_LIST_SHA256 for catalog list); the cases from phi-text on, like
+# those before them, were computed at b326d66, before the commands returned
+# their results for main to print.
 @pytest.mark.parametrize("argv, expected", [
     ("build wci --weights 1,1,1,1 --degrees 2",
      "x1^-1*x2^-1 + 2*x1^-1 + x1^-1*x2 + x1\n"),
@@ -488,6 +505,56 @@ def _json_text(payload):
     ("catalog list", CATALOG_LIST),
     ("catalog verify --order 4 --id G36-2111 --id 1-1",
      "PASS 1-1 [paper]\nPASS G36-2111 [paper]\n2/2 passed\n"),
+    ("phi --input p1-model.json --order 7", "1,0,2,0,6,0,20\n"),
+    ("phi --input p1-model.json --order 7 --output json",
+     _json_text({"coeffs": ["1", "0", "2", "0", "6", "0", "20"],
+                 "order": 7})),
+    ("iseries wci --weights 1,1,1,1 --degrees 3 --order 5",
+     "1,6,90,1680,34650\n"),
+    ("iseries grass --k 2 --n 3 --degrees 1,1 --order 5", "1,0,0,18,0\n"),
+    ("iseries toric --input toric.json --order 6", "1,2,6,20,70,252\n"),
+    ("verify --input p1-model.json --against series.json",
+     "match through order 20\n"),
+    ("verify --input p1-model.json --against series.json --order 6 "
+     "--output json", _json_text({"match": True, "order": 6})),
+    ("build delpezzo --input dp.json --output json",
+     _json_text({"vars": ["x", "y", "q0", "q1", "q2", "q3"], "terms": _terms(
+         ([-1, -1, 1, 0, 0, 0], "1"), ([0, -1, 1, 0, 1, 0], "1"),
+         ([0, 1, 0, 0, 0, 0], "1"), ([1, -1, 1, 0, 1, 1], "1"),
+         ([1, 0, 0, 0, 0, 0], "1"), ([1, 1, 0, 1, 0, 0], "1"))})),
+    ("build binomial --input tri.json", "x^-1*y^-1 + y + x\n"),
+    ("mutate --input mutate-f.json --pivot x --factor mutate-factor.json",
+     "x^-1*y^-1 + 2*x^-1 + x^-1*y + x\n"),
+    ("polytope hull --input p3.json", "-1,-1,-1\n0,0,1\n0,1,0\n1,0,0\n"),
+    ("polytope dual --input tri.json", "-1,-1\n-1,2\n2,-1\n"),
+    ("polytope reflexive --input tri.json", "true\n"),
+    ("polytope volume --input p3.json", "4\n"),
+    ("polytope points --input tri.json", "-1,-1\n0,0\n0,1\n1,0\n"),
+    ("polytope points --input no-points.json", ""),
+    ("polytope points --input no-points.json --output json",
+     _json_text({"count": 0, "points": []})),
+    ("lattice sig --name H --output json", _json_text({"signature": [1, 1]})),
+    ("lattice index --input index.json --output json",
+     _json_text({"index": 2})),
+    ("pf fit --input series.json --max-order 1 --max-degree 0",
+     "no operator found\n"),
+    ("pf fit --input series.json --max-order 1 --max-degree 0 --output json",
+     "null\n"),
+    ("hodge surface --d 3 --output json", _json_text({
+        "degree": 3, "fano": True,
+        "diamond": {"dim": 2, "h": [[0, 0, 1], [0, 7, 0], [1, 0, 0]],
+                    "middle_row": [1, 7, 1]},
+        "jordan_blocks": [[3, 1], [1, 6]]})),
+    ("hodge surface --d 0 --output json", _json_text({
+        "degree": 0, "fano": False, "diamond": None,
+        "jordan_blocks": [[2, 2], [1, 8]]})),
+    ("hodge threefold --ky 1 --ph 3 --h12z 1 --output json", _json_text({
+        "dim": 3, "h": [[0, 0, 0, 1], [0, 1, 1, 0], [0, 2, 1, 0],
+                        [1, 0, 0, 0]],
+        "middle_row": [1, 2, 1, 1]})),
+    ("hodge components --input p3.json", "34\n"),
+    ("hodge kmatrix --degrees 2 --index 2 --output json", _json_text({
+        "components": 8, "matrix": [[2, -1], [-2, -1], [0, 1], [0, -1]]})),
 ], ids=["build-wci", "build-wci-partition", "build-grass-explain",
         "build-grass-sort-desc", "build-delpezzo", "build-delpezzo-surface",
         "build-binomial", "minkowski-check", "minkowski-check-json",
@@ -495,7 +562,17 @@ def _json_text(payload):
         "lattice-disc-json", "lattice-sig", "lattice-index", "lattice-duval",
         "lattice-duval-self", "pf-fit", "pf-fit-json", "hodge-surface",
         "hodge-surface-d0", "hodge-threefold", "hodge-components",
-        "hodge-kmatrix", "catalog-list", "catalog-verify-text"])
+        "hodge-kmatrix", "catalog-list", "catalog-verify-text", "phi-text",
+        "phi-json", "iseries-wci-text", "iseries-grass-text",
+        "iseries-toric-text", "verify-text", "verify-json",
+        "build-delpezzo-json", "build-binomial-text", "mutate-text",
+        "polytope-hull-text", "polytope-dual-text", "polytope-reflexive-text",
+        "polytope-volume-text", "polytope-points-text",
+        "polytope-points-none-text", "polytope-points-none-json",
+        "lattice-sig-json", "lattice-index-json", "pf-fit-none-text",
+        "pf-fit-none-json", "hodge-surface-json", "hodge-surface-d0-json",
+        "hodge-threefold-json", "hodge-components-text",
+        "hodge-kmatrix-json"])
 def test_commands_print_golden_output(tmp_path, monkeypatch, capsys, argv,
                                       expected):
     for name, data in INPUTS.items():
@@ -504,6 +581,65 @@ def test_commands_print_golden_output(tmp_path, monkeypatch, capsys, argv,
     assert main(argv.split()) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (expected, "")
+
+
+# the two commands that check something exit 1 when the check fails, and
+# print their report in either format; computed at b326d66
+@pytest.mark.parametrize("argv, catalog_entries, expected", [
+    ("verify --input MODEL --against SERIES", None,
+     "mismatch at t^3: expected 1, found 0\n"),
+    ("verify --input MODEL --against SERIES --output json", None,
+     _json_text({"expected": "1", "first_mismatch": 3, "found": "0",
+                 "match": False, "order": 5})),
+    ("catalog verify --order 5", ["1-17", "bad-1"],
+     "PASS 1-17 [paper]\nFAIL bad-1 [paper] period coefficient 3: "
+     "expected 12, found 0\n1/2 passed\n"),
+], ids=["verify-text", "verify-json", "catalog-verify-text"])
+def test_failed_checks_print_their_report_and_exit_one(
+        model, tmp_path, monkeypatch, capsys, argv, catalog_entries,
+        expected):
+    series = tmp_path / "series.json"
+    series.write_text(json.dumps({"coeffs": ["1", "0", "2", "1", "6"]}))
+    if catalog_entries:
+        p3 = next(e for e in json.loads(catalog.bundled_path().read_text())
+                  if e["id"] == "1-17")
+        # the period of P^3 checked against the I-series of a quadric
+        wrong = dict(p3, id="bad-1", generator={
+            "kind": "wci", "weights": [1, 1, 1, 1, 1], "degrees": [2]})
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([p3, wrong]))
+        monkeypatch.setenv("TLG_CATALOG", str(path))
+    argv = [{"MODEL": model, "SERIES": str(series)}.get(a, a)
+            for a in argv.split()]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (expected, "")
+
+
+def test_an_empty_catalog_lists_nothing(tmp_path, monkeypatch, capsys):
+    # a text result of no lines prints nothing at all
+    path = tmp_path / "catalog.json"
+    path.write_text("[]")
+    monkeypatch.setenv("TLG_CATALOG", str(path))
+    assert main(["catalog", "list"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["catalog", "list", "--output", "json"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["catalog", "verify", "--output", "text"]) == 0
+    assert capsys.readouterr().out == "0/0 passed\n"
+
+
+# sha256 of `catalog list --output json`, computed at b326d66
+CATALOG_LIST_SHA256 = \
+    "9c59f34bf56de1376c1a69c162d9fc5deb7eeb726447aa18d9889c33b5fac837"
+
+
+def test_catalog_list_json_is_byte_identical(capsys):
+    assert main(["catalog", "list", "--output", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == \
+        CATALOG_LIST_SHA256
 
 
 # sha256 of the full JSON report; any change to a model, a check or the
@@ -586,6 +722,20 @@ def test_help_exits_zero(capsys, argv):
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert "--help" in captured.out and captured.err == ""
+
+
+# every leaf's --help at 80 columns, by command, computed at b326d66; phi
+# and verify without the --period-vars option deleted since
+LEAF_HELP = json.loads(
+    (Path(__file__).parent / "leaf_help_80.json").read_text())
+
+
+@pytest.mark.parametrize("leaf", list(LEAF_HELP))
+def test_every_leaf_prints_golden_help(monkeypatch, capsys, leaf):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*leaf.split(), "--help"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (LEAF_HELP[leaf], "")
 
 
 @pytest.mark.parametrize("argv, data", [

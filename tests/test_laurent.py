@@ -12,6 +12,13 @@ x = LaurentPoly.variable("x", V)
 y = LaurentPoly.variable("y", V)
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_constructor_refuses_an_exponent_that_is_no_int(entry):
+    # int() read 1.5 and True as the exponent 1, so each made the variable x
+    with pytest.raises(TypeError, match="must be integers"):
+        LaurentPoly(("x",), {(entry,): 1})
+
+
 def test_constructors_normalize():
     assert LaurentPoly.zero().is_zero()
     assert LaurentPoly.constant(0, V).is_zero()

@@ -297,6 +297,30 @@ def test_exponent_rule_rejects_a_non_integer_power():
             polytope_mutation_effect(square, MutationData((0, 1), seg, rule))
 
 
+XY = tuple(LaurentPoly.variable(n, ("x", "y")) for n in ("x", "y"))
+SQUARE = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+SEGMENT = Polytope([(0, 0), (1, 0)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polytope([(True, 0), (0, 1), (0, 0)]),
+    lambda: XY[0] ** True,
+    lambda: elementary_mutation(XY[1] + XY[0] * XY[1] + 1, "y", 1 + XY[0],
+                                exponent_rule={0: 0, 1: True}),
+    lambda: polytope_mutation_effect(SQUARE, MutationData(
+        (0, 1), SEGMENT, {0: 0, 1: True})),
+    lambda: polytope_mutation_effect(SQUARE, MutationData((0, True),
+                                                          SEGMENT)),
+], ids=["vertex", "power", "rule-power", "polytope-rule-power",
+        "direction"])
+def test_a_bool_is_no_integer(build):
+    # isinstance(True, int) holds, so each read True as 1: the vertex
+    # (True, 0) stayed a lattice point, f ** True was f, and the power
+    # True and the direction (0, True) were taken as 1 and (0, 1)
+    with pytest.raises(TypeError):
+        build()
+
+
 def test_polytope_mutation_reads_a_slice_from_edge_crossings():
     # no vertex of the square lies at height 0: its slice there is the
     # crossing of its two vertical edges, and the rule keeps it in place

@@ -55,3 +55,25 @@ def test_operator_json_round_trip_and_apply_kills_the_series():
     assert DifferentialOperator(((1, 1, -8), (0, 1, 2), (1, 0, -4))) == op
     with pytest.raises(InsufficientCoefficients):
         op.apply(CENTRAL_BINOMIAL.truncate(1))
+
+
+@pytest.mark.parametrize("term, message", [
+    ({"t": 1.5, "theta": 1, "c": "1"}, "t and theta must be integers"),
+    ({"t": 1, "theta": True, "c": "1"}, "t and theta must be integers"),
+    ({"t": 1}, "needs the keys"),
+    ([1, 1, "1"], "needs the keys"),
+    ({"t": 1, "theta": 0, "c": "one"}, "bad coefficient"),
+], ids=["float-t", "bool-theta", "missing-keys", "not-an-object",
+        "bad-coefficient"])
+def test_operator_from_json_locates_a_malformed_term(term, message):
+    # int() read {"t": 1.5, "theta": true} as the term t*theta, and a
+    # missing key raised a bare KeyError
+    data = {"terms": [{"t": 0, "theta": 1, "c": "1"}, term]}
+    with pytest.raises(ValueError, match=rf"^terms\[1\]: .*{message}"):
+        DifferentialOperator.from_json_dict(data)
+
+
+@pytest.mark.parametrize("data", [{}, {"terms": "t"}])
+def test_operator_from_json_needs_a_list_of_terms(data):
+    with pytest.raises(ValueError, match="terms must be a list"):
+        DifferentialOperator.from_json_dict(data)

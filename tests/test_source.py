@@ -274,6 +274,23 @@ def _is_command(node) -> bool:
                and d.func.id == "_command" for d in node.decorator_list)
 
 
+def test_commands_return_their_result_for_main_to_print():
+    # main alone reads --output and prints: a command takes no output
+    # option and returns its JSON payload and its lines of text (at
+    # b326d66 each of the 28 commands printed for itself)
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and _is_command(node):
+                calls = {n.func.id for n in ast.walk(node)
+                         if isinstance(n, ast.Call)
+                         and isinstance(n.func, ast.Name)}
+                if "output" in (a.arg for a in node.args.args) \
+                        or calls & {"print", "_echo_json"}:
+                    found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert found == []
+
+
 def test_every_public_top_level_definition_is_read():
     # a public function or class that neither the package nor a test reads
     # is a leftover; a command is reached through the registry of
