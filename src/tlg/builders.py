@@ -1,11 +1,14 @@
-"""Builders of Laurent superpotential models on lattice polytopes.
+"""The Minkowski certificate search that `catalog verify` runs.
 
-Two families live here: binomial coefficient placement on reflexive
-polytopes, and Minkowski-type polynomials with their per-facet
-certificates, which `catalog verify` checks on every entry flagged
-Minkowski. The weighted complete intersection models are in `tlg.wci`
-and the del Pezzo chains in `tlg.delpezzo`, so a process that runs only
-`catalog verify` compiles neither.
+An entry flagged Minkowski is checked by `check_minkowski`, which
+searches each facet of the Newton 3-polytope for a decomposition into
+A-type summands, unit segments and triangles of height one over an edge,
+whose binomial polynomials multiply out to the facet's terms. A
+certificate supplied from outside, its JSON reader and the polynomial it
+builds are in `tlg.minkowski`, with binomial placement on reflexive
+polytopes, the weighted complete intersection models in `tlg.wci` and
+the del Pezzo chains in `tlg.delpezzo`, so a process that runs only
+`catalog verify` compiles none of them.
 
 Every polygon edge walk reads `polytope.polygon_edges`, and every edge
 rule that puts 1 at the ends and C(n, k) at the k-th lattice point is
@@ -17,41 +20,26 @@ lattice points: each facet polygon is read off the Newton polytope's
 hull (`_facet_polygons`), and an A-type summand is its lattice data, its
 sorted vertices and its edges as (primitive step, lattice length)
 counterclockwise from the first vertex, written out per candidate once
-per facet or read off a supplied summand's vertices (`_a_type_edges`).
-`_check_facet_decomposition` checks a certificate on edge steps: the
-summands' edge lengths per primitive step and first vertices add up to
-the facet's, and their lattice is read from the steps of segments alone.
+per facet or read off a supplied summand's vertices
+(`minkowski._a_type_edges`). `_check_facet_decomposition` checks a
+certificate on edge steps: the summands' edge lengths per primitive step
+and first vertices add up to the facet's, and their lattice is read from
+the steps of segments alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, gcd, prod
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly
-from .polytope import (Polytope, PolytopeError, _dot, _incidences, _sub,
-                       edges, is_reflexive, lattice_chart, lattice_points,
-                       newton_polytope, polygon_edges)
-
-
-class InteriorFacetPoint(ValueError):
-    """A facet carries a lattice point away from every edge."""
+from .polytope import (Polytope, _dot, _incidences, _sub, is_reflexive,
+                       lattice_chart, newton_polytope, polygon_edges)
 
 
 class BadCertificate(ValueError):
     """A Minkowski certificate does not match the polytope it claims to cover."""
-
-
-# ---------------------------------------------------------------------------
-# binomial coefficients on a reflexive polytope
-
-
-def _default_names(d: int) -> Tuple[str, ...]:
-    if d <= 3:
-        return ("x", "y", "z")[:d]
-    return tuple(f"x{i}" for i in range(1, d + 1))
 
 
 def _edge_binomials(pairs) -> Dict[Tuple[int, ...], int]:
@@ -66,25 +54,6 @@ def _edge_binomials(pairs) -> Dict[Tuple[int, ...], int]:
     return terms
 
 
-def binomial_principle(p: Polytope) -> LaurentPoly:
-    """Vertex coefficients 1, edge coefficients C(n, i), nothing else.
-
-    The polytope must be reflexive with every non-origin lattice point on
-    an edge; an edge of lattice length n carries C(n, i) at its i-th point.
-    """
-    if not is_reflexive(p):
-        raise ValueError("binomial coefficient placement needs a reflexive polytope")
-    terms = _edge_binomials(edges(p))
-    for pt in lattice_points(p):
-        if any(pt) and pt not in terms:
-            raise InteriorFacetPoint(f"lattice point {pt} lies on no edge")
-    return LaurentPoly(_default_names(p.ambient_dim), terms)
-
-
-# ---------------------------------------------------------------------------
-# Minkowski polynomials
-
-
 def _cross(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
@@ -93,54 +62,11 @@ Summand = Tuple[Tuple[int, int], ...]
 Edges = Tuple[Tuple[Tuple[int, int], int], ...]
 
 
-def _a_type_edges(s: Sequence) -> Optional[Edges]:
-    """The edges of s as (primitive step, lattice length), counterclockwise
-    from s[0], when s is the sorted vertex tuple of an A-type polygon in
-    Z^2; else None.
-
-    A unit segment has one edge each way. A triangle is A-type when its
-    edge lengths are (1, 1, n) and twice its area is n: a taller triangle
-    with those edge lengths has interior lattice points.
-    """
-    if len(s) not in (2, 3) or any(
-            len(v) != 2 or type(v[0]) is not int or type(v[1]) is not int
-            for v in s) or any(a >= b for a, b in zip(s, s[1:])):
-        return None
-    if len(s) == 3 and _cross(_sub(s[1], s[0]), _sub(s[2], s[0])) < 0:
-        s = (s[0], s[2], s[1])
-    sides = [_sub(b, a) for a, b in zip(s, (*s[1:], s[0]))]
-    lens = [gcd(*d) for d in sides]
-    if sorted(lens)[:2] != [1, 1] or \
-            len(s) == 3 and _cross(sides[0], sides[1]) != max(lens):
-        return None
-    return tuple(((d[0] // n, d[1] // n), n) for d, n in zip(sides, lens))
-
-
-def is_An_polygon(q: Polytope) -> Optional[int]:
-    """n when q is an A-type polygon in Z^2: a unit segment gives 0, a
-    triangle of height one over an edge of length n gives n, anything else
-    None."""
-    e = _a_type_edges(q.vertices)
-    if e is None:
-        return None
-    return 0 if len(e) == 2 else max(n for _, n in e)
-
-
 def _a_type_terms(s: Summand) -> Dict[Tuple[int, ...], int]:
     return _edge_binomials(itertools.combinations(s, 2))
 
 
-def a_type_polynomial(q: Polytope, variables: Sequence[str] = ("x", "y")
-                      ) -> LaurentPoly:
-    """Binomial placement on a single A-type polygon: 1 at the apex and
-    the endpoints, C(n, k) along the long edge."""
-    if is_An_polygon(q) is None:
-        raise BadCertificate(f"summand {q!r} is not an A-type polygon")
-    return LaurentPoly(tuple(variables), _a_type_terms(q.vertices))
-
-
-@dataclass(frozen=True)
-class FacetDecomposition:
+class FacetDecomposition(NamedTuple):
     """A-type summands of one facet, written in that facet's chart.
 
     Each summand is the sorted vertex tuple of a unit segment or an A-type
@@ -151,8 +77,7 @@ class FacetDecomposition:
     summands: Tuple[Summand, ...]
 
 
-@dataclass(frozen=True)
-class MinkowskiCertificate:
+class MinkowskiCertificate(NamedTuple):
     """Per-facet admissible decompositions witnessing Minkowski type."""
 
     facets: Tuple[FacetDecomposition, ...]
@@ -163,43 +88,6 @@ class MinkowskiCertificate:
                                           "vertices": [list(v) for v in s]}
                                          for s in fd.summands]}
                            for fd in self.facets]}
-
-    @classmethod
-    def from_json_dict(cls, data) -> "MinkowskiCertificate":
-        """The certificate of to_json_dict; a missing key, a normal that is
-        not a list of integers, or a summand that is no polytope of its
-        declared dimension, such as one with a bad coordinate, or whose
-        hull is no A-type polygon, is a BadCertificate naming the facet and
-        summand at fault."""
-        def field(obj, key, where):
-            if not isinstance(obj, dict) or key not in obj:
-                raise BadCertificate(f"{where}missing key {key!r}")
-            return obj[key]
-
-        facets = []
-        for i, fd in enumerate(field(data, "facets", "")):
-            normal = field(fd, "normal", f"facet {i}: ")
-            if type(normal) is not list or \
-                    any(type(x) is not int for x in normal):
-                raise BadCertificate(
-                    f"facet {i}: normal must be a list of integers, "
-                    f"got {normal!r}")
-            summands = []
-            for j, s in enumerate(field(fd, "summands", f"facet {i}: ")):
-                where = f"facet {i}, summand {j}: "
-                for key in ("vertices", "dim"):
-                    field(s, key, where)
-                try:
-                    q = Polytope.from_json_dict(s)
-                except (PolytopeError, TypeError, ValueError,
-                        ZeroDivisionError) as exc:
-                    raise BadCertificate(f"{where}{exc}") from exc
-                if _a_type_edges(q.vertices) is None:
-                    raise BadCertificate(
-                        f"{where}summand {q.vertices} is not an A-type polygon")
-                summands.append(q.vertices)
-            facets.append(FacetDecomposition(tuple(normal), tuple(summands)))
-        return cls(tuple(facets))
 
 
 def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
@@ -257,37 +145,6 @@ def _facet_polygons(p: Polytope, points: Sequence[Tuple[int, ...]]):
         facet = Polytope._full([chart[p.vertices[i]] for i in on], sides)
         yield (normal, base, basis, chart, facet.vertices[0],
                {step: n for _, step, n in polygon_edges(facet)})
-
-
-def minkowski_polynomial(p: Polytope, cert: MinkowskiCertificate) -> LaurentPoly:
-    """Assemble the Laurent polynomial whose facet restrictions are the
-    certified products of A-type binomial polynomials."""
-    if p.ambient_dim != 3 or not is_reflexive(p) or not p.is_lattice():
-        raise ValueError("Minkowski polynomials live on reflexive 3-polytopes")
-    by_normal = {fd.normal: fd.summands for fd in cert.facets}
-    if len(by_normal) != len(cert.facets) or \
-            set(by_normal) != {n for n, _ in p.facets}:
-        raise BadCertificate("certificate facets do not match the polytope")
-    terms: Dict[Tuple[int, ...], int] = {}
-    for normal, base, basis, _, first, budget in _facet_polygons(p, p.vertices):
-        summands = by_normal[normal]
-        edged = []
-        for s in summands:
-            e = _a_type_edges(s)
-            if e is None:
-                raise BadCertificate(f"summand {s!r} is not an A-type polygon")
-            edged.append((s[0], e))
-        _check_facet_decomposition(budget, first, edged)
-        product = prod((LaurentPoly(("x", "y"), _a_type_terms(s))
-                        for s in summands),
-                       start=LaurentPoly.constant(1, ("x", "y")))
-        for e, c in product.terms():
-            ambient = tuple(base[j] + sum(ck * basis[k][j] for k, ck in enumerate(e))
-                            for j in range(3))
-            if terms.setdefault(ambient, c) != c:
-                raise BadCertificate(
-                    f"facets disagree on the coefficient at {ambient}")
-    return LaurentPoly(_default_names(3), terms)
 
 
 def _candidate_summands(budget: Dict[Tuple[int, int], int]

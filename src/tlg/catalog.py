@@ -1,9 +1,10 @@
 """Bundled Laurent models with a batch verification harness.
 
 Each entry stores an explicit Laurent polynomial, optionally also as a
-product of factors (which loading checks against the polynomial, and
-which the period engine checks again, multiplies one at a time and hulls
-the Newton polytope from), together with optional
+product of factors (which loading checks against the polynomial with
+`series.multiplies_out`, on packed keys and with no Laurent arithmetic,
+and which the period engine checks the same way, multiplies one at a time
+and hulls the Newton polytope from), together with optional
 anchors: a generator (weighted complete intersection, Grassmannian or toric
 curve-class data) whose closed-form series the period must reproduce, or a
 frozen series prefix for entries with no generating formula. An entry with
@@ -15,17 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .builders import check_minkowski
 from .laurent import LaurentPoly
 from .polytope import (OriginNotInterior, dual, is_reflexive, newton_polytope,
                        normalized_volume)
 from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
-                     iseries_grassmannian, iseries_toric, phi)
+                     iseries_grassmannian, iseries_toric, multiplies_out, phi)
 
 
 class ParseError(ValueError):
@@ -39,8 +39,7 @@ class ParseError(ValueError):
 Generator = Union[WciSpec, GrassSpec, ToricCurveClassData]
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     id: str
     description: str
     laurent: LaurentPoly
@@ -202,10 +201,7 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
                              f"a factor is missing {exc}") from exc
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{location} field factors", str(exc)) from exc
-        product = LaurentPoly.constant(1, laurent.variables)
-        for factor, power in factors:
-            product = product * factor ** power
-        if not factors or product != laurent:
+        if not factors or not multiplies_out(laurent, factors):
             raise ParseError(f"{location} field factors",
                              "the product of the factors is not laurent")
     return CatalogEntry(
@@ -259,8 +255,7 @@ def save(entries: Sequence[CatalogEntry], path) -> None:
     Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
-@dataclass(frozen=True)
-class EntryReport:
+class EntryReport(NamedTuple):
     id: str
     anchored: str
     passed: bool
@@ -274,10 +269,7 @@ class EntryReport:
     messages: Tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("id", "anchored", "passed", "period_ok", "compared_order",
-                 "first_mismatch", "reflexive", "degree_ok", "polytope_ok",
-                 "minkowski_ok")} | {"messages": list(self.messages)}
+        return self._asdict() | {"messages": list(self.messages)}
 
 
 def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
@@ -360,8 +352,7 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
         minkowski_ok=minkowski_ok, messages=tuple(messages))
 
 
-@dataclass(frozen=True)
-class CatalogSummary:
+class CatalogSummary(NamedTuple):
     reports: Tuple[EntryReport, ...]
 
     @property

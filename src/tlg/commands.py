@@ -7,9 +7,10 @@ input files. Each command registers with `tlg.cli._command` when this
 module is imported, and `tlg.cli.main` imports it only to run one of these
 commands or to print the whole command tree, so a `catalog verify` process
 compiles none of it. Each command imports the modules it alone runs
-(grassmann, hodge, lattice, mutation, picard_fuchs, wci, delpezzo) inside
-itself. A command returns its result, as a JSON payload and as the lines
-of its text form, and `tlg.cli.main` prints the one --output asks for.
+(grassmann, hodge, lattice, minkowski, mutation, picard_fuchs, wci,
+delpezzo) inside itself. A command returns its result, as a JSON payload
+and as the lines of its text form, and `tlg.cli.main` prints the one
+--output asks for.
 
 Malformed input is a ParseError located at the input file, and a request
 that parses but cannot be served is a UsageError; `tlg.cli.main` turns
@@ -25,7 +26,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from . import catalog as _catalog
-from .builders import binomial_principle, check_minkowski
+from .builders import check_minkowski
 from .cli import UsageError, _command, _opt
 from .intlinalg import inverse_rational
 from .laurent import LaurentPoly
@@ -175,6 +176,10 @@ def _existing_file(value: str) -> str:
     return value
 
 
+def _auto_or_existing_file(value: str) -> str:
+    return value if value == "auto" else _existing_file(value)
+
+
 def _name_list(value: Optional[str]) -> Optional[Tuple[str, ...]]:
     if not value:
         return None
@@ -272,7 +277,7 @@ def verify_cmd(input_path, against, order):
 
 @_command("build wci",
           _opt("--weights", type=_int_list, required=True), _DEGREES,
-          _opt("--partition", default="auto",
+          _opt("--partition", default="auto", type=_auto_or_existing_file,
                help="'auto' (the default) picks the drop-largest "
                     "nef-partition; otherwise a JSON file with "
                     "{'classes': [[...], ...]}."),
@@ -364,6 +369,7 @@ def build_delpezzo_cmd(input_path, mode):
 @_command("build binomial", _INPUT)
 def build_binomial_cmd(input_path):
     """Coefficients from the binomial boundary rule on a polytope."""
+    from .minkowski import binomial_principle
     p = _polytope_from(_read_json(input_path), input_path)
     return _laurent(binomial_principle(p))
 

@@ -5,6 +5,11 @@ coefficients. Coefficients are plain ints whenever the value is integral and
 fractions.Fraction otherwise; arithmetic never leaves exact rationals.
 Iteration and serialization order terms lexicographically by exponent so all
 outputs are deterministic.
+
+`LaurentPoly.from_json_dict` reads a polynomial in one pass over its
+terms, with every check of the constructor, so loading the catalog
+validates each term once. Exact division, which only mutations need, is
+`mutation.divide_exact`.
 """
 
 from __future__ import annotations
@@ -129,13 +134,6 @@ class LaurentPoly:
 
     def exponents(self) -> Iterator[Exponent]:
         return iter(sorted(self._terms))
-
-    def support_box(self) -> Tuple[Tuple[int, int], ...]:
-        """Per-variable (min, max) exponent over all terms."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no support")
-        cols = list(zip(*self._terms))
-        return tuple((min(col), max(col)) for col in cols)
 
     # -- variable alignment ------------------------------------------------
 
@@ -285,12 +283,22 @@ class LaurentPoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
         """{"vars": [names], "terms": [{"e": [ints], "c": coefficient}]};
-        a malformed term raises a ValueError that gives its index."""
+        a malformed term raises a ValueError that gives its index.
+
+        One pass over the terms makes every check `__init__` makes, with
+        the same exception, and builds the polynomial with no second pass.
+        A term with coefficient 0 is dropped, but its exponent still counts
+        as taken."""
         vs, raw = data["vars"], data["terms"]
         if type(vs) is not list or any(type(v) is not str for v in vs):
             raise ValueError(f"vars must be a list of names, got {vs!r}")
         if type(raw) is not list:
             raise ValueError(f"terms must be a list, got {raw!r}")
+        vs = tuple(vs)
+        if len(set(vs)) != len(vs):
+            raise VariableMismatch(f"duplicate variable names in {vs}")
+        n = len(vs)
+        terms: Dict[Exponent, Coeff] = {}
         for i, t in enumerate(raw):
             if type(t) is not dict:
                 raise ValueError(f"terms[{i}]: a term must be an object, "
@@ -298,14 +306,15 @@ class LaurentPoly:
             for key in ("e", "c"):
                 if key not in t:
                     raise ValueError(f"terms[{i}]: missing key {key!r}")
-        # a JSON number with a fraction part is a float and true/false is a
-        # bool, so neither passes for an integer exponent
-        if any(type(t["e"]) is not list for t in raw) or \
-                any(type(x) is not int for t in raw for x in t["e"]):
-            raise TypeError("exponents must be lists of integers")
-        terms: Dict[Exponent, Coeff] = {}
-        for i, t in enumerate(raw):
-            e, c = tuple(t["e"]), t["c"]
+            e, c = t["e"], t["c"]
+            # a JSON number with a fraction part is a float and true/false
+            # is a bool, so neither passes for an integer exponent
+            if type(e) is not list or any(type(x) is not int for x in e):
+                raise TypeError("exponents must be lists of integers")
+            e = tuple(e)
+            if len(e) != n:
+                raise VariableMismatch(
+                    f"exponent {e} has length {len(e)}, expected {n}")
             if e in terms:
                 raise ValueError(f"terms[{i}]: exponent {list(e)} repeats")
             try:
@@ -313,7 +322,11 @@ class LaurentPoly:
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(
                     f"terms[{i}]: bad coefficient {c!r}: {exc}") from None
-        return cls(tuple(vs), terms)
+        p = object.__new__(cls)
+        p._vars = vs
+        p._terms = {e: c for e, c in terms.items() if c}
+        p._newton = None
+        return p
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._vars!r}, {len(self._terms)} terms)"
@@ -339,64 +352,3 @@ class LaurentPoly:
                 parts.append(str(c) + "*" + "*".join(factors))
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
-
-
-def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
-    return (sum(e), e)
-
-
-def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """The Laurent polynomial num / den, computed exactly.
-
-    Raises ZeroDivisionError when den is zero and NotLaurent when the
-    quotient is not a Laurent polynomial. The general case runs term-by-term
-    division in the graded lexicographic order; exponents of a true quotient
-    are confined per coordinate to [min(num) - min(den), max(num) - max(den)],
-    so any division step leaving that box proves the quotient does not
-    exist.
-    """
-    num, den = num._aligned(den)
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    vs = num.variables
-    if num.is_zero():
-        return num
-    if len(den._terms) == 1:
-        ((de, dc),) = den._terms.items()
-        out = {tuple(x - y for x, y in zip(e, de)): _norm(Fraction(c, dc))
-               for e, c in num._terms.items()}
-        return LaurentPoly._raw(vs, out)
-
-    nbox = num.support_box()
-    dbox = den.support_box()
-    box = tuple((nlo - dlo, nhi - dhi) for (nlo, nhi), (dlo, dhi) in zip(nbox, dbox))
-    for lo, hi in box:
-        if lo > hi:
-            raise NotLaurent("support of numerator too thin for the denominator")
-    budget = 1
-    for lo, hi in box:
-        budget *= hi - lo + 1
-
-    dlead = max(den._terms, key=_grlex_key)
-    dlc = den._terms[dlead]
-    rem = dict(num._terms)
-    quo: Dict[Exponent, Coeff] = {}
-    while rem:
-        rlead = max(rem, key=_grlex_key)
-        te = tuple(x - y for x, y in zip(rlead, dlead))
-        if any(not (lo <= x <= hi) for x, (lo, hi) in zip(te, box)):
-            raise NotLaurent("quotient support escapes its bounding box")
-        if budget <= 0:
-            raise NotLaurent("division does not terminate inside the bounding box")
-        budget -= 1
-        tc = _norm(Fraction(rem[rlead], dlc))
-        quo[te] = tc
-        for e, c in den._terms.items():
-            key = tuple(x + y for x, y in zip(te, e))
-            s = rem.get(key, 0) - tc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return LaurentPoly._raw(vs, quo)
-

@@ -10,6 +10,11 @@ ambient coordinates: a slice's vertices are the polytope's vertices at that
 height and the crossings of its edges, and the difference is read from the
 candidates v - mq (v a slice vertex, q a vertex of F) whose translate of mF
 stays inside the polytope.
+
+Clearing the denominator of a mutated polynomial is one exact Laurent
+division, `divide_exact`, which lives here, beside its only caller. A
+power or a direction that is not an int, a bool included, is a
+TypeError, as a non-integer exponent is in `tlg.laurent`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Mapping, Tuple, Union
 
-from .laurent import LaurentPoly, divide_exact
+from .laurent import Coeff, Exponent, LaurentPoly, NotLaurent, _norm
 from .polytope import (DimensionMismatch, NotFullDimensional, Polytope, _dot,
                        edges)
 
@@ -45,13 +50,75 @@ def _rule_power(rule: ExponentRule, k: int) -> int:
     if not callable(rule) and k not in rule:
         raise ValueError(f"exponent rule gives no power for slice {k}")
     power = rule(k) if callable(rule) else rule[k]
-    if type(power) is bool:
-        raise TypeError(f"exponent rule gives the bool {power!r} for slice "
-                        f"{k}, not a power")
-    if not isinstance(power, int):
-        raise ValueError(f"exponent rule gives the non-integer power "
-                         f"{power!r} for slice {k}")
+    if type(power) is not int:  # a bool too, which is no power
+        raise TypeError(f"exponent rule gives the non-integer power "
+                        f"{power!r} for slice {k}")
     return power
+
+
+def _grlex_key(e: Exponent) -> Tuple[int, Exponent]:
+    return (sum(e), e)
+
+
+def _support_box(p: LaurentPoly) -> Tuple[Tuple[int, int], ...]:
+    """Per-variable (min, max) exponent over the terms of a nonzero p."""
+    return tuple((min(col), max(col)) for col in zip(*p.exponents()))
+
+
+def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """The Laurent polynomial num / den, computed exactly.
+
+    Raises ZeroDivisionError when den is zero and NotLaurent when the
+    quotient is not a Laurent polynomial. The general case runs term-by-term
+    division in the graded lexicographic order; exponents of a true quotient
+    are confined per coordinate to [min(num) - min(den), max(num) - max(den)],
+    so any division step leaving that box proves the quotient does not
+    exist.
+    """
+    num, den = num._aligned(den)
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    vs = num.variables
+    if num.is_zero():
+        return num
+    if len(den) == 1:
+        ((de, dc),) = den.terms()
+        out = {tuple(x - y for x, y in zip(e, de)): _norm(Fraction(c, dc))
+               for e, c in num.terms()}
+        return LaurentPoly._raw(vs, out)
+
+    box = tuple((nlo - dlo, nhi - dhi) for (nlo, nhi), (dlo, dhi)
+                in zip(_support_box(num), _support_box(den)))
+    for lo, hi in box:
+        if lo > hi:
+            raise NotLaurent("support of numerator too thin for the denominator")
+    budget = 1
+    for lo, hi in box:
+        budget *= hi - lo + 1
+
+    den_terms = dict(den.terms())
+    dlead = max(den_terms, key=_grlex_key)
+    dlc = den_terms[dlead]
+    rem: Dict[Exponent, Coeff] = dict(num.terms())
+    quo: Dict[Exponent, Coeff] = {}
+    while rem:
+        rlead = max(rem, key=_grlex_key)
+        te = tuple(x - y for x, y in zip(rlead, dlead))
+        if any(not (lo <= x <= hi) for x, (lo, hi) in zip(te, box)):
+            raise NotLaurent("quotient support escapes its bounding box")
+        if budget <= 0:
+            raise NotLaurent("division does not terminate inside the bounding box")
+        budget -= 1
+        tc = _norm(Fraction(rem[rlead], dlc))
+        quo[te] = tc
+        for e, c in den_terms.items():
+            key = tuple(x + y for x, y in zip(te, e))
+            s = rem.get(key, 0) - tc * c
+            if s:
+                rem[key] = s
+            else:
+                rem.pop(key, None)
+    return LaurentPoly._raw(vs, quo)
 
 
 def elementary_mutation(f: LaurentPoly, pivot: str, factor: LaurentPoly,
@@ -125,9 +192,9 @@ def polytope_mutation_effect(p: Polytope, data: MutationData) -> Polytope:
     if len(w) != p.ambient_dim or data.factor.ambient_dim != p.ambient_dim:
         raise DimensionMismatch(
             f"direction and factor must lie in Z^{p.ambient_dim}")
-    if any(type(x) is bool for x in w):
-        raise TypeError(f"direction {w} must be integers, not bools")
-    if not all(isinstance(x, int) for x in w) or not any(w):
+    if any(type(x) is not int for x in w):  # a bool too
+        raise TypeError(f"direction {w} must be integers")
+    if not any(w):
         raise ValueError(f"direction {w} must be a nonzero integer vector")
     if any(_dot(w, q) != 0 for q in f_verts):
         raise ValueError("factor polytope must lie in the kernel of the direction")

@@ -23,8 +23,10 @@ costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
 (x+y+z+1)^6/(xyz), six steps of 4 terms instead of one of 84. Only
 f^(a-1), the partial product and the next one are held at a time; f^1
 is f itself, packed once. An unfactored f is the one-step chain (f, 1).
-The product of the steps is checked against f before anything else is
-built from the factors.
+Before anything else is built from the factors, `_is_product` checks
+that the packed steps multiply out to f; loading the catalog runs the
+same check, through `multiplies_out`, on keys of a radix that covers the
+factors alone.
 
 Each finished power is pruned. Let Delta be the Newton polytope of f in
 the period variables, with facets n.x + h >= 0. For a factored f, once
@@ -94,7 +96,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 from operator import mul
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
                       _coerce_coeff, _norm)
@@ -238,6 +240,41 @@ def _prune(power: dict, facets, budget: int, radix: int, dims: int) -> dict:
     return out
 
 
+def _reach(p: LaurentPoly) -> int:
+    """The largest |exponent entry| of p, 0 for a constant or zero."""
+    return max((abs(x) for e in p.exponents() for x in e), default=0)
+
+
+def _is_product(steps: Iterable[list], f: list) -> bool:
+    """Whether the packed steps multiply out to the packed f. Both callers
+    pack with a radix that keeps one key per exponent in every partial
+    product and in f, so the answer is exact."""
+    product = {0: 1}
+    for step in steps:
+        product = _times(product, step)
+    return product == dict(f)
+
+
+def multiplies_out(f: LaurentPoly, factors: Sequence[Tuple[LaurentPoly, int]]
+                   ) -> bool:
+    """Whether f is the product of L^m over the pairs (L, m) of factors,
+    Laurent polynomials in the variables of f and powers m >= 1.
+
+    The product is taken on packed keys, each L packed once and multiplied
+    in m times, with no Laurent arithmetic. Every partial product, and f,
+    has each exponent entry within K = max(|f|, sum of m |L|), so the
+    radix 2K + 1 keeps one key per exponent and the comparison is exact.
+    """
+    radix = 2 * max(_reach(f), sum(m * _reach(L) for L, m in factors)) + 1
+    weights = [radix ** d for d in range(len(f.variables))]
+
+    def pack(p: LaurentPoly) -> list:
+        return [(sum(map(mul, e, weights)), c) for e, c in p.terms()]
+
+    return _is_product((step for L, m in factors for step in [pack(L)] * m),
+                       pack(f))
+
+
 def _check_order(order) -> None:
     """Refuse an order that is not an int >= 1, bool included."""
     if type(order) is not int:
@@ -318,13 +355,10 @@ def phi_coefficients(f: LaurentPoly, order: int,
     positions = [vs.index(v) for v in period + rest]
     steps = _chain(f, ((f, 1),) if factors is None else factors)
 
-    def reach(p: LaurentPoly) -> int:
-        return max((abs(x) for e in p.exponents() for x in e), default=0)
-
     n = order - 1
     half = n // 2
-    top = reach(f)
-    radix = 2 * max(n * top, half * top + sum(map(reach, steps))) + 1
+    top = _reach(f)
+    radix = 2 * max(n * top, half * top + sum(map(_reach, steps))) + 1
     weights = [radix ** d for d in range(len(positions))]
 
     def pack(p: LaurentPoly) -> list:
@@ -340,8 +374,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
             power = _times(power, step)
         return power
 
-    if factors is not None and \
-            _times(partial({0: 1}), steps[-1]) != dict(packed):
+    if factors is not None and not _is_product(steps, packed):
         raise ValueError("the factors do not multiply out to f")
     facets = _period_facets(f, positions, len(period), factors)
     # the parameter digits sit above the period digits: a key splits into
@@ -626,8 +659,7 @@ def iseries_toric(data: ToricCurveClassData, order: int) -> PowerSeries:
     return PowerSeries(coeffs, warnings)
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Outcome of comparing a period with a target series."""
 
     match: bool

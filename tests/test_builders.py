@@ -9,16 +9,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import builders, catalog, delpezzo, polytope
+from tlg import builders, catalog, delpezzo, minkowski, polytope
 from tlg.cli import main
 from tlg.builders import (BadCertificate, FacetDecomposition,
-                          InteriorFacetPoint, MinkowskiCertificate,
-                          a_type_polynomial, binomial_principle,
-                          check_minkowski, is_An_polygon,
-                          minkowski_polynomial)
+                          MinkowskiCertificate, check_minkowski)
 from tlg.delpezzo import (BadBase, DelPezzoScript, EdgesDisagree,
                           PointInsideHull, del_pezzo_model)
 from tlg.laurent import LaurentPoly
+from tlg.minkowski import (InteriorFacetPoint, a_type_polynomial,
+                           binomial_principle, certificate_from_json_dict,
+                           is_An_polygon, minkowski_polynomial)
 from tlg.polytope import (Polytope, dual, is_reflexive, lattice_chart,
                           lattice_points, newton_polytope, polygon_edges)
 from tlg.series import WciSpec, phi_coefficients
@@ -207,8 +207,8 @@ def _counting_hulls(monkeypatch):
 def _refusing_lattice_points(monkeypatch):
     def refuse(*args):
         raise AssertionError("lattice_points called")
-    for module in (builders, polytope):
-        monkeypatch.setattr(module, "lattice_points", refuse)
+    for module in (builders, minkowski, polytope):
+        monkeypatch.setattr(module, "lattice_points", refuse, raising=False)
 
 
 def test_check_minkowski_builds_no_hull_per_minkowski_sum(monkeypatch):
@@ -308,7 +308,7 @@ def _assert_candidates_match_their_hulls(budget):
             d = (verts[1][0] - verts[0][0], verts[1][1] - verts[0][1])
             assert gcd(*d) == 1
             assert edges_of_s == ((d, 1), ((-d[0], -d[1]), 1))
-        assert builders._a_type_edges(verts) == edges_of_s
+        assert minkowski._a_type_edges(verts) == edges_of_s
         assert poly == a_type_polynomial(q)
         assert all(budget[step] >= n for step, n in edges_of_s)
 
@@ -425,7 +425,7 @@ def test_candidate_summands_of_a_polygon_match_their_hulls(q):
     a_type = len(q.vertices) == 3 and \
         sorted(n for _, n in edges_of_q)[:2] == [1, 1] and \
         not lattice_points(q, "interior")
-    assert builders._a_type_edges(q.vertices) == \
+    assert minkowski._a_type_edges(q.vertices) == \
         (edges_of_q if a_type else None)
 
 
@@ -526,7 +526,7 @@ def test_minkowski_certificate_missing_keys_are_bad_certificates(path, key,
         holder = holder[step]
     del holder[key]
     with pytest.raises(BadCertificate) as exc:
-        MinkowskiCertificate.from_json_dict(data)
+        certificate_from_json_dict(data)
     assert str(exc.value) == message
 
 
@@ -540,7 +540,7 @@ def test_minkowski_certificate_summand_that_is_no_polytope_is_bad(
     data = check_minkowski(_p3_model()).to_json_dict()
     data["facets"][1]["summands"][0][key] = value
     with pytest.raises(BadCertificate) as exc:
-        MinkowskiCertificate.from_json_dict(data)
+        certificate_from_json_dict(data)
     assert str(exc.value) == f"facet 1, summand 0: {message}"
 
 
@@ -550,7 +550,7 @@ def test_minkowski_certificate_summand_that_is_not_a_type_is_bad():
     data["facets"][1]["summands"][0]["vertices"] = \
         [[0, 0], [1, 0], [0, 1], [1, 1], [0, 0]]
     with pytest.raises(BadCertificate) as exc:
-        MinkowskiCertificate.from_json_dict(data)
+        certificate_from_json_dict(data)
     assert str(exc.value) == ("facet 1, summand 0: summand ((0, 0), (0, 1), "
                               "(1, 0), (1, 1)) is not an A-type polygon")
 
@@ -560,7 +560,7 @@ def test_minkowski_certificate_normal_holding_a_list_is_bad():
     data = check_minkowski(_p3_model()).to_json_dict()
     data["facets"][2]["normal"] = [[1], 0, 0]
     with pytest.raises(BadCertificate) as exc:
-        MinkowskiCertificate.from_json_dict(data)
+        certificate_from_json_dict(data)
     assert str(exc.value) == \
         "facet 2: normal must be a list of integers, got [[1], 0, 0]"
 
@@ -568,7 +568,7 @@ def test_minkowski_certificate_normal_holding_a_list_is_bad():
 def test_minkowski_certificate_json_round_trip():
     f = _p3_model()
     cert = check_minkowski(f)
-    again = MinkowskiCertificate.from_json_dict(cert.to_json_dict())
+    again = certificate_from_json_dict(cert.to_json_dict())
     assert again == cert
     assert minkowski_polynomial(newton_polytope(f), again) == f
 

@@ -704,10 +704,14 @@ def test_build_grass_explain_json_is_byte_identical(capsys, argv, blocks,
     ["catalog", "verify", "--id", "1-1", "--jobs", "-3"],
     ["minkowski", "check", "--input", "MODEL", "--max-summands", "0"],
     ["minkowski", "check", "--input", "MODEL", "--max-summands", "-1"],
+    # a missing partition file exited 1 with a FileNotFoundError
+    ["build", "wci", "--weights", "1,1,1,1", "--degrees", "1",
+     "--partition", "no-such-file.json"],
 ], ids=["missing-input-file", "bad-output-choice", "unknown-id",
         "lattice-without-input", "bad-int-list", "group-only",
         "removed-method-option", "zero-jobs", "negative-jobs",
-        "zero-max-summands", "negative-max-summands"])
+        "zero-max-summands", "negative-max-summands",
+        "missing-partition-file"])
 def test_more_usage_errors_exit_two(model, tmp_path, monkeypatch, capsys,
                                     argv):
     monkeypatch.chdir(tmp_path)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tlg.laurent import (LaurentPoly, NotLaurent, _coerce_coeff, _norm,
-                         divide_exact)
+from tlg.laurent import (LaurentPoly, NotLaurent, VariableMismatch,
+                         _coerce_coeff, _norm)
+from tlg.mutation import divide_exact
 
 V = ("x", "y")
 x = LaurentPoly.variable("x", V)
@@ -138,6 +139,54 @@ def test_json_round_trip():
     assert data["vars"] == ["x", "y"]
     assert all(isinstance(t["c"], str) for t in data["terms"])
     assert LaurentPoly.from_json_dict(data) == f
+
+
+def test_from_json_dict_builds_with_no_constructor_call(monkeypatch):
+    # one pass checks every term; the constructor checked them all again
+    f = Fraction(3, 2) * x ** -2 * y + 7 * x - y ** 5
+    data = f.to_json_dict()
+
+    def refuse(*args):
+        raise AssertionError("LaurentPoly.__init__ called")
+    monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+    got = LaurentPoly.from_json_dict(data)
+    assert got.variables == ("x", "y")
+    assert list(got.terms()) == list(f.terms())
+
+
+def _json_terms(*terms):
+    return [{"e": e, "c": c} for e, c in terms]
+
+
+@pytest.mark.parametrize("variables, terms, outcome", [
+    (["x", "y"], _json_terms(([1, 0], "1"), ([1], "1")),
+     (VariableMismatch, "exponent (1,) has length 1, expected 2")),
+    (["x", "x"], _json_terms(([1, 0], "1")),
+     (VariableMismatch, "duplicate variable names in ('x', 'x')")),
+    (["x"], _json_terms(([0], "1"), ([1.0], "1")),
+     (TypeError, "exponents must be lists of integers")),
+    (["x"], _json_terms(([0], "1"), ([False], "1")),
+     (TypeError, "exponents must be lists of integers")),
+    # a term with coefficient 0 is dropped but still takes its exponent
+    (["x"], _json_terms(([1], "0"), ([1], "2")),
+     (ValueError, "terms[1]: exponent [1] repeats")),
+    (["x"], _json_terms(([0], "1"), ([1], "x")),
+     (ValueError, "terms[1]: bad coefficient 'x': Invalid literal for "
+                  "Fraction: 'x'")),
+    (["x", "y"], _json_terms(([1, 0], "0"), ([0, 1], "-2/4"), ([-1, 0], 0)),
+     [((0, 1), Fraction(-1, 2))]),
+], ids=["exponent-length", "duplicate-names", "float-exponent",
+        "bool-exponent", "zero-then-repeat", "bad-coefficient",
+        "zeros-dropped"])
+def test_from_json_dict_checks_every_term_once(variables, terms, outcome):
+    data = {"vars": variables, "terms": terms}
+    if isinstance(outcome, list):
+        assert list(LaurentPoly.from_json_dict(data).terms()) == outcome
+        return
+    error, message = outcome
+    with pytest.raises(error) as info:
+        LaurentPoly.from_json_dict(data)
+    assert info.type is error and str(info.value) == message
 
 
 def test_terms_sorted_deterministically():

@@ -280,7 +280,7 @@ def test_polytope_mutation_rejects_a_factor_in_another_dimension():
 
 
 def test_polytope_mutation_rejects_a_non_integer_direction():
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(TypeError, match="integer"):
         polytope_mutation_effect(SIMPLEX3, MutationData(
             (0, 0.5, 1), Polytope([(0, 0, 0)])))
 
@@ -291,9 +291,9 @@ def test_exponent_rule_rejects_a_non_integer_power():
     square = Polytope([(0, 0), (1, 0), (0, 1), (1, 1)])
     seg = Polytope([(0, 0), (1, 0)])
     for rule in (lambda k: 0.7 * k if k else 0, {0: 0, 1: 0.5}):
-        with pytest.raises(ValueError, match="slice 1"):
+        with pytest.raises(TypeError, match="slice 1"):
             elementary_mutation(y + x * y + 1, "y", 1 + x, exponent_rule=rule)
-        with pytest.raises(ValueError, match="slice 1"):
+        with pytest.raises(TypeError, match="slice 1"):
             polytope_mutation_effect(square, MutationData((0, 1), seg, rule))
 
 

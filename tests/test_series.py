@@ -13,8 +13,8 @@ from tlg.polytope import Polytope, _newton_of_product, newton_polytope
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree, PowerSeries,
                         ToricCurveClassData, WciSpec, _pairing, _times,
                         iseries_grassmannian, iseries_toric,
-                        iseries_toric_parametrized, phi, phi_coefficients,
-                        verify_period)
+                        iseries_toric_parametrized, multiplies_out, phi,
+                        phi_coefficients, verify_period)
 
 V3 = ("x", "y", "z")
 x3, y3, z3 = (LaurentPoly.variable(n, V3) for n in V3)
@@ -525,6 +525,42 @@ def test_pairing_is_the_sum_over_keys(a, b, target):
     assert _pairing(a, a, target) == want(a, a)
     assert _pairing(a, dict(a), target) == want(a, a)
     assert _pairing(a, b, target) == want(a, b)
+
+
+@st.composite
+def _product_claims(draw):
+    """Factors as in _factor_cases and a claimed product: their product,
+    or it plus c x^e, e either an exponent of the product or a point with
+    every entry at +-K, K = sum of m |L|, the edge of the digits the radix
+    2K + 1 packs."""
+    factors, _, _ = draw(_factor_cases())
+    vs = factors[0][0].variables
+    f = _expand(factors, vs)
+    if draw(st.booleans()):
+        return factors, f
+    bound = sum(m * max((abs(a) for e in L.exponents() for a in e),
+                        default=0) for L, m in factors)
+    edge = st.tuples(*[st.sampled_from((-bound, bound))] * len(vs))
+    e = draw(st.one_of(edge, st.sampled_from(list(f.exponents())))
+             if len(f) else edge)
+    c = draw(st.integers(-2, 2).filter(bool))
+    return factors, f + LaurentPoly.monomial(vs, e, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_claims())
+# monomial factors, a power above 1 and negative exponents: x^-6 y^3
+@example(([(x2 ** -2 * y2, 3)], x2 ** -6 * y2 ** 3))
+# the conjugate terms cancel; x^2 - y^2 is the product, x^2 + y^2 not
+@example(([(x2 + y2, 1), (x2 - y2, 1)], x2 ** 2 - y2 ** 2))
+@example(([(x2 + y2, 1), (x2 - y2, 1)], x2 ** 2 + y2 ** 2))
+# K = 3: with the radix 2K - 1 = 5, x^-2 y would take the key 3 of x^3
+@example(([(x2, 3)], x2 ** -2 * y2))
+@example(([(x2, 3)], x2 ** 3))
+def test_multiplies_out_is_laurent_product_equality(case):
+    factors, f = case
+    vs = factors[0][0].variables
+    assert multiplies_out(f, factors) == (_expand(factors, vs) == f)
 
 
 def test_factors_that_miss_f_raise():

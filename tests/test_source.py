@@ -127,7 +127,37 @@ def test_catalog_verify_compiles_and_registers_only_the_catalog_group():
     registered, built, loaded = out.splitlines()
     assert registered == "['catalog list', 'catalog verify']"
     assert built == "['catalog verify', 'catalog list'] 1"
-    assert not {"tlg.commands", "tlg.delpezzo", "tlg.wci"} & set(loaded.split())
+    assert not {"tlg.commands", "tlg.delpezzo", "tlg.minkowski",
+                "tlg.wci"} & set(loaded.split())
+
+
+def _is_dataclass(node) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        "dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+# the lines of the modules `import tlg.cli` loads: 3010 before supplied
+# certificates moved to tlg.minkowski and exact division to tlg.mutation;
+# raising it is a deliberate choice to compile more on every start
+COMMAND_LINE_LINES = 2842
+
+
+def test_importing_the_command_line_compiles_few_lines_and_dataclasses():
+    # a fresh `tlg` process compiles every line of these modules, and
+    # creating a frozen dataclass takes about 1 ms against 0.1 ms for a
+    # NamedTuple, so a record with no __post_init__ is a NamedTuple
+    out = _fresh_interpreter(
+        "import sys, tlg.cli\n"
+        "for name, m in sorted(sys.modules.items()):\n"
+        "    if name == 'tlg' or name.startswith('tlg.'):\n"
+        "        print(m.__file__)\n")
+    sources = [Path(p).read_text() for p in out.splitlines()]
+    dataclasses = [node.name for text in sources
+                   for node in ast.walk(ast.parse(text)) if _is_dataclass(node)]
+    assert len(sources) == 8
+    assert len(dataclasses) <= 4, dataclasses
+    assert sum(len(text.splitlines()) for text in sources) \
+        <= COMMAND_LINE_LINES
 
 
 ROOT_HELP = """\
