@@ -1,10 +1,10 @@
 """Bundled Laurent models with a batch verification harness.
 
 Each entry stores an explicit Laurent polynomial, optionally also as a
-product of factors (which loading checks against the polynomial with
-`series.multiplies_out`, on packed keys and with no Laurent arithmetic,
-and which the period engine checks the same way, multiplies one at a time
-and hulls the Newton polytope from), together with optional
+product of factors: loading checks them once, with `series.factored`, on
+packed keys and with no Laurent arithmetic, and the polynomial carries
+them, so the period engine multiplies by them one at a time and the
+Newton polytope is the hull of their sums. An entry has optional
 anchors: a generator (weighted complete intersection, Grassmannian or toric
 curve-class data) whose closed-form series the period must reproduce, or a
 frozen series prefix for entries with no generating formula. An entry with
@@ -25,7 +25,7 @@ from .laurent import LaurentPoly
 from .polytope import (OriginNotInterior, dual, is_reflexive, newton_polytope,
                        normalized_volume)
 from .series import (GrassSpec, PowerSeries, ToricCurveClassData, WciSpec,
-                     iseries_grassmannian, iseries_toric, multiplies_out, phi)
+                     factored, iseries_grassmannian, iseries_toric, phi)
 
 
 class ParseError(ValueError):
@@ -50,7 +50,6 @@ class CatalogEntry(NamedTuple):
     degree: Optional[int] = None
     index: Optional[int] = None
     rho: Optional[int] = None
-    factors: Optional[Tuple[Tuple[LaurentPoly, int], ...]] = None
 
     @property
     def anchored(self) -> str:
@@ -136,26 +135,15 @@ def generator_from_json(data, location: str,
     raise ParseError(location, f"unknown generator kind {kind!r}")
 
 
-def _factor(data, variables: Tuple[str, ...]) -> Tuple[LaurentPoly, int]:
-    factor = LaurentPoly.from_json_dict(data["laurent"])
-    power = _int(data["power"], "power")
-    if power < 1:
-        raise ValueError(f"power must be at least 1, got {power}")
-    if factor.variables != variables:
-        raise ValueError(f"factor variables {factor.variables} are not "
-                         f"those of laurent, {variables}")
-    return factor, power
-
-
 def entry_to_json_dict(e: CatalogEntry) -> dict:
     out = {
         "id": e.id,
         "description": e.description,
         "laurent": e.laurent.to_json_dict(),
     }
-    if e.factors is not None:
+    if e.laurent.factors is not None:
         out["factors"] = [{"laurent": f.to_json_dict(), "power": m}
-                          for f, m in e.factors]
+                          for f, m in e.laurent.factors]
     out |= {
         "generator": _generator_to_json(e.generator),
         "expected_series_prefix": (None if e.expected_series_prefix is None
@@ -191,19 +179,16 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         laurent = LaurentPoly.from_json_dict(data["laurent"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{location} field laurent", str(exc)) from exc
-    factors = data.get("factors")
-    if factors is not None:
+    if data.get("factors") is not None:
         try:
-            factors = tuple(_factor(item, laurent.variables)
-                            for item in factors)
+            laurent = factored(laurent, [
+                (LaurentPoly.from_json_dict(item["laurent"]), item["power"])
+                for item in data["factors"]])
         except KeyError as exc:
             raise ParseError(f"{location} field factors",
                              f"a factor is missing {exc}") from exc
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{location} field factors", str(exc)) from exc
-        if not factors or not multiplies_out(laurent, factors):
-            raise ParseError(f"{location} field factors",
-                             "the product of the factors is not laurent")
     return CatalogEntry(
         id=field("id", _str),
         description=str(data.get("description", "")),
@@ -219,7 +204,6 @@ def entry_from_json_dict(data, location: str) -> CatalogEntry:
         degree=field("degree", _int, optional=True),
         index=field("index", _int, optional=True),
         rho=field("rho", _int, optional=True),
-        factors=factors,
     )
 
 
@@ -277,7 +261,7 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
     if order < 2:
         raise ValueError("verification order must be at least 2")
     messages: List[str] = []
-    period = phi(entry.laurent, order, factors=entry.factors)
+    period = phi(entry.laurent, order)
     target = entry.generator_series(order)
     compared = order
     if target is not None:
@@ -296,15 +280,12 @@ def verify_entry(entry: CatalogEntry, order: int) -> EntryReport:
     period_ok: Optional[bool] = None
     first_mismatch = None
     if target is not None:
-        period_ok = True
-        for i in range(compared):
-            if period.coeffs[i] != target.coeffs[i]:
-                period_ok = False
-                first_mismatch = i
-                messages.append(
-                    f"period coefficient {i}: expected {target.coeffs[i]}, "
-                    f"found {period.coeffs[i]}")
-                break
+        i = first_mismatch = period.first_mismatch(target)
+        period_ok = i is None
+        if not period_ok:
+            messages.append(
+                f"period coefficient {i}: expected {target.coeffs[i]}, "
+                f"found {period.coeffs[i]}")
 
     delta = newton_polytope(entry.laurent)
     try:

@@ -30,8 +30,8 @@ from .builders import check_minkowski
 from .cli import UsageError, _command, _opt
 from .intlinalg import inverse_rational
 from .laurent import LaurentPoly
-from .polytope import (Polytope, dual, is_reflexive, lattice_points,
-                       newton_polytope, normalized_volume,
+from .polytope import (Polytope, dual, is_reflexive, json_point,
+                       lattice_points, newton_polytope, normalized_volume,
                        unimodular_equivalent)
 from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
                      iseries_toric, phi, verify_period)
@@ -71,25 +71,22 @@ def _laurent_from(data, path: str) -> LaurentPoly:
         _field(data, key, path)
     try:
         return LaurentPoly.from_json_dict(data)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise _catalog.ParseError(path, str(exc)) from None
 
 
 def _points(raw, what: str, path: str) -> list:
-    """raw as a list of points with int or Fraction coordinates; a
-    coordinate is an integer or a rational string, and anything else, a
-    float or a bool included, is a ParseError located at path."""
+    """raw as a list of points, each read by `json_point`; a refusal is a
+    ParseError located at path."""
     if type(raw) is not list:
         raise _catalog.ParseError(
             path, f"{what} must be a list of points, got {raw!r}")
     out = []
     for i, p in enumerate(raw):
-        if type(p) is not list or any(type(x) not in (int, str) for x in p):
-            raise _catalog.ParseError(
-                path, f"{what}[{i}]: coordinates must be integers or "
-                      f"rational strings, got {p!r}")
         try:
-            out.append([Fraction(x) if type(x) is str else x for x in p])
+            out.append(json_point(p, f"{what}[{i}]"))
+        except TypeError as exc:
+            raise _catalog.ParseError(path, str(exc)) from None
         except (ValueError, ZeroDivisionError) as exc:
             raise _catalog.ParseError(path, f"{what}[{i}]: {exc}") from None
     return out
@@ -106,9 +103,8 @@ def _polytope_from(data, path: str) -> Polytope:
             if type(data["dim"]) is not int:
                 raise _catalog.ParseError(
                     path, f"dim must be an integer, got {data['dim']!r}")
-            return Polytope.from_json_dict(
-                dict(data, vertices=_points(data["vertices"], "vertices",
-                                            path)))
+            _points(data["vertices"], "vertices", path)  # located refusals
+            return Polytope.from_json_dict(data)
         for key in ("vertices", "points"):
             if key in data:
                 return Polytope(_points(data[key], key, path))

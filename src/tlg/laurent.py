@@ -56,11 +56,14 @@ def _coerce_coeff(c) -> Coeff:
 class LaurentPoly:
     """Immutable sparse Laurent polynomial over named variables.
 
-    ``_newton`` holds the Newton polytope once ``polytope.newton_polytope``
-    has built it; nothing else reads or writes it.
+    ``factors`` is None, or the pairs (L, m) whose product of L^m is this
+    polynomial, attached and checked by ``series.factored``; `phi`
+    multiplies by them and ``polytope.newton_polytope`` hulls their sums.
+    ``_newton`` holds the Newton polytope once ``newton_polytope`` has
+    built it; nothing else reads or writes it.
     """
 
-    __slots__ = ("_vars", "_terms", "_newton")
+    __slots__ = ("_vars", "_terms", "_newton", "factors")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[Exponent, Coeff]):
         vs = tuple(variables)
@@ -80,7 +83,7 @@ class LaurentPoly:
                 clean[e] = c
         self._vars = vs
         self._terms = clean
-        self._newton = None
+        self._newton = self.factors = None
 
     @classmethod
     def _raw(cls, vs: Tuple[str, ...], terms: Dict[Exponent, Coeff]) -> "LaurentPoly":
@@ -89,7 +92,7 @@ class LaurentPoly:
         p = object.__new__(cls)
         p._vars = vs
         p._terms = {e: _norm(c) for e, c in terms.items() if c}
-        p._newton = None
+        p._newton = p.factors = None
         return p
 
     @classmethod
@@ -283,7 +286,8 @@ class LaurentPoly:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LaurentPoly":
         """{"vars": [names], "terms": [{"e": [ints], "c": coefficient}]};
-        a malformed term raises a ValueError that gives its index.
+        a malformed term raises a ValueError, or a TypeError when its
+        exponent is not a list of integers, that gives its index.
 
         One pass over the terms makes every check `__init__` makes, with
         the same exception, and builds the polynomial with no second pass.
@@ -310,7 +314,8 @@ class LaurentPoly:
             # a JSON number with a fraction part is a float and true/false
             # is a bool, so neither passes for an integer exponent
             if type(e) is not list or any(type(x) is not int for x in e):
-                raise TypeError("exponents must be lists of integers")
+                raise TypeError(
+                    f"terms[{i}]: exponents must be lists of integers")
             e = tuple(e)
             if len(e) != n:
                 raise VariableMismatch(
@@ -322,11 +327,7 @@ class LaurentPoly:
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(
                     f"terms[{i}]: bad coefficient {c!r}: {exc}") from None
-        p = object.__new__(cls)
-        p._vars = vs
-        p._terms = {e: c for e, c in terms.items() if c}
-        p._newton = None
-        return p
+        return cls._raw(vs, terms)
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._vars!r}, {len(self._terms)} terms)"

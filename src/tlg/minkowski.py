@@ -97,9 +97,9 @@ def a_type_polynomial(q: Polytope, variables: Sequence[str] = ("x", "y")
 def certificate_from_json_dict(data) -> MinkowskiCertificate:
     """The certificate of `MinkowskiCertificate.to_json_dict`; a missing
     key, a normal that is not a list of integers, or a summand that is no
-    polytope of its declared dimension, such as one with a bad coordinate,
-    or whose hull is no A-type polygon, is a BadCertificate naming the
-    facet and summand at fault."""
+    polytope of its declared dimension, such as one with a coordinate that
+    is no integer or rational string, or whose hull is no A-type polygon,
+    is a BadCertificate naming the facet and summand at fault."""
     def field(obj, key, where):
         if not isinstance(obj, dict) or key not in obj:
             raise BadCertificate(f"{where}missing key {key!r}")

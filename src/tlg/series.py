@@ -16,31 +16,26 @@ f^p.
 
 Many models are products, f = prod of L_i^(m_i), the form of the
 Givental/Hori-Vafa and Przyjalkowski models of complete intersections
-(Przyjalkowski-Shramov, arXiv:1409.3729). Given such factors, f^a is built
-from f^(a-1) one factor step at a time: the chain multiplies by each L_i
-m_i times, with the monomial factors folded into the first step. A step
-costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
+(Przyjalkowski-Shramov, arXiv:1409.3729). `factored` checks such factors
+once, on packed keys, and returns f carrying them (`LaurentPoly.factors`);
+loading the catalog attaches them so. For an f that carries factors, f^a
+is built from f^(a-1) one factor step at a time: the chain multiplies by
+each L_i m_i times, with the monomial factors folded into the first step.
+A step costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
 (x+y+z+1)^6/(xyz), six steps of 4 terms instead of one of 84. Only
 f^(a-1), the partial product and the next one are held at a time; f^1
 is f itself, packed once. An unfactored f is the one-step chain (f, 1).
-Before anything else is built from the factors, `_is_product` checks
-that the packed steps multiply out to f; loading the catalog runs the
-same check, through `multiplies_out`, on keys of a radix that covers the
-factors alone.
 
 Each finished power is pruned. Let Delta be the Newton polytope of f in
-the period variables, with facets n.x + h >= 0. For a factored f, once
-the check has passed, Delta is the hull of the sums of m_i e_i with one
-exponent e_i of each L_i (Ostrowski: Newton(gh) = Newton(g) + Newton(h)),
-when there are fewer sums than exponents of f: 84 in place of 149 for
-the G(3,6) model G36-2111. A term of f^a at e meets only partners of
-degree b <= N - a: f^(a-1) or f^a in a pairing, f^p and one more f in
-the fold, or, carried into f^(a+1), the partners of that power. A
-partner's exponents lie in b Delta, so a term that reaches a constant
-term has -e in b Delta, and when the origin lies in Delta, b Delta lies
-in (N - a) Delta. So f^a keeps only the e in -(N - a) Delta,
-those with n.e <= (N - a) h for every facet, and no ct(f^j), j <= N,
-changes. Building f^(a+1) from the pruned f^a is exact on
+the period variables, with facets n.x + h >= 0 (for an f that carries
+factors, `newton_polytope` hulls their sums). A term of f^a at e meets
+only partners of degree b <= N - a: f^(a-1) or f^a in a pairing, f^p
+and one more f in the fold, or, carried into f^(a+1), the partners of
+that power. A partner's exponents lie in b Delta, so a term that
+reaches a constant term has -e in b Delta, and when the origin lies in
+Delta, b Delta lies in (N - a) Delta. So f^a keeps only the e in
+-(N - a) Delta, those with n.e <= (N - a) h for every facet, and no
+ct(f^j), j <= N, changes. Building f^(a+1) from the pruned f^a is exact on
 -(N - a - 1) Delta, the part it keeps, because -(N - a - 1) Delta - Delta
 = -(N - a) Delta. In the fold, Newton(f/L) + Newton(L) = Delta, so each
 f^p exponent of a vanishing sum lies in -(p + 1) Delta = -(N - p) Delta.
@@ -62,8 +57,8 @@ K = max(N |f|, p |f| + sum over the steps of |L|), with |g| the largest
 |exponent| of g, covers both; for an unfactored f it is N |f|. Since pack
 is a ring homomorphism the chain would be right even where keys
 collided, but covering every partial product keeps one key per exponent
-in every dict, so dict sizes are true term counts, the prune reads true
-digits, and the check that the steps multiply out to f is exact.
+in every dict, so dict sizes are true term counts and the prune reads
+true digits.
 The prune works on the keys: it splits off the lowest period digit and
 bounds it by an interval that depends on the other digits only, worked
 out once per row. Coefficients are ints or Fractions. A pairing matches
@@ -100,7 +95,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
                       _coerce_coeff, _norm)
-from .polytope import Polytope, _newton_of_product, newton_polytope
+from .polytope import Polytope, newton_polytope
 
 
 class NegativeAnticanonicalDegree(ValueError):
@@ -125,6 +120,13 @@ class PowerSeries:
         if order > self.order:
             raise ValueError(f"cannot extend order {self.order} to {order}")
         return PowerSeries(self.coeffs[:order], self.warnings)
+
+    def first_mismatch(self, other: "PowerSeries") -> Optional[int]:
+        """The first index at which the two series differ, up to the
+        lower of their orders; None when they agree there."""
+        return next((i for i, (a, b) in
+                     enumerate(zip(self.coeffs, other.coeffs)) if a != b),
+                    None)
 
     def to_json_dict(self) -> dict:
         return {"order": self.order,
@@ -245,34 +247,44 @@ def _reach(p: LaurentPoly) -> int:
     return max((abs(x) for e in p.exponents() for x in e), default=0)
 
 
-def _is_product(steps: Iterable[list], f: list) -> bool:
-    """Whether the packed steps multiply out to the packed f. Both callers
-    pack with a radix that keeps one key per exponent in every partial
-    product and in f, so the answer is exact."""
-    product = {0: 1}
-    for step in steps:
-        product = _times(product, step)
-    return product == dict(f)
+def factored(f: LaurentPoly, factors: Iterable[Tuple[LaurentPoly, int]]
+             ) -> LaurentPoly:
+    """f carrying factors, one or more pairs (L, m) of a Laurent polynomial
+    L in the variables of f and an int power m >= 1 whose product of L^m
+    is f. A bad pair, or a list that does not multiply out to f, raises a
+    ValueError; f itself is left as it is.
 
-
-def multiplies_out(f: LaurentPoly, factors: Sequence[Tuple[LaurentPoly, int]]
-                   ) -> bool:
-    """Whether f is the product of L^m over the pairs (L, m) of factors,
-    Laurent polynomials in the variables of f and powers m >= 1.
-
-    The product is taken on packed keys, each L packed once and multiplied
-    in m times, with no Laurent arithmetic. Every partial product, and f,
-    has each exponent entry within K = max(|f|, sum of m |L|), so the
-    radix 2K + 1 keeps one key per exponent and the comparison is exact.
+    The product is taken once, on packed keys, each L packed once and
+    multiplied in m times, with no Laurent arithmetic. Every partial
+    product, and f, has each exponent entry within K = max(|f|, sum of
+    m |L|), so the radix 2K + 1 keeps one key per exponent and the
+    comparison is exact.
     """
-    radix = 2 * max(_reach(f), sum(m * _reach(L) for L, m in factors)) + 1
+    pairs = tuple(factors)
+    if not pairs:
+        raise ValueError("need at least one factor")
+    for L, m in pairs:
+        if not isinstance(L, LaurentPoly) or L.variables != f.variables:
+            raise VariableMismatch(
+                f"factor {L!r} is not a Laurent polynomial in {f.variables}")
+        if type(m) is not int or m < 1:  # a bool is no power
+            raise ValueError(f"factor power must be an int >= 1, got {m!r}")
+    radix = 2 * max(_reach(f), sum(m * _reach(L) for L, m in pairs)) + 1
     weights = [radix ** d for d in range(len(f.variables))]
 
     def pack(p: LaurentPoly) -> list:
         return [(sum(map(mul, e, weights)), c) for e, c in p.terms()]
 
-    return _is_product((step for L, m in factors for step in [pack(L)] * m),
-                       pack(f))
+    product = {0: 1}
+    for L, m in pairs:
+        step = pack(L)
+        for _ in range(m):
+            product = _times(product, step)
+    if product != dict(pack(f)):
+        raise ValueError("the factors do not multiply out to f")
+    out = LaurentPoly._raw(f.variables, f._terms)
+    out.factors = pairs
+    return out
 
 
 def _check_order(order) -> None:
@@ -283,20 +295,16 @@ def _check_order(order) -> None:
         raise ValueError("order must be at least 1")
 
 
-def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
+def _chain(f: LaurentPoly) -> List[LaurentPoly]:
     """The steps whose product takes f^(a-1) to f^a.
 
-    A factor L with power m is m steps of L; the one-term factors
-    (monomials and constants) are folded into the first longer step.
+    A factor L with power m is m steps of L, and f with no factors is the
+    one step f; the one-term factors (monomials and constants) are folded
+    into the first longer step.
     """
     steps: List[LaurentPoly] = []
     monomial = None
-    for L, m in factors:
-        if not isinstance(L, LaurentPoly) or L.variables != f.variables:
-            raise VariableMismatch(
-                f"factor {L!r} is not a Laurent polynomial in {f.variables}")
-        if type(m) is not int or m < 1:
-            raise ValueError(f"factor power must be an int >= 1, got {m!r}")
+    for L, m in f.factors or ((f, 1),):
         if len(L) == 1:
             monomial = L ** m if monomial is None else monomial * L ** m
         else:
@@ -306,18 +314,15 @@ def _chain(f: LaurentPoly, factors) -> List[LaurentPoly]:
     return steps or [LaurentPoly.constant(1, f.variables)]
 
 
-def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int,
-                   factors):
+def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int):
     """(n, h, peak) for each facet n.x + h >= 0 of the Newton polytope
     Delta of f in the period variables, n in the order of the period digits
     and peak the largest n.v over Delta; empty when f is zero or Delta is not
-    full-dimensional there, and then nothing is pruned. Factors, when
-    given, have been checked to multiply out to f."""
+    full-dimensional there, and then nothing is pruned."""
     if f.is_zero():
         return []
     if dims == len(positions):
-        delta = newton_polytope(f) if factors is None \
-            else _newton_of_product(f, factors)
+        delta = newton_polytope(f)
     else:
         delta = Polytope({tuple(e[i] for i in positions[:dims])
                           for e in f.exponents()})
@@ -330,16 +335,14 @@ def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int,
 
 
 def phi_coefficients(f: LaurentPoly, order: int,
-                     period_vars: Optional[Iterable[str]] = None,
-                     factors: Optional[Sequence[Tuple[LaurentPoly, int]]] = None
+                     period_vars: Optional[Iterable[str]] = None
                      ) -> List[LaurentPoly]:
     """Constant terms of f^0..f^(order-1) over the period variables.
 
     Each entry is a Laurent polynomial in the non-period variables, so
     formal parameters riding along in the coefficients are preserved.
-    With factors, pairs (L_i, m_i) whose product of L_i^m_i is f, each
-    power of f is built from the one before factor by factor; a list that
-    does not multiply out to f raises a ValueError.
+    When f carries factors (`factored`), each power of f is built from the
+    one before factor by factor.
     """
     _check_order(order)
     vs = f.variables
@@ -353,7 +356,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
             raise UnknownVariable(f"{v!r} not among {vs}")
     rest = tuple(v for v in vs if v not in period)
     positions = [vs.index(v) for v in period + rest]
-    steps = _chain(f, ((f, 1),) if factors is None else factors)
+    steps = _chain(f)
 
     n = order - 1
     half = n // 2
@@ -374,9 +377,7 @@ def phi_coefficients(f: LaurentPoly, order: int,
             power = _times(power, step)
         return power
 
-    if factors is not None and not _is_product(steps, packed):
-        raise ValueError("the factors do not multiply out to f")
-    facets = _period_facets(f, positions, len(period), factors)
+    facets = _period_facets(f, positions, len(period))
     # the parameter digits sit above the period digits: a key splits into
     # its period part low(key), in [-width/2, width/2], and its parameter
     # part key - low(key), a multiple of width
@@ -434,15 +435,10 @@ def phi_coefficients(f: LaurentPoly, order: int,
     return out
 
 
-def phi(f: LaurentPoly, order: int,
-        factors: Optional[Sequence[Tuple[LaurentPoly, int]]] = None
-        ) -> PowerSeries:
-    """Main period of f: coefficient i is the constant term of f^i.
-
-    Optional factors (L_i, m_i) with f = prod of L_i^m_i give the same
-    series faster; see phi_coefficients.
-    """
-    polys = phi_coefficients(f, order, factors=factors)
+def phi(f: LaurentPoly, order: int) -> PowerSeries:
+    """Main period of f: coefficient i is the constant term of f^i; the
+    factors f carries give the same series faster (`phi_coefficients`)."""
+    polys = phi_coefficients(f, order)
     return PowerSeries(tuple(p.constant_term() for p in polys))
 
 
@@ -681,8 +677,9 @@ def verify_period(f: LaurentPoly, target: PowerSeries) -> PeriodReport:
     if target.order < 2:
         raise ValueError("target must have order at least 2")
     mine = phi(f, target.order)
-    for i, (a, b) in enumerate(zip(mine.coeffs, target.coeffs)):
-        if a != b:
-            return PeriodReport(False, target.order, i, str(Fraction(b)),
-                                str(Fraction(a)))
-    return PeriodReport(True, target.order)
+    i = mine.first_mismatch(target)
+    if i is None:
+        return PeriodReport(True, target.order)
+    return PeriodReport(False, target.order, i,
+                        str(Fraction(target.coeffs[i])),
+                        str(Fraction(mine.coeffs[i])))

@@ -533,6 +533,10 @@ def test_minkowski_certificate_missing_keys_are_bad_certificates(path, key,
 @pytest.mark.parametrize("key, value, message", [
     ("dim", 3, "declared dim 3 but points live in 2"),
     ("vertices", [[0, "a"]], "Invalid literal for Fraction: 'a'"),
+    # a JSON float is no coordinate, not even 0.0 or 1.0
+    ("vertices", [[0.0, 0.0], [1.0, 0.0]],
+     "vertices[0]: coordinates must be integers or rational strings, "
+     "got [0.0, 0.0]"),
 ])
 def test_minkowski_certificate_summand_that_is_no_polytope_is_bad(
         key, value, message):

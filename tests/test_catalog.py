@@ -2,13 +2,13 @@ import json
 
 import pytest
 
-from tlg import catalog, polytope
+from tlg import catalog, polytope, series
 from tlg.catalog import (CatalogEntry, ParseError, entry_from_json_dict,
                          entry_to_json_dict, verify_all, verify_entry)
 from tlg.cli import main
 from tlg.laurent import LaurentPoly
 from tlg.polytope import newton_polytope
-from tlg.series import PowerSeries, ToricCurveClassData
+from tlg.series import PowerSeries, ToricCurveClassData, factored
 
 GENERATORS = {
     "wci": {"kind": "wci", "weights": [1, 1, 1, 1], "degrees": [3]},
@@ -230,17 +230,18 @@ def _factored():
 
 
 def test_bundled_factors_multiply_out_to_the_laurent_polynomials():
-    factored = {e.id: e for e in catalog.load() if e.factors is not None}
-    assert sorted(factored) == sorted(
+    products = {e.id: e.laurent for e in catalog.load()
+                if e.laurent.factors is not None}
+    assert sorted(products) == sorted(
         ["1-1", "1-2", "1-3", "1-4", "1-5", "1-6", "1-7", "1-8", "1-9",
          "2-2", "2-3", "G36-2111", "G36-1112"])
-    for e in factored.values():
-        product = LaurentPoly.constant(1, e.laurent.variables)
-        for factor, power in e.factors:
+    for f in products.values():
+        product = LaurentPoly.constant(1, f.variables)
+        for factor, power in f.factors:
             product = product * factor ** power
-        assert product == e.laurent
+        assert product == f
     # (x + y + z + 1)^6 / (xyz): one monomial and one 4-term factor
-    assert [(len(f), m) for f, m in factored["1-1"].factors] == [(1, 1), (4, 6)]
+    assert [(len(f), m) for f, m in products["1-1"].factors] == [(1, 1), (4, 6)]
 
 
 def _with_factor(data, index, **changes):
@@ -287,23 +288,25 @@ def test_factors_round_trip_and_are_written_only_when_present(tmp_path):
     assert path.read_bytes() == catalog.bundled_path().read_bytes()
     again = {e.id: e for e in catalog.load(path)}
     for e in entries:
-        assert again[e.id].factors == e.factors
-        assert ("factors" in entry_to_json_dict(e)) == (e.factors is not None)
+        assert again[e.id].laurent.factors == e.laurent.factors
+        assert ("factors" in entry_to_json_dict(e)) == \
+            (e.laurent.factors is not None)
 
 
 def test_verify_entry_multiplies_by_the_factors():
     e = _factored()
-    assert verify_entry(e, 9) == verify_entry(e._replace(factors=None), 9)
-    # an entry built in code skips the check of load, and phi rejects a
-    # factor list that does not multiply out to the model
-    monomial, linear = e.factors
+    plain = LaurentPoly(e.laurent.variables, dict(e.laurent.terms()))
+    assert plain.factors is None
+    assert verify_entry(e, 9) == verify_entry(e._replace(laurent=plain), 9)
+    # factors are checked where they are attached: a list that does not
+    # multiply out to the model never reaches verify_entry
+    monomial, linear = e.laurent.factors
     with pytest.raises(ValueError):
-        verify_entry(e._replace(factors=(monomial, (linear[0], 5))), 9)
+        factored(plain, (monomial, (linear[0], 5)))
 
 
-def test_g36_verify_hulls_the_factor_sums_once_and_not_the_dual(monkeypatch):
-    # Newton(f) is the hull of the 84 sums of factor exponents, in place of
-    # the 149 exponents of f, and the dual is read off it by polarity
+def _counted_hulls(monkeypatch) -> list:
+    """The number of points of each full-dimensional hull built from now."""
     hulls = []
     full_hull = polytope._full_hull
 
@@ -311,10 +314,51 @@ def test_g36_verify_hulls_the_factor_sums_once_and_not_the_dual(monkeypatch):
         hulls.append(len(pts))
         return full_hull(pts, simplex)
     monkeypatch.setattr(polytope, "_full_hull", counting_hull)
+    return hulls
+
+
+def test_g36_verify_hulls_the_factor_sums_once_and_not_the_dual(monkeypatch):
+    # Newton(f) is the hull of the 84 sums of factor exponents, in place of
+    # the 149 exponents of f, and the dual is read off it by polarity
+    hulls = _counted_hulls(monkeypatch)
     entry = next(e for e in catalog.load() if e.id == "G36-2111")
     assert len(entry.laurent) == 149
     assert verify_entry(entry, 4).passed
     assert hulls == [84]
+
+
+def test_g36_newton_polytope_hulls_the_factor_sums_before_any_phi(
+        monkeypatch):
+    # the factors travel with the polynomial, so the hull does not depend
+    # on phi having run first
+    hulls = _counted_hulls(monkeypatch)
+    entry = next(e for e in catalog.load() if e.id == "G36-2111")
+    assert newton_polytope(entry.laurent).is_full_dimensional()
+    assert hulls == [84]
+
+
+def test_a_verify_process_checks_each_factor_list_once_in_load(monkeypatch,
+                                                               capsys):
+    # a product check multiplies the packed factors out from the packed 1;
+    # phi and newton_polytope read the factors the load checked
+    phase, checks = [None], []
+    for name in ("load", "verify_all"):
+        def within(*args, _name=name, _fn=getattr(catalog, name), **kwargs):
+            phase.append(_name)
+            try:
+                return _fn(*args, **kwargs)
+            finally:
+                phase.pop()
+        monkeypatch.setattr(catalog, name, within)
+
+    def times(power, factor, _times=series._times):
+        if power == {0: 1}:
+            checks.append(phase[-1])
+        return _times(power, factor)
+    monkeypatch.setattr(series, "_times", times)
+    assert main(["catalog", "verify", "--order", "4"]) == 0
+    assert "25/25" in capsys.readouterr().out
+    assert checks == ["load"] * 13
 
 
 def test_load_checks_the_factors_with_no_laurent_arithmetic(monkeypatch):
@@ -327,7 +371,7 @@ def test_load_checks_the_factors_with_no_laurent_arithmetic(monkeypatch):
             return _method(*args)
         monkeypatch.setattr(LaurentPoly, name, counting)
     entries = catalog.load()
-    assert sum(e.factors is not None for e in entries) == 13
+    assert sum(e.laurent.factors is not None for e in entries) == 13
     assert calls == []
 
 

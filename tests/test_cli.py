@@ -236,8 +236,9 @@ def test_phi_rejects_a_non_integer_exponent(tmp_path, capsys, exponent):
     path.write_text(json.dumps({"vars": ["x"], "terms": [
         {"e": [exponent], "c": "1"}, {"e": [-1], "c": "1"}]}))
     assert main(["phi", "--input", str(path), "--order", "5"]) == 1
-    assert _error(capsys) == {"type": "TypeError",
-                              "message": "exponents must be lists of integers"}
+    assert _error(capsys) == {
+        "type": "ParseError",
+        "message": f"{path}: terms[0]: exponents must be lists of integers"}
 
 
 @pytest.mark.parametrize("data, message", [

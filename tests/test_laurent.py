@@ -164,9 +164,9 @@ def _json_terms(*terms):
     (["x", "x"], _json_terms(([1, 0], "1")),
      (VariableMismatch, "duplicate variable names in ('x', 'x')")),
     (["x"], _json_terms(([0], "1"), ([1.0], "1")),
-     (TypeError, "exponents must be lists of integers")),
+     (TypeError, "terms[1]: exponents must be lists of integers")),
     (["x"], _json_terms(([0], "1"), ([False], "1")),
-     (TypeError, "exponents must be lists of integers")),
+     (TypeError, "terms[1]: exponents must be lists of integers")),
     # a term with coefficient 0 is dropped but still takes its exponent
     (["x"], _json_terms(([1], "0"), ([1], "2")),
      (ValueError, "terms[1]: exponent [1] repeats")),

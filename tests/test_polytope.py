@@ -31,6 +31,19 @@ def test_hull_drops_non_vertices():
     assert p.dim == 2
 
 
+@pytest.mark.parametrize("vertex", [[0.5, 0], [1, True]],
+                         ids=["float", "bool"])
+def test_from_json_dict_reads_integers_and_rational_strings_only(vertex):
+    p = Polytope([(0, 0), (1, 0), (Fraction(1, 2), 1)])
+    assert p.to_json_dict()["vertices"][1] == ["1/2", 1]
+    assert Polytope.from_json_dict(p.to_json_dict()) == p
+    with pytest.raises(TypeError) as info:
+        Polytope.from_json_dict({"dim": 2,
+                                 "vertices": [[0, 0], vertex, [0, 1]]})
+    assert str(info.value) == ("vertices[1]: coordinates must be integers "
+                               f"or rational strings, got {vertex!r}")
+
+
 def test_facets_and_contains():
     sq = Polytope([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     assert len(sq.facets) == 4

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from tlg import catalog
 from tlg.laurent import LaurentPoly
-from tlg.polytope import Polytope, _newton_of_product, newton_polytope
+from tlg.polytope import Polytope, newton_polytope
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree, PowerSeries,
                         ToricCurveClassData, WciSpec, _pairing, _times,
-                        iseries_grassmannian, iseries_toric,
-                        iseries_toric_parametrized, multiplies_out, phi,
-                        phi_coefficients, verify_period)
+                        factored, iseries_grassmannian, iseries_toric,
+                        iseries_toric_parametrized, phi, phi_coefficients,
+                        verify_period)
 
 V3 = ("x", "y", "z")
 x3, y3, z3 = (LaurentPoly.variable(n, V3) for n in V3)
@@ -471,9 +471,9 @@ def test_phi_of_factors_equals_phi_of_their_product(case):
     vs = factors[0][0].variables
     f = _expand(factors, vs)
     want = phi_coefficients(f, order, period)
-    assert phi_coefficients(f, order, period, factors) == want
+    assert phi_coefficients(factored(f, factors), order, period) == want
     if set(period) == set(vs):
-        assert phi(f, order, factors=factors) == phi(f, order)
+        assert phi(factored(f, factors), order) == phi(f, order)
 
 
 @pytest.mark.parametrize("order", NON_INT_ORDERS)
@@ -557,26 +557,32 @@ def _product_claims(draw):
 # K = 3: with the radix 2K - 1 = 5, x^-2 y would take the key 3 of x^3
 @example(([(x2, 3)], x2 ** -2 * y2))
 @example(([(x2, 3)], x2 ** 3))
-def test_multiplies_out_is_laurent_product_equality(case):
+def test_factored_is_laurent_product_equality(case):
     factors, f = case
     vs = factors[0][0].variables
-    assert multiplies_out(f, factors) == (_expand(factors, vs) == f)
+    if _expand(factors, vs) != f:
+        with pytest.raises(ValueError, match="do not multiply out"):
+            factored(f, factors)
+        return
+    g = factored(f, factors)
+    assert g == f and g.factors == tuple(factors)
+    assert f.factors is None
 
 
 def test_factors_that_miss_f_raise():
     f = (1 + x2 + y2) ** 2
     with pytest.raises(ValueError):
-        phi(f, 5, factors=[(1 + x2 + y2, 1)])
+        factored(f, [(1 + x2 + y2, 1)])
     with pytest.raises(ValueError):
-        phi(f, 5, factors=[(1 + x2 + y2, 0)])
+        factored(f, [(1 + x2 + y2, 0)])
     with pytest.raises(ValueError):
-        phi(f, 5, factors=[(1 + x2 + y2, True), (1 + x2 + y2, 1)])
+        factored(f, [(1 + x2 + y2, True), (1 + x2 + y2, 1)])
     with pytest.raises(ValueError):
-        phi(f, 5, factors=[(1 + x3 + y3, 2)])
-    # packed with the radix 5 of the powers of 1 + y alone, x^5 would take
-    # the key of y; the radix covers the steps, so the check sees the miss
+        factored(f, [(1 + x3 + y3, 2)])
+    # packed with the radix 5 of 1 + y alone, x^5 would take the key of y;
+    # the radix covers the factors, so the check sees the miss
     with pytest.raises(ValueError):
-        phi(1 + y2, 3, factors=[(1 + x2 ** 5, 1)])
+        factored(1 + y2, [(1 + x2 ** 5, 1)])
 
 
 def _h_form(p: Polytope):
@@ -599,13 +605,13 @@ def test_newton_polytope_of_a_product_is_the_hull_of_the_factor_sums(case):
         *([tuple(m * x for x in e) for e in L.exponents()]
           for L, m in factors))]
     assert _h_form(Polytope(sums)) == hull
-    assert _h_form(_newton_of_product(f, factors)) == hull
+    assert _h_form(newton_polytope(factored(f, factors))) == hull
 
 
 @settings(max_examples=60, deadline=None)
 @given(_factor_cases())
 def test_a_wrong_factor_list_raises_and_builds_no_newton_polytope(case):
-    factors, order, _ = case
+    factors, _, _ = case
     vs = factors[0][0].variables
     f = _expand(factors, vs)
     assume(not f.is_zero())
@@ -613,7 +619,7 @@ def test_a_wrong_factor_list_raises_and_builds_no_newton_polytope(case):
     wrong = [(L, m + 1)] + rest
     assume(_expand(wrong, vs) != f)
     with pytest.raises(ValueError, match="do not multiply out"):
-        phi(f, order, factors=wrong)
+        factored(f, wrong)
     assert _h_form(newton_polytope(f)) == _h_form(Polytope(f.exponents()))
 
 
@@ -682,8 +688,7 @@ def test_phi_pins_cover_every_small_catalog_entry():
 @pytest.mark.parametrize("entry_id", sorted(PHI_13_TO_17))
 def test_phi_of_small_catalog_entries_is_pinned(entry_id):
     entry = _small_catalog()[entry_id]
-    series = [phi(entry.laurent, order, factors=entry.factors)
-              for order in range(13, 18)]
+    series = [phi(entry.laurent, order) for order in range(13, 18)]
     text = "\n".join(" ".join(f"{type(c).__name__}:{c}" for c in s.coeffs)
                      for s in series)
     assert hashlib.sha256(text.encode()).hexdigest() == PHI_13_TO_17[entry_id]
