@@ -251,11 +251,19 @@ def check_minkowski(f: LaurentPoly,
     if p.ambient_dim != 3 or not is_reflexive(p):
         raise ValueError("Minkowski check needs a reflexive Newton 3-polytope")
     found: List[FacetDecomposition] = []
+    # facets with the same polygon, budget order and terms in their charts
+    # share one search; the budget's order fixes the candidates' order and
+    # so which certificate is found first
+    searched: Dict[tuple, Optional[Tuple[Summand, ...]]] = {}
     for normal, _, _, chart, first, budget in _facet_polygons(
             p, tuple(f.exponents())):
         target = LaurentPoly(("x", "y"), {q: f.coefficient(c)
                                           for c, q in chart.items()})
-        dec = _decompose_facet(first, budget, target, max_summands)
+        key = (first, tuple(budget.items()), target)
+        if key not in searched:
+            searched[key] = _decompose_facet(first, budget, target,
+                                             max_summands)
+        dec = searched[key]
         if dec is None:
             return None
         found.append(FacetDecomposition(normal, dec))

@@ -30,8 +30,9 @@ from .builders import check_minkowski
 from .cli import UsageError, _command, _opt
 from .intlinalg import inverse_rational
 from .laurent import LaurentPoly
-from .polytope import (Polytope, dual, is_reflexive, json_point,
-                       lattice_points, newton_polytope, normalized_volume,
+from .polytope import (DimensionMismatch, EmptyPolytope, Polytope, dual,
+                       is_reflexive, json_point, lattice_points,
+                       newton_polytope, normalized_volume,
                        unimodular_equivalent)
 from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
                      iseries_toric, phi, verify_period)
@@ -95,19 +96,23 @@ def _points(raw, what: str, path: str) -> list:
 def _polytope_from(data, path: str) -> Polytope:
     """The polytope of the JSON read from path: a list of points, an object
     with "vertices" (and "dim") or "points", or a Laurent polynomial for
-    its Newton polytope; malformed input is a ParseError located at path."""
+    its Newton polytope; malformed input, points of mixed or undeclared
+    dimension or no point included, is a ParseError located at path."""
     if isinstance(data, list):
-        return Polytope(_points(data, "points", path))
+        data = {"points": data}
     if isinstance(data, dict):
-        if "vertices" in data and "dim" in data:
-            if type(data["dim"]) is not int:
-                raise _catalog.ParseError(
-                    path, f"dim must be an integer, got {data['dim']!r}")
-            _points(data["vertices"], "vertices", path)  # located refusals
-            return Polytope.from_json_dict(data)
-        for key in ("vertices", "points"):
-            if key in data:
-                return Polytope(_points(data[key], key, path))
+        try:
+            if "vertices" in data and "dim" in data:
+                if type(data["dim"]) is not int:
+                    raise _catalog.ParseError(
+                        path, f"dim must be an integer, got {data['dim']!r}")
+                _points(data["vertices"], "vertices", path)  # located refusals
+                return Polytope.from_json_dict(data)
+            for key in ("vertices", "points"):
+                if key in data:
+                    return Polytope(_points(data[key], key, path))
+        except (DimensionMismatch, EmptyPolytope) as exc:
+            raise _catalog.ParseError(path, str(exc)) from None
         if "vars" in data and "terms" in data:
             return newton_polytope(_laurent_from(data, path))
     raise _catalog.ParseError(

@@ -5,11 +5,13 @@ Matrices are lists of lists (rows). Everything here is arbitrary precision
 and stays in int while it eliminates: the one row elimination is the
 fraction-free echelon `_IntEchelon`, and `inverse_rational` clears the
 denominators of each row first and forms Fractions only from its final
-rows. The Smith form serves the lattice invariants of `lattice` and the
-chart of a hyperplane's kernel lattice, whose coordinates are read off the
-unimodular transform by one matrix-vector product per point, with no
-linear system solved. That chart serves only `polytope.lattice_chart`,
-the facet charts of the Minkowski check.
+rows. The chart of a hyperplane's kernel lattice, `kernel_lattice_chart`,
+runs the column steps of the Smith form of one row in int and keeps the
+inverse of the unimodular transform beside it, so coordinates are read
+off by one matrix-vector product per point, with no linear system solved
+and no Fraction. That chart serves only `polytope.lattice_chart`, the
+facet charts of the Minkowski check. The Smith form with transforms is
+`lattice.snf_with_transforms`, beside its only caller `discriminant`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,6 @@ def identity(n: int) -> Matrix:
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
-
-
-def transpose(a: Sequence[Sequence]) -> list:
-    return [list(col) for col in zip(*a)]
 
 
 def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
@@ -56,104 +54,6 @@ def det_bareiss(mat: Sequence[Sequence[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form S = U * mat * V with U, V unimodular.
-
-    Returns (S, U, V). S is diagonal (padded with zero rows/cols for
-    non-square input) with s_1 | s_2 | ... | s_r, all nonnegative.
-    """
-    a = [list(row) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u = identity(m)
-    v = identity(n)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        arow, usrc = a[src], u[src]
-        for j in range(n):
-            a[dst][j] += c * arow[j]
-        for j in range(m):
-            u[dst][j] += c * usrc[j]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        while True:
-            # clear column t
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t] % a[t][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    swap_rows(t, i)
-                    done = False
-                elif a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
-            if not done:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j] % a[t][t] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    # move the smaller remainder into the pivot slot
-                    swap_cols(t, j)
-                    done = False
-                elif a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-            if done:
-                break
-        # divisibility condition against the rest of the matrix
-        d = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % d != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        if d < 0:
-            negate_row(t)
-        t += 1
-    return a, u, v
 
 
 def _denominator(points: Iterable[Sequence]) -> int:
@@ -295,14 +195,37 @@ def kernel_lattice_chart(vec: Sequence[int]
     """Basis of the sublattice {x in Z^n : <vec, x> = 0} for a nonzero vec,
     with the rows that read coordinates in it.
 
-    With [vec] * V = (g, 0, ..., 0) the Smith form, columns 2..n of V span
-    the kernel lattice. V is unimodular, so rows 2..n of V^-1 are integral,
-    and since V^-1 V = I they send a kernel vector to its coordinates in
-    that basis (and each basis vector to a unit vector).
+    The column steps of the Smith form of the row [vec] (a smallest nonzero
+    entry swapped to the front, then column j -= q column 0, swapped in
+    when a remainder is left) bring it to (g, 0, ..., 0) = [vec] * V.
+    Columns 2..n of V span the kernel lattice. V^-1 is kept beside V: a
+    column swap of V swaps rows of V^-1, and column j += c column 0 of V
+    is row 0 -= c row j of V^-1. V is unimodular, so V^-1 is integral, and
+    since V^-1 V = I its rows 2..n send a kernel vector to its coordinates
+    in that basis (and each basis vector to a unit vector).
     """
-    s, _u, v = snf_with_transforms([list(vec)])
-    if s[0][0] == 0:
+    a = list(vec)
+    n = len(a)
+    if not any(a):
         raise ValueError("zero vector has full kernel")
-    basis = transpose(v)[1:]
-    coords = [[int(x) for x in row] for row in inverse_rational(v)[1:]]
-    return basis, coords
+    cols, inv = identity(n), identity(n)  # the columns of V, and V^-1
+
+    def swap(j):
+        a[0], a[j] = a[j], a[0]
+        cols[0], cols[j] = cols[j], cols[0]
+        inv[0], inv[j] = inv[j], inv[0]
+
+    swap(min((j for j in range(n) if a[j]), key=lambda j: abs(a[j])))
+    done = False
+    while not done:
+        done = True
+        for j in range(1, n):
+            if a[j]:
+                q = a[j] // a[0]
+                a[j] -= q * a[0]
+                cols[j] = [x - q * y for x, y in zip(cols[j], cols[0])]
+                inv[0] = [x + q * y for x, y in zip(inv[0], inv[j])]
+                if a[j]:
+                    swap(j)
+                    done = False
+    return cols[1:], inv[1:]

@@ -1,9 +1,10 @@
 """Integer symmetric bilinear forms and their discriminant invariants.
 
 Gram matrices are exact integer data. Discriminant groups come out of a
-Smith normal form with explicit transforms, so generators of the dual
-quotient are available as rational vectors and the quadratic form can be
-evaluated on them without floating point.
+Smith normal form with explicit transforms (`snf_with_transforms`, which
+lives here, beside its only caller `discriminant`), so generators of the
+dual quotient are available as rational vectors and the quadratic form
+can be evaluated on them without floating point.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
-from .intlinalg import det_bareiss, snf_with_transforms
+from .intlinalg import Matrix, det_bareiss, identity
 
 Gram = Tuple[Tuple[int, ...], ...]
 
@@ -182,6 +183,104 @@ def q_value(l: GramLattice, vec: Sequence[Fraction]) -> Fraction:
 def reduce_mod2(v: Fraction) -> Fraction:
     v = Fraction(v)
     return v - 2 * (v / 2).__floor__()
+
+
+def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
+    """Smith normal form S = U * mat * V with U, V unimodular.
+
+    Returns (S, U, V). S is diagonal (padded with zero rows/cols for
+    non-square input) with s_1 | s_2 | ... | s_r, all nonnegative.
+    """
+    a = [list(row) for row in mat]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    u = identity(m)
+    v = identity(n)
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        # row dst += c * row src
+        arow, usrc = a[src], u[src]
+        for j in range(n):
+            a[dst][j] += c * arow[j]
+        for j in range(m):
+            u[dst][j] += c * usrc[j]
+
+    def add_col(src, dst, c):
+        for row in a:
+            row[dst] += c * row[src]
+        for row in v:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # find a pivot
+        pivot = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    best = abs(a[i][j])
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        while True:
+            # clear column t
+            done = True
+            for i in range(t + 1, m):
+                if a[i][t] % a[t][t] != 0:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    swap_rows(t, i)
+                    done = False
+                elif a[i][t] != 0:
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+            if not done:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j] % a[t][t] != 0:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    # move the smaller remainder into the pivot slot
+                    swap_cols(t, j)
+                    done = False
+                elif a[t][j] != 0:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+            if done:
+                break
+        # divisibility condition against the rest of the matrix
+        d = a[t][t]
+        fixed = True
+        for i in range(t + 1, m):
+            for j in range(t + 1, n):
+                if a[i][j] % d != 0:
+                    add_row(i, t, 1)
+                    fixed = False
+                    break
+            if not fixed:
+                break
+        if not fixed:
+            continue
+        if d < 0:
+            negate_row(t)
+        t += 1
+    return a, u, v
 
 
 def discriminant(l: GramLattice) -> DiscriminantData:

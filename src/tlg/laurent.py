@@ -316,10 +316,10 @@ class LaurentPoly:
             if type(e) is not list or any(type(x) is not int for x in e):
                 raise TypeError(
                     f"terms[{i}]: exponents must be lists of integers")
-            e = tuple(e)
             if len(e) != n:
-                raise VariableMismatch(
-                    f"exponent {e} has length {len(e)}, expected {n}")
+                raise VariableMismatch(f"terms[{i}]: exponent {e} has length "
+                                       f"{len(e)}, expected {n}")
+            e = tuple(e)
             if e in terms:
                 raise ValueError(f"terms[{i}]: exponent {list(e)} repeats")
             try:

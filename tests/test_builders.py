@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import builders, catalog, delpezzo, minkowski, polytope
+from tlg import (builders, catalog, delpezzo, intlinalg, lattice, minkowski,
+                 polytope)
 from tlg.cli import main
 from tlg.builders import (BadCertificate, FacetDecomposition,
                           MinkowskiCertificate, check_minkowski)
@@ -259,6 +260,41 @@ def test_check_minkowski_walks_each_facet_once(monkeypatch):
     monkeypatch.setattr(builders, "polygon_edges", counting_walk)
     assert check_minkowski(f) is not None
     assert len(calls) == 10
+
+
+def test_check_minkowski_searches_each_distinct_facet_polygon_once(
+        monkeypatch):
+    # facets with the same first vertex, budget in the same order and the
+    # same terms share one search within a call: 61 over the 13 flagged
+    # entries, where one search per facet made 90; a second round makes
+    # them all again, as nothing is kept between calls
+    calls = []
+    search = builders._decompose_facet
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+    monkeypatch.setattr(builders, "_decompose_facet", counting_search)
+    flagged = [e.laurent for e in catalog.load() if e.minkowski_flag]
+    assert len(flagged) == 13
+    for f in flagged:
+        check_minkowski(f)
+    assert len(calls) == 61
+    for f in flagged:
+        check_minkowski(f)
+    assert len(calls) == 2 * 61
+
+
+def test_check_minkowski_charts_facets_with_no_smith_form(monkeypatch):
+    # the facet chart runs the Smith form's column steps on the normal
+    # itself, with no generic Smith form and no Fraction inverse
+    def refuse(*args):
+        raise AssertionError("Smith form or Fraction inverse called")
+    for module in (builders, intlinalg, lattice, polytope):
+        for name in ("snf_with_transforms", "inverse_rational"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
+    assert check_minkowski(f) is not None
 
 
 # sha256 of check_minkowski's certificate JSON, or None or the error, for

@@ -260,9 +260,11 @@ def test_phi_rejects_a_non_integer_exponent(tmp_path, capsys, exponent):
     ({"vars": ["x"], "terms": [{"e": [1], "c": "1"}, {"e": [1], "c": "2"}]},
      "terms[1]: exponent [1] repeats"),
     ({"terms": [{"e": [1], "c": "1"}]}, "missing key 'vars'"),
+    ({"vars": ["x", "y"], "terms": [{"e": [1], "c": "1"}]},
+     "terms[0]: exponent [1] has length 1, expected 2"),
 ], ids=["missing-c", "missing-e", "term-not-object", "terms-not-list",
         "zero-denominator", "bool-coefficient", "vars-string", "vars-not-names",
-        "repeated-exponent", "missing-vars"])
+        "repeated-exponent", "missing-vars", "exponent-length"])
 def test_malformed_laurent_input_is_a_located_parse_error(tmp_path, capsys,
                                                           data, message):
     path = tmp_path / "model.json"
@@ -325,6 +327,11 @@ NOT_A_NUMBER = "coefficient must be int, Fraction or string, got"
     (HULL, {"dim": "2", "vertices": [[1, 0], [0, 1], [-1, -1]]},
      "dim must be an integer, got '2'"),
     (HULL, {"dim": 2}, "expected polytope points or a Laurent polynomial"),
+    # Polytope's own refusals, located at the file too
+    (HULL, {"dim": 3, "vertices": [[1, 0], [0, 1], [-1, -1]]},
+     "declared dim 3 but points live in 2"),
+    (HULL, [[1, 0], [0, 1, 2]], "mixed point lengths [2, 3]"),
+    (HULL, {"points": []}, "need at least one point"),
     (SIG, {"gram": [[1.5]]}, "gram must be a list of integers, got [1.5]"),
     (SIG, {"gram": [[1, 2], [3, 1]]}, "gram matrix must be symmetric"),
     (SIG, {"name": 5}, "name must be a string, got 5"),
@@ -347,6 +354,7 @@ NOT_A_NUMBER = "coefficient must be int, Fraction or string, got"
         "series-coeffs-not-list", "series-wrong-order", "series-no-coeffs",
         "pf-fit-bool", "points-not-list", "points-bool", "vertices-float",
         "vertices-zero-denominator", "dim-string", "polytope-unknown-object",
+        "dim-mismatch", "points-mixed-lengths", "points-empty",
         "gram-float", "gram-not-symmetric", "lattice-name-not-string",
         "twist-zero", "lattice-unknown-object", "lattice-index-sub",
         "lattice-index-float", "lattice-index-bool", "lattice-index-string"])

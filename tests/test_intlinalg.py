@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -6,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlg.intlinalg import (det_bareiss, identity, inverse_rational,
-                           kernel_lattice_chart, mat_vec, snf_with_transforms,
-                           transpose)
+                           kernel_lattice_chart, mat_vec)
+from tlg.lattice import snf_with_transforms
 
 
 def _mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def test_det_bareiss_small_cases():
@@ -27,7 +32,6 @@ def test_det_bareiss_small_cases():
 def test_matrix_helpers():
     a = [[1, 2], [3, 4]]
     assert mat_vec(a, [1, 1]) == [3, 7]
-    assert transpose(a) == [[1, 3], [2, 4]]
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
@@ -80,6 +84,19 @@ def test_kernel_lattice_basis():
         assert mat_vec(transpose(basis), c) == target
     with pytest.raises(ValueError):
         kernel_lattice_chart([0, 0])
+
+
+def test_kernel_lattice_chart_matches_the_smith_form_route():
+    # the chart runs the Smith form's column steps on one row itself; the
+    # reference reads the same basis off V and the coordinate rows off V^-1
+    rng = random.Random(20181)
+    for _ in range(2000):
+        vec = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
+        if not any(vec):
+            continue
+        _s, _u, v = snf_with_transforms([vec])
+        coords = [[int(x) for x in row] for row in inverse_rational(v)[1:]]
+        assert kernel_lattice_chart(vec) == (transpose(v)[1:], coords), vec
 
 
 def test_inverse_rational():

@@ -160,7 +160,7 @@ def _json_terms(*terms):
 
 @pytest.mark.parametrize("variables, terms, outcome", [
     (["x", "y"], _json_terms(([1, 0], "1"), ([1], "1")),
-     (VariableMismatch, "exponent (1,) has length 1, expected 2")),
+     (VariableMismatch, "terms[1]: exponent [1] has length 1, expected 2")),
     (["x", "x"], _json_terms(([1, 0], "1")),
      (VariableMismatch, "duplicate variable names in ('x', 'x')")),
     (["x"], _json_terms(([0], "1"), ([1.0], "1")),
