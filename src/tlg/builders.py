@@ -10,10 +10,10 @@ polytopes, the weighted complete intersection models in `tlg.wci` and
 the del Pezzo chains in `tlg.delpezzo`, so a process that runs only
 `catalog verify` compiles none of them.
 
-Every polygon edge walk reads `polytope.polygon_edges`, and every edge
-rule that puts 1 at the ends and C(n, k) at the k-th lattice point is
-`_edge_binomials`. Products of edge and facet polynomials are
-`LaurentPoly` products.
+Every facet polygon's edges are read off the Newton polytope's ridges,
+in the order of `delpezzo.polygon_edges`, and every edge rule that puts 1
+at the ends and C(n, k) at the k-th lattice point is `_edge_binomials`.
+Products of edge and facet polynomials are `LaurentPoly` products.
 
 Neither the certificate search nor its check builds a hull or walks
 lattice points: each facet polygon is read off the Newton polytope's
@@ -34,8 +34,8 @@ from math import comb, gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .laurent import LaurentPoly
-from .polytope import (Polytope, _dot, _incidences, _sub, is_reflexive,
-                       lattice_chart, newton_polytope, polygon_edges)
+from .polytope import (Polytope, _dot, _sub, is_reflexive, lattice_chart,
+                       newton_polytope)
 
 
 class BadCertificate(ValueError):
@@ -123,28 +123,38 @@ def _facet_polygons(p: Polytope, points: Sequence[Tuple[int, ...]]):
     """Per facet of the lattice 3-polytope p: its normal, the chart base
     and basis `lattice_chart` gives the points on it, those points' chart
     coordinates by point, and the facet polygon's first vertex and edge
-    length per primitive step, read off the hull of p.
+    length per primitive step in the order of `delpezzo.polygon_edges`,
+    read off the ridges of p with no polygon built.
 
     points must hold p's vertices, so the chart base, the smallest point
-    on the facet, is a vertex. The polygon's vertices are the facet's, and
-    a facet m sharing two vertices with it, a ridge, is the side with
-    chart inner normal (<m, b1>, <m, b2>) over its gcd.
+    on the facet, is a vertex. A facet m sharing exactly two vertices with
+    it is the side with chart inner normal u = (<m, b1>, <m, b2>) over its
+    gcd and step (u2, -u1), from the end with the smaller <step, .> to the
+    other. The sides are walked from the smallest chart vertex.
     """
-    incidences = _incidences(p)
-    for (normal, height), on in zip(p.facets, incidences):
+    verts = p.vertices
+    for (normal, height), on in zip(p.facets, p._incidences):
         pts = [q for q in points if _dot(normal, q) + height == 0]
         base, basis, proj = lattice_chart(pts, normal)
         chart = dict(zip(pts, proj))
-        sides = []
-        for (m, _), other in zip(p.facets, incidences):
+        b1, b2 = basis
+        after = {}
+        for (m, _), other in zip(p.facets, p._incidences):
             ridge = on & other
             if len(ridge) == 2:
-                u = [_dot(m, b) for b in basis]
-                u = tuple(x // gcd(*u) for x in u)
-                sides.append((u, -_dot(u, chart[p.vertices[min(ridge)]])))
-        facet = Polytope._full([chart[p.vertices[i]] for i in on], sides)
-        yield (normal, base, basis, chart, facet.vertices[0],
-               {step: n for _, step, n in polygon_edges(facet)})
+                u1, u2 = _dot(m, b1), _dot(m, b2)
+                g = gcd(u1, u2)
+                step = (u2 // g, -u1 // g)
+                start, end = (chart[verts[i]] for i in ridge)
+                d1, d2 = end[0] - start[0], end[1] - start[1]
+                if step[0] * d1 + step[1] * d2 < 0:
+                    start, end = end, start
+                after[start] = step, gcd(d1, d2), end
+        first = v = min(chart[verts[i]] for i in on)
+        budget = {}
+        for _ in after:
+            step, budget[step], v = after[v]
+        yield normal, base, basis, chart, first, budget
 
 
 def _candidate_summands(budget: Dict[Tuple[int, int], int]

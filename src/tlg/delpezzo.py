@@ -6,7 +6,8 @@ chain's parameters, and attaches one lattice point per step: the new
 point's marking is the product of its two boundary neighbours' markings
 and a fresh parameter. Toric mode reads the model off the markings;
 surface mode rewrites each boundary edge by the marking product rule.
-Every boundary walk reads `polytope.polygon_edges` of the hulled polygon.
+Every boundary walk reads `polygon_edges` of the hulled polygon, which
+lives here beside its only callers.
 `build delpezzo` is the only command that builds one, and it imports this
 module inside the command.
 """
@@ -14,11 +15,11 @@ module inside the command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 from typing import Dict, List, Tuple
 
 from .laurent import LaurentPoly
-from .polytope import Polytope, _sub, polygon_edges
+from .polytope import NotFullDimensional, Point, Polytope, _dot, _sub
 
 
 class PointInsideHull(ValueError):
@@ -65,6 +66,34 @@ class DelPezzoScript:
     base: str
     steps: Tuple[Tuple[int, int], ...] = ()
     params: Tuple[str, ...] = ()
+
+
+def polygon_edges(p: Polytope) -> List[Tuple[Point, Tuple[int, int], int]]:
+    """Edges of a lattice polygon as (start, primitive step, lattice length).
+
+    They run counterclockwise from p.vertices[0] and are read from the
+    facets and the two vertices the polygon keeps on each: the inner
+    normal (a, b) is the edge with step (b, -a), which runs from the
+    vertex with the smaller <step, .> to the other. The k-th lattice point
+    of an edge is start + k * step for 0 <= k <= length, so the lengths
+    add up to the number of boundary lattice points.
+    """
+    if p.ambient_dim != 2 or not p.is_full_dimensional() or not p.is_lattice():
+        raise NotFullDimensional(
+            "edge walk needs a full-dimensional lattice polygon")
+    after: Dict[Point, Tuple[Tuple[int, int], int, Point]] = {}
+    for ((a, b), _), on in zip(p.facets, p._incidences):
+        step = (b, -a)
+        start, end = sorted((p.vertices[i] for i in on),
+                            key=lambda v: _dot(step, v))
+        after[start] = step, gcd(*_sub(end, start)), end
+    out = []
+    v = p.vertices[0]
+    for _ in after:
+        step, n, end = after[v]
+        out.append((v, step, n))
+        v = end
+    return out
 
 
 def _boundary_cycle(p) -> List[Tuple[int, int]]:

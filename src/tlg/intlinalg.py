@@ -7,11 +7,12 @@ fraction-free echelon `_IntEchelon`, and `inverse_rational` clears the
 denominators of each row first and forms Fractions only from its final
 rows. The chart of a hyperplane's kernel lattice, `kernel_lattice_chart`,
 runs the column steps of the Smith form of one row in int and keeps the
-inverse of the unimodular transform beside it, so coordinates are read
-off by one matrix-vector product per point, with no linear system solved
-and no Fraction. That chart serves only `polytope.lattice_chart`, the
-facet charts of the Minkowski check. The Smith form with transforms is
-`lattice.snf_with_transforms`, beside its only caller `discriminant`.
+inverse of the unimodular transform beside it, so a point's coordinates
+are the dot products of its integer rows with the point, with no linear
+system solved and no Fraction. That chart serves only
+`polytope.lattice_chart`, the facet charts of the Minkowski check. The
+Smith form with transforms is `lattice.snf_with_transforms`, beside its
+only caller `discriminant`.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ Matrix = List[List[int]]
 
 def identity(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
 
 
 def det_bareiss(mat: Sequence[Sequence[int]]) -> int:

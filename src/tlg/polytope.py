@@ -17,7 +17,9 @@ one of the other coordinates. Membership and lattice point enumeration read
 the H-form alone, in every dimension. Polytopes may have integer or
 rational vertex coordinates; only the normalized volume needs integer
 vertices. The polar dual runs no hull: polarity turns the facets into its
-vertices and the vertices into its facets.
+vertices and the vertices into its facets. Each polytope keeps the vertex
+indices on each facet, as its hull found them or transposed by polarity,
+and the volume, the edges and the Minkowski facet polygons read them.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h, and equations as triples (f, a, b)
@@ -31,11 +33,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .intlinalg import (_echelon, _IntEchelon, _denominator, _integral,
-                        det_bareiss, kernel_lattice_chart, mat_vec)
+                        det_bareiss, kernel_lattice_chart)
 from .laurent import Coeff, LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
@@ -143,8 +145,9 @@ class _Facet:
 
 
 def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
-               ) -> Tuple[List[Facet], Set[int]]:
-    """Facets and vertex indices of integer points of full affine rank d >= 2.
+               ) -> Tuple[List[Tuple[Facet, Set[int]]], Set[int]]:
+    """Facets, each with the indices of the points on it, and vertex
+    indices of integer points of full affine rank d >= 2.
 
     Incremental insertion from the starting simplex: each new point either
     lies inside the current hull (possibly on facet hyperplanes, which then
@@ -228,13 +231,13 @@ def _full_hull(pts: List[Tuple[int, ...]], simplex: List[int]
             else:
                 meet[i] = set(f.incidents)
     vertices = {i for i, face in meet.items() if len(face) == 1}
-    return [(f.normal, f.height) for f in facets], vertices
+    return [((f.normal, f.height), f.incidents) for f in facets], vertices
 
 
 def _hull(pts: List[Tuple[int, ...]]
-          ) -> Tuple[int, List[Equation], List[Facet], Set[int]]:
-    """(affine dimension, span equations, facets, vertex indices) of
-    distinct integer points.
+          ) -> Tuple[int, List[Equation], List[Facet], List[Set[int]], Set[int]]:
+    """(affine dimension, span equations, facets, the indices of the
+    points on each facet, vertex indices) of distinct integer points.
 
     The equations come from the kernel of the echelon of the differences
     from pts[0], one (f, a, b) meaning <a, x> = b per non-pivot column f:
@@ -242,33 +245,39 @@ def _hull(pts: List[Tuple[int, ...]]
     x_f from the pivot coordinates. The projection onto the pivot
     coordinates is injective on the affine span, so a lower-dimensional
     set keeps the vertices and the facets of its projection, the normals
-    padded with zeros at the non-pivot columns. Facets come sorted.
+    padded with zeros at the non-pivot columns, which keeps their order and
+    the points on each. Facets come sorted.
     """
     simplex, ech = _affine_basis(pts)
     rank, d = len(simplex) - 1, len(pts[0])
     if rank == d == 1:
         lo = min(range(len(pts)), key=lambda i: pts[i][0])
         hi = max(range(len(pts)), key=lambda i: pts[i][0])
-        return 1, [], [((-1,), pts[hi][0]), ((1,), -pts[lo][0])], {lo, hi}
+        return (1, [], [((-1,), pts[hi][0]), ((1,), -pts[lo][0])],
+                [{hi}, {lo}], {lo, hi})
     if rank == d > 1:
-        facets, vertices = _full_hull(pts, simplex)
-        return d, [], sorted(facets), vertices
+        held, vertices = _full_hull(pts, simplex)
+        facets, incidences = zip(*sorted(held))
+        return d, [], list(facets), list(incidences), vertices
     free = [j for j in range(d) if j not in ech.pivots]
     equations = [(f, tuple(a), _dot(a, pts[0]))
                  for f, a in zip(free, ech.kernel_basis(d))]
     if rank == 0:
-        return 0, equations, [], {0}
+        return 0, equations, [], [], {0}
     cols = sorted(ech.pivots)
-    _, _, facets, vertices = _hull([tuple(p[j] for j in cols) for p in pts])
+    _, _, facets, incidences, vertices = _hull(
+        [tuple(p[j] for j in cols) for p in pts])
     # n + (0,) holds a zero at index rank for the non-pivot columns
     pad = itemgetter(*(cols.index(j) if j in cols else rank for j in range(d)))
-    return rank, equations, [(pad(n + (0,)), h) for n, h in facets], vertices
+    return (rank, equations, [(pad(n + (0,)), h) for n, h in facets],
+            incidences, vertices)
 
 
 class Polytope:
     """Convex hull of a finite point set, exact and immutable."""
 
-    __slots__ = ("ambient_dim", "dim", "vertices", "_equations", "_facets")
+    __slots__ = ("ambient_dim", "dim", "vertices", "_equations", "_facets",
+                 "_incidences")
 
     def __init__(self, points: Iterable[Sequence]):
         pts = sorted({_norm_point(p) for p in points})
@@ -280,8 +289,13 @@ class Polytope:
         self.ambient_dim = dims.pop()
         den = _denominator(pts)
         ipts = pts if den == 1 else [tuple(int(x * den) for x in p) for p in pts]
-        self.dim, equations, facets, vidx = _hull(ipts)
-        self.vertices: Tuple[Point, ...] = tuple(pts[i] for i in sorted(vidx))
+        self.dim, equations, facets, incidences, vidx = _hull(ipts)
+        order = sorted(vidx)
+        self.vertices: Tuple[Point, ...] = tuple(pts[i] for i in order)
+        index = dict(zip(order, itertools.count())).__getitem__
+        # the vertex indices on each facet, in facet order
+        self._incidences = tuple(frozenset(map(index, on & vidx))
+                                 for on in incidences)
         if den != 1:
             # dividing every height by the same den > 0 keeps the order
             equations = [(f, a, _norm(Fraction(b, den))) for f, a, b in equations]
@@ -290,15 +304,22 @@ class Polytope:
         self._facets: Tuple[Facet, ...] = tuple(facets)
 
     @classmethod
-    def _full(cls, vertices: List[Point], facets: List[Facet]) -> "Polytope":
+    def _full(cls, vertices: List[Point], facets: List[Facet],
+              through: Sequence[Iterable[int]]) -> "Polytope":
         """The full-dimensional polytope with these vertices and facets,
-        known to be right, with no hull: both are kept sorted, as
-        __init__ keeps them."""
+        through[j] the indices of the facets through vertices[j], known to
+        be right, with no hull: all are kept sorted, as __init__ keeps
+        them, and the incidences are kept per facet."""
         p = cls.__new__(cls)
         p.ambient_dim = p.dim = len(vertices[0])
-        p.vertices = tuple(sorted(vertices))
+        order = sorted(range(len(vertices)), key=vertices.__getitem__)
+        on: List[List[int]] = [[] for _ in facets]
+        for k, j in enumerate(order):
+            for i in through[j]:
+                on[i].append(k)
+        p.vertices = tuple(map(vertices.__getitem__, order))
         p._equations = ()
-        p._facets = tuple(sorted(facets))
+        p._facets, p._incidences = zip(*sorted(zip(facets, map(frozenset, on))))
         return p
 
     @property
@@ -389,6 +410,8 @@ def dual(p: Polytope) -> Polytope:
     <n, x> >= -h of p is the vertex n/h of the dual, and the vertex
     v = w/den of p, with den > 0 its least denominator, is the facet
     <w/g, y> >= -den/g, with g = gcd(w) making the normal primitive.
+    Polarity keeps incidence: the dual's vertex of a facet of p lies on
+    the dual's facets of the vertices of p on that facet.
     """
     if not p.is_full_dimensional():
         raise NotFullDimensional("dual needs a full-dimensional polytope")
@@ -405,7 +428,7 @@ def dual(p: Polytope) -> Polytope:
         facets.append((tuple(x // g for x in w), _norm(Fraction(den, g))))
     return Polytope._full(
         [_norm_point([Fraction(x) / h for x in n]) for n, h in p.facets],
-        facets)
+        facets, p._incidences)
 
 
 def is_reflexive(p: Polytope) -> bool:
@@ -488,14 +511,8 @@ def normalized_volume(p: Polytope) -> int:
     return _nvol(p)
 
 
-def _incidences(p: Polytope) -> List[frozenset]:
-    """The vertex indices on each facet of p, in facet order; none in Z^0."""
-    return [frozenset(i for i, v in enumerate(p.vertices) if _dot(n, v) + h == 0)
-            for n, h in p.facets]
-
-
 def _nvol(p: Polytope) -> int:
-    """Normalized volume from the vertex-facet incidences of p alone.
+    """Normalized volume from the vertex-facet incidences p keeps.
 
     A face F is the set of its vertex indices; its facets are the maximal
     sets F ∩ G over the facets G of p not containing F. A facet of a
@@ -507,8 +524,7 @@ def _nvol(p: Polytope) -> int:
     their |det| in ambient coordinates. A lattice simplex has |det| >= 1,
     so there are at most as many simplices as the volume.
     """
-    verts = p.vertices
-    facets = _incidences(p)
+    verts, facets = p.vertices, p._incidences
     below: Dict[frozenset, List[frozenset]] = {}
     total = 0
     stack = [(frozenset(range(len(verts))), p.ambient_dim, ())]
@@ -534,23 +550,24 @@ def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
 
     Returns (base point, kernel lattice basis, projected points). The base
     point is the lexicographically smallest input point, and the basis and
-    its coordinate rows come from one Smith transform of the normal
-    (`kernel_lattice_chart`), so two calls with the same normal and point
-    set give identical output. A point p projects to the coordinate rows
-    times p - base, which lifts back to base + sum(c_k * basis_k); the
-    point must lie on the plane through base with integral p - base.
+    its integer coordinate rows come from the column steps of one Smith
+    form of the normal (`kernel_lattice_chart`), so two calls with the
+    same normal and point set give identical output. A point p projects to
+    the dot products of the coordinate rows with p - base, which lifts
+    back to base + sum(c_k * basis_k); the point must lie on the plane
+    through base with integral p - base.
     """
     basis, coords = kernel_lattice_chart(normal)
     p0 = min(points_on_plane)
     out = []
     for p in points_on_plane:
-        diff = _sub(p, p0)
-        c = mat_vec(coords, diff)
+        diff = tuple(map(sub, p, p0))
+        c = [sum(map(mul, row, diff)) for row in coords]
         if _dot(normal, diff) != 0 or any(x.denominator != 1 for x in c):
             raise PolytopeError(
                 f"point {p} is not a lattice point of the hyperplane through "
                 f"{p0} with normal {tuple(normal)}")
-        out.append(tuple(int(x) for x in c))
+        out.append(tuple(map(int, c)))
     return p0, basis, out
 
 
@@ -563,40 +580,12 @@ def edges(p: Polytope) -> List[Tuple[Point, Point]]:
     """
     if not p.is_full_dimensional():
         raise NotFullDimensional("edge enumeration needs full dimension")
-    verts, facets = p.vertices, _incidences(p)
+    verts, facets = p.vertices, p._incidences
     every = frozenset(range(len(verts)))
     return [(verts[a], verts[b])
             for a, b in itertools.combinations(range(len(verts)), 2)
             if every.intersection(*(f for f in facets if a in f and b in f))
             == {a, b}]
-
-
-def polygon_edges(p: Polytope) -> List[Tuple[Point, Tuple[int, int], int]]:
-    """Edges of a lattice polygon as (start, primitive step, lattice length).
-
-    They run counterclockwise from p.vertices[0] and are read from the
-    facets: the inner normal (a, b) is the edge with step (b, -a), which
-    runs from its lowest facet vertex along the step to its highest. The
-    k-th lattice point of an edge is start + k * step for 0 <= k <= length,
-    so the lengths add up to the number of boundary lattice points.
-    """
-    if p.ambient_dim != 2 or not p.is_full_dimensional() or not p.is_lattice():
-        raise NotFullDimensional(
-            "edge walk needs a full-dimensional lattice polygon")
-    after: Dict[Point, Tuple[Tuple[int, int], int, Point]] = {}
-    for (a, b), h in p.facets:
-        step = (b, -a)
-        on = sorted((_dot(step, v), v) for v in p.vertices
-                    if a * v[0] + b * v[1] + h == 0)
-        start, end = on[0][1], on[-1][1]
-        after[start] = step, math.gcd(*_sub(end, start)), end
-    out = []
-    v = p.vertices[0]
-    for _ in after:
-        step, n, end = after[v]
-        out.append((v, step, n))
-        v = end
-    return out
 
 
 def unimodular_equivalent(p: Polytope, q: Polytope

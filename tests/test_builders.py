@@ -15,13 +15,13 @@ from tlg.cli import main
 from tlg.builders import (BadCertificate, FacetDecomposition,
                           MinkowskiCertificate, check_minkowski)
 from tlg.delpezzo import (BadBase, DelPezzoScript, EdgesDisagree,
-                          PointInsideHull, del_pezzo_model)
+                          PointInsideHull, del_pezzo_model, polygon_edges)
 from tlg.laurent import LaurentPoly
 from tlg.minkowski import (InteriorFacetPoint, a_type_polynomial,
                            binomial_principle, certificate_from_json_dict,
                            is_An_polygon, minkowski_polynomial)
 from tlg.polytope import (Polytope, dual, is_reflexive, lattice_chart,
-                          lattice_points, newton_polytope, polygon_edges)
+                          lattice_points, newton_polytope)
 from tlg.series import WciSpec, phi_coefficients
 from tlg.wci import (BadPartition, NefPartition, find_nef_partitions,
                      wci_laurent)
@@ -246,20 +246,18 @@ def test_catalog_pass_hull_count(monkeypatch):
     assert len(calls) == 25
 
 
-def test_check_minkowski_walks_each_facet_once(monkeypatch):
-    # one edge walk per facet (1-8 has 10); summands carry their edges,
-    # where walking each checked triangle made 14 and walking the facet
-    # again per checked choice 24
-    f = next(e.laurent for e in catalog.load() if e.id == "1-8")
-    calls = []
-    walk = builders.polygon_edges
-
-    def counting_walk(p):
-        calls.append(p)
-        return walk(p)
-    monkeypatch.setattr(builders, "polygon_edges", counting_walk)
-    assert check_minkowski(f) is not None
-    assert len(calls) == 10
+def test_check_minkowski_builds_and_walks_no_facet_polygon(monkeypatch):
+    # each facet polygon's edges are read off the Newton polytope's
+    # ridges, where one polygon built and walked per facet made 10 walks
+    # on 1-8, and walking each checked triangle too made 14
+    def refuse(*args):
+        raise AssertionError("polygon_edges or Polytope._full called")
+    for module in (builders, delpezzo, minkowski, polytope):
+        monkeypatch.setattr(module, "polygon_edges", refuse, raising=False)
+    monkeypatch.setattr(Polytope, "_full", refuse)
+    flagged = [e.laurent for e in catalog.load() if e.minkowski_flag]
+    assert len(flagged) == 13
+    assert all(check_minkowski(f) is not None for f in flagged)
 
 
 def test_check_minkowski_searches_each_distinct_facet_polygon_once(

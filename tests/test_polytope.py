@@ -11,15 +11,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import catalog, polytope
-from tlg.delpezzo import _boundary_cycle
+from tlg.delpezzo import _boundary_cycle, polygon_edges
 from tlg.intlinalg import identity, kernel_lattice_chart
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           NotLatticePolytope, OriginNotInterior, Polytope,
                           PolytopeError, dual, edges, is_reflexive,
                           lattice_chart, lattice_points, newton_polytope,
-                          normalized_volume, polygon_edges,
-                          unimodular_equivalent)
+                          normalized_volume, unimodular_equivalent)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
 BIG = Polytope([(2, -1), (-1, 2), (-1, -1)])
@@ -786,6 +785,56 @@ def test_normalized_volume_builds_no_polytope_and_no_chart(monkeypatch):
     monkeypatch.setattr(polytope, "lattice_chart", counting_chart)
     assert normalized_volume(q) == 84
     assert calls == []
+
+
+def test_normalized_volume_of_a_dual_takes_no_dot_product(monkeypatch):
+    # the volume reads the incidences the dual keeps, transposed from the
+    # Newton polytope's hull, where it recounted them with one dot product
+    # per facet and vertex
+    entry = next(e for e in catalog.load() if e.id == "G36-2111")
+    q = dual(newton_polytope(entry.laurent))
+
+    def refuse(*args):
+        raise AssertionError("_dot called")
+    monkeypatch.setattr(polytope, "_dot", refuse)
+    assert normalized_volume(q) == 84
+
+
+def _incidence_recount(p):
+    return tuple(frozenset(i for i, v in enumerate(p.vertices)
+                           if sum(a * b for a, b in zip(n, v)) + h == 0)
+                 for n, h in p._facets)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    _point_sets(), _degenerate_point_sets(),
+    st.lists(st.tuples(_small_fractions), min_size=1, max_size=4)
+    .map(lambda points: (1, points))))
+@example((1, [(Fraction(-1, 2),), (3,)]))
+@example((3, [(0, 0, 0), (3, 0, 3), (0, 3, 3)]))
+def test_kept_incidences_match_a_recount(case):
+    # in Z^1 to Z^5, full-dimensional or not, integer or rational
+    _, points = case
+    p = Polytope(points)
+    assert p._incidences == _incidence_recount(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polytopes_around_the_origin())
+def test_dual_keeps_the_transposed_incidences(p):
+    assert dual(p)._incidences == _incidence_recount(dual(p))
+
+
+def test_catalog_duals_keep_the_transposed_incidences():
+    reflexive = [delta for delta in (newton_polytope(e.laurent)
+                                     for e in catalog.load())
+                 if is_reflexive(delta)]
+    assert len(reflexive) == 18
+    for delta in reflexive:
+        assert delta._incidences == _incidence_recount(delta)
+        nabla = dual(delta)
+        assert nabla._incidences == _incidence_recount(nabla)
 
 
 def test_g36_hulls_pair_visible_facets_only_with_leaning_survivors(monkeypatch):
