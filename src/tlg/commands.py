@@ -20,22 +20,24 @@ them into exit codes 1 and 2.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from . import catalog as _catalog
 from .builders import check_minkowski
 from .cli import UsageError, _command, _opt
-from .intlinalg import inverse_rational
+from .intlinalg import (_echelon, _IntEchelon, _integral, det_bareiss,
+                        inverse_rational)
 from .laurent import LaurentPoly
-from .polytope import (DimensionMismatch, EmptyPolytope, Polytope, dual,
+from .polytope import (DimensionMismatch, DimensionTooLarge, EmptyPolytope,
+                       NotFullDimensional, Polytope, _dot, dual,
                        is_reflexive, json_point, lattice_points,
-                       newton_polytope, normalized_volume,
-                       unimodular_equivalent)
+                       newton_polytope, normalized_volume)
 from .series import (GrassSpec, PowerSeries, WciSpec, iseries_grassmannian,
-                     iseries_toric, phi, verify_period)
+                     iseries_toric, phi)
 
 if TYPE_CHECKING:
     from .lattice import GramLattice
@@ -256,6 +258,36 @@ def iseries_toric_cmd(input_path, order):
     return _series(iseries_toric(spec, order))
 
 
+class PeriodReport(NamedTuple):
+    """Outcome of comparing a period with a target series."""
+
+    match: bool
+    order: int
+    first_mismatch: Optional[int] = None
+    expected: Optional[str] = None
+    found: Optional[str] = None
+
+    def to_json_dict(self) -> dict:
+        out = {"match": self.match, "order": self.order}
+        if not self.match:
+            out.update({"first_mismatch": self.first_mismatch,
+                        "expected": self.expected, "found": self.found})
+        return out
+
+
+def verify_period(f: LaurentPoly, target: PowerSeries) -> PeriodReport:
+    """Exact comparison of the period of f against a target series."""
+    if target.order < 2:
+        raise ValueError("target must have order at least 2")
+    mine = phi(f, target.order)
+    i = mine.first_mismatch(target)
+    if i is None:
+        return PeriodReport(True, target.order)
+    return PeriodReport(False, target.order, i,
+                        str(Fraction(target.coeffs[i])),
+                        str(Fraction(mine.coeffs[i])))
+
+
 @_command("verify", _INPUT,
           _opt("--against", required=True, type=_existing_file,
                help="JSON file with the target series."),
@@ -439,6 +471,47 @@ def polytope_points_cmd(input_path, region):
     pts = lattice_points(_polytope_from(_read_json(input_path), input_path),
                          region=region)
     return {"count": len(pts), "points": [list(p) for p in pts]}, _csv(pts)
+
+
+def unimodular_equivalent(p: Polytope, q: Polytope
+                          ) -> Optional[List[List[int]]]:
+    """A matrix U in GL(n, Z) with U.vertices(p) = vertices(q), or None.
+
+    Linear maps only; polytopes whose vertex cones are based at the origin
+    never need a translation part. Searches assignments of one fixed
+    linearly independent vertex tuple of p to ordered vertex tuples of q.
+    """
+    if p.ambient_dim != q.ambient_dim:
+        return None
+    n = p.ambient_dim
+    if n > 4:
+        raise DimensionTooLarge("equivalence search supports ambient dimension <= 4")
+    if not (p.is_full_dimensional() and q.is_full_dimensional()):
+        raise NotFullDimensional("equivalence search needs full-dimensional polytopes")
+    if len(p.vertices) != len(q.vertices):
+        return None
+    if sorted(h for _, h in p.facets) != sorted(h for _, h in q.facets):
+        return None
+    if n == 0:
+        return []
+    # the vertices of a full-dimensional p span Q^n linearly
+    ech = _IntEchelon()
+    chosen = [v for v in p.vertices if ech.add(_integral(v))]
+    for tup in itertools.permutations(q.vertices, n):
+        # U v = w for the chosen v and their images w: the reduced echelon
+        # of the rows (v | w) is (I | U^T) up to the scale of each row,
+        # and a primitive row has integral U entries only at pivot 1
+        ech = _echelon(v + w for v, w in zip(chosen, tup))
+        if any(row[c] != 1 for row, c in zip(ech.rows, ech.pivots)):
+            continue
+        column = dict(zip(ech.pivots, ech.rows))
+        ui = [[column[c][n + i] for c in range(n)] for i in range(n)]
+        if abs(det_bareiss(ui)) != 1:
+            continue
+        image = {tuple(_dot(row, v) for row in ui) for v in p.vertices}
+        if image == set(q.vertices):
+            return ui
+    return None
 
 
 @_command("polytope equiv", _INPUT)

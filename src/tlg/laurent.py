@@ -35,21 +35,24 @@ class NotLaurent(ArithmeticError):
 
 
 def _norm(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
 
 
+# an isinstance test against Fraction, whose metaclass is ABCMeta, runs
+# ABCMeta.__instancecheck__ for anything but a Fraction: an int or a str is
+# told apart first
 def _coerce_coeff(c) -> Coeff:
     if type(c) is int:  # true and false are ints too, but no coefficient
         return c
-    if isinstance(c, Fraction):
-        return _norm(c)
     if isinstance(c, str):
         try:  # almost every coefficient in the catalog is a plain integer
             return int(c)
         except ValueError:
             return _norm(Fraction(c))
+    if isinstance(c, Fraction):
+        return _norm(c)
     raise TypeError(f"coefficient must be int, Fraction or string, got {type(c).__name__}")
 
 
@@ -303,6 +306,7 @@ class LaurentPoly:
             raise VariableMismatch(f"duplicate variable names in {vs}")
         n = len(vs)
         terms: Dict[Exponent, Coeff] = {}
+        zeros = set()
         for i, t in enumerate(raw):
             if type(t) is not dict:
                 raise ValueError(f"terms[{i}]: a term must be an object, "
@@ -320,14 +324,20 @@ class LaurentPoly:
                 raise VariableMismatch(f"terms[{i}]: exponent {e} has length "
                                        f"{len(e)}, expected {n}")
             e = tuple(e)
-            if e in terms:
+            if e in terms or e in zeros:
                 raise ValueError(f"terms[{i}]: exponent {list(e)} repeats")
             try:
-                terms[e] = _coerce_coeff(c)
+                c = _coerce_coeff(c)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(
                     f"terms[{i}]: bad coefficient {c!r}: {exc}") from None
-        return cls._raw(vs, terms)
+            if c:
+                terms[e] = c
+            else:
+                zeros.add(e)
+        p = object.__new__(cls)
+        p._vars, p._terms, p._newton, p.factors = vs, terms, None, None
+        return p
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self._vars!r}, {len(self._terms)} terms)"

@@ -34,10 +34,10 @@ import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter, mul, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .intlinalg import (_echelon, _IntEchelon, _denominator, _integral,
-                        det_bareiss, kernel_lattice_chart)
+from .intlinalg import (_IntEchelon, _denominator, det_bareiss,
+                        kernel_lattice_chart)
 from .laurent import Coeff, LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
@@ -586,44 +586,3 @@ def edges(p: Polytope) -> List[Tuple[Point, Point]]:
             for a, b in itertools.combinations(range(len(verts)), 2)
             if every.intersection(*(f for f in facets if a in f and b in f))
             == {a, b}]
-
-
-def unimodular_equivalent(p: Polytope, q: Polytope
-                          ) -> Optional[List[List[int]]]:
-    """A matrix U in GL(n, Z) with U.vertices(p) = vertices(q), or None.
-
-    Linear maps only; polytopes whose vertex cones are based at the origin
-    never need a translation part. Searches assignments of one fixed
-    linearly independent vertex tuple of p to ordered vertex tuples of q.
-    """
-    if p.ambient_dim != q.ambient_dim:
-        return None
-    n = p.ambient_dim
-    if n > 4:
-        raise DimensionTooLarge("equivalence search supports ambient dimension <= 4")
-    if not (p.is_full_dimensional() and q.is_full_dimensional()):
-        raise NotFullDimensional("equivalence search needs full-dimensional polytopes")
-    if len(p.vertices) != len(q.vertices):
-        return None
-    if sorted(h for _, h in p.facets) != sorted(h for _, h in q.facets):
-        return None
-    if n == 0:
-        return []
-    # the vertices of a full-dimensional p span Q^n linearly
-    ech = _IntEchelon()
-    chosen = [v for v in p.vertices if ech.add(_integral(v))]
-    for tup in itertools.permutations(q.vertices, n):
-        # U v = w for the chosen v and their images w: the reduced echelon
-        # of the rows (v | w) is (I | U^T) up to the scale of each row,
-        # and a primitive row has integral U entries only at pivot 1
-        ech = _echelon(v + w for v, w in zip(chosen, tup))
-        if any(row[c] != 1 for row, c in zip(ech.rows, ech.pivots)):
-            continue
-        column = dict(zip(ech.pivots, ech.rows))
-        ui = [[column[c][n + i] for c in range(n)] for i in range(n)]
-        if abs(det_bareiss(ui)) != 1:
-            continue
-        image = {tuple(_dot(row, v) for row in ui) for v in p.vertices}
-        if image == set(q.vertices):
-            return ui
-    return None

@@ -1,76 +1,78 @@
 """Period series of Laurent polynomials and closed-form I-series.
 
-The period of f collects the constant terms ct(f^j) for j = 0..N. They are
-read off half powers with the identity
-
-    ct(f^(a+b)) = sum over e of [f^a]_e * [f^b]_(-e),
-
-as in Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288): with f^(a-1) and f^a
-at hand, ct(f^(2a-1)) and ct(f^(2a)) are sparse dot products, so only
-f^1..f^p, p = N//2, are built, two at a time. For odd N the last step L
-of the chain below is folded into the last pairing: with g = f^p (f/L),
-ct(f^(2p+1)) = sum over s of L_s * sum over k of [g]_k [f^p]_(-k-s). The
-partial product g is what the chain makes on its way to f^(p+1), whose
-last and largest step is never taken; for an unfactored f, L = f and g =
-f^p.
+The period of f collects the constant terms ct(f^j), j = 0..N. They are
+read off half powers with ct(f^(a+b)) = sum over e of [f^a]_e [f^b]_(-e),
+as in Coates-Corti-Galkin-Kasprzyk (arXiv:1303.3288): with f^(a-1) and
+f^a at hand, ct(f^(2a-1)) and ct(f^(2a)) are sparse dot products, so only
+f^1..f^p, p = N//2, are built. For odd N the last step L of the chain
+below is folded into the last pairing: with g = f^p (f/L), what the chain
+makes on its way to f^(p+1), ct(f^(2p+1)) = sum over s of L_s * sum over
+k of [g]_k [f^p]_(-k-s); for an unfactored f, L = f and g = f^p.
 
 Many models are products, f = prod of L_i^(m_i), the form of the
 Givental/Hori-Vafa and Przyjalkowski models of complete intersections
 (Przyjalkowski-Shramov, arXiv:1409.3729). `factored` checks such factors
-once, on packed keys, and returns f carrying them (`LaurentPoly.factors`);
-loading the catalog attaches them so. For an f that carries factors, f^a
-is built from f^(a-1) one factor step at a time: the chain multiplies by
-each L_i m_i times, with the monomial factors folded into the first step.
-A step costs |partial product| * |L_i| instead of |f^(a-1)| * |f|: for
-(x+y+z+1)^6/(xyz), six steps of 4 terms instead of one of 84. Only
-f^(a-1), the partial product and the next one are held at a time; f^1
-is f itself, packed once. An unfactored f is the one-step chain (f, 1).
+once, on packed keys, and returns f carrying them (`LaurentPoly.factors`),
+as loading the catalog does. Then f^a is built from f^(a-1) one step at a
+time, by each L_i m_i times, the monomial factors folded into the first
+step: a step costs |partial product| * |L_i|, not |f^(a-1)| * |f|, so
+(x+y+z+1)^6/(xyz) takes six steps of 4 terms, not one of 84. An
+unfactored f is the one-step chain (f, 1).
 
-Each finished power is pruned. Let Delta be the Newton polytope of f in
-the period variables, with facets n.x + h >= 0 (for an f that carries
-factors, `newton_polytope` hulls their sums). A term of f^a at e meets
-only partners of degree b <= N - a: f^(a-1) or f^a in a pairing, f^p
-and one more f in the fold, or, carried into f^(a+1), the partners of
-that power. A partner's exponents lie in b Delta, so a term that
-reaches a constant term has -e in b Delta, and when the origin lies in
-Delta, b Delta lies in (N - a) Delta. So f^a keeps only the e in
--(N - a) Delta, those with n.e <= (N - a) h for every facet, and no
-ct(f^j), j <= N, changes. Building f^(a+1) from the pruned f^a is exact on
--(N - a - 1) Delta, the part it keeps, because -(N - a - 1) Delta - Delta
-= -(N - a) Delta. In the fold, Newton(f/L) + Newton(L) = Delta, so each
-f^p exponent of a vanishing sum lies in -(p + 1) Delta = -(N - p) Delta.
-When the origin lies outside Delta, every ct(f^j) with j >= 1 is 0, and
-the pruned powers, still inside a Delta, keep every pairing at 0. When
-Delta is not full-dimensional in the period variables nothing is pruned.
-For even N the last power f^p meets only the two dot products, where a
-term costs less than its test, so it is left whole.
+`phi` first splits f into blocks of variables, computes each block's
+series apart and combines them; `tlg.parametric.phi_coefficients` runs the
+engine on all of f. Both rules rest on one fact: the constant term of a
+product of Laurent polynomials in disjoint variables is the product of
+theirs. Two variables share a block when a term of f joins them. With
+several blocks f = g + h, g in the first block's variables with the
+constant term and h in the others' (as for products of Fano varieties),
+and the binomial expansion gives ct(f^n) = sum over k of C(n, k) ct(g^k)
+ct(h^(n-k)): the exponential periods multiply (arXiv:1303.3288). When f
+carries factors and the variables of its non-monomial factors, each
+factor's in one block, fall into blocks, as in (1+x)^2 (1+y)^2 (1+z)^2 /
+(xyz), f is the product of its blocks' parts f_B, the factors in the
+block's variables times its share of the monomial factor, whose
+coefficient goes to the first block, and ct(f^n) = prod of ct(f_B^n).
+The rules nest, a block of a product may be a sum, and the engine runs on
+each block's own variables, with its share of the factors `factored`
+checked.
 
-All variables are packed into one int, pack(e) = sum of e_i R^i, the
-period variables in the low digits and the parameters (variables that are
-not period variables) above them. With balanced digits base R = 2K + 1,
-pack is injective on exponents with every coordinate in [-K, K], and being
-linear it turns -e and e + e' into -pack(e) and pack(e) + pack(e'). Every
-exponent a pairing meets lies in N Delta, a sum of at most N exponents of
-f; every exponent inside the chain, the fold's g included, is a sum of at
-most p exponents of f and at most one exponent of each step. So
-K = max(N |f|, p |f| + sum over the steps of |L|), with |g| the largest
-|exponent| of g, covers both; for an unfactored f it is N |f|. Since pack
-is a ring homomorphism the chain would be right even where keys
-collided, but covering every partial product keeps one key per exponent
-in every dict, so dict sizes are true term counts and the prune reads
-true digits.
-The prune works on the keys: it splits off the lowest period digit and
-bounds it by an interval that depends on the other digits only, worked
-out once per row. Coefficients are ints or Fractions. A pairing matches
-the period digits only and keys its sums by the parameter digits, which
-become the exponents of a Laurent polynomial in the parameters.
+Each finished power is pruned. Let Delta be the Newton polytope of f,
+with facets n.x + h >= 0 (`newton_polytope` hulls a product's factor
+sums). A term of f^a at e meets only partners of degree b <= N - a:
+f^(a-1) or f^a in a pairing, f^p and one more f in the fold, or, carried
+into f^(a+1), the partners of that power. Their exponents lie in b Delta,
+so a term that reaches a constant term has -e in b Delta, and when the
+origin lies in Delta, b Delta lies in (N - a) Delta. So f^a keeps only the
+e with n.e <= (N - a) h for every facet, and no ct(f^j), j <= N, changes.
+Building f^(a+1) from the pruned f^a is exact on -(N - a - 1) Delta, the
+part it keeps, since -(N - a - 1) Delta - Delta = -(N - a) Delta; in the
+fold, Newton(f/L) + Newton(L) = Delta. The argument needs of Delta only
+that it is convex, holds the exponents and holds the origin; when the
+origin lies outside, every ct(f^j), j >= 1, is 0, and stays 0 in pairings
+of pruned powers. So a block prunes by the facets of Delta whose normal
+is not 0 on it, read on its coordinates: they hold on its exponents,
+which for a summand are exponents of f, and for a product, where Delta is
+the product of the blocks' polytopes, they are the facets of the block's
+own. The origin lies outside them only when it lies outside the block's
+polytope. A cut is skipped when a * peak <= (N - a) h, peak the largest
+n.v over Delta, which bounds it over a block's exponents too. Nothing is
+pruned when Delta is not full-dimensional, nor f^p at even N, where a
+term meets only two dot products and costs less than its test.
 
-A chain step loops over the power once per term of the step, adding the
-shifted power into the product; a term with coefficient 1, as in almost
-every step of the catalog's factored models, skips its multiply. A dict
-paired with itself, as in ct(f^(2a)) and, for an unfactored f, in every
-pairing of the fold, looks up only its keys below half the target, since
-the sum is symmetric under k -> target - k.
+The exponents are packed into one int, pack(e) = sum of e_i R^i, with
+balanced digits base R = 2K + 1: injective on coordinates in [-K, K], and
+linear, so -e and e + e' go to -pack(e) and pack(e) + pack(e'). A pairing
+meets exponents in N Delta, and the chain, g included, sums of at most p
+exponents of f and one of each step, so K = max(N |f|, p |f| + sum over
+the steps of |L|), |g| the largest |exponent| of g, keeps one key per
+exponent in every dict: dict sizes are true term counts and the prune
+reads true digits. The prune splits off the lowest digit and bounds it by
+an interval that depends on the other digits only, worked out once per
+row. Coefficients are ints or Fractions. A chain step loops over the
+power once per term of the step, and a term with coefficient 1 skips its
+multiply. A dict paired with itself, as in ct(f^(2a)), looks up only its
+keys below half the target, the sum being symmetric under k -> target - k.
 
 The closed forms the periods are checked against are I-series of complete
 intersections X of nef divisors L_1..L_r in a toric variety Y with toric
@@ -90,11 +92,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
-from operator import mul
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import add, mul
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .laurent import (Coeff, LaurentPoly, UnknownVariable, VariableMismatch,
-                      _coerce_coeff, _norm)
+from .laurent import (Coeff, LaurentPoly, VariableMismatch, _coerce_coeff,
+                      _norm)
 from .polytope import Polytope, newton_polytope
 
 
@@ -242,9 +244,10 @@ def _prune(power: dict, facets, budget: int, radix: int, dims: int) -> dict:
     return out
 
 
-def _reach(p: LaurentPoly) -> int:
-    """The largest |exponent entry| of p, 0 for a constant or zero."""
-    return max((abs(x) for e in p.exponents() for x in e), default=0)
+def _reach(terms: dict) -> int:
+    """The largest |exponent entry| of the terms, 0 for a constant or
+    zero."""
+    return max((abs(x) for e in terms for x in e), default=0)
 
 
 def factored(f: LaurentPoly, factors: Iterable[Tuple[LaurentPoly, int]]
@@ -269,7 +272,8 @@ def factored(f: LaurentPoly, factors: Iterable[Tuple[LaurentPoly, int]]
                 f"factor {L!r} is not a Laurent polynomial in {f.variables}")
         if type(m) is not int or m < 1:  # a bool is no power
             raise ValueError(f"factor power must be an int >= 1, got {m!r}")
-    radix = 2 * max(_reach(f), sum(m * _reach(L) for L, m in pairs)) + 1
+    radix = 2 * max(_reach(f._terms),
+                    sum(m * _reach(L._terms) for L, m in pairs)) + 1
     weights = [radix ** d for d in range(len(f.variables))]
 
     def pack(p: LaurentPoly) -> list:
@@ -295,81 +299,60 @@ def _check_order(order) -> None:
         raise ValueError("order must be at least 1")
 
 
-def _chain(f: LaurentPoly) -> List[LaurentPoly]:
-    """The steps whose product takes f^(a-1) to f^a.
+def _monomial_part(factors, dims: int):
+    """(shift, scale, others): the exponent and the coefficient of the
+    product of the one-term factors (monomials and constants) L^m among
+    the pairs (L, m), and the other pairs."""
+    shift, scale, others = (0,) * dims, 1, []
+    for L, m in factors:
+        if len(L) == 1:
+            ((e, c),) = L.items()
+            shift = tuple(a + m * x for a, x in zip(shift, e))
+            scale *= c ** m
+        else:
+            others.append((L, m))
+    return shift, _norm(scale), others
+
+
+def _chain(terms: dict, factors, dims: int) -> List[dict]:
+    """The steps whose product takes f^(a-1) to f^a, as dicts of exponent
+    to coefficient, for f with the given terms and factor pairs (L, m) of
+    such dicts, or None.
 
     A factor L with power m is m steps of L, and f with no factors is the
-    one step f; the one-term factors (monomials and constants) are folded
-    into the first longer step.
+    one step f; the one-term factors are folded into the first longer
+    step.
     """
-    steps: List[LaurentPoly] = []
-    monomial = None
-    for L, m in f.factors or ((f, 1),):
-        if len(L) == 1:
-            monomial = L ** m if monomial is None else monomial * L ** m
-        else:
-            steps.extend([L] * m)
-    if monomial is not None:
-        steps[:1] = [monomial * steps[0] if steps else monomial]
-    return steps or [LaurentPoly.constant(1, f.variables)]
+    shift, scale, others = _monomial_part(factors or ((terms, 1),), dims)
+    steps = [L for L, m in others for _ in range(m)]
+    if not steps:
+        return [{shift: scale}]
+    if any(shift) or scale != 1:
+        steps[0] = {tuple(map(add, e, shift)): c * scale
+                    for e, c in steps[0].items()}
+    return steps
 
 
-def _period_facets(f: LaurentPoly, positions: Sequence[int], dims: int):
-    """(n, h, peak) for each facet n.x + h >= 0 of the Newton polytope
-    Delta of f in the period variables, n in the order of the period digits
-    and peak the largest n.v over Delta; empty when f is zero or Delta is not
-    full-dimensional there, and then nothing is pruned."""
-    if f.is_zero():
-        return []
-    if dims == len(positions):
-        delta = newton_polytope(f)
-    else:
-        delta = Polytope({tuple(e[i] for i in positions[:dims])
-                          for e in f.exponents()})
-        positions = range(dims)
-    if not delta.is_full_dimensional():
-        return []
-    return [(tuple(n[i] for i in positions), h,
-             max(sum(map(mul, n, v)) for v in delta.vertices))
-            for n, h in delta.facets]
+def _radix(terms: dict, steps: List[dict], n: int) -> int:
+    """2K + 1 with K = max(N |f|, p |f| + sum over the steps of |L|),
+    p = N // 2, which covers every exponent a pairing or the chain meets
+    (module docstring)."""
+    top = _reach(terms)
+    return 2 * max(n * top, n // 2 * top + sum(map(_reach, steps))) + 1
 
 
-def phi_coefficients(f: LaurentPoly, order: int,
-                     period_vars: Optional[Iterable[str]] = None
-                     ) -> List[LaurentPoly]:
-    """Constant terms of f^0..f^(order-1) over the period variables.
+def _powers(terms: dict, steps: List[dict], facets, radix: int, dims: int,
+            n: int, coefficient) -> list:
+    """ct(f^1)..ct(f^n) for f with the given terms and chain steps in dims
+    variables, on keys packed with the radix and pruned by the facets (n,
+    h, peak) of the period digits, as coefficient(a, b, targets) gives the
+    constant term of a * b * sum of d x^s over (s, d) in targets."""
+    weights = [radix ** d for d in range(dims)]
 
-    Each entry is a Laurent polynomial in the non-period variables, so
-    formal parameters riding along in the coefficients are preserved.
-    When f carries factors (`factored`), each power of f is built from the
-    one before factor by factor.
-    """
-    _check_order(order)
-    vs = f.variables
-    period = tuple(period_vars) if period_vars is not None else vs
-    if not period:
-        raise ValueError("need at least one period variable")
-    if len(set(period)) != len(period):
-        raise UnknownVariable(f"duplicate period variables in {period}")
-    for v in period:
-        if v not in vs:
-            raise UnknownVariable(f"{v!r} not among {vs}")
-    rest = tuple(v for v in vs if v not in period)
-    positions = [vs.index(v) for v in period + rest]
-    steps = _chain(f)
+    def pack(p: dict) -> list:
+        return [(sum(map(mul, e, weights)), c) for e, c in sorted(p.items())]
 
-    n = order - 1
-    half = n // 2
-    top = _reach(f)
-    radix = 2 * max(n * top, half * top + sum(map(_reach, steps))) + 1
-    weights = [radix ** d for d in range(len(positions))]
-
-    def pack(p: LaurentPoly) -> list:
-        return [(sum(e[i] * w for i, w in zip(positions, weights)), c)
-                for e, c in p.terms()]
-
-    packed = pack(f)
-    steps = [pack(step) for step in steps]
+    packed, steps = dict(pack(terms)), [pack(step) for step in steps]
 
     def partial(power: dict) -> dict:
         """power times every step but the last."""
@@ -377,69 +360,147 @@ def phi_coefficients(f: LaurentPoly, order: int,
             power = _times(power, step)
         return power
 
-    facets = _period_facets(f, positions, len(period))
-    # the parameter digits sit above the period digits: a key splits into
-    # its period part low(key), in [-width/2, width/2], and its parameter
-    # part key - low(key), a multiple of width
-    width = radix ** len(period)
-    mid = width // 2
-
-    def low(key: int) -> int:
-        return (key + mid) % width - mid
-
-    def coefficient(a: dict, b: dict, targets) -> LaurentPoly:
-        """The constant term over the period variables of a * b * sum of
-        d x^s over (s, d) in targets."""
-        if not rest:
-            return LaurentPoly.constant(
-                sum(d * _pairing(a, b, -s) for s, d in targets))
-        by_low: dict = {}
-        for k, c in b.items():
-            by_low.setdefault(low(k), []).append((k - low(k), c))
-        split = [(low(k), k - low(k), c) for k, c in a.items()]
-        sums: dict = {}
-        for s, d in targets:
-            ls = low(s)
-            for lk, high, c in split:
-                for high2, c2 in by_low.get(-ls - lk, ()):
-                    key = high + high2 + s - ls
-                    sums[key] = sums.get(key, 0) + d * c * c2
-        terms = {}
-        for key, c in sums.items():
-            key //= width
-            digits = []
-            for _ in rest:
-                digit = (key + radix // 2) % radix - radix // 2
-                digits.append(digit)
-                key = (key - digit) // radix
-            terms[tuple(digits)] = c
-        return LaurentPoly(rest, terms)
-
-    out: List[LaurentPoly] = [LaurentPoly.constant(1, rest)]
-    cur = {0: 1}
+    half, out, cur = n // 2, [], {0: 1}
     for a in range(1, half + 1):
-        # f^1 is the packed f, with no chain
-        prev, cur = cur, _times(partial(cur), steps[-1]) if a > 1 \
-            else dict(packed)
+        # f^1 is the packed f, with no chain; f^(a-2) is let go before f^a
+        # is built, and f^(p-1) before the fold, to hold less at the peak
+        prev = cur
+        cur = _times(partial(prev), steps[-1]) if a > 1 else packed
         # f^a lies in a Delta, which the facet n.x + h >= 0 of
         # -(n - a) Delta cuts only when a * peak > (n - a) * h
         cuts = [(normal, h) for normal, h, peak in facets
                 if a * peak > (n - a) * h] if a < half or n % 2 else ()
         if cuts:
-            cur = _prune(cur, cuts, n - a, radix, len(period))
-        out.append(coefficient(cur, prev, [(0, 1)]))
-        out.append(coefficient(cur, cur, [(0, 1)]))
+            cur = _prune(cur, cuts, n - a, radix, len(cuts[0][0]))
+        out.append(coefficient(cur, prev, ((0, 1),)))
+        out.append(coefficient(cur, cur, ((0, 1),)))
     if n % 2:
         # f^(2p+1) = f^p * (f / L) * L * f^p, with L the last step
+        prev = None
         out.append(coefficient(partial(cur), cur, steps[-1]))
     return out
 
 
+def _constant_term(a: dict, b: dict, targets) -> Coeff:
+    """The constant term of a * b * sum of d x^s over (s, d) in targets,
+    every digit a period digit."""
+    return sum(d * _pairing(a, b, -s) for s, d in targets)
+
+
+def _facets(delta: Polytope):
+    """(n, h, peak) for each facet n.x + h >= 0 of delta, peak the largest
+    n.v over delta; empty when delta is not full-dimensional, and then
+    nothing is pruned."""
+    if not delta.is_full_dimensional():
+        return []
+    return [(n, h, max(sum(map(mul, n, v)) for v in delta.vertices))
+            for n, h in delta.facets]
+
+
+def _support(exponents) -> set:
+    """The coordinates at which some of the exponents is not 0."""
+    return {i for e in exponents for i, x in enumerate(e) if x}
+
+
+def _blocks(groups, dims: int) -> List[Tuple[int, ...]]:
+    """The classes of the coordinates 0..dims-1 that the groups, sets of
+    coordinates, join, each sorted, in order of their least coordinate; a
+    coordinate in no group is in no class."""
+    classes: List[set] = []
+    for g in groups:
+        joined = [c for c in classes if not c.isdisjoint(g)]
+        g = set(g).union(*joined)
+        if len(g) == dims:
+            return [tuple(range(dims))]
+        classes = [c for c in classes if c not in joined] + [g]
+    return sorted(tuple(sorted(c)) for c in classes if c)
+
+
+def _restricted(facets, block: Tuple[int, ...]):
+    """The facets (n, h, peak) whose normal is not 0 on the block, read on
+    its coordinates, with the least h and peak for each normal."""
+    tightest: dict = {}
+    for normal, h, peak in facets:
+        nb = tuple(normal[i] for i in block)
+        if any(nb):
+            h0, peak0 = tightest.get(nb, (h, peak))
+            tightest[nb] = min(h, h0), min(peak, peak0)
+    return [(nb, h, peak) for nb, (h, peak) in tightest.items()]
+
+
+def _summed_periods(terms: dict, steps: List[dict], facets, dims: int,
+                    n: int) -> list:
+    """ct(f^0)..ct(f^n) over every variable, for f with the given terms and
+    chain steps and facets (n, h, peak) that hold on its exponents: the
+    binomial convolution of its blocks' series when its terms fall into
+    blocks of variables, the constant term going to the first; else the
+    engine on all of f."""
+    blocks = [] if dims < 2 or any(all(e) for e in terms) else _blocks(
+        [_support([p]) for p in {tuple(map(bool, e)) for e in terms}], dims)
+    if len(blocks) < 2:
+        return [1] + _powers(terms, steps, facets, _radix(terms, steps, n),
+                             dims, n, _constant_term)
+    owner = {i: b for b, block in enumerate(blocks) for i in block}
+    parts: List[dict] = [{} for _ in blocks]
+    for e, c in terms.items():
+        b = next((owner[i] for i, x in enumerate(e) if x), 0)
+        parts[b][tuple(e[i] for i in blocks[b])] = c
+    out = [1] + [0] * n
+    for block, local in zip(blocks, parts):
+        mine = _summed_periods(local, [local], _restricted(facets, block),
+                               len(block), n)
+        out = [sum(comb(j, k) * out[k] * mine[j - k]
+                   for k in range(j + 1) if out[k]) for j in range(n + 1)]
+    return out
+
+
+def _block_periods(terms: dict, factors, facets, dims: int, n: int) -> list:
+    """ct(f^0)..ct(f^n) over every variable as `_summed_periods` gives
+    them, but for f carrying factors that fall into blocks of variables
+    the product of the blocks' series: a block takes the factors in its
+    variables and its part of the monomial factor, whose coefficient goes
+    to the first block."""
+    if factors and terms:
+        shift, scale, others = _monomial_part(factors, dims)
+        supports = [_support(L) for L, _ in others]
+        blocks = _blocks(supports + [{i} for i, x in enumerate(shift) if x],
+                         dims)
+        if len(blocks) > 1:
+            out = [1] * (n + 1)
+            for block in blocks:
+                steps = _chain(None, [
+                    ({tuple(e[i] for i in block): c for e, c in L.items()}, m)
+                    for s, (L, m) in zip(supports, others) if min(s) in block
+                ] + [({tuple(shift[i] for i in block): scale}, 1)], len(block))
+                scale = 1
+                local = {(0,) * len(block): 1}
+                for step in steps:
+                    product: dict = {}
+                    for e, c in local.items():
+                        for s, d in step.items():
+                            key = tuple(map(add, e, s))
+                            product[key] = product.get(key, 0) + c * d
+                    local = {e: c for e, c in product.items() if c}
+                out = list(map(mul, out, _summed_periods(
+                    local, steps, _restricted(facets, block), len(block), n)))
+            return out
+    return _summed_periods(terms, _chain(terms, factors, dims), facets, dims,
+                           n)
+
+
 def phi(f: LaurentPoly, order: int) -> PowerSeries:
-    """Main period of f: coefficient i is the constant term of f^i; the
-    factors f carries give the same series faster (`phi_coefficients`)."""
-    polys = phi_coefficients(f, order)
-    return PowerSeries(tuple(p.constant_term() for p in polys))
+    """Main period of f: coefficient i is the constant term of f^i over
+    every variable. The blocks of variables that f falls into, as a sum or
+    by the factors it carries, are computed apart and combined (module
+    docstring); `phi_coefficients` gives the same series from all of f."""
+    _check_order(order)
+    dims = len(f.variables)
+    if not dims:
+        raise ValueError("need at least one period variable")
+    facets = [] if f.is_zero() else _facets(newton_polytope(f))
+    return PowerSeries(tuple(map(_norm, _block_periods(
+        f._terms, f.factors and [(L._terms, m) for L, m in f.factors],
+        facets, dims, order - 1))))
 
 
 def _ints(xs, what: str) -> Tuple[int, ...]:
@@ -653,33 +714,3 @@ def iseries_toric(data: ToricCurveClassData, order: int) -> PowerSeries:
         warnings = ("a generator has anticanonical degree one; the linear "
                     "correction term for index-one models is not applied",)
     return PowerSeries(coeffs, warnings)
-
-
-class PeriodReport(NamedTuple):
-    """Outcome of comparing a period with a target series."""
-
-    match: bool
-    order: int
-    first_mismatch: Optional[int] = None
-    expected: Optional[str] = None
-    found: Optional[str] = None
-
-    def to_json_dict(self) -> dict:
-        out = {"match": self.match, "order": self.order}
-        if not self.match:
-            out.update({"first_mismatch": self.first_mismatch,
-                        "expected": self.expected, "found": self.found})
-        return out
-
-
-def verify_period(f: LaurentPoly, target: PowerSeries) -> PeriodReport:
-    """Exact comparison of the period of f against a target series."""
-    if target.order < 2:
-        raise ValueError("target must have order at least 2")
-    mine = phi(f, target.order)
-    i = mine.first_mismatch(target)
-    if i is None:
-        return PeriodReport(True, target.order)
-    return PeriodReport(False, target.order, i,
-                        str(Fraction(target.coeffs[i])),
-                        str(Fraction(mine.coeffs[i])))

@@ -20,9 +20,10 @@ from tlg.laurent import LaurentPoly
 from tlg.minkowski import (InteriorFacetPoint, a_type_polynomial,
                            binomial_principle, certificate_from_json_dict,
                            is_An_polygon, minkowski_polynomial)
+from tlg.parametric import phi_coefficients
 from tlg.polytope import (Polytope, dual, is_reflexive, lattice_chart,
                           lattice_points, newton_polytope)
-from tlg.series import WciSpec, phi_coefficients
+from tlg.series import WciSpec
 from tlg.wci import (BadPartition, NefPartition, find_nef_partitions,
                      wci_laurent)
 

@@ -8,9 +8,9 @@ from tlg import intlinalg, mutation, polytope
 from tlg.laurent import LaurentPoly, NotLaurent
 from tlg.mutation import (MutationData, PivotInFactor, SliceNotDivisible,
                           elementary_mutation, polytope_mutation_effect)
+from tlg.parametric import phi_coefficients
 from tlg.polytope import (DimensionMismatch, NotFullDimensional, Polytope,
                           newton_polytope)
-from tlg.series import phi_coefficients
 
 S7_VARS = ("x", "y", "q0", "q1", "q2")
 

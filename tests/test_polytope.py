@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tlg import catalog, polytope
+from tlg.commands import unimodular_equivalent
 from tlg.delpezzo import _boundary_cycle, polygon_edges
 from tlg.intlinalg import identity, kernel_lattice_chart
 from tlg.laurent import LaurentPoly
@@ -18,7 +19,7 @@ from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           NotLatticePolytope, OriginNotInterior, Polytope,
                           PolytopeError, dual, edges, is_reflexive,
                           lattice_chart, lattice_points, newton_polytope,
-                          normalized_volume, unimodular_equivalent)
+                          normalized_volume)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
 BIG = Polytope([(2, -1), (-1, 2), (-1, -1)])

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import catalog
+from tlg import catalog, series
+from tlg.commands import verify_period
 from tlg.laurent import LaurentPoly
+from tlg.parametric import phi_coefficients
 from tlg.polytope import Polytope, newton_polytope
 from tlg.series import (GrassSpec, NegativeAnticanonicalDegree, PowerSeries,
                         ToricCurveClassData, WciSpec, _pairing, _times,
                         factored, iseries_grassmannian, iseries_toric,
-                        iseries_toric_parametrized, phi, phi_coefficients,
-                        verify_period)
+                        iseries_toric_parametrized, phi)
 
 V3 = ("x", "y", "z")
 x3, y3, z3 = (LaurentPoly.variable(n, V3) for n in V3)
@@ -692,3 +693,116 @@ def test_phi_of_small_catalog_entries_is_pinned(entry_id):
     text = "\n".join(" ".join(f"{type(c).__name__}:{c}" for c in s.coeffs)
                      for s in series)
     assert hashlib.sha256(text.encode()).hexdigest() == PHI_13_TO_17[entry_id]
+
+
+# phi splits f into blocks of variables: a sum in disjoint variables by the
+# binomial convolution of the blocks' series, a product of factors in
+# disjoint variables by the product; phi_coefficients runs the engine on
+# all of f and is the reference
+
+_BLOCK_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                          st.builds(Fraction, st.integers(1, 3),
+                                    st.integers(2, 4)))
+
+
+@st.composite
+def _block_poly(draw, vs, block):
+    """1-3 terms in the block's variables with exponents in [-2, 2]: any,
+    none constant, or all with a first exponent in [1, 2], so that the
+    block's Newton polytope misses the origin."""
+    shape = draw(st.sampled_from(("any", "no constant", "off the origin")))
+    exponent = st.tuples(*[st.integers(-2, 2)] * len(block))
+    if shape == "no constant":
+        exponent = exponent.filter(any)
+    elif shape == "off the origin":
+        exponent = st.tuples(st.integers(1, 2),
+                             *[st.integers(-2, 2)] * (len(block) - 1))
+    terms = draw(st.dictionaries(exponent, _BLOCK_COEFFS, min_size=1,
+                                 max_size=3))
+    where = [vs.index(v) for v in block]
+
+    def embed(e):
+        out = [0] * len(vs)
+        for i, x in zip(where, e):
+            out[i] = x
+        return tuple(out)
+
+    return LaurentPoly(vs, {embed(e): c for e, c in terms.items()})
+
+
+@st.composite
+def _block_cases(draw):
+    """f on 1-3 blocks of 1-2 variables each: the sum of one polynomial
+    per block, or, carried by `factored`, the product of their powers and
+    a monomial factor, which may hold a variable w of its own; and an
+    order 1-9 (1-6 for the larger products)."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    names = iter("abcdef")
+    blocks = [tuple(next(names) for _ in range(k)) for k in sizes]
+    product = draw(st.booleans())
+    vs = sum(blocks, ()) + (("w",) if product and draw(st.booleans())
+                            else ())
+    polys = [draw(_block_poly(vs, block)) for block in blocks]
+    if not product:
+        return sum(polys[1:], polys[0]), draw(st.integers(1, 9))
+    monomial = LaurentPoly.monomial(
+        vs, draw(st.tuples(*[st.integers(-1, 1)] * len(vs))),
+        draw(_BLOCK_COEFFS))
+    if "w" in vs:
+        monomial = monomial * LaurentPoly.variable("w", vs) ** draw(
+            st.sampled_from((-1, 1)))
+    factors = [(monomial, 1)] + [(p, draw(st.integers(1, 2)))
+                                 for p in polys]
+    f = factored(_expand(factors, vs), factors)
+    return f, draw(st.integers(1, 9 if len(f) <= 12 else 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_block_cases())
+# x + 1/x + y + 1/y: two blocks of one variable, no constant term
+@example((x2 + x2 ** -1 + y2 + y2 ** -1, 9))
+# the constant goes to the first block; the second misses the origin
+@example((3 + x2 + x2 ** -1 + y2 + Fraction(1, 2) * y2 ** 2, 9))
+# (1 + x)^2 (1 + y)^2 / (xy), the monomial factor split per block
+@example((factored((1 + x2) ** 2 * (1 + y2) ** 2 * (x2 * y2) ** -1,
+                   [((x2 * y2) ** -1, 1), (1 + x2, 2), (1 + y2, 2)]), 9))
+# a factor 1 + x + y in one block whose terms fall into two
+@example((factored((1 + x2 + y2) * x2, [(x2, 1), (1 + x2 + y2, 1)]), 9))
+def test_phi_of_blocks_equals_the_engine_on_all_of_f(case):
+    f, order = case
+    want = [p.constant_term() for p in phi_coefficients(f, order)]
+    got = phi(f, order).coeffs
+    assert list(got) == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+_SPLIT = {"1-3": [1, 2], "1-4": [1, 1, 1], "9-1": [1, 2], "10-1": [2, 1]}
+
+
+@pytest.mark.parametrize("entry_id", sorted(_SPLIT))
+@pytest.mark.parametrize("order", [4, 8, 12, 16])
+def test_split_catalog_entries_equal_the_engine_on_all_of_f(entry_id,
+                                                             order):
+    f = _small_catalog()[entry_id].laurent
+    assert list(phi(f, order).coeffs) == [
+        p.constant_term() for p in phi_coefficients(f, order)]
+
+
+def test_only_the_disjoint_catalog_entries_split(monkeypatch):
+    # 9-1 and 10-1 are sums in disjoint variables, 1-3 and 1-4 products of
+    # factors in disjoint variables; 2-1 and 1-11 have a term that joins
+    # z with x and y, and every other entry one in all its variables
+    calls = []
+
+    def powers(terms, steps, facets, radix, dims, n, coefficient,
+               _powers=series._powers):
+        calls.append(dims)
+        return _powers(terms, steps, facets, radix, dims, n, coefficient)
+    monkeypatch.setattr(series, "_powers", powers)
+    engines = {}
+    for entry in catalog.load():
+        calls.clear()
+        phi(entry.laurent, 8)
+        if calls != [len(entry.laurent.variables)]:
+            engines[entry.id] = list(calls)
+    assert engines == _SPLIT
