@@ -10,6 +10,7 @@ curve-class data) whose closed-form series the period must reproduce, or a
 frozen series prefix for entries with no generating formula. An entry with
 a generator is anchored by the paper and one without is a regression
 baseline, so reports can separate genuine cross-checks from baselines.
+`tlg.catalog_writer` writes entries in the format `load` reads.
 """
 
 from __future__ import annotations
@@ -64,23 +65,6 @@ class CatalogEntry(NamedTuple):
         return None if g is None else iseries_toric(g, order)
 
 
-def _generator_to_json(g: Optional[Generator]) -> Optional[dict]:
-    if g is None:
-        return None
-    if isinstance(g, WciSpec):
-        return {"kind": "wci", "weights": list(g.weights),
-                "degrees": list(g.degrees)}
-    if isinstance(g, GrassSpec):
-        return {"kind": "grass", "k": g.k, "n": g.n,
-                "degrees": list(g.degrees)}
-    if isinstance(g, ToricCurveClassData):
-        out = {"kind": "toric", "rows": [list(r) for r in g.rows]}
-        if g.degrees:
-            out["degrees"] = [list(v) for v in g.degrees]
-        return out
-    raise TypeError(f"unknown generator {g!r}")
-
-
 def _exactly(kind: type, name: str):
     """A check that a JSON value has exactly the type kind: a number with a
     fraction part is a float and true/false is a bool, so neither is an
@@ -133,29 +117,6 @@ def generator_from_json(data, location: str,
     except (TypeError, ValueError) as exc:
         raise ParseError(location, str(exc)) from exc
     raise ParseError(location, f"unknown generator kind {kind!r}")
-
-
-def entry_to_json_dict(e: CatalogEntry) -> dict:
-    out = {
-        "id": e.id,
-        "description": e.description,
-        "laurent": e.laurent.to_json_dict(),
-    }
-    if e.laurent.factors is not None:
-        out["factors"] = [{"laurent": f.to_json_dict(), "power": m}
-                          for f, m in e.laurent.factors]
-    out |= {
-        "generator": _generator_to_json(e.generator),
-        "expected_series_prefix": (None if e.expected_series_prefix is None
-                                   else e.expected_series_prefix.to_json_dict()),
-        "polytope_notes": (None if e.polytope_notes is None
-                           else [list(v) for v in e.polytope_notes]),
-        "minkowski": e.minkowski_flag,
-        "degree": e.degree,
-        "index": e.index,
-        "rho": e.rho,
-    }
-    return out
 
 
 def entry_from_json_dict(data, location: str) -> CatalogEntry:
@@ -232,11 +193,6 @@ def load(path=None) -> List[CatalogEntry]:
         seen.add(entry.id)
         entries.append(entry)
     return entries
-
-
-def save(entries: Sequence[CatalogEntry], path) -> None:
-    data = [entry_to_json_dict(e) for e in entries]
-    Path(path).write_text(json.dumps(data, indent=1) + "\n")
 
 
 class EntryReport(NamedTuple):

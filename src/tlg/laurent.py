@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, Mapping, Sequence, Tuple, Union
 
 Coeff = Union[int, Fraction]
 Exponent = Tuple[int, ...]
@@ -250,32 +250,6 @@ class LaurentPoly:
 
     def __hash__(self):
         return hash((self._vars, frozenset(self._terms.items())))
-
-    # -- structure ---------------------------------------------------------
-
-    def constant_term(self, over: Optional[Iterable[str]] = None):
-        """Coefficient of the zero exponent.
-
-        With ``over`` a subset of variables, collects all terms whose
-        exponents vanish on those variables and returns them as a polynomial
-        in the remaining variables. Without it, returns the scalar
-        coefficient of the all-zero exponent.
-        """
-        if over is None:
-            return self._terms.get((0,) * len(self._vars), 0)
-        kill = tuple(over)
-        for v in kill:
-            if v not in self._vars:
-                raise UnknownVariable(f"{v!r} not among {self._vars}")
-        kill_pos = [i for i, v in enumerate(self._vars) if v in kill]
-        keep_pos = [i for i, v in enumerate(self._vars) if v not in kill]
-        rest = tuple(self._vars[i] for i in keep_pos)
-        out: Dict[Exponent, Coeff] = {}
-        for e, c in self._terms.items():
-            if all(e[i] == 0 for i in kill_pos):
-                ne = tuple(e[i] for i in keep_pos)
-                out[ne] = out.get(ne, 0) + c
-        return LaurentPoly._raw(rest, out)
 
     # -- serialization -----------------------------------------------------
 

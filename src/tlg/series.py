@@ -35,7 +35,17 @@ block's variables times its share of the monomial factor, whose
 coefficient goes to the first block, and ct(f^n) = prod of ct(f_B^n).
 The rules nest, a block of a product may be a sum, and the engine runs on
 each block's own variables, with its share of the factors `factored`
-checked.
+checked. A block, or all of f, of the form c x^s L^m, L = sum of c_k
+x^(e_k) over dims + 1 affinely independent exponents, needs no engine
+(`_simplex_periods`). Przyjalkowski's models of complete intersections
+(arXiv:0707.3758) are such, or products of such in disjoint variables:
+1-1, 1-2 and 1-17 whole, every block of 1-3 and 1-4, and the z + 1/z
+block of 10-1. A term of L^(jm) that takes term k a_k times reaches
+ct(f^j) when sum of a_k (e_k, 1) = (-js, jm). Affine independence makes
+this square system invertible, so a = j a_1 is linear in j, with a_1
+solved once, and ct(f^j) = c^j (jm)! prod of c_k^(a_k) / a_k! when j a_1
+is a nonnegative integer vector, else 0: one multinomial, the form of the
+I-series it is checked against.
 
 Each finished power is pruned. Let Delta be the Newton polytope of f,
 with facets n.x + h >= 0 (`newton_polytope` hulls a product's factor
@@ -95,6 +105,7 @@ from math import comb, factorial
 from operator import add, mul
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .intlinalg import _IntEchelon
 from .laurent import (Coeff, LaurentPoly, VariableMismatch, _coerce_coeff,
                       _norm)
 from .polytope import Polytope, newton_polytope
@@ -428,16 +439,44 @@ def _restricted(facets, block: Tuple[int, ...]):
     return [(nb, h, peak) for nb, (h, peak) in tightest.items()]
 
 
-def _summed_periods(terms: dict, steps: List[dict], facets, dims: int,
-                    n: int) -> list:
+def _simplex_periods(factors, dims: int, n: int) -> Optional[list]:
+    """ct(f^0)..ct(f^n) for f = c x^s L^m, L a simplex (module docstring),
+    from the one-term factors and one pair (L, m); None for any other f.
+    The matrix with columns (e_k, 1) and (s, -m) has a primitive kernel
+    vector (b, q), q > 0, so a_1 = b / q in lowest terms and only
+    ct(f^(qt)) = c^(qt) (qtm)! prod of c_k^(t b_k) / (t b_k)! is not 0."""
+    shift, scale, others = _monomial_part(factors, dims)
+    if len(others) != 1 or len(others[0][0]) != dims + 1:
+        return None
+    ((L, m),) = others
+    ech = _IntEchelon()
+    for row in [*zip(*L, shift), [1] * dims + [1, -m]]:
+        ech.add(row)
+    if ech.rank <= dims or dims + 1 in ech.pivots:  # affinely dependent
+        return None
+    *b, q = ech.kernel_vector(dims + 2)
+    out = [1] + [0] * n
+    for t in range(1, n // q + 1 if min(b) >= 0 else 1):
+        a = [t * x for x in b]
+        out[q * t] = scale ** (q * t) * math.prod(map(pow, L.values(), a)) * (
+            factorial(q * t * m) // math.prod(map(factorial, a)))
+    return out
+
+
+def _summed_periods(terms: dict, factors, facets, dims: int, n: int) -> list:
     """ct(f^0)..ct(f^n) over every variable, for f with the given terms and
-    chain steps and facets (n, h, peak) that hold on its exponents: the
-    binomial convolution of its blocks' series when its terms fall into
-    blocks of variables, the constant term going to the first; else the
-    engine on all of f."""
+    factor pairs (L, m) of dicts, or None, and facets (n, h, peak) that
+    hold on its exponents: the closed form of `_simplex_periods` when f is
+    c x^s L^m with L a simplex; the binomial convolution of its blocks'
+    series when its terms fall into blocks of variables, the constant term
+    going to the first; else the engine on all of f."""
+    simplex = _simplex_periods(factors or ((terms, 1),), dims, n)
+    if simplex:
+        return simplex
     blocks = [] if dims < 2 or any(all(e) for e in terms) else _blocks(
         [_support([p]) for p in {tuple(map(bool, e)) for e in terms}], dims)
     if len(blocks) < 2:
+        steps = _chain(terms, factors, dims)
         return [1] + _powers(terms, steps, facets, _radix(terms, steps, n),
                              dims, n, _constant_term)
     owner = {i: b for b, block in enumerate(blocks) for i in block}
@@ -447,7 +486,7 @@ def _summed_periods(terms: dict, steps: List[dict], facets, dims: int,
         parts[b][tuple(e[i] for i in blocks[b])] = c
     out = [1] + [0] * n
     for block, local in zip(blocks, parts):
-        mine = _summed_periods(local, [local], _restricted(facets, block),
+        mine = _summed_periods(local, None, _restricted(facets, block),
                                len(block), n)
         out = [sum(comb(j, k) * out[k] * mine[j - k]
                    for k in range(j + 1) if out[k]) for j in range(n + 1)]
@@ -468,13 +507,13 @@ def _block_periods(terms: dict, factors, facets, dims: int, n: int) -> list:
         if len(blocks) > 1:
             out = [1] * (n + 1)
             for block in blocks:
-                steps = _chain(None, [
+                pairs = [
                     ({tuple(e[i] for i in block): c for e, c in L.items()}, m)
                     for s, (L, m) in zip(supports, others) if min(s) in block
-                ] + [({tuple(shift[i] for i in block): scale}, 1)], len(block))
+                ] + [({tuple(shift[i] for i in block): scale}, 1)]
                 scale = 1
                 local = {(0,) * len(block): 1}
-                for step in steps:
+                for step in _chain(None, pairs, len(block)):
                     product: dict = {}
                     for e, c in local.items():
                         for s, d in step.items():
@@ -482,10 +521,9 @@ def _block_periods(terms: dict, factors, facets, dims: int, n: int) -> list:
                             product[key] = product.get(key, 0) + c * d
                     local = {e: c for e, c in product.items() if c}
                 out = list(map(mul, out, _summed_periods(
-                    local, steps, _restricted(facets, block), len(block), n)))
+                    local, pairs, _restricted(facets, block), len(block), n)))
             return out
-    return _summed_periods(terms, _chain(terms, factors, dims), facets, dims,
-                           n)
+    return _summed_periods(terms, factors, facets, dims, n)
 
 
 def phi(f: LaurentPoly, order: int) -> PowerSeries:

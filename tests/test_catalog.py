@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from tlg import catalog, polytope, series
+from tlg import catalog, catalog_writer, polytope, series
 from tlg.catalog import (CatalogEntry, ParseError, entry_from_json_dict,
-                         entry_to_json_dict, verify_all, verify_entry)
+                         verify_all, verify_entry)
+from tlg.catalog_writer import entry_to_json_dict
 from tlg.cli import main
 from tlg.laurent import LaurentPoly
 from tlg.polytope import newton_polytope
@@ -122,7 +123,7 @@ def test_bundled_generators_emit_no_series_warnings():
 def test_save_then_load_round_trips_every_entry(tmp_path):
     entries = catalog.load()
     path = tmp_path / "catalog.json"
-    catalog.save(entries, path)
+    catalog_writer.save(entries, path)
     again = catalog.load(path)
     assert len(again) == 25
     assert [entry_to_json_dict(e) for e in again] == \
@@ -190,7 +191,7 @@ def test_verify_reports_a_newton_polytope_without_the_origin_inside(
         laurent=LaurentPoly(("x", "y"), {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
         expected_series_prefix=PowerSeries((1, 0, 0, 0)))
     path = tmp_path / "catalog.json"
-    catalog.save([outside, catalog.load()[0]], path)
+    catalog_writer.save([outside, catalog.load()[0]], path)
     monkeypatch.setenv("TLG_CATALOG", str(path))
     assert main(["catalog", "verify", "--output", "json"]) == 0
     first, second = json.loads(capsys.readouterr().out)["reports"]
@@ -284,7 +285,7 @@ def test_factors_missing_a_power_or_empty_are_located():
 def test_factors_round_trip_and_are_written_only_when_present(tmp_path):
     entries = catalog.load()
     path = tmp_path / "catalog.json"
-    catalog.save(entries, path)
+    catalog_writer.save(entries, path)
     assert path.read_bytes() == catalog.bundled_path().read_bytes()
     again = {e.id: e for e in catalog.load(path)}
     for e in entries:

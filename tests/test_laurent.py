@@ -67,15 +67,6 @@ def test_with_variables():
     assert h.coefficient((0, 1, 0)) == 2
 
 
-def test_constant_term_full_and_partial():
-    f = x + 3 + x * y ** -1
-    assert f.constant_term() == 3
-    g = x * y + 2 * y + 5
-    # collapse x only: terms with zero x-exponent survive as a poly in y
-    part = g.constant_term(over=("x",))
-    assert part == LaurentPoly(("y",), {(1,): 2, (0,): 5})
-
-
 def test_divide_exact():
     assert divide_exact(x + 1, x) == x ** -1 + 1
     assert divide_exact(x, 2 * x) == Fraction(1, 2)

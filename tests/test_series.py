@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tlg import catalog, series
 from tlg.commands import verify_period
+from tlg.intlinalg import det_bareiss
 from tlg.laurent import LaurentPoly
 from tlg.parametric import phi_coefficients
 from tlg.polytope import Polytope, newton_polytope
@@ -28,7 +29,7 @@ def brute_constant_terms(f, order):
     power = LaurentPoly.constant(1, f.variables)
     for _ in range(1, order):
         power = power * f
-        out.append(power.constant_term())
+        out.append(power.coefficient((0,) * len(f.variables)))
     return out
 
 
@@ -385,6 +386,16 @@ def _phi_cases(draw):
     return f, draw(st.integers(1, 9)), tuple(period)
 
 
+def _constant_term_over(p, period):
+    """The terms of p with exponent 0 in the period variables, as a Laurent
+    polynomial in the others."""
+    kill = [i for i, v in enumerate(p.variables) if v in period]
+    keep = [i for i, v in enumerate(p.variables) if v not in period]
+    return LaurentPoly(tuple(p.variables[i] for i in keep),
+                       {tuple(e[i] for i in keep): c for e, c in p.terms()
+                        if not any(e[i] for i in kill)})
+
+
 @settings(max_examples=200, deadline=None)
 @given(_phi_cases())
 @example((LaurentPoly.zero(("x", "y")), 6, ("x", "y")))
@@ -409,7 +420,7 @@ def _phi_cases(draw):
 def test_phi_coefficients_match_brute_force_powers(case):
     f, order, period = case
     got = phi_coefficients(f, order, period)
-    want = [(f ** j).constant_term(over=period) for j in range(order)]
+    want = [_constant_term_over(f ** j, period) for j in range(order)]
     assert [p.variables for p in got] == [p.variables for p in want]
     assert [list(p.terms()) for p in got] == [list(p.terms()) for p in want]
 
@@ -770,28 +781,33 @@ def _block_cases(draw):
 @example((factored((1 + x2 + y2) * x2, [(x2, 1), (1 + x2 + y2, 1)]), 9))
 def test_phi_of_blocks_equals_the_engine_on_all_of_f(case):
     f, order = case
-    want = [p.constant_term() for p in phi_coefficients(f, order)]
+    want = [p.coefficient(()) for p in phi_coefficients(f, order)]
     got = phi(f, order).coeffs
     assert list(got) == want
     assert [type(c) for c in got] == [type(c) for c in want]
 
 
-_SPLIT = {"1-3": [1, 2], "1-4": [1, 1, 1], "9-1": [1, 2], "10-1": [2, 1]}
-
-
-@pytest.mark.parametrize("entry_id", sorted(_SPLIT))
+@pytest.mark.parametrize("entry_id", ["1-3", "1-4", "9-1", "10-1"])
 @pytest.mark.parametrize("order", [4, 8, 12, 16])
 def test_split_catalog_entries_equal_the_engine_on_all_of_f(entry_id,
                                                              order):
     f = _small_catalog()[entry_id].laurent
     assert list(phi(f, order).coeffs) == [
-        p.constant_term() for p in phi_coefficients(f, order)]
+        p.coefficient(()) for p in phi_coefficients(f, order)]
+
+
+# the engine's runs, as the number of variables of each, for the entries
+# that do not make one run on all their variables: 9-1 and 10-1 are sums
+# in disjoint variables, 1-3 and 1-4 products of factors in disjoint
+# variables; 1-1, 1-2 and 1-17, every block of 1-3 and 1-4 and the z + 1/z
+# block of 10-1 are c x^s L^m with L a simplex, and run no engine, while
+# 9-1's x-block keeps the constant term; 2-1 and 1-11 have a term that
+# joins z with x and y, and every other entry one in all its variables
+_ENGINE_RUNS = {"1-1": [], "1-2": [], "1-3": [], "1-4": [], "1-17": [],
+                "9-1": [1, 2], "10-1": [2]}
 
 
 def test_only_the_disjoint_catalog_entries_split(monkeypatch):
-    # 9-1 and 10-1 are sums in disjoint variables, 1-3 and 1-4 products of
-    # factors in disjoint variables; 2-1 and 1-11 have a term that joins
-    # z with x and y, and every other entry one in all its variables
     calls = []
 
     def powers(terms, steps, facets, radix, dims, n, coefficient,
@@ -805,4 +821,92 @@ def test_only_the_disjoint_catalog_entries_split(monkeypatch):
         phi(entry.laurent, 8)
         if calls != [len(entry.laurent.variables)]:
             engines[entry.id] = list(calls)
-    assert engines == _SPLIT
+    assert engines == _ENGINE_RUNS
+
+
+@pytest.mark.parametrize("entry_id", ["1-1", "1-2", "1-3", "1-4", "1-17"])
+def test_simplex_catalog_entries_equal_their_generator_series_at_order_60(
+        entry_id):
+    entry = _small_catalog()[entry_id]
+    assert phi(entry.laurent, 60) == entry.generator_series(60)
+
+
+# c x^s L^m with L = sum of c_k x^(e_k) over dims + 1 affinely independent
+# exponents has ct(f^j) = c^j (jm)! prod of c_k^(a_k) / a_k! for the one
+# a = j a_1 that reaches the origin, when it is a nonnegative integer vector
+
+_SIGNED_COEFFS = st.one_of(st.integers(-3, 3).filter(bool),
+                           st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                                     st.integers(2, 4)))
+
+
+def _affinely_independent(exponents):
+    first, *rest = exponents
+    return det_bareiss([[a - b for a, b in zip(e, first)] for e in rest]) != 0
+
+
+@st.composite
+def _simplex_cases(draw):
+    """L on dims + 1 affinely independent exponents in [-2, 2]^dims, dims
+    1-3, with int or Fraction coefficients of either sign; f is L alone,
+    or, carried by `factored`, L^m, m 1-3, times a monomial c x^s, s in
+    [-2, 2]^dims, or with no monomial factor; and an order 1-9."""
+    dims = draw(st.integers(1, 3))
+    vs = V3[:dims]
+    exponents = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dims),
+                              min_size=dims + 1, max_size=dims + 1,
+                              unique=True).filter(_affinely_independent))
+    L = LaurentPoly(vs, {e: draw(_SIGNED_COEFFS) for e in exponents})
+    order = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(("alone", "power", "monomial")))
+    if shape == "alone":
+        return L, order
+    factors = [(L, draw(st.integers(1, 3)))]
+    if shape == "monomial":
+        factors.insert(0, (LaurentPoly.monomial(
+            vs, draw(st.tuples(*[st.integers(-2, 2)] * dims)),
+            draw(_SIGNED_COEFFS)), 1))
+    return factored(_expand(factors, vs), factors), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_simplex_cases())
+# x^2 + 1/x: j a_1 = (j/3, 2j/3) is integral only for 3 | j
+@example((LaurentPoly.variable("x", ("x",)) ** 2
+          + LaurentPoly.variable("x", ("x",)) ** -1, 9))
+# x + y + xy: the simplex misses the origin, so every ct(f^j), j >= 1, is 0
+@example((x2 + y2 + x2 * y2, 9))
+# 1 + xy + x^2 y^2: three affinely dependent exponents, left to the engine
+@example((1 + x2 * y2 + x2 ** 2 * y2 ** 2, 9))
+# (1 + x + y)^2 / (2xy): a monomial factor with a Fraction coefficient
+@example((factored((1 + x2 + y2) ** 2 * (2 * x2 * y2) ** -1,
+                   [((2 * x2 * y2) ** -1, 1), (1 + x2 + y2, 2)]), 9))
+def test_phi_of_simplex_powers_equals_the_engine_on_all_of_f(case):
+    f, order = case
+    want = [p.coefficient(()) for p in phi_coefficients(f, order)]
+    got = phi(f, order).coeffs
+    assert list(got) == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+# dims + 1 terms on affinely dependent exponents go to the engine: those
+# of 1 + xy + x^2 y^2, whose system has a line of solutions, and of
+# y (xy + x^2 y^2 + x^3 y^3), whose system has none, every ct(f^j), j >= 1,
+# being 0
+_XY = x2 * y2
+
+
+@pytest.mark.parametrize("f", [
+    1 + _XY + _XY ** 2,
+    factored(y2 * (_XY + _XY ** 2 + _XY ** 3),
+             [(y2, 1), (_XY + _XY ** 2 + _XY ** 3, 1)])])
+def test_affinely_dependent_exponents_run_the_engine(f, monkeypatch):
+    calls = []
+
+    def powers(*args, _powers=series._powers):
+        calls.append(args[4])
+        return _powers(*args)
+    monkeypatch.setattr(series, "_powers", powers)
+    got = phi(f, 9).coeffs
+    assert calls == [2]
+    assert list(got) == [p.coefficient(()) for p in phi_coefficients(f, 9)]
