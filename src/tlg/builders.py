@@ -17,7 +17,8 @@ Products of edge and facet polynomials are `LaurentPoly` products.
 
 Neither the certificate search nor its check builds a hull or walks
 lattice points: each facet polygon is read off the Newton polytope's
-hull (`_facet_polygons`), and an A-type summand is its lattice data, its
+hull and charted by its normal's kernel lattice, in int
+(`_facet_polygons`), and an A-type summand is its lattice data, its
 sorted vertices and its edges as (primitive step, lattice length)
 counterclockwise from the first vertex, written out per candidate once
 per facet or read off a supplied summand's vertices
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd, prod
+from operator import mul, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .intlinalg import kernel_lattice_chart
 from .laurent import LaurentPoly
-from .polytope import (Polytope, _dot, _sub, is_reflexive, lattice_chart,
-                       newton_polytope)
+from .polytope import Polytope, _dot, _sub, is_reflexive, newton_polytope
 
 
 class BadCertificate(ValueError):
@@ -121,22 +123,26 @@ def _check_facet_decomposition(facet_budget: Dict[Tuple[int, int], int],
 
 def _facet_polygons(p: Polytope, points: Sequence[Tuple[int, ...]]):
     """Per facet of the lattice 3-polytope p: its normal, the chart base
-    and basis `lattice_chart` gives the points on it, those points' chart
-    coordinates by point, and the facet polygon's first vertex and edge
-    length per primitive step in the order of `delpezzo.polygon_edges`,
-    read off the ridges of p with no polygon built.
+    and basis, the chart coordinates of the points on it by point, and the
+    facet polygon's first vertex and edge length per primitive step in the
+    order of `delpezzo.polygon_edges`, read off the ridges of p.
 
-    points must hold p's vertices, so the chart base, the smallest point
-    on the facet, is a vertex. A facet m sharing exactly two vertices with
-    it is the side with chart inner normal u = (<m, b1>, <m, b2>) over its
-    gcd and step (u2, -u1), from the end with the smaller <step, .> to the
-    other. The sides are walked from the smallest chart vertex.
+    points are integer points holding p's vertices, so the chart base, the
+    smallest point on the facet, is a vertex; the basis spans the normal's
+    kernel lattice, and q - base has the products of the chart's integer
+    rows with it as coordinates. A facet m sharing exactly two vertices
+    with it is the side with chart inner normal u = (<m, b1>, <m, b2>)
+    over its gcd and step (u2, -u1), from the end with the smaller
+    <step, .> to the other. The sides are walked from the smallest chart
+    vertex.
     """
     verts = p.vertices
     for (normal, height), on in zip(p.facets, p._incidences):
         pts = [q for q in points if _dot(normal, q) + height == 0]
-        base, basis, proj = lattice_chart(pts, normal)
-        chart = dict(zip(pts, proj))
+        basis, rows = kernel_lattice_chart(normal)
+        base = min(pts)
+        chart = {q: tuple(sum(map(mul, row, map(sub, q, base)))
+                          for row in rows) for q in pts}
         b1, b2 = basis
         after = {}
         for (m, _), other in zip(p.facets, p._incidences):

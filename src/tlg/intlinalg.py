@@ -9,10 +9,10 @@ rows. The chart of a hyperplane's kernel lattice, `kernel_lattice_chart`,
 runs the column steps of the Smith form of one row in int and keeps the
 inverse of the unimodular transform beside it, so a point's coordinates
 are the dot products of its integer rows with the point, with no linear
-system solved and no Fraction. That chart serves only
-`polytope.lattice_chart`, the facet charts of the Minkowski check. The
-Smith form with transforms is `lattice.snf_with_transforms`, beside its
-only caller `discriminant`.
+system solved and no Fraction. Its only caller is
+`builders._facet_polygons`, which charts each facet of the Minkowski
+check. The Smith form is `lattice.snf_with_transforms`, beside its only
+caller `discriminant`.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Integer symmetric bilinear forms and their discriminant invariants.
 
 Gram matrices are exact integer data. Discriminant groups come out of a
-Smith normal form with explicit transforms (`snf_with_transforms`, which
-lives here, beside its only caller `discriminant`), so generators of the
-dual quotient are available as rational vectors and the quadratic form
-can be evaluated on them without floating point.
+Smith normal form and its column transform V (`snf_with_transforms`,
+which lives here, beside its only caller `discriminant`), so generators
+of the dual quotient are available as rational vectors and the quadratic
+form can be evaluated on them without floating point. The signature is
+Descartes' rule of signs on the characteristic polynomial, which
+`_charpoly` computes in int: no elimination here runs over Fractions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .intlinalg import Matrix, det_bareiss, identity
@@ -71,20 +74,15 @@ class GramLattice:
             raise ValueError("twist by zero degenerates the form")
         return GramLattice(tuple(tuple(c * x for x in row) for row in self.gram))
 
-    def direct_sum(self, other: "GramLattice") -> "GramLattice":
-        n, m = self.rank, other.rank
-        rows = [tuple(self.gram[i]) + (0,) * m for i in range(n)]
-        rows += [(0,) * n + tuple(other.gram[i]) for i in range(m)]
-        return GramLattice(tuple(rows))
-
 
 def direct_sum(*lattices: GramLattice) -> GramLattice:
-    if not lattices:
-        return GramLattice(())
-    out = lattices[0]
-    for l in lattices[1:]:
-        out = out.direct_sum(l)
-    return out
+    """The orthogonal sum, one block-diagonal Gram matrix."""
+    n = sum(l.rank for l in lattices)
+    rows = []
+    for l in lattices:
+        k = len(rows)
+        rows += [(0,) * k + row + (0,) * (n - k - l.rank) for row in l.gram]
+    return GramLattice(tuple(rows))
 
 
 def _simply_laced(n: int, edges: Sequence[Tuple[int, int]]) -> GramLattice:
@@ -185,21 +183,20 @@ def reduce_mod2(v: Fraction) -> Fraction:
     return v - 2 * (v / 2).__floor__()
 
 
-def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, Matrix]:
+def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     """Smith normal form S = U * mat * V with U, V unimodular.
 
-    Returns (S, U, V). S is diagonal (padded with zero rows/cols for
-    non-square input) with s_1 | s_2 | ... | s_r, all nonnegative.
+    Returns (S, V): the row steps act on mat alone, since no caller reads
+    U. S is diagonal (padded with zero rows/cols for non-square input)
+    with s_1 | s_2 | ... | s_r, all nonnegative.
     """
     a = [list(row) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
-    u = identity(m)
     v = identity(n)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
@@ -209,21 +206,13 @@ def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, M
 
     def add_row(src, dst, c):
         # row dst += c * row src
-        arow, usrc = a[src], u[src]
-        for j in range(n):
-            a[dst][j] += c * arow[j]
-        for j in range(m):
-            u[dst][j] += c * usrc[j]
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
 
     def add_col(src, dst, c):
         for row in a:
             row[dst] += c * row[src]
         for row in v:
             row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(m, n):
@@ -278,9 +267,9 @@ def snf_with_transforms(mat: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix, M
         if not fixed:
             continue
         if d < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
-    return a, u, v
+    return a, v
 
 
 def discriminant(l: GramLattice) -> DiscriminantData:
@@ -297,7 +286,7 @@ def discriminant(l: GramLattice) -> DiscriminantData:
     if d == 0:
         raise DegenerateLattice("discriminant needs det != 0")
     n = l.rank
-    s, _u, v = snf_with_transforms([list(row) for row in l.gram])
+    s, v = snf_with_transforms([list(row) for row in l.gram])
     group: List[int] = []
     gens: List[Tuple[Fraction, ...]] = []
     values: List[Fraction] = []
@@ -369,55 +358,35 @@ def index_check(sub: GramLattice, sup: GramLattice,
     return idx
 
 
+def _charpoly(a: Sequence[Sequence[int]]) -> List[int]:
+    """Coefficients c_n, ..., c_0 of det(x I - a) for a symmetric integer
+    matrix, by Faddeev-LeVerrier: M_1 = I, c_(n-k) = -tr(a M_k) / k and
+    M_(k+1) = a M_k + c_(n-k) I. The c_i are integers, so each division
+    is exact and everything stays in int; each M_k is a polynomial in a,
+    so symmetric, and its rows are its columns."""
+    n = len(a)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(map(mul, row, col)) for col in m] for row in a]
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        trace = sum(sum(map(mul, row, col)) for row, col in zip(a, m))
+        coeffs.append(-trace // k)
+    return coeffs
+
+
 def signature(l: GramLattice) -> Tuple[int, int]:
-    """Numbers of positive and negative squares, by exact symmetric
-    reduction over the rationals."""
-    n = l.rank
-    a = [[Fraction(x) for x in row] for row in l.gram]
-    pos = neg = 0
-    rows = list(range(n))
-    k = 0
-    while k < n:
-        piv = None
-        for i in range(k, n):
-            if a[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            off = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        off = (i, j)
-                        break
-                if off:
-                    break
-            if off is None:
-                raise DegenerateLattice("form is degenerate")
-            i, j = off
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r in range(n):
-                a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            if f:
-                for c in range(n):
-                    a[i][c] -= f * a[k][c]
-                for r in range(n):
-                    a[r][i] -= f * a[r][k]
-        k += 1
-    return pos, neg
+    """Numbers of positive and negative squares. A symmetric matrix has
+    only real eigenvalues, so Descartes' rule of signs is exact on its
+    characteristic polynomial: the sign changes of c_n, ..., c_0 count the
+    positive ones, and the form is degenerate exactly when c_0 is 0."""
+    coeffs = _charpoly(l.gram)
+    if coeffs[-1] == 0:
+        raise DegenerateLattice("form is degenerate")
+    signs = [c > 0 for c in coeffs if c]
+    pos = sum(x != y for x, y in zip(signs, signs[1:]))
+    return pos, l.rank - pos
 
 
 _DUVAL_RE = re.compile(r"^([ADE])_?(\d+)$")

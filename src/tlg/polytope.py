@@ -19,7 +19,8 @@ rational vertex coordinates; only the normalized volume needs integer
 vertices. The polar dual runs no hull: polarity turns the facets into its
 vertices and the vertices into its facets. Each polytope keeps the vertex
 indices on each facet, as its hull found them or transposed by polarity,
-and the volume, the edges and the Minkowski facet polygons read them.
+and the volume, the edges and the Minkowski facet polygons read them; the
+facet polygons chart their facets themselves, so no chart lives here.
 
 Facets are stored as pairs (n, h) with n a primitive integer inner normal,
 meaning the halfspace <n, x> >= -h, and equations as triples (f, a, b)
@@ -33,11 +34,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from .intlinalg import (_IntEchelon, _denominator, det_bareiss,
-                        kernel_lattice_chart)
+from .intlinalg import _IntEchelon, _denominator, det_bareiss
 from .laurent import Coeff, LaurentPoly, _norm
 
 Point = Tuple[object, ...]  # entries are int or Fraction
@@ -542,33 +542,6 @@ def _nvol(p: Polytope) -> int:
         stack.extend((e, k - 1, apexes + (apex,))
                      for e in below[face] if apex not in e)
     return total
-
-
-def lattice_chart(points_on_plane: Sequence[Point], normal: Sequence[int]
-                  ) -> Tuple[Point, List[List[int]], List[Tuple[int, ...]]]:
-    """Lattice-preserving coordinates on the hyperplane <normal, x> = c.
-
-    Returns (base point, kernel lattice basis, projected points). The base
-    point is the lexicographically smallest input point, and the basis and
-    its integer coordinate rows come from the column steps of one Smith
-    form of the normal (`kernel_lattice_chart`), so two calls with the
-    same normal and point set give identical output. A point p projects to
-    the dot products of the coordinate rows with p - base, which lifts
-    back to base + sum(c_k * basis_k); the point must lie on the plane
-    through base with integral p - base.
-    """
-    basis, coords = kernel_lattice_chart(normal)
-    p0 = min(points_on_plane)
-    out = []
-    for p in points_on_plane:
-        diff = tuple(map(sub, p, p0))
-        c = [sum(map(mul, row, diff)) for row in coords]
-        if _dot(normal, diff) != 0 or any(x.denominator != 1 for x in c):
-            raise PolytopeError(
-                f"point {p} is not a lattice point of the hyperplane through "
-                f"{p0} with normal {tuple(normal)}")
-        out.append(tuple(map(int, c)))
-    return p0, basis, out
 
 
 def edges(p: Polytope) -> List[Tuple[Point, Point]]:

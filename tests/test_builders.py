@@ -21,8 +21,9 @@ from tlg.minkowski import (InteriorFacetPoint, a_type_polynomial,
                            binomial_principle, certificate_from_json_dict,
                            is_An_polygon, minkowski_polynomial)
 from tlg.parametric import phi_coefficients
-from tlg.polytope import (Polytope, dual, is_reflexive, lattice_chart,
-                          lattice_points, newton_polytope)
+from tlg.intlinalg import kernel_lattice_chart
+from tlg.polytope import (Polytope, dual, is_reflexive, lattice_points,
+                          newton_polytope)
 from tlg.series import WciSpec
 from tlg.wci import (BadPartition, NefPartition, find_nef_partitions,
                      wci_laurent)
@@ -348,6 +349,21 @@ def _assert_candidates_match_their_hulls(budget):
         assert all(budget[step] >= n for step, n in edges_of_s)
 
 
+def _facet_chart(pts, normal):
+    # the smallest point, the basis of the normal's kernel lattice and each
+    # point's coordinates in it, checked to lift back to the point
+    basis, rows = kernel_lattice_chart(normal)
+    base = min(pts)
+    proj = []
+    for q in pts:
+        c = tuple(sum(x * (a - b) for x, a, b in zip(row, q, base))
+                  for row in rows)
+        assert tuple(base[j] + sum(ck * b[j] for ck, b in zip(c, basis))
+                     for j in range(len(q))) == q
+        proj.append(c)
+    return base, basis, proj
+
+
 def _rehulled_facets(p):
     # the path the facet generator replaces: every lattice point of p on
     # the facet, charted, hulled again and walked
@@ -355,7 +371,7 @@ def _rehulled_facets(p):
     for normal, height in p.facets:
         pts = [q for q in points
                if sum(a * b for a, b in zip(normal, q)) + height == 0]
-        base, basis, proj = lattice_chart(pts, normal)
+        base, basis, proj = _facet_chart(pts, normal)
         facet = Polytope(proj)
         yield (normal, base, basis, facet.vertices[0],
                [(step, n) for _, step, n in polygon_edges(facet)])

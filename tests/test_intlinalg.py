@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -37,39 +38,72 @@ def test_matrix_helpers():
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def _minor_gcd(m, k):
+    """gcd of the k x k minors of m."""
+    rows, cols = range(len(m)), range(len(m[0]))
+    return gcd(*(det_bareiss([[m[i][j] for j in cs] for i in rs])
+                 for rs in combinations(rows, k) for cs in combinations(cols, k)))
+
+
+def _assert_smith_form(m):
+    # s_1 ... s_k is the gcd of the k x k minors, V is unimodular, and
+    # column j of m V is s_j times column j of U^-1, so s_j divides it
+    s, v = snf_with_transforms(m)
+    rows, cols = len(m), len(m[0])
+    assert [len(row) for row in s] == [cols] * rows
+    assert all(x == 0 for i, row in enumerate(s) for j, x in enumerate(row)
+               if i != j)
+    diag = [s[j][j] if j < rows else 0 for j in range(cols)]
+    for k in range(1, min(rows, cols) + 1):
+        assert prod(diag[:k]) == _minor_gcd(m, k), (m, s)
+    assert abs(det_bareiss(v)) == 1
+    for j, col in enumerate(zip(*_mul(m, v))):
+        assert all(x % diag[j] == 0 if diag[j] else x == 0 for x in col)
+    return diag
+
+
+def _random_matrices(seed, shape, rank_deficient=False):
+    rng = random.Random(seed)
+    for _ in range(300):
+        rows, cols = shape(rng)
+        m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if rank_deficient:
+            # row i becomes a combination of the others
+            i = rng.randrange(rows)
+            j, k = (rng.choice([r for r in range(rows) if r != i])
+                    for _ in range(2))
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+        yield m
+
+
 def test_snf_diagonal_and_transforms():
     m = [[12, 6, 4, 8],
          [3, 9, 6, 12],
          [2, 16, 14, 28],
          [20, 10, 10, 20]]
-    s, u, v = snf_with_transforms(m)
-    assert _mul(_mul(u, m), v) == s
-    diag = [s[i][i] for i in range(4)]
+    diag = _assert_smith_form(m)
     assert diag == [1, 10, 30, 0]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                assert s[i][j] == 0
-    assert abs(det_bareiss(u)) == 1
-    assert abs(det_bareiss(v)) == 1
     # successive divisibility of the nonzero invariant factors
     nz = [d for d in diag if d]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
+    for m in _random_matrices(36, lambda rng: (rng.randint(1, 4),) * 2):
+        _assert_smith_form(m)
 
 
 def test_snf_rank_deficient():
-    m = [[2, 4], [1, 2]]
-    s, u, v = snf_with_transforms(m)
-    assert _mul(_mul(u, m), v) == s
-    assert [s[0][0], s[1][1]] == [1, 0]
+    assert _assert_smith_form([[2, 4], [1, 2]]) == [1, 0]
+    for m in _random_matrices(
+            37, lambda rng: (rng.randint(2, 4), rng.randint(1, 4)), True):
+        _assert_smith_form(m)
 
 
 def test_snf_rectangular():
-    m = [[2, 0, 0], [0, 6, 0]]
-    s, u, v = snf_with_transforms(m)
-    assert _mul(_mul(u, m), v) == s
-    assert s[0][0] == 2 and s[1][1] == 6
+    assert _assert_smith_form([[2, 0, 0], [0, 6, 0]]) == [2, 6, 0]
+    for m in _random_matrices(
+            38, lambda rng: rng.sample(range(1, 6), 2)):
+        _assert_smith_form(m)
 
 
 def test_kernel_lattice_basis():
@@ -96,7 +130,7 @@ def test_kernel_lattice_chart_matches_the_smith_form_route():
         vec = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))]
         if not any(vec):
             continue
-        _s, _u, v = snf_with_transforms([vec])
+        _s, v = snf_with_transforms([vec])
         coords = [[int(x) for x in row] for row in inverse_rational(v)[1:]]
         assert kernel_lattice_chart(vec) == (transpose(v)[1:], coords), vec
 

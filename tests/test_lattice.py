@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlg import hodge, lattice
 from tlg.lattice import (BadName, BadRange, DegenerateLattice, GramLattice,
@@ -32,6 +34,10 @@ def test_twist_and_direct_sum():
     s = direct_sum(h, GramLattice(((-2,),)))
     assert s.gram == ((0, 1, 0), (1, 0, 0), (0, 0, -2))
     assert s.det() == 2
+    assert direct_sum() == GramLattice(())
+    assert direct_sum(s) == s
+    assert direct_sum(GramLattice(((3,),)), h, GramLattice(())).gram == \
+        ((3, 0, 0), (0, 0, 1), (0, 1, 0))
 
 
 def test_standard_lattice_names():
@@ -54,6 +60,41 @@ def test_signature():
     assert signature(standard_lattice("M_6")) == (1, 18)
     with pytest.raises(DegenerateLattice):
         signature(GramLattice(((0,),)))
+
+
+@st.composite
+def _congruent_diagonal(draw, zeros):
+    """A diagonal D of rank 1..6 with nonzero entries, or with at least one
+    zero when zeros is set, and the Gram matrix U^T D U for a unimodular U,
+    a product of elementary row additions."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n))
+    if zeros:
+        d[draw(st.integers(0, n - 1))] = 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        for i, j, c in draw(st.lists(st.tuples(
+                st.integers(0, n - 1), st.integers(0, n - 1),
+                st.integers(-3, 3)).filter(lambda t: t[0] != t[1]),
+                max_size=8)):
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    gram = tuple(tuple(sum(u[k][i] * d[k] * u[k][j] for k in range(n))
+                       for j in range(n)) for i in range(n))
+    return d, GramLattice(gram)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_congruent_diagonal(zeros=False))
+def test_signature_is_the_sign_count_of_a_congruent_diagonal(case):
+    d, l = case
+    assert signature(l) == (sum(x > 0 for x in d), sum(x < 0 for x in d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_congruent_diagonal(zeros=True))
+def test_signature_refuses_a_form_congruent_to_a_singular_diagonal(case):
+    with pytest.raises(DegenerateLattice, match="form is degenerate"):
+        signature(case[1])
 
 
 def test_discriminant_small_lattices():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlg import intlinalg, mutation, polytope
+from tlg import builders, intlinalg, mutation
 from tlg.laurent import LaurentPoly, NotLaurent
 from tlg.mutation import (MutationData, PivotInFactor, SliceNotDivisible,
                           elementary_mutation, polytope_mutation_effect)
@@ -359,7 +359,7 @@ def test_polytope_mutation_builds_one_polytope_and_no_chart(monkeypatch):
         calls.append("kernel_lattice_chart")
         return chart(*args)
     monkeypatch.setattr(Polytope, "__init__", counting_init)
-    for module in (intlinalg, polytope):
+    for module in (intlinalg, builders):
         monkeypatch.setattr(module, "kernel_lattice_chart", counting_chart)
     assert not hasattr(mutation, "kernel_lattice_chart")
     moved = polytope_mutation_effect(p, data)

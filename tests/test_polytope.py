@@ -10,16 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tlg import catalog, polytope
+from tlg import catalog, intlinalg, polytope
 from tlg.commands import unimodular_equivalent
 from tlg.delpezzo import _boundary_cycle, polygon_edges
 from tlg.intlinalg import identity, kernel_lattice_chart
 from tlg.laurent import LaurentPoly
 from tlg.polytope import (DimensionTooLarge, NotFullDimensional,
                           NotLatticePolytope, OriginNotInterior, Polytope,
-                          PolytopeError, dual, edges, is_reflexive,
-                          lattice_chart, lattice_points, newton_polytope,
-                          normalized_volume)
+                          dual, edges, is_reflexive, lattice_points,
+                          newton_polytope, normalized_volume)
 
 TRIANGLE = Polytope([(1, 0), (0, 1), (-1, -1)])
 BIG = Polytope([(2, -1), (-1, 2), (-1, -1)])
@@ -239,22 +238,24 @@ def test_unimodular_equivalence():
         unimodular_equivalent(p5, p5)
 
 
+def _chart(rows, base, pt):
+    """Coordinates of pt - base read by the integer rows of a chart."""
+    return tuple(sum(x * (a - b) for x, a, b in zip(row, pt, base))
+                 for row in rows)
+
+
 def test_lattice_chart_preserves_relations():
     # points of a facet of the cube get 2d coordinates preserving affine
-    # structure: point = origin + coords . basis, coordinates distinct
+    # structure: point = base + coords . basis, coordinates distinct
     pts = [(1, -1, -1), (1, 1, -1), (1, -1, 1), (1, 1, 1), (1, 0, 0)]
-    origin, basis, coords = lattice_chart(pts, (1, 0, 0))
-    assert len(coords) == len(pts)
+    basis, rows = kernel_lattice_chart((1, 0, 0))
+    base = min(pts)
+    coords = [_chart(rows, base, pt) for pt in pts]
     assert len(set(coords)) == len(pts)
     for pt, co in zip(pts, coords):
-        rebuilt = tuple(origin[i] + sum(c * b[i] for c, b in zip(co, basis))
+        rebuilt = tuple(base[i] + sum(c * b[i] for c, b in zip(co, basis))
                         for i in range(3))
         assert rebuilt == pt
-
-
-def test_lattice_chart_rejects_points_off_the_hyperplane():
-    with pytest.raises(PolytopeError):
-        lattice_chart([(1, 0, 0), (2, 0, 0)], (1, 0, 0))
 
 
 @st.composite
@@ -275,38 +276,29 @@ def _plane_points(draw):
         r = c - sum(a * b for a, b in zip(n[:i] + n[i + 1:], rest))
         if r % n[i] == 0:
             pts.add(tuple(rest[:i] + [r // n[i]] + rest[i:]))
-    return tuple(n), i, sorted(pts)
+    return tuple(n), sorted(pts)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_plane_points())
 def test_lattice_chart_properties(case):
-    n, i, pts = case
+    # the chart of the normal's kernel lattice: its rows invert its basis,
+    # and they take each difference of points on the plane to integer
+    # coordinates that lift back through the basis
+    n, pts = case
     d = len(n)
-    base, basis, coords = lattice_chart(pts, n)
-    assert base == min(pts)
+    basis, rows = kernel_lattice_chart(n)
+    assert len(basis) == len(rows) == d - 1
+    assert all(sum(x * y for x, y in zip(n, b)) == 0 for b in basis)
+    assert [[sum(x * y for x, y in zip(r, b)) for b in basis]
+            for r in rows] == identity(d - 1)
+    base = min(pts)
+    coords = [_chart(rows, base, pt) for pt in pts]
     assert all(isinstance(x, int) for c in coords for x in c)
     assert len(set(coords)) == len(pts)
     for pt, c in zip(pts, coords):
-        assert len(c) == d - 1
         assert tuple(base[j] + sum(ck * b[j] for ck, b in zip(c, basis))
                      for j in range(d)) == pt
-    same_basis, rows = kernel_lattice_chart(n)
-    assert basis == same_basis
-    assert [[sum(x * y for x, y in zip(r, b)) for b in basis]
-            for r in rows] == identity(d - 1)
-    # off the plane: a step along coordinate i changes <n, x> by n_i
-    off = tuple(x + (j == i) for j, x in enumerate(pts[0]))
-    with pytest.raises(PolytopeError):
-        lattice_chart(pts + [off], n)
-    # on the plane but not a lattice point: half a primitive kernel vector
-    j = (i + 1) % d
-    w = [0] * d
-    w[i], w[j] = n[j], -n[i]
-    g = gcd(*w)
-    half = tuple(x + Fraction(wk, 2 * g) for x, wk in zip(pts[0], w))
-    with pytest.raises(PolytopeError):
-        lattice_chart(pts + [half], n)
 
 
 def test_hull_of_grid_points_with_collinear_edges():
@@ -773,17 +765,18 @@ def test_normalized_volume_builds_no_polytope_and_no_chart(monkeypatch):
     entry = next(e for e in catalog.load() if e.id == "G36-2111")
     q = dual(newton_polytope(entry.laurent))
     calls = []
-    init, chart = Polytope.__init__, polytope.lattice_chart
+    init, chart = Polytope.__init__, intlinalg.kernel_lattice_chart
 
     def counting_init(self, points):
         calls.append("Polytope")
         init(self, points)
 
     def counting_chart(*args):
-        calls.append("lattice_chart")
+        calls.append("kernel_lattice_chart")
         return chart(*args)
     monkeypatch.setattr(Polytope, "__init__", counting_init)
-    monkeypatch.setattr(polytope, "lattice_chart", counting_chart)
+    monkeypatch.setattr(intlinalg, "kernel_lattice_chart", counting_chart)
+    assert not {"kernel_lattice_chart", "lattice_chart"} & set(vars(polytope))
     assert normalized_volume(q) == 84
     assert calls == []
 
